@@ -88,6 +88,8 @@ class Arrangement:
     """d >= 3 pairwise distinct lines whose forms span the dual space."""
 
     def __init__(self, forms, name=None):
+        if any(all(c == 0 for c in f) for f in forms):
+            raise ArrangementError("a form is zero")
         normalized = [primitive_vector(f) for f in forms]
         if len(normalized) < 3:
             raise ArrangementError("need at least 3 lines")
@@ -116,13 +118,6 @@ class Arrangement:
             self._flats = compute_flats(self)
         return self._flats
 
-    def flat_of_point(self, point) -> FlatPoint:
-        pt = primitive_vector(point)
-        for f in self.flats:
-            if f.point == pt:
-                return f
-        raise KeyError("not a rank-two flat: %s" % (pt,))
-
     def sum_mu(self) -> int:
         return sum(f.mu for f in self.flats)
 
@@ -142,19 +137,25 @@ def parse_arrangement(source: str) -> Arrangement:
         return builtin(source)
     try:
         data = json.loads(source)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
         raise ArrangementError("not a builtin name and not valid JSON: %s" % e)
     if not isinstance(data, dict) or "forms" not in data:
         raise ArrangementError('arrangement JSON needs a "forms" key')
+    if not isinstance(data["forms"], list):
+        raise ArrangementError('"forms" must be a list of forms')
+    name = data.get("name")
+    if name is not None and not isinstance(name, str):
+        raise ArrangementError('"name" must be a string')
     forms = []
     for row in data["forms"]:
-        if len(row) != 3:
-            raise ArrangementError("each form needs exactly 3 coefficients")
+        if not isinstance(row, list) or len(row) != 3:
+            raise ArrangementError("each form needs exactly 3 coefficients, "
+                                   "got %r" % (row,))
         try:
             forms.append([Fraction(str(v)) for v in row])
         except (ValueError, ZeroDivisionError) as e:
             raise ArrangementError("malformed rational %r: %s" % (row, e))
-    return Arrangement(forms, name=data.get("name"))
+    return Arrangement(forms, name=name)
 
 
 def _cross(a, b):

@@ -1,9 +1,10 @@
 """Command line front end.
 
-Exit codes: 0 on success, 2 when a verification-style check fails, 1 on
-usage errors.  Output is deterministic (fixed seeds, canonical orders);
-`report --all` against a builtin reproduces the committed golden files
-byte for byte.
+Exit codes: 0 on success, 2 when a verification-style check fails or the
+arithmetic cannot certify a value (primes disagree, no generic draw), 1 on
+usage or input errors.  Output is deterministic (fixed seeds, canonical
+orders); `report --all` against a builtin reproduces the committed golden
+files byte for byte.
 """
 
 from __future__ import annotations
@@ -14,17 +15,16 @@ import sys
 from fractions import Fraction
 
 from . import __version__
+from .analysis import Analysis
 from .arrangement import (Arrangement, ArrangementError, BUILTIN_FORMS,
                           builtin, parse_arrangement, poincare_polynomial)
 from .circuits import circuit_relation, enumerate_circuits
 from .divisors import (DivisorClass, divisor_DA, h0_fatpoints, h0_h1,
                        pairing, riemann_roch_chi)
 from .exact import SEED_NAMESPACE
-from .koszul import KoszulContext, b23_formula, betti_table, tor_dimension
-from .orlik_terao import (OTPresentation, gradient_degree,
-                          jacobian_containment, terao_series)
-from .resonance import (is_neighborly, resonance_components,
-                        search_multinets)
+from .koszul import b23_formula, betti_table, tor_dimension
+from .orlik_terao import gradient_degree, jacobian_containment, terao_series
+from .resonance import is_neighborly, resonance_components
 from .scroll import (en_prediction, is_one_generic, minor_span_dimension,
                      minors_in_ideal, multiplication_matrix)
 
@@ -95,10 +95,12 @@ def _cert_dict(arr, cert) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# subcommand implementations: each returns (results dict, exit code, lines)
+# subcommand implementations: each takes the Analysis of the arrangement and
+# returns (results dict, exit code, lines)
 
 
-def _cmd_info(arr, args):
+def _cmd_info(an, args):
+    arr = an.arrangement
     meta = _arrangement_meta(arr)
     lines = ["%s: %d lines, %d rank-two flats"
              % (arr.name or "arrangement", arr.d, len(arr.flats))]
@@ -109,7 +111,8 @@ def _cmd_info(arr, args):
     return meta, 0, lines
 
 
-def _cmd_flats(arr, args):
+def _cmd_flats(an, args):
+    arr = an.arrangement
     res = {"flats": [_flat_dict(f) for f in arr.flats]}
     lines = ["%d rank-two flats:" % len(arr.flats)]
     for f in arr.flats:
@@ -119,16 +122,16 @@ def _cmd_flats(arr, args):
     return res, 0, lines
 
 
-def _cmd_poincare(arr, args):
-    poly = poincare_polynomial(arr)
+def _cmd_poincare(an, args):
+    poly = poincare_polynomial(an.arrangement)
     res = {"coefficients": list(poly.coefficients),
            "projective": list(poly.projective_coefficients()),
            "text": str(poly)}
     return res, 0, [str(poly)]
 
 
-def _cmd_circuits(arr, args):
-    cs = enumerate_circuits(arr, args.max_size)
+def _cmd_circuits(an, args):
+    cs = enumerate_circuits(an.arrangement, args.max_size)
     res = {"count": len(cs), "circuits": [
         {"lines": [i + 1 for i in c.indices],
          "coefficients": list(c.coeffs),
@@ -141,10 +144,10 @@ def _cmd_circuits(arr, args):
     return res, 0, lines
 
 
-def _cmd_ot_hilbert(arr, args):
-    pres = OTPresentation(arr)
+def _cmd_ot_hilbert(an, args):
+    pres = an.pres
     upto = args.upto
-    ts = terao_series(arr, upto)
+    ts = terao_series(an.arrangement, upto)
     dims = [pres.quotient_dimension(j) for j in range(upto + 1)]
     agree = tuple(dims) == ts.coefficients
     res = {"h_polynomial": list(ts.h_polynomial),
@@ -158,10 +161,9 @@ def _cmd_ot_hilbert(arr, args):
     return res, (0 if agree else 2), lines
 
 
-def _cmd_betti(arr, args):
-    ctx = KoszulContext(arr)
-    table = betti_table(ctx, verify_regularity=args.verify_regularity)
-    rep = b23_formula(arr, ctx.pres)
+def _cmd_betti(an, args):
+    table = betti_table(an.engine(), verify_regularity=args.verify_regularity)
+    rep = b23_formula(an.pres)
     res = {
         "totals": table.totals(),
         "entries": table.to_json_map(),
@@ -185,7 +187,8 @@ def _cmd_betti(arr, args):
     return res, code, lines
 
 
-def _cmd_divisor_da(arr, args):
+def _cmd_divisor_da(an, args):
+    arr = an.arrangement
     da = divisor_DA(arr)
     h0, h1 = h0_h1(arr, da)
     chi = riemann_roch_chi(arr, da)
@@ -201,7 +204,8 @@ def _cmd_divisor_da(arr, args):
     return res, (0 if ok else 2), lines
 
 
-def _cmd_h0(arr, args):
+def _cmd_h0(an, args):
+    arr = an.arrangement
     mults = [int(x) for x in args.mults.split(",")] if args.mults else []
     flats = arr.flats
     if len(mults) != len(flats):
@@ -219,21 +223,22 @@ def _cmd_h0(arr, args):
     return res, 0, lines
 
 
-def _cmd_net_search(arr, args):
+def _cmd_net_search(an, args):
     ks = [args.k] if args.k else [3, 4]
     certs = []
     for k in ks:
-        certs.extend(search_multinets(arr, k, args.max_weight))
+        certs.extend(an.multinets(k, args.max_weight))
     res = {"k": ks, "max_weight": args.max_weight,
-           "certificates": [_cert_dict(arr, c) for c in certs]}
+           "certificates": [_cert_dict(an.arrangement, c) for c in certs]}
     lines = ["%d certificate(s)" % len(certs)]
     for c in certs:
         lines.append("  " + c.describe())
     return res, 0, lines
 
 
-def _cmd_resonance(arr, args):
-    comps = resonance_components(arr, max_weight=args.max_weight)
+def _cmd_resonance(an, args):
+    arr = an.arrangement
+    comps = resonance_components(an, max_weight=args.max_weight)
     out = []
     for c in comps:
         entry = {"kind": c.kind,
@@ -255,19 +260,17 @@ def _cmd_resonance(arr, args):
     return res, 0, lines
 
 
-def _cmd_scroll_check(arr, args):
-    pres = OTPresentation(arr)
-    nets = [c for c in search_multinets(arr, 3, 1) if c.connected]
-    nets += [c for c in search_multinets(arr, 4, 1) if c.connected]
+def _cmd_scroll_check(an, args):
+    arr = an.arrangement
+    nets = [c for k in (3, 4) for c in an.multinets(k, 1) if c.connected]
+    b23 = tor_dimension(an.engine(), 2, 3) if nets else None
     checks = []
     ok = True
-    ctx = KoszulContext(arr, pres)
     for cert in nets:
-        gamma = multiplication_matrix(arr, cert, pres)
+        gamma = multiplication_matrix(an.pres, cert)
         one_gen = is_one_generic(gamma)
-        in_ideal = minors_in_ideal(arr, gamma, pres)
+        in_ideal = minors_in_ideal(an.pres, gamma)
         en = en_prediction(cert, arr.d)
-        b23 = tor_dimension(ctx, 2, 3)
         match = (en.linear_syzygies == b23)
         ok = ok and one_gen and in_ideal and match
         checks.append({
@@ -293,13 +296,14 @@ def _cmd_scroll_check(arr, args):
     return res, (0 if ok else 2), lines
 
 
-def _cmd_jacobian_check(arr, args):
-    ok = jacobian_containment(arr)
+def _cmd_jacobian_check(an, args):
+    ok = jacobian_containment(an.arrangement)
     res = {"jacobian_in_l_span": ok}
     return res, (0 if ok else 2), ["jacobian ideal contained: %s" % ok]
 
 
-def _cmd_gradient_degree(arr, args):
+def _cmd_gradient_degree(an, args):
+    arr = an.arrangement
     val = gradient_degree(arr)
     poly = poincare_polynomial(arr)
     b1, b2 = poly.coefficients[1], poly.coefficients[2]
@@ -309,7 +313,7 @@ def _cmd_gradient_degree(arr, args):
     return res, (0 if val == identity else 2), ["gradient degree: %d" % val]
 
 
-def _cmd_report(arr, args):
+def _cmd_report(an, args):
     results = {}
     code = 0
     for name, fn, extra in (
@@ -327,7 +331,7 @@ def _cmd_report(arr, args):
             ("gradient_degree", _cmd_gradient_degree, {}),
     ):
         sub = argparse.Namespace(**extra)
-        out, c, _ = fn(arr, sub)
+        out, c, _ = fn(an, sub)
         results[name] = out
         code = max(code, c)
     return results, code, [json.dumps(results, indent=2)]
@@ -395,16 +399,16 @@ def run(argv) -> int:
         if not args.command:
             raise UsageError("missing subcommand")
         arr = _load_arrangement(args)
-        results, code, lines = _COMMANDS[args.command](arr, args)
+        results, code, lines = _COMMANDS[args.command](Analysis(arr), args)
     except UsageError as e:
         print("usage error: %s" % e, file=sys.stderr)
         return 1
-    except ArrangementError as e:
+    except ValueError as e:       # ArrangementError and bad option values
         print("error: %s" % e, file=sys.stderr)
         return 1
-    except ValueError as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 1
+    except (ArithmeticError, RuntimeError) as e:
+        print("verification failed: %s" % e, file=sys.stderr)
+        return 2
     if args.command == "report":
         payload = {
             "tool": "otb",

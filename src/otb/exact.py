@@ -4,8 +4,9 @@ multivariate polynomials, and gcd of binary forms.
 Everything here is exact.  Scalars are `fractions.Fraction`; matrices are
 small lists of lists; the sparse row reducer carries the echelon machinery
 used for ideal slices.  A word-sized prime fast path (numpy elimination
-mod p) exists for large rank computations; callers that report numbers out
-of it are expected to confirm them at two independent primes.
+mod p) exists for large rank computations.  A rank mod p is a proved lower
+bound for the rank over Q; agreement at two independent primes is evidence,
+not proof, that it is the rank.
 
 All values are immutable after construction in the sense that no routine
 mutates its arguments; results are freshly allocated.
@@ -18,8 +19,6 @@ from fractions import Fraction
 from math import gcd
 
 import numpy as np
-
-Rational = Fraction
 
 # Primes for the modular fast path.  All well below 2**15.5 so that a
 # product of two reduced entries fits comfortably in int64.
@@ -92,29 +91,9 @@ class RatMatrix:
     def identity(cls, n: int) -> "RatMatrix":
         return cls([[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def zero(cls, nrows: int, ncols: int) -> "RatMatrix":
-        return cls([[Fraction(0)] * ncols for _ in range(nrows)])
-
     def transpose(self) -> "RatMatrix":
         return RatMatrix([[self.rows[i][j] for i in range(self.nrows)]
                           for j in range(self.ncols)])
-
-    def mul(self, other: "RatMatrix") -> "RatMatrix":
-        if self.ncols != other.nrows:
-            raise ValueError("shape mismatch")
-        out = []
-        for i in range(self.nrows):
-            row = []
-            for j in range(other.ncols):
-                s = Fraction(0)
-                for k in range(self.ncols):
-                    a = self.rows[i][k]
-                    if a:
-                        s += a * other.rows[k][j]
-                row.append(s)
-            out.append(row)
-        return RatMatrix(out)
 
     def __eq__(self, other):
         return isinstance(other, RatMatrix) and self.rows == other.rows
@@ -291,9 +270,6 @@ class SparseReducer:
         self.pivot_rows[lead] = newrow
         return True
 
-    def pivot_columns(self) -> list[int]:
-        return sorted(self.pivot_rows)
-
     def nonpivot_columns(self) -> list[int]:
         pivs = self.pivot_rows
         return [c for c in range(self.ncols) if c not in pivs]
@@ -338,9 +314,9 @@ def modp_sparse_matrix(sparse_rows, ncols: int, p: int) -> np.ndarray:
     return a
 
 
-def modp_echelon(a: np.ndarray, p: int, basis: bool = False):
-    """Row echelon mod p (in place on a copy).  Returns (rank, rows) where
-    rows is the echelon basis when `basis` is set, else None."""
+def modp_rank(a: np.ndarray, p: int) -> int:
+    """Rank mod p by row echelon on a copy; a proved lower bound for the
+    rank over Q of any rational matrix that reduces to `a`."""
     a = a % p
     nr, nc = a.shape
     r = 0
@@ -362,33 +338,25 @@ def modp_echelon(a: np.ndarray, p: int, basis: bool = False):
             idx = r + 1 + nzb
             a[idx, c:] = (a[idx, c:] - np.outer(below[nzb], a[r, c:])) % p
         r += 1
-    return (r, a[:r] if basis else None)
+    return r
 
 
-def modp_rank(a: np.ndarray, p: int) -> int:
-    return modp_echelon(a, p)[0]
-
-
-def rank_two_primes(rows, primes=MODP_PRIMES) -> int:
-    """Rank certified by agreement at two independent primes.
-
-    Monotone fact used everywhere: rank mod p <= rank over Q, so two primes
-    agreeing is strong evidence and a single prime already certifies any
-    *lower* bound it reports.
-    """
+def two_prime_rank(rank_at, what: str) -> int:
+    """The rank `rank_at(p)` reports at the first two primes of MODP_PRIMES
+    that do not raise BadPrime.  Each value is a proved lower bound for the
+    rank over Q; their agreement is evidence, not proof, of equality."""
     got = []
-    for p in primes:
+    for p in MODP_PRIMES:
         try:
-            got.append(modp_rank(modp_matrix(rows, p), p))
+            got.append(rank_at(p))
         except BadPrime:
             continue
         if len(got) == 2:
             break
     if len(got) < 2:
-        raise RuntimeError("ran out of primes")
+        raise RuntimeError("ran out of primes for the %s" % what)
     if got[0] != got[1]:
-        # fall back to exact arithmetic on disagreement
-        return rank(RatMatrix(rows))
+        raise ArithmeticError("%s differs between primes" % what)
     return got[0]
 
 
@@ -542,9 +510,6 @@ class MPoly:
         degs = {sum(e) for e in self.terms}
         return len(degs) <= 1
 
-    def coefficient(self, expo) -> Fraction:
-        return self.terms.get(tuple(expo), Fraction(0))
-
     def derivative(self, i: int) -> "MPoly":
         out = {}
         for e, c in self.terms.items():
@@ -555,17 +520,6 @@ class MPoly:
         p = MPoly(self.nvars)
         p.terms = out
         return p
-
-    def evaluate(self, point) -> Fraction:
-        pt = [Fraction(x) for x in point]
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            v = c
-            for x, k in zip(pt, e):
-                for _ in range(k):
-                    v *= x
-            total += v
-        return total
 
     def compose(self, polys: list) -> "MPoly":
         """Substitute variable i -> polys[i] (all in a common ring)."""
@@ -713,9 +667,6 @@ class BinaryForm:
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
-
-    def is_constant(self) -> bool:
-        return self.degree == 0
 
     def __eq__(self, other):
         return isinstance(other, BinaryForm) and self.coeffs == other.coeffs

@@ -8,7 +8,7 @@ of the Koszul complex on the d variables tensored with C(A).  Two engines
 compute it:
 
 * "full": the strand above, literally; ranks exactly when the matrices are
-  small and by agreement at two word-sized primes otherwise.  A rank mod p
+  small and mod p otherwise, agreed at two word-sized primes.  A rank mod p
   never exceeds the rank over Q, so zero homology mod a single prime is
   already a proof of zero homology over Q.
 
@@ -17,8 +17,9 @@ compute it:
   multiplicity h(1); colength >= multiplicity always holds for a linear
   system of parameters, and equality forces the module to be Cohen-Macaulay
   and the sequence to be regular, which transfers the graded Betti numbers
-  verbatim to the small quotient.  Everything is then exact rational
-  arithmetic on matrices of size a few hundred.
+  verbatim to the small quotient.  The reduction itself is exact rational
+  arithmetic; its strand ranks follow the same rule as the full engine
+  (exact below EXACT_ENTRY_LIMIT entries, two-prime agreement above).
 
 The reduced engine is the default for d >= 8: eliminating the full strands
 of a nine-line arrangement (matrices beyond 10000 x 4500) costs hours on
@@ -28,26 +29,16 @@ exact and runs in seconds.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .arrangement import Arrangement
-from .exact import (MODP_PRIMES, BadPrime, SparseReducer, modp_rank,
-                    modp_sparse_matrix, seeded_rng)
-from .orlik_terao import OTPresentation, multiplicity, terao_series
+from .exact import (SparseReducer, draw_generic, modp_rank,
+                    modp_sparse_matrix, rref, seeded_rng, two_prime_rank)
+from .orlik_terao import OTPresentation, terao_series
 
 EXACT_ENTRY_LIMIT = 50_000   # rows*cols below this: exact sparse elimination
-
-
-def worker_count() -> int:
-    try:
-        return max(1, int(os.environ.get("OTB_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 # ---------------------------------------------------------------------------
@@ -112,8 +103,8 @@ def _differential_columns(nvars: int, i: int, maps, c_src: int, c_dst: int):
 
 
 def _rank_sparse_columns(cols, nrows: int) -> int:
-    """Rank of a sparse column collection: exact when small, otherwise
-    certified by agreement at two primes."""
+    """Rank of a sparse column collection: exact when small, otherwise mod p
+    with two-prime agreement."""
     ncols = len(cols)
     if ncols == 0 or nrows == 0:
         return 0
@@ -122,24 +113,13 @@ def _rank_sparse_columns(cols, nrows: int) -> int:
         for col in cols:
             red.add(col)
         return red.rank
-    got = []
-    for p in MODP_PRIMES:
-        try:
-            a = modp_sparse_matrix(cols, nrows, p)
-        except BadPrime:
-            continue
-        got.append(modp_rank(a, p))
-        if len(got) == 2:
-            break
-    if len(got) < 2:
-        raise RuntimeError("ran out of primes for strand rank")
-    if got[0] != got[1]:
-        raise ArithmeticError("strand rank differs between primes")
-    return got[0]
+    return two_prime_rank(
+        lambda p: modp_rank(modp_sparse_matrix(cols, nrows, p), p),
+        "strand rank")
 
 
 # ---------------------------------------------------------------------------
-# The two engines, behind one context
+# The two engines
 
 
 class _Engine:
@@ -240,25 +220,19 @@ class ReducedEngine(_Engine):
         h = terao_series(pres.arrangement, 2).h_polynomial
         mult = sum(h)
         rng = seeded_rng("artinian-reduction:%s" % (pres.arrangement.name or d))
-        last_error = None
-        for attempt in range(5):
-            theta = [[Fraction(rng.randint(-5, 5)) for _ in range(d)]
-                     for _ in range(3)]
-            try:
-                self._try_theta(theta, h, mult)
-                return
-            except _ReductionFailed as e:
-                last_error = e
-        raise ArithmeticError(
-            "no linear system of parameters found in 5 draws: %s" % last_error)
+        draw_generic(rng,
+                     lambda r: [[Fraction(r.randint(-5, 5)) for _ in range(d)]
+                                for _ in range(3)],
+                     lambda theta: self._try_theta(theta, h, mult))
 
-    def _try_theta(self, theta, h, mult):
-        from .exact import rref
+    def _try_theta(self, theta, h, mult) -> bool:
+        """Install the reduction by theta when it is a certified linear
+        system of parameters; False when this draw is not one."""
         pres = self.pres
         d = pres.d
-        red_theta, pivots = rref(theta)
+        _, pivots = rref(theta)
         if len(pivots) != 3:
-            raise _ReductionFailed("theta matrix is singular")
+            return False
         self.kept_vars = [j for j in range(d) if j not in set(pivots)]
         # quotient C_q / (theta_1, theta_2, theta_3) C_{q-1} for q = 1..3
         reducers = {0: SparseReducer(1)}
@@ -282,16 +256,11 @@ class ReducedEngine(_Engine):
                     red.add(col)
             reducers[q] = red
             dims[q] = c_q - red.rank
-        expected = {0: 1, 1: d - 3, 2: h[2], 3: 0}
-        for q in range(4):
-            if dims[q] != expected[q]:
-                raise _ReductionFailed(
-                    "quotient dimension %d in degree %d, expected %d"
-                    % (dims[q], q, expected[q]))
+        if dims != {0: 1, 1: d - 3, 2: h[2], 3: 0}:
+            return False
         colength = sum(dims.values())
         if colength != mult:
-            raise _ReductionFailed(
-                "colength %d != multiplicity %d" % (colength, mult))
+            return False
         self._dims = dims
         self.certificate = {
             "theta": [[str(x) for x in row] for row in theta],
@@ -315,6 +284,7 @@ class ReducedEngine(_Engine):
                     cols.append({dst_pos[c]: v for c, v in res.items()})
                 per_var.append(cols)
             self._maps[q] = per_var
+        return True
 
     def dim(self, q: int) -> int:
         if q < 0:
@@ -323,10 +293,6 @@ class ReducedEngine(_Engine):
 
     def maps(self, q: int):
         return self._maps[q]
-
-
-class _ReductionFailed(Exception):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -382,35 +348,13 @@ class BettiTable:
         return out
 
 
-class KoszulContext:
-    """Caches the presentation and both engines for one arrangement."""
-
-    def __init__(self, arr: Arrangement, pres: OTPresentation | None = None):
-        self.arrangement = arr
-        self.pres = pres or OTPresentation(arr)
-        self._engines: dict = {}
-
-    def engine(self, method: str) -> _Engine:
-        if method == "auto":
-            method = "full" if self.arrangement.d <= 7 else "reduced"
-        if method not in self._engines:
-            if method == "full":
-                self._engines[method] = FullEngine(self.pres)
-            elif method == "reduced":
-                self._engines[method] = ReducedEngine(self.pres)
-            else:
-                raise ValueError("unknown method %r" % method)
-        return self._engines[method]
-
-
-def tor_dimension(arr_or_ctx, i: int, j: int, verify_regularity: bool = False,
-                  method: str = "auto") -> int:
+def tor_dimension(eng: _Engine, i: int, j: int,
+                  verify_regularity: bool = False) -> int:
     """dim Tor_i(C(A), k)_j.  Strands past the regularity bound (j-i > 2)
     return zero without elimination unless verify_regularity forces the
-    honest computation."""
-    ctx = arr_or_ctx if isinstance(arr_or_ctx, KoszulContext) \
-        else KoszulContext(arr_or_ctx)
-    d = ctx.arrangement.d
+    honest computation.  Under the reduced engine the indices above d-3
+    vanish by its certified reduction."""
+    d = eng.pres.d
     if not (0 <= i <= d):
         raise ValueError("homological index out of range")
     if j < i:
@@ -420,37 +364,23 @@ def tor_dimension(arr_or_ctx, i: int, j: int, verify_regularity: bool = False,
         return 1 if j == 0 else 0
     if s > 2 and not verify_regularity:
         return 0
-    eng = ctx.engine(method)
-    if isinstance(eng, FullEngine):
-        return eng.homology(i, s)
-    # reduced engine: indices above d-3 vanish by the certified reduction
-    if i > eng.nvars:
-        return 0
     return eng.homology(i, s)
 
 
-def betti_table(arr_or_ctx, method: str = "auto",
-                verify_regularity: bool = False) -> BettiTable:
+def betti_table(eng: _Engine, verify_regularity: bool = False) -> BettiTable:
     """All graded Betti numbers.  The full engine runs i all the way to d
     and checks the vanishing beyond i = d-3; the reduced engine certifies
     that vanishing through its Artinian-reduction certificate."""
-    ctx = arr_or_ctx if isinstance(arr_or_ctx, KoszulContext) \
-        else KoszulContext(arr_or_ctx)
-    d = ctx.arrangement.d
-    eng = ctx.engine(method)
+    d = eng.pres.d
     entries = {}
-    jobs = [(i, s) for i in range(1, eng.nvars + 1) for s in (1, 2)]
-    nworkers = worker_count()
-    if nworkers > 1:
-        with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            values = list(pool.map(lambda t: eng.homology(*t), jobs))
-    else:
-        values = [eng.homology(i, s) for (i, s) in jobs]
-    for (i, s), v in zip(jobs, values):
-        if v < 0:
-            raise ArithmeticError("negative homology dimension at %s" % ((i, s),))
-        if v:
-            entries[(i, i + s)] = v
+    for i in range(1, eng.nvars + 1):
+        for s in (1, 2):
+            v = eng.homology(i, s)
+            if v < 0:
+                raise ArithmeticError("negative homology dimension at %s"
+                                      % ((i, s),))
+            if v:
+                entries[(i, i + s)] = v
     if isinstance(eng, FullEngine):
         for i in range(max(1, d - 2), d + 1):
             for s in (1, 2):
@@ -478,14 +408,13 @@ class B23Report:
     quadratic_only: bool      # the I = I_2 hypothesis
 
 
-def b23_formula(arr: Arrangement, pres: OTPresentation | None = None) -> B23Report:
+def b23_formula(pres: OTPresentation) -> B23Report:
     """Closed form for the linear first syzygies when the ideal is generated
     by quadrics: 2*(C(d,3) - 1) - (d-3)*(sum mu + 1).  Also reports whether
     degree-3 minimal generators exist (the hypothesis check); generators in
     degree > 3 are excluded by 2-regularity."""
-    pres = pres or OTPresentation(arr)
-    d = arr.d
-    value = 2 * (comb(d, 3) - 1) - (d - 3) * (arr.sum_mu() + 1)
+    d = pres.d
+    value = 2 * (comb(d, 3) - 1) - (d - 3) * (pres.arrangement.sum_mu() + 1)
     piece2 = pres.graded_piece(2)
     red = SparseReducer(len(pres.graded_piece(3).monomials))
     index = pres.graded_piece(3).index

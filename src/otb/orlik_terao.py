@@ -8,7 +8,8 @@ test: a homogeneous g lies in I iff g(l_1,...,l_d) expands to zero.
 Graded slices of I are echelonized exactly; the quotient monomial basis of
 each slice carries the multiplication-by-variable maps that the Koszul
 strand computations consume.  Dimensions in degrees past the exact window
-are certified at two independent primes via the substitution matrix.
+come from the rank of the substitution matrix mod p, a proved lower bound
+for dim C(A)_j, read at two independent primes that must agree.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ from math import comb
 import numpy as np
 
 from .arrangement import Arrangement, poincare_polynomial
-from .circuits import Circuit, circuit_relation, enumerate_circuits
-from .exact import (MODP_PRIMES, MPoly, RatMatrix, SparseReducer,
-                    modp_rank, monomials_of_degree, solve)
+from .circuits import circuit_relation, enumerate_circuits
+from .exact import (MPoly, RatMatrix, SparseReducer, modp_rank,
+                    monomials_of_degree, solve, two_prime_rank)
 
 
 # ---------------------------------------------------------------------------
@@ -140,13 +141,8 @@ class OTPresentation:
         return comb(self.d - 1 + j, j) - self.ideal_dimension(j)
 
 
-def b2_dimensions(pres: OTPresentation, j: int) -> int:
-    """dim C(A)_j = dim R_j - dim I_j."""
-    return pres.quotient_dimension(j)
-
-
 # ---------------------------------------------------------------------------
-# Substitution-matrix dimensions (dual-prime certified)
+# Substitution-matrix dimensions (two-prime agreement)
 
 
 @lru_cache(maxsize=None)
@@ -218,17 +214,11 @@ def _substitution_rows(pres: OTPresentation, j: int, p: int) -> np.ndarray:
 
 
 def substitution_quotient_dim(pres: OTPresentation, j: int) -> int:
-    """dim C(A)_j as the rank of the substitution matrix, certified by
-    agreement at two primes (rank mod p never exceeds the rational rank)."""
-    got = []
-    for p in MODP_PRIMES:
-        got.append(modp_rank(_substitution_rows(pres, j, p), p))
-        if len(got) == 2:
-            break
-    if got[0] != got[1]:
-        raise ArithmeticError("substitution rank differs between primes; "
-                              "enlarge the prime list")
-    return got[0]
+    """dim C(A)_j as the rank of the substitution matrix mod p, a proved
+    lower bound, agreed at two primes (see `two_prime_rank`)."""
+    return two_prime_rank(
+        lambda p: modp_rank(_substitution_rows(pres, j, p), p),
+        "substitution rank")
 
 
 # ---------------------------------------------------------------------------

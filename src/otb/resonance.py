@@ -14,11 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb, factorial, gcd
+from math import factorial, gcd
 
-from .arrangement import Arrangement, FlatPoint
-from .exact import (RatMatrix, SparseReducer, primitive_vector, rank, rref,
-                    seeded_rng)
+from .arrangement import Arrangement
+from .exact import (RatMatrix, SparseReducer, draw_generic, primitive_vector,
+                    rank, rref, seeded_rng)
 
 
 class MultinetError(ValueError):
@@ -75,6 +75,8 @@ class OS2:
         return RatMatrix(rows)
 
     def h1_dimension(self, a) -> int:
+        """dim H^1(A, a) for a in the sum-zero hyperplane: the kernel of the
+        multiplication A^1 -> A^2 minus the image of A^0."""
         a = [Fraction(x) for x in a]
         if all(v == 0 for v in a):
             raise ValueError("a must be nonzero")
@@ -84,12 +86,6 @@ class OS2:
         m = self.multiplication_matrix(a)
         ker_dim = self.arrangement.d - rank(m)
         return ker_dim - 1
-
-
-def h1_dimension(arr: Arrangement, a) -> int:
-    """dim H^1(A, a) for a in the sum-zero hyperplane: the kernel of the
-    multiplication A^1 -> A^2 minus the image of A^0."""
-    return OS2(arr).h1_dimension(a)
 
 
 # ---------------------------------------------------------------------------
@@ -170,12 +166,6 @@ class MultinetCertificate:
     @property
     def is_net(self) -> bool:
         return all(w == 1 for w in self.weights)
-
-    def block_of_line(self, i: int) -> int:
-        for bi, b in enumerate(self.blocks):
-            if i in b:
-                return bi
-        raise KeyError(i)
 
     def describe(self) -> str:
         kind = "net" if self.is_net else ("multinet" if self.connected
@@ -468,30 +458,30 @@ def cartan_test(arr: Arrangement, Z) -> CartanReport:
 # Assembly of R^1
 
 
-def _sample_in_span(vectors, rng, tries: int = 5):
-    for _ in range(tries):
-        coeffs = [rng.randint(-7, 7) for _ in vectors]
-        a = [Fraction(0)] * len(vectors[0])
-        for c, v in zip(coeffs, vectors):
-            if c:
-                for i, x in enumerate(v):
-                    a[i] += c * x
-        if any(a):
-            return a
-    raise RuntimeError("could not sample a nonzero point of the component")
+def _combination(vectors, rng) -> list:
+    coeffs = [rng.randint(-7, 7) for _ in vectors]
+    a = [Fraction(0)] * len(vectors[0])
+    for c, v in zip(coeffs, vectors):
+        if c:
+            for i, x in enumerate(v):
+                a[i] += c * x
+    return a
 
 
-def resonance_components(arr: Arrangement, max_weight: int = 2,
-                         search_k=(3, 4)) -> list:
+def _sample_in_span(vectors, rng) -> list:
+    """A nonzero random point of the span of `vectors`."""
+    return draw_generic(rng, lambda r: _combination(vectors, r), any)
+
+
+def resonance_components(an, max_weight: int = 2) -> list:
     """Local components plus one essential component per multinet (full
-    multinets only), deduplicated by span, each verified by the H^1 oracle
-    at two distinct sample points."""
-    os2 = OS2(arr)
+    multinets with 3 or 4 blocks, from the Analysis `an`), deduplicated by
+    span, each verified by the H^1 oracle at two distinct sample points."""
+    arr = an.arrangement
     comps = list(local_components(arr))
     certs = []
-    for k in search_k:
-        certs.extend(c for c in search_multinets(arr, k, max_weight)
-                     if c.connected)
+    for k in (3, 4):
+        certs.extend(c for c in an.multinets(k, max_weight) if c.connected)
     for cert in certs:
         us = []
         for b in cert.blocks:
@@ -521,7 +511,7 @@ def resonance_components(arr: Arrangement, max_weight: int = 2,
             if key in seen_samples:
                 continue
             seen_samples.add(key)
-            h1 = os2.h1_dimension(a)
+            h1 = an.os2.h1_dimension(a)
             if h1 < need:
                 raise ArithmeticError(
                     "component rejected by H^1 oracle at %s (got %d, need "

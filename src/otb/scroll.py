@@ -38,14 +38,13 @@ class MultiplicationMatrix:
         return out
 
 
-def multiplication_matrix(arr: Arrangement, cert,
-                          pres: OTPresentation | None = None) -> MultiplicationMatrix:
+def multiplication_matrix(pres: OTPresentation, cert) -> MultiplicationMatrix:
     """Entry (i,j) is the expansion of sigma_i * tau_j in the basis
     l_1..l_d of the degree-(d-1) sections, read as a linear form in y."""
     if not cert.is_net:
         raise ValueError("multiplication matrix needs a net certificate "
                          "(all weights one)")
-    pres = pres or OTPresentation(arr)
+    arr = pres.arrangement
     split = net_split(arr, cert)
     sa = h0_fatpoints(arr, split.A_div)
     if sa.dimension != 2:
@@ -130,10 +129,8 @@ def _mpoly2_to_binary(p: MPoly, degree: int) -> BinaryForm:
     return BinaryForm(coeffs)
 
 
-def minors_in_ideal(arr: Arrangement, g: MultiplicationMatrix,
-                    pres: OTPresentation | None = None) -> bool:
+def minors_in_ideal(pres: OTPresentation, g: MultiplicationMatrix) -> bool:
     """Every 2x2 minor must pass the substitution membership test."""
-    pres = pres or OTPresentation(arr)
     return all(membership(pres, q) for q in g.minors() if not q.is_zero())
 
 

@@ -1,41 +1,24 @@
+from functools import lru_cache
+
 import pytest
 
+from otb.analysis import Analysis
 from otb.arrangement import Arrangement, builtin
-from otb.koszul import KoszulContext
-from otb.orlik_terao import OTPresentation
 
 BUILTINS = ("braid-a3", "ex-2-4", "9_3_1", "9_3_2", "b3")
 
-_cache = {}
 
-
-def get_arrangement(name):
-    if ("arr", name) not in _cache:
-        _cache[("arr", name)] = builtin(name)
-    return _cache[("arr", name)]
-
-
-def get_presentation(name):
-    if ("pres", name) not in _cache:
-        _cache[("pres", name)] = OTPresentation(get_arrangement(name))
-    return _cache[("pres", name)]
-
-
-def get_context(name):
-    if ("ctx", name) not in _cache:
-        _cache[("ctx", name)] = KoszulContext(get_arrangement(name),
-                                              get_presentation(name))
-    return _cache[("ctx", name)]
+@lru_cache(maxsize=None)
+def analysis(name):
+    """The shared Analysis of a builtin arrangement."""
+    return Analysis(builtin(name))
 
 
 @pytest.fixture
 def braid():
-    return get_arrangement("braid-a3")
+    return analysis("braid-a3").arrangement
 
 
 @pytest.fixture
 def triangle():
-    if "triangle" not in _cache:
-        _cache["triangle"] = Arrangement(
-            [(1, 0, 0), (0, 1, 0), (0, 0, 1)], name="triangle")
-    return _cache["triangle"]
+    return Arrangement([(1, 0, 0), (0, 1, 0), (0, 0, 1)], name="triangle")

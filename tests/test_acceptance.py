@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a PASS line with
 the measured values.  All comparisons are exact integer equalities; Betti
-ranks are exact rational arithmetic or confirmed at two independent primes
-by the underlying engines."""
+ranks are exact rational arithmetic or mod-p lower bounds agreed at two
+independent primes by the underlying engines."""
 
 import time
 from math import comb
@@ -9,7 +9,8 @@ from math import comb
 from otb.arrangement import poincare_polynomial
 from otb.divisors import DivisorClass, divisor_DA, h0_fatpoints, h0_h1, \
     net_split
-from otb.koszul import KoszulContext, b23_formula, betti_table, tor_dimension
+from otb.analysis import Analysis
+from otb.koszul import b23_formula, betti_table, tor_dimension
 from otb.orlik_terao import (gradient_degree, hilbert_burch_psi,
                              jacobian_containment, terao_series)
 from otb.resonance import (is_neighborly, resonance_components,
@@ -17,7 +18,7 @@ from otb.resonance import (is_neighborly, resonance_components,
 from otb.scroll import (en_prediction, is_one_generic, minors_in_ideal,
                         multiplication_matrix)
 
-from conftest import BUILTINS, get_arrangement, get_context, get_presentation
+from conftest import BUILTINS, analysis
 
 TABLE_BUDGET = 300.0      # seconds per Betti table
 SUITE_BUDGET = 120.0      # seconds per property suite
@@ -40,26 +41,25 @@ def test_criterion_1_betti_tables():
     timings = {}
     for name, want in expected.items():
         t0 = time.monotonic()
-        ctx = KoszulContext(get_arrangement(name))   # fresh: honest timing
-        tb = betti_table(ctx)
+        an = Analysis(analysis(name).arrangement)   # fresh: honest timing
+        tb = betti_table(an.engine())
         dt = time.monotonic() - t0
         timings[name] = dt
         assert _table_rows(tb) == want, name
         assert dt < TABLE_BUDGET, "table for %s took %.1fs" % (name, dt)
     # the braid table is additionally confirmed by the second engine
-    assert _table_rows(betti_table(get_context("braid-a3"),
-                                   method="reduced")) == expected["braid-a3"]
+    reduced = betti_table(analysis("braid-a3").engine("reduced"))
+    assert _table_rows(reduced) == expected["braid-a3"]
     print("ACCEPTANCE 1 PASS: Betti tables match (%s)" %
           ", ".join("%s %.1fs" % kv for kv in sorted(timings.items())))
 
 
 def test_criterion_2_tor_and_b23():
-    ctx = get_context("braid-a3")
-    t24 = tor_dimension(ctx, 2, 4)
+    eng = analysis("braid-a3").engine()
+    t24 = tor_dimension(eng, 2, 4)
     assert t24 == 3
-    rep = b23_formula(get_arrangement("braid-a3"),
-                      get_presentation("braid-a3"))
-    t23 = tor_dimension(ctx, 2, 3)
+    rep = b23_formula(analysis("braid-a3").pres)
+    t23 = tor_dimension(eng, 2, 3)
     assert rep.formula_value == 2 == t23
     print("ACCEPTANCE 2 PASS: tor(2,4)=%d, b23 formula %d == tor(2,3)=%d"
           % (t24, rep.formula_value, t23))
@@ -67,7 +67,7 @@ def test_criterion_2_tor_and_b23():
 
 def test_criterion_3_hilbert_agreement():
     for name in BUILTINS:
-        pres = get_presentation(name)
+        pres = analysis(name).pres
         ts = terao_series(pres.arrangement, 5)
         dims = tuple(pres.quotient_dimension(j) for j in range(6))
         assert dims == ts.coefficients, name
@@ -77,15 +77,15 @@ def test_criterion_3_hilbert_agreement():
 
 def test_criterion_4_section_counts():
     for name in BUILTINS:
-        a = get_arrangement(name)
+        a = analysis(name).arrangement
         assert h0_fatpoints(a, divisor_DA(a)).dimension == a.d, name
-    a = get_arrangement("9_3_1")
+    a = analysis("9_3_1").arrangement
     A = DivisorClass(3, {p: 1 for p in a.flats if p.mu == 2})
     h0A, h1A = h0_h1(a, A)
     B = divisor_DA(a) - A
     h0B = h0_fatpoints(a, B).dimension
     assert (h0A, h1A, h0B) == (2, 1, 3)
-    braid = get_arrangement("braid-a3")
+    braid = analysis("braid-a3").arrangement
     cert = search_multinets(braid, 3, 1)[0]
     split = net_split(braid, cert)
     assert split.h0B_lower == 3
@@ -96,7 +96,7 @@ def test_criterion_4_section_counts():
 def test_criterion_5_resonance():
     expected = {"braid-a3": (4, 1), "9_3_1": (9, 1), "9_3_2": (9, 0)}
     for name, want in expected.items():
-        comps = resonance_components(get_arrangement(name))
+        comps = resonance_components(analysis(name))
         got = (sum(1 for c in comps if c.kind == "local"),
                sum(1 for c in comps if c.kind == "essential"))
         assert got == want, name
@@ -108,14 +108,14 @@ def test_criterion_5_resonance():
             ess = next(c for c in comps if c.kind == "essential")
             cert = ess.provenance
             assert (cert.k, cert.m) == (3, 3) and cert.is_net
-            assert is_neighborly(get_arrangement(name), cert.blocks)
+            assert is_neighborly(analysis(name).arrangement, cert.blocks)
     print("ACCEPTANCE 5 PASS: components 4+1 / 9+1 / 9+0, oracle-verified "
           "at 2 points each; the 9_3_1 essential comes from a neighborly "
           "(3,3)-net")
 
 
 def test_criterion_6_b3_multinet():
-    b = get_arrangement("b3")
+    b = analysis("b3").arrangement
     blocks = [(0, 7, 8), (1, 5, 6), (2, 3, 4)]
     weights = [2, 2, 2, 1, 1, 1, 1, 1, 1]
     cert = verify_multinet(b, blocks, weights)   # raises on any identity
@@ -131,15 +131,15 @@ def test_criterion_6_b3_multinet():
 
 def test_criterion_7_scroll_certificates():
     for name in ("braid-a3", "9_3_1"):
-        a = get_arrangement(name)
-        pres = get_presentation(name)
+        a = analysis(name).arrangement
+        pres = analysis(name).pres
         cert = search_multinets(a, 3, 1)[0]
-        gamma = multiplication_matrix(a, cert, pres)
+        gamma = multiplication_matrix(pres, cert)
         assert (len(gamma.entries), gamma.ncols) == (2, 3), name
         assert is_one_generic(gamma), name
-        assert minors_in_ideal(a, gamma, pres), name
+        assert minors_in_ideal(pres, gamma), name
         en = en_prediction(cert, a.d)
-        b23 = tor_dimension(get_context(name), 2, 3)
+        b23 = tor_dimension(analysis(name).engine(), 2, 3)
         assert en.linear_syzygies == 2 == b23, name
     print("ACCEPTANCE 7 PASS: both nets give 1-generic 2x3 matrices with "
           "minors in the ideal and EN beta_1 = 2 = b_{2,3}")
@@ -150,14 +150,14 @@ def test_criterion_8_property_suites():
 
     t0 = time.monotonic()
     for name in BUILTINS:
-        a = get_arrangement(name)
+        a = analysis(name).arrangement
         assert comb(a.d, 2) == sum(comb(f.mu + 1, 2) for f in a.flats)
     suites["double-count"] = time.monotonic() - t0
 
     t0 = time.monotonic()
     for name in BUILTINS:
-        a = get_arrangement(name)
-        tb = betti_table(get_context(name))
+        a = analysis(name).arrangement
+        tb = betti_table(analysis(name).engine())
         h = terao_series(a, 2).h_polynomial
         n = a.d - 3
         expect = [0] * (n + 3)
@@ -173,24 +173,25 @@ def test_criterion_8_property_suites():
 
     t0 = time.monotonic()
     for name in BUILTINS:
-        tb = betti_table(get_context(name), verify_regularity=True)
+        tb = betti_table(analysis(name).engine(), verify_regularity=True)
         assert tb.strand3 and all(v == 0 for v in tb.strand3.values()), name
         assert set(tb.strand3) >= set(range(1, min(4, tb.d - 3) + 1))
     suites["strand3-vanishing"] = time.monotonic() - t0
 
     t0 = time.monotonic()
     for name in BUILTINS:
-        hilbert_burch_psi(get_arrangement(name))   # verifies minors = +-l_i
+        # verifies minors = +-l_i
+        hilbert_burch_psi(analysis(name).arrangement)
     suites["hilbert-burch"] = time.monotonic() - t0
 
     t0 = time.monotonic()
     for name in BUILTINS:
-        assert jacobian_containment(get_arrangement(name)), name
+        assert jacobian_containment(analysis(name).arrangement), name
     suites["jacobian"] = time.monotonic() - t0
 
     t0 = time.monotonic()
     for name in BUILTINS:
-        a = get_arrangement(name)
+        a = analysis(name).arrangement
         c = poincare_polynomial(a).coefficients
         assert gradient_degree(a) == c[2] - c[1] + 1, name
     suites["gradient-degree"] = time.monotonic() - t0

@@ -8,7 +8,7 @@ from otb.arrangement import (Arrangement, ArrangementError,
                              parse_arrangement, poincare_polynomial)
 from otb.exact import seeded_rng
 
-from conftest import BUILTINS, get_arrangement
+from conftest import BUILTINS, analysis
 
 
 def test_builtin_braid_forms(braid):
@@ -17,7 +17,7 @@ def test_builtin_braid_forms(braid):
 
 
 def test_builtin_9_3_2_forms():
-    a = get_arrangement("9_3_2")
+    a = analysis("9_3_2").arrangement
     assert a.d == 9
     assert (2, 3, 3) in a.forms and (1, 2, 3) in a.forms
 
@@ -57,6 +57,18 @@ def test_parse_unknown_builtin_message():
         parse_arrangement("no-such-arrangement")
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"forms": [5, 6, 7]}, "exactly 3 coefficients"),
+    ({"forms": 5}, "must be a list"),
+    ({"forms": [[1, 0, 0], [0, 1, 0], "001"]}, "exactly 3 coefficients"),
+    ({"forms": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "name": 7}, "string"),
+    ({"forms": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0]]}, "zero"),
+])
+def test_parse_rejects_bad_shapes(doc, message):
+    with pytest.raises(ArrangementError, match=message):
+        parse_arrangement(json.dumps(doc))
+
+
 def test_braid_flats(braid):
     triples = [f for f in braid.flats if f.mu == 2]
     doubles = [f for f in braid.flats if f.mu == 1]
@@ -67,13 +79,13 @@ def test_braid_flats(braid):
 
 def test_9_3_flat_counts():
     for name in ("9_3_1", "9_3_2"):
-        a = get_arrangement(name)
+        a = analysis(name).arrangement
         mus = sorted(f.mu for f in a.flats)
         assert mus == [1] * 9 + [2] * 9
 
 
 def test_b3_flat_counts():
-    a = get_arrangement("b3")
+    a = analysis("b3").arrangement
     mus = sorted(f.mu for f in a.flats)
     assert mus == [1] * 6 + [2] * 4 + [3] * 3
 
@@ -103,7 +115,7 @@ def test_poincare_braid(braid):
 
 def test_poincare_9_3():
     for name in ("9_3_1", "9_3_2"):
-        p = poincare_polynomial(get_arrangement(name))
+        p = poincare_polynomial(analysis(name).arrangement)
         assert p.coefficients == (1, 9, 27, 19)
         assert p.projective_coefficients() == (1, 8, 19)
 
@@ -114,25 +126,25 @@ def test_poincare_triangle(triangle):
 
 def test_poincare_b3_factors():
     # free with exponents 1, 3, 5
-    p = poincare_polynomial(get_arrangement("b3")).coefficients
+    p = poincare_polynomial(analysis("b3").arrangement).coefficients
     assert p == (1, 9, 23, 15)
 
 
 def test_double_count_identity():
     for name in BUILTINS:
-        a = get_arrangement(name)
+        a = analysis(name).arrangement
         assert comb(a.d, 2) == sum(comb(f.mu + 1, 2) for f in a.flats)
 
 
 def test_b2_is_sum_mu():
     for name in BUILTINS:
-        a = get_arrangement(name)
+        a = analysis(name).arrangement
         assert poincare_polynomial(a).coefficients[2] == a.sum_mu()
 
 
 def test_poincare_divisible_by_one_plus_t():
     for name in BUILTINS:
-        p = poincare_polynomial(get_arrangement(name))
+        p = poincare_polynomial(analysis(name).arrangement)
         q = p.projective_coefficients()
         # (1 + t) * q == p
         c = p.coefficients

@@ -2,7 +2,7 @@ from otb.circuits import (circuit_relation, dependency_coefficients,
                           enumerate_circuits)
 from otb.exact import MPoly
 
-from conftest import BUILTINS, get_arrangement
+from conftest import BUILTINS, analysis
 
 
 def test_braid_triples(braid):
@@ -16,7 +16,7 @@ def test_braid_triples(braid):
 
 
 def test_ex_2_4_single_circuit():
-    a = get_arrangement("ex-2-4")
+    a = analysis("ex-2-4").arrangement
     cs = enumerate_circuits(a, 4)
     assert len(cs) == 1
     assert cs[0].indices == (0, 1, 2, 3)
@@ -36,7 +36,7 @@ def test_four_generic_lines_single_quadruple_circuit():
 
 
 def test_relation_ex_2_4():
-    a = get_arrangement("ex-2-4")
+    a = analysis("ex-2-4").arrangement
     c = enumerate_circuits(a, 4)[0]
     f = circuit_relation(c)
     # y2 y3 y4 + y1 y3 y4 + y1 y2 y4 - y1 y2 y3 (1-based variables)
@@ -58,7 +58,7 @@ def test_relation_braid_first_circuit(braid):
 
 def test_no_circuit_contains_another():
     for name in BUILTINS:
-        cs = enumerate_circuits(get_arrangement(name), None)
+        cs = enumerate_circuits(analysis(name).arrangement, None)
         sets = [set(c.indices) for c in cs]
         for i, s in enumerate(sets):
             for j, t in enumerate(sets):
@@ -73,7 +73,7 @@ def test_coefficients_unique_up_to_normalization(braid):
 
 def test_coefficients_are_dependencies():
     for name in BUILTINS:
-        a = get_arrangement(name)
+        a = analysis(name).arrangement
         for c in enumerate_circuits(a, None):
             for axis in range(3):
                 total = sum(cf * a.forms[i][axis]
@@ -84,7 +84,7 @@ def test_coefficients_are_dependencies():
 def test_triples_match_flats():
     # 3-circuits are exactly the concurrent triples
     for name in BUILTINS:
-        a = get_arrangement(name)
+        a = analysis(name).arrangement
         triples = {c.indices for c in enumerate_circuits(a, 3)}
         from itertools import combinations
         expected = set()
@@ -96,5 +96,5 @@ def test_triples_match_flats():
 
 def test_all_coefficients_nonzero():
     for name in BUILTINS:
-        for c in enumerate_circuits(get_arrangement(name), None):
+        for c in enumerate_circuits(analysis(name).arrangement, None):
             assert all(v != 0 for v in c.coeffs)

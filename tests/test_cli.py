@@ -1,9 +1,17 @@
 import json
 import os
+import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import otb.resonance
+from otb.analysis import Analysis
+from otb.arrangement import ArrangementError, parse_arrangement
 from otb.cli import run
+from otb.exact import BadPrime, GenericityError
+from otb.orlik_terao import OTPresentation
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "golden")
 
@@ -156,3 +164,84 @@ def test_report_matches_golden(name, capsys):
               encoding="utf-8") as fh:
         golden = fh.read()
     assert out == golden
+
+
+@pytest.mark.parametrize("doc", [{"forms": [5, 6, 7]}, {"forms": 5}])
+def test_malformed_file_is_an_input_error(doc, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _capture(capsys, ["info", "--arrangement", str(path)])
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("exc", [
+    ArithmeticError("strand rank differs between primes"),
+    BadPrime(32003),
+    GenericityError("genericity precondition failed after 5 draws"),
+    RuntimeError("ran out of primes for the strand rank"),
+])
+def test_engine_failure_is_a_verification_failure(exc, monkeypatch, capsys):
+    def fail(self, method="auto"):
+        raise exc
+    monkeypatch.setattr(Analysis, "engine", fail)
+    code, out, err = _capture(capsys, ["betti", "--builtin", "braid-a3"])
+    assert code == 2 and out == ""
+    assert err == "verification failed: %s\n" % exc
+
+
+def test_report_builds_shared_objects_once(monkeypatch, capsys):
+    counts = {"presentations": 0, "searches": 0}
+    build = OTPresentation.__init__
+    search = otb.resonance.search_multinets
+
+    def counted_build(self, *args, **kwargs):
+        counts["presentations"] += 1
+        build(self, *args, **kwargs)
+
+    def counted_search(*args, **kwargs):
+        counts["searches"] += 1
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(OTPresentation, "__init__", counted_build)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("otb") and \
+                getattr(module, "search_multinets", None) is search:
+            monkeypatch.setattr(module, "search_multinets", counted_search)
+    code, _, _ = _capture(capsys, ["report", "--all", "--builtin",
+                                   "braid-a3"])
+    assert code == 0
+    # net-search and resonance share the (k, weight 2) searches; scroll-check
+    # runs the (k, weight 1) ones
+    assert counts == {"presentations": 1, "searches": 4}
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=6),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=5), inner, max_size=3)),
+    max_leaves=12)
+_coefficients = (st.integers(-3, 3)
+                 | st.sampled_from(["1/2", "-2/3", "1/0", "x", ""])
+                 | _json_values)
+_arrangement_docs = st.fixed_dictionaries(
+    {"forms": st.lists(st.lists(_coefficients, min_size=2, max_size=4),
+                       max_size=7)},
+    optional={"name": _json_values}) | _json_values
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=_arrangement_docs)
+def test_fuzzed_arrangement_files_never_trace(doc, tmp_path, capsys):
+    text = json.dumps(doc)
+    try:
+        parse_arrangement(text)
+    except ArrangementError:
+        pass
+    path = tmp_path / "fuzz.json"
+    path.write_text(text)
+    code, _, err = _capture(capsys, ["info", "--arrangement", str(path)])
+    assert code in (0, 1)
+    assert "Traceback" not in err

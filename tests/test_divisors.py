@@ -8,7 +8,7 @@ from otb.exact import RatMatrix, monomials_of_degree, rank
 from otb.orlik_terao import l_forms
 from otb.resonance import search_multinets
 
-from conftest import BUILTINS, get_arrangement
+from conftest import BUILTINS, analysis
 
 
 def test_pairing_basis(braid):
@@ -35,13 +35,13 @@ def test_braid_DA(braid):
 
 
 def test_DA_ex_2_4():
-    a = get_arrangement("ex-2-4")
+    a = analysis("ex-2-4").arrangement
     da = divisor_DA(a)
     assert da.m == 3 and sorted(da.mults.values()) == [1] * 6
 
 
 def test_DA_9_3_2():
-    a = get_arrangement("9_3_2")
+    a = analysis("9_3_2").arrangement
     da = divisor_DA(a)
     assert da.m == 8
     assert sorted(da.mults.values(), reverse=True) == [2] * 9 + [1] * 9
@@ -54,13 +54,13 @@ def test_chi_zero_divisor(braid):
 def test_chi_equals_d_on_corpus():
     # equivalent to the edge double count
     for name in BUILTINS:
-        a = get_arrangement(name)
+        a = analysis(name).arrangement
         assert riemann_roch_chi(a, divisor_DA(a)) == a.d
 
 
 def test_h0_DA_is_d_and_spans_l_basis():
     for name in BUILTINS:
-        a = get_arrangement(name)
+        a = analysis(name).arrangement
         sec = h0_fatpoints(a, divisor_DA(a))
         assert sec.dimension == a.d
         monos = monomials_of_degree(3, a.d - 1)
@@ -71,7 +71,7 @@ def test_h0_DA_is_d_and_spans_l_basis():
 
 def test_h0_greater_equal_chi_on_corpus_divisors():
     for name in ("braid-a3", "9_3_1"):
-        a = get_arrangement(name)
+        a = analysis(name).arrangement
         da = divisor_DA(a)
         for div in (da, DivisorClass(3, {p: 1 for p in a.flats if p.mu == 2})):
             h0 = h0_fatpoints(a, div).dimension
@@ -79,7 +79,7 @@ def test_h0_greater_equal_chi_on_corpus_divisors():
 
 
 def test_9_3_1_net_divisors():
-    a = get_arrangement("9_3_1")
+    a = analysis("9_3_1").arrangement
     A = DivisorClass(3, {p: 1 for p in a.flats if p.mu == 2})
     sA = h0_fatpoints(a, A)
     assert sA.dimension == 2
@@ -106,7 +106,7 @@ def _condition_rows(a, div):
 def test_9_3_1_pencil_lower_bound_matches():
     # the net's block products give two independent sections, and the
     # condition matrix caps the dimension at two: equality both ways
-    a = get_arrangement("9_3_1")
+    a = analysis("9_3_1").arrangement
     cert = search_multinets(a, 3, 1)[0]
     from otb.exact import MPoly
     prods = []
@@ -135,7 +135,7 @@ def test_net_split_braid(braid):
 
 
 def test_net_split_9_3_1():
-    a = get_arrangement("9_3_1")
+    a = analysis("9_3_1").arrangement
     cert = search_multinets(a, 3, 1)[0]
     split = net_split(a, cert)
     assert split.h0B_lower == 3 == 9 - comb(4, 2)
@@ -151,7 +151,7 @@ def test_net_base_locus_mobius_count_braid(braid):
 
 
 def test_h0_rejects_negative():
-    a = get_arrangement("braid-a3")
+    a = analysis("braid-a3").arrangement
     p = a.flats[0]
     with pytest.raises(ValueError, match="not a fat-point divisor"):
         h0_fatpoints(a, DivisorClass(2, {p: -1}))
@@ -160,7 +160,7 @@ def test_h0_rejects_negative():
 
 
 def test_h0_no_conditions():
-    a = get_arrangement("braid-a3")
+    a = analysis("braid-a3").arrangement
     sec = h0_fatpoints(a, DivisorClass(2, {}))
     assert sec.dimension == 6 and len(sec.basis) == 6
 

@@ -1,14 +1,14 @@
 import pytest
 
-from otb.koszul import (KoszulContext, b23_formula, betti_table,
-                        tor_dimension)
+from otb.analysis import Analysis
+from otb.koszul import b23_formula, betti_table, tor_dimension
 from otb.orlik_terao import terao_series
 
-from conftest import BUILTINS, get_arrangement, get_context
+from conftest import BUILTINS, analysis
 
 
 def test_braid_table_full():
-    tb = betti_table(get_context("braid-a3"), method="full")
+    tb = betti_table(analysis("braid-a3").engine("full"))
     assert tb.totals() == [1, 4, 5, 2]
     assert tb.row(1) == [0, 4, 2, 0]
     assert tb.row(2) == [0, 0, 3, 2]
@@ -17,41 +17,40 @@ def test_braid_table_full():
 
 
 def test_braid_tor_values():
-    ctx = get_context("braid-a3")
-    assert tor_dimension(ctx, 2, 3) == 2
-    assert tor_dimension(ctx, 2, 4) == 3
-    assert tor_dimension(ctx, 0, 0) == 1
-    assert tor_dimension(ctx, 1, 2) == 4
+    eng = analysis("braid-a3").engine()
+    assert tor_dimension(eng, 2, 3) == 2
+    assert tor_dimension(eng, 2, 4) == 3
+    assert tor_dimension(eng, 0, 0) == 1
+    assert tor_dimension(eng, 1, 2) == 4
 
 
 def test_tor_validates_input():
-    ctx = get_context("braid-a3")
+    eng = analysis("braid-a3").engine()
     with pytest.raises(ValueError):
-        tor_dimension(ctx, -1, 0)
+        tor_dimension(eng, -1, 0)
     with pytest.raises(ValueError):
-        tor_dimension(ctx, 7, 8)
+        tor_dimension(eng, 7, 8)
     with pytest.raises(ValueError):
-        tor_dimension(ctx, 2, 1)
+        tor_dimension(eng, 2, 1)
 
 
 def test_tor_beyond_regularity_short_circuits():
-    ctx = get_context("braid-a3")
-    assert tor_dimension(ctx, 1, 5) == 0
+    eng = analysis("braid-a3").engine()
+    assert tor_dimension(eng, 1, 5) == 0
     # forcing the computation gives the same answer
-    assert tor_dimension(ctx, 1, 5, verify_regularity=True) == 0
+    assert tor_dimension(eng, 1, 5, verify_regularity=True) == 0
 
 
 def test_reduced_agrees_with_full_on_small():
     for name in ("braid-a3", "ex-2-4"):
-        ctx = get_context(name)
-        full = betti_table(ctx, method="full")
-        red = betti_table(ctx, method="reduced")
+        full = betti_table(analysis(name).engine("full"))
+        red = betti_table(analysis(name).engine("reduced"))
         assert full.entries == red.entries
         assert red.certificate["colength"] == red.certificate["multiplicity"]
 
 
 def test_reduced_certificate_contents():
-    tb = betti_table(get_context("9_3_1"), method="reduced")
+    tb = betti_table(analysis("9_3_1").engine("reduced"))
     cert = tb.certificate
     assert cert["artinian_in_degree"] == 3
     assert cert["h_vector"] == (1, 6, 12)
@@ -59,14 +58,14 @@ def test_reduced_certificate_contents():
 
 
 def test_ex_2_4_table():
-    tb = betti_table(get_context("ex-2-4"), method="full")
+    tb = betti_table(analysis("ex-2-4").engine("full"))
     assert tb.totals() == [1, 1]
     assert tb.entries == {(1, 3): 1}
     assert tb.projective_dimension == 1
 
 
 def test_triangle_table(triangle):
-    tb = betti_table(KoszulContext(triangle), method="full")
+    tb = betti_table(Analysis(triangle).engine("full"))
     assert tb.entries == {}
     assert tb.totals() == [1]
     assert tb.projective_dimension == 0
@@ -75,13 +74,13 @@ def test_triangle_table(triangle):
 
 def test_projective_dimension_is_d_minus_3():
     for name in BUILTINS:
-        tb = betti_table(get_context(name))
-        assert tb.projective_dimension == get_arrangement(name).d - 3
+        tb = betti_table(analysis(name).engine())
+        assert tb.projective_dimension == analysis(name).arrangement.d - 3
 
 
 def test_strand3_vanishes():
     for name in BUILTINS:
-        tb = betti_table(get_context(name), verify_regularity=True)
+        tb = betti_table(analysis(name).engine(), verify_regularity=True)
         assert tb.strand3
         assert all(v == 0 for v in tb.strand3.values())
 
@@ -89,11 +88,11 @@ def test_strand3_vanishes():
 def test_strand_composite_zero_small():
     # d(d(x)) = 0 on explicitly constructed strands
     for name in ("braid-a3", "ex-2-4"):
-        eng = get_context(name).engine("full")
+        eng = analysis(name).engine("full")
         for (i, s) in ((1, 1), (2, 1), (2, 2), (3, 2)):
             strand = eng.strand(i, s)
             assert strand.composite_is_zero()
-    eng = get_context("9_3_1").engine("reduced")
+    eng = analysis("9_3_1").engine("reduced")
     for (i, s) in ((1, 1), (2, 1), (3, 2)):
         assert eng.strand(i, s).composite_is_zero()
 
@@ -101,8 +100,8 @@ def test_strand_composite_zero_small():
 def test_euler_characteristic_identity():
     # sum_i (-1)^i b_{i,j} t^j == h(t) * (1-t)^(d-3)
     for name in BUILTINS:
-        a = get_arrangement(name)
-        tb = betti_table(get_context(name))
+        a = analysis(name).arrangement
+        tb = betti_table(analysis(name).engine())
         h = terao_series(a, 2).h_polynomial
         n = a.d - 3
         # expand h(t) * (1-t)^n
@@ -120,43 +119,40 @@ def test_euler_characteristic_identity():
 
 
 def test_b23_formula_braid():
-    rep = b23_formula(get_arrangement("braid-a3"))
+    rep = b23_formula(analysis("braid-a3").pres)
     assert rep.formula_value == 2
     assert rep.quadratic_only
-    assert rep.formula_value == tor_dimension(get_context("braid-a3"), 2, 3)
+    assert rep.formula_value == tor_dimension(analysis("braid-a3").engine(),
+                                              2, 3)
 
 
 def test_b23_formula_on_quadratic_corpus():
     # wherever the ideal is quadratic the formula matches the elimination
     for name in BUILTINS:
-        rep = b23_formula(get_arrangement(name), get_presentation_for(name))
+        rep = b23_formula(analysis(name).pres)
         if rep.quadratic_only:
-            assert rep.formula_value == tor_dimension(get_context(name), 2, 3)
-
-
-def get_presentation_for(name):
-    from conftest import get_presentation
-    return get_presentation(name)
+            eng = analysis(name).engine()
+            assert rep.formula_value == tor_dimension(eng, 2, 3)
 
 
 def test_b23_hypothesis_fails_on_9_3():
-    rep1 = b23_formula(get_arrangement("9_3_1"))
+    rep1 = b23_formula(analysis("9_3_1").pres)
     assert rep1.cubic_generators == 4 and not rep1.quadratic_only
-    rep2 = b23_formula(get_arrangement("9_3_2"))
+    rep2 = b23_formula(analysis("9_3_2").pres)
     assert rep2.cubic_generators == 2 and not rep2.quadratic_only
 
 
 def test_b12_is_ideal_dimension():
     for name in BUILTINS:
-        tb = betti_table(get_context(name))
-        pres = get_presentation_for(name)
+        tb = betti_table(analysis(name).engine())
+        pres = analysis(name).pres
         assert tb.value(1, 2) == pres.ideal_dimension(2)
-        rep = b23_formula(get_arrangement(name), pres)
+        rep = b23_formula(pres)
         assert tb.value(1, 3) == rep.cubic_generators
 
 
 def test_betti_render_layout():
-    text = betti_table(get_context("braid-a3")).render_text()
+    text = betti_table(analysis("braid-a3").engine()).render_text()
     lines = text.splitlines()
     assert lines[0].split() == ["total", "1", "4", "5", "2"]
     assert lines[1].split() == ["0:", "1", "-", "-", "-"]
@@ -165,11 +161,6 @@ def test_betti_render_layout():
 
 
 def test_betti_json_map():
-    m = betti_table(get_context("braid-a3")).to_json_map()
+    m = betti_table(analysis("braid-a3").engine()).to_json_map()
     assert m["0,0"] == 1 and m["1,2"] == 4 and m["3,5"] == 2
 
-
-def test_threaded_computation_matches(monkeypatch):
-    monkeypatch.setenv("OTB_THREADS", "2")
-    tb = betti_table(KoszulContext(get_arrangement("braid-a3")), method="full")
-    assert tb.totals() == [1, 4, 5, 2]

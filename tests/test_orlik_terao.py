@@ -2,37 +2,37 @@ import pytest
 
 from otb.circuits import circuit_relation
 from otb.exact import MPoly, vanishing_order
-from otb.orlik_terao import (b2_dimensions, defining_polynomial,
+from otb.orlik_terao import (defining_polynomial,
                              gradient_degree, hilbert_burch_psi,
                              jacobian_containment, l_forms, membership,
                              multiplicity, terao_series)
 
-from conftest import BUILTINS, get_arrangement, get_presentation
+from conftest import BUILTINS, analysis
 
 
 def test_ideal_dims_braid():
-    pres = get_presentation("braid-a3")
+    pres = analysis("braid-a3").pres
     assert pres.ideal_dimension(1) == 0
     assert pres.ideal_dimension(2) == 4
     assert pres.quotient_dimension(2) == 17
 
 
 def test_ideal_dims_9_3_1():
-    pres = get_presentation("9_3_1")
+    pres = analysis("9_3_1").pres
     assert pres.ideal_dimension(2) == 9
-    assert b2_dimensions(pres, 1) == 9
-    assert b2_dimensions(pres, 2) == 36
+    assert pres.quotient_dimension(1) == 9
+    assert pres.quotient_dimension(2) == 36
 
 
 def test_terao_series_braid():
-    ts = terao_series(get_arrangement("braid-a3"), 5)
+    ts = terao_series(analysis("braid-a3").arrangement, 5)
     assert ts.h_polynomial == (1, 3, 2)
     assert ts.coefficients == (1, 6, 17, 34, 57, 86)
 
 
 def test_terao_series_9_3():
     for name in ("9_3_1", "9_3_2"):
-        ts = terao_series(get_arrangement(name), 3)
+        ts = terao_series(analysis(name).arrangement, 3)
         assert ts.h_polynomial == (1, 6, 12)
         assert ts.coefficients[0] == 1
         assert ts.coefficients[1] == 9
@@ -40,13 +40,13 @@ def test_terao_series_9_3():
 
 def test_terao_degree_zero_always_one():
     for name in BUILTINS:
-        assert terao_series(get_arrangement(name), 0).coefficients == (1,)
+        assert terao_series(analysis(name).arrangement, 0).coefficients == (1,)
 
 
 def test_hilbert_agreement_small():
     # the full corpus check lives in the acceptance suite; spot the small ones
     for name in ("braid-a3", "ex-2-4"):
-        pres = get_presentation(name)
+        pres = analysis(name).pres
         ts = terao_series(pres.arrangement, 5)
         for j in range(6):
             assert pres.quotient_dimension(j) == ts.coefficients[j]
@@ -54,19 +54,19 @@ def test_hilbert_agreement_small():
 
 def test_membership_of_circuit_relations():
     for name in ("braid-a3", "ex-2-4", "b3"):
-        pres = get_presentation(name)
+        pres = analysis(name).pres
         for c in pres.circuits:
             assert membership(pres, circuit_relation(c))
 
 
 def test_membership_rejects_square():
-    pres = get_presentation("braid-a3")
+    pres = analysis("braid-a3").pres
     y1sq = MPoly.monomial(6, (2, 0, 0, 0, 0, 0))
     assert not membership(pres, y1sq)
 
 
 def test_membership_requires_homogeneous():
-    pres = get_presentation("braid-a3")
+    pres = analysis("braid-a3").pres
     g = MPoly.monomial(6, (1, 0, 0, 0, 0, 0)) + MPoly.constant(6, 1)
     with pytest.raises(ValueError, match="homogeneous"):
         membership(pres, g)
@@ -74,7 +74,7 @@ def test_membership_requires_homogeneous():
 
 def test_hilbert_burch_verifies():
     for name in ("ex-2-4", "braid-a3", "9_3_1"):
-        a = get_arrangement(name)
+        a = analysis(name).arrangement
         psi = hilbert_burch_psi(a)          # raises on failure
         assert len(psi) == a.d and len(psi[0]) == a.d - 1
 
@@ -93,7 +93,7 @@ def test_hilbert_burch_minor_signs():
     # minor deleting row i equals (-1)^(d-i) l_i; check the alternation on
     # ex-2-4 explicitly
     from otb.exact import mpoly_det
-    a = get_arrangement("ex-2-4")
+    a = analysis("ex-2-4").arrangement
     psi = hilbert_burch_psi(a, verify=False)
     ls = l_forms(a)
     for i in range(a.d):
@@ -104,12 +104,12 @@ def test_hilbert_burch_minor_signs():
 
 def test_jacobian_containment_all():
     for name in BUILTINS:
-        assert jacobian_containment(get_arrangement(name))
+        assert jacobian_containment(analysis(name).arrangement)
 
 
 def test_euler_identity():
     for name in ("braid-a3", "9_3_1"):
-        a = get_arrangement(name)
+        a = analysis(name).arrangement
         alpha = defining_polynomial(a)
         x, y, z = (MPoly.variable(3, i) for i in range(3))
         total = (x * alpha.derivative(0) + y * alpha.derivative(1)
@@ -118,9 +118,9 @@ def test_euler_identity():
 
 
 def test_gradient_degree_values():
-    assert gradient_degree(get_arrangement("braid-a3")) == 6
-    assert gradient_degree(get_arrangement("9_3_1")) == 19
-    assert gradient_degree(get_arrangement("b3")) == 15
+    assert gradient_degree(analysis("braid-a3").arrangement) == 6
+    assert gradient_degree(analysis("9_3_1").arrangement) == 19
+    assert gradient_degree(analysis("b3").arrangement) == 15
 
 
 def test_gradient_degree_triangle(triangle):
@@ -130,21 +130,21 @@ def test_gradient_degree_triangle(triangle):
 def test_gradient_degree_is_b2_minus_b1_plus_1():
     from otb.arrangement import poincare_polynomial
     for name in BUILTINS:
-        a = get_arrangement(name)
+        a = analysis(name).arrangement
         c = poincare_polynomial(a).coefficients
         assert gradient_degree(a) == c[2] - c[1] + 1
 
 
 def test_multiplicity_is_h_at_one():
-    assert multiplicity(get_arrangement("braid-a3")) == 6
-    assert multiplicity(get_arrangement("9_3_1")) == 19
-    assert multiplicity(get_arrangement("b3")) == 15
+    assert multiplicity(analysis("braid-a3").arrangement) == 6
+    assert multiplicity(analysis("9_3_1").arrangement) == 19
+    assert multiplicity(analysis("b3").arrangement) == 15
 
 
 def test_l_form_vanishing_orders():
     # ord_p(l_i) = number of lines through p other than line i
     for name in ("braid-a3", "9_3_1"):
-        a = get_arrangement(name)
+        a = analysis(name).arrangement
         ls = l_forms(a)
         for f in a.flats:
             for i in range(a.d):
@@ -156,7 +156,7 @@ def test_substitution_dims_match_exact_window():
     # the two linear-algebra routes agree where both run
     from otb.orlik_terao import substitution_quotient_dim
     for name in ("braid-a3", "9_3_1"):
-        pres = get_presentation(name)
+        pres = analysis(name).pres
         for j in (2, 3):
             assert substitution_quotient_dim(pres, j) \
                 == pres.graded_piece(j).quotient_dim

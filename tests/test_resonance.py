@@ -3,17 +3,17 @@ from fractions import Fraction
 
 from otb.arrangement import Arrangement, poincare_polynomial
 from otb.exact import seeded_rng
-from otb.resonance import (MultinetError, OS2, cartan_test, h1_dimension,
+from otb.resonance import (MultinetError, OS2, cartan_test,
                            is_neighborly, local_components,
                            resonance_components, search_multinets,
                            symmetric_inertia, verify_multinet)
 
-from conftest import BUILTINS, get_arrangement
+from conftest import BUILTINS, analysis
 
 
 def test_os2_dimension_is_sum_mu():
     for name in BUILTINS:
-        a = get_arrangement(name)
+        a = analysis(name).arrangement
         assert OS2(a).dim2 == a.sum_mu() \
             == poincare_polynomial(a).coefficients[2]
 
@@ -21,7 +21,7 @@ def test_os2_dimension_is_sum_mu():
 def test_wedge_square_is_zero_random():
     rng = seeded_rng("wedge-square")
     for name in ("braid-a3", "9_3_1", "b3"):
-        a = get_arrangement(name)
+        a = analysis(name).arrangement
         os2 = OS2(a)
         for _ in range(20):
             v = [Fraction(rng.randint(-9, 9)) for _ in range(a.d)]
@@ -33,7 +33,7 @@ def test_wedge_square_is_zero_random():
 def test_h1_braid_net_point(braid):
     # net blocks {1,6} and {2,5} in the builtin ordering (1-based)
     a = [1, -1, 0, 0, -1, 1]
-    assert h1_dimension(braid, a) == 1
+    assert OS2(braid).h1_dimension(a) == 1
 
 
 def test_h1_braid_local_point(braid):
@@ -41,16 +41,16 @@ def test_h1_braid_local_point(braid):
     a = [0] * braid.d
     a[flat.lines[0]] = 1
     a[flat.lines[1]] = -1
-    assert h1_dimension(braid, a) >= 1
+    assert OS2(braid).h1_dimension(a) >= 1
 
 
 def test_h1_zero_vector_rejected(braid):
     with pytest.raises(ValueError):
-        h1_dimension(braid, [0] * 6)
+        OS2(braid).h1_dimension([0] * 6)
 
 
 def test_h1_off_hyperplane_is_zero(braid):
-    assert h1_dimension(braid, [1, 0, 0, 0, 0, 0]) == 0
+    assert OS2(braid).h1_dimension([1, 0, 0, 0, 0, 0]) == 0
 
 
 def test_h1_generic_position_vanishes():
@@ -65,13 +65,13 @@ def test_h1_generic_position_vanishes():
         a.append(-sum(a))
         if not any(a):
             continue
-        assert h1_dimension(arr, a) == 0
+        assert OS2(arr).h1_dimension(a) == 0
 
 
 def test_local_components_counts():
-    assert len(local_components(get_arrangement("braid-a3"))) == 4
-    assert len(local_components(get_arrangement("9_3_2"))) == 9
-    assert len(local_components(get_arrangement("b3"))) == 7
+    assert len(local_components(analysis("braid-a3").arrangement)) == 4
+    assert len(local_components(analysis("9_3_2").arrangement)) == 9
+    assert len(local_components(analysis("b3").arrangement)) == 7
 
 
 def test_local_components_empty_for_generic(triangle):
@@ -86,13 +86,13 @@ def test_local_component_shape(braid):
 
 
 def test_neighborly_trivial_block():
-    a = get_arrangement("braid-a3")
+    a = analysis("braid-a3").arrangement
     assert is_neighborly(a, [tuple(range(6))])
 
 
 def test_neighborly_net_partitions():
     for name in ("braid-a3", "9_3_1"):
-        a = get_arrangement(name)
+        a = analysis(name).arrangement
         cert = search_multinets(a, 3, 1)[0]
         assert is_neighborly(a, cert.blocks)
 
@@ -120,7 +120,7 @@ def test_verify_braid_net(braid):
 
 def test_verify_b3_multinet():
     # weight two on the three coordinate lines, one elsewhere
-    b = get_arrangement("b3")
+    b = analysis("b3").arrangement
     blocks = [(0, 7, 8), (1, 5, 6), (2, 3, 4)]
     weights = [2, 2, 2, 1, 1, 1, 1, 1, 1]
     cert = verify_multinet(b, blocks, weights)
@@ -151,7 +151,7 @@ def test_search_braid_exactly_one_net(braid):
 
 
 def test_search_9_3_1_exactly_one_net():
-    nets = search_multinets(get_arrangement("9_3_1"), 3, 1)
+    nets = search_multinets(analysis("9_3_1").arrangement, 3, 1)
     assert len(nets) == 1
     cert = nets[0]
     assert (cert.k, cert.m) == (3, 3)
@@ -160,13 +160,13 @@ def test_search_9_3_1_exactly_one_net():
 
 
 def test_search_9_3_2_empty():
-    a = get_arrangement("9_3_2")
+    a = analysis("9_3_2").arrangement
     assert search_multinets(a, 3, 2) == []
     assert search_multinets(a, 4, 2) == []
 
 
 def test_search_b3_finds_the_multinet():
-    certs = search_multinets(get_arrangement("b3"), 3, 2)
+    certs = search_multinets(analysis("b3").arrangement, 3, 2)
     assert len(certs) == 1
     cert = certs[0]
     assert (cert.k, cert.m) == (3, 4) and cert.connected
@@ -177,12 +177,12 @@ def test_search_b3_finds_the_multinet():
 
 
 def test_search_b3_no_net():
-    assert search_multinets(get_arrangement("b3"), 3, 1) == []
+    assert search_multinets(analysis("b3").arrangement, 3, 1) == []
 
 
 def test_search_output_reverifies():
     for name, k, w in (("braid-a3", 3, 1), ("9_3_1", 3, 1), ("b3", 3, 2)):
-        a = get_arrangement(name)
+        a = analysis(name).arrangement
         for cert in search_multinets(a, k, w):
             again = verify_multinet(a, cert.blocks, cert.weights)
             assert again.Z == cert.Z and again.n_p == cert.n_p
@@ -206,7 +206,7 @@ def test_cartan_braid(braid):
 
 
 def test_cartan_9_3_1_blocks_match_net():
-    a = get_arrangement("9_3_1")
+    a = analysis("9_3_1").arrangement
     Z = [f for f in a.flats if f.mu == 2]
     rep = cartan_test(a, Z)
     assert rep.affine_count == 3 and rep.criterion
@@ -238,14 +238,14 @@ def test_resonance_components_counts():
     expect = {"braid-a3": (4, 1), "9_3_1": (9, 1), "9_3_2": (9, 0),
               "b3": (7, 1)}
     for name, (nloc, ness) in expect.items():
-        comps = resonance_components(get_arrangement(name))
+        comps = resonance_components(analysis(name))
         got = (sum(1 for c in comps if c.kind == "local"),
                sum(1 for c in comps if c.kind == "essential"))
         assert got == (nloc, ness), name
 
 
 def test_resonance_components_oracle_values():
-    comps = resonance_components(get_arrangement("9_3_1"))
+    comps = resonance_components(analysis("9_3_1"))
     for c in comps:
         assert len(c.oracle_values) == 2
         assert all(v >= 1 for v in c.oracle_values)
@@ -253,8 +253,8 @@ def test_resonance_components_oracle_values():
             assert all(v >= c.provenance.k - 2 for v in c.oracle_values)
 
 
-def test_essential_component_span(braid):
-    comps = resonance_components(braid)
+def test_essential_component_span():
+    comps = resonance_components(analysis("braid-a3"))
     ess = [c for c in comps if c.kind == "essential"]
     assert len(ess) == 1
     assert ess[0].projective_dimension == 1

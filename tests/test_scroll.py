@@ -9,13 +9,13 @@ from otb.scroll import (MultiplicationMatrix, en_prediction,
                         is_one_generic, minor_span_dimension, minors_in_ideal,
                         multiplication_matrix)
 
-from conftest import get_arrangement, get_context, get_presentation
+from conftest import analysis
 
 
 def _gamma(name):
-    a = get_arrangement(name)
+    a = analysis(name).arrangement
     cert = search_multinets(a, 3, 1)[0]
-    return a, cert, multiplication_matrix(a, cert, get_presentation(name))
+    return a, cert, multiplication_matrix(analysis(name).pres, cert)
 
 
 def test_gamma_shape_braid():
@@ -79,19 +79,19 @@ def test_one_generic_invariant_under_row_and_column_ops():
 
 def test_minors_in_ideal_and_span():
     a, _, g = _gamma("braid-a3")
-    assert minors_in_ideal(a, g, get_presentation("braid-a3"))
+    assert minors_in_ideal(analysis("braid-a3").pres, g)
     assert minor_span_dimension(a, g) == 3
-    assert get_presentation("braid-a3").ideal_dimension(2) == 4
+    assert analysis("braid-a3").pres.ideal_dimension(2) == 4
 
 
 def test_minors_in_ideal_9_3_1():
     a, _, g = _gamma("9_3_1")
-    assert minors_in_ideal(a, g, get_presentation("9_3_1"))
+    assert minors_in_ideal(analysis("9_3_1").pres, g)
     assert minor_span_dimension(a, g) == 3
 
 
 def test_fixed_nonmember():
-    pres = get_presentation("braid-a3")
+    pres = analysis("braid-a3").pres
     assert not membership(pres, MPoly.monomial(6, (2, 0, 0, 0, 0, 0)))
 
 
@@ -121,10 +121,10 @@ def test_gamma_entry_identity():
 
 
 def test_multiplication_matrix_rejects_multinet():
-    b = get_arrangement("b3")
+    b = analysis("b3").arrangement
     cert = search_multinets(b, 3, 2)[0]
     with pytest.raises(ValueError, match="net"):
-        multiplication_matrix(b, cert)
+        multiplication_matrix(analysis("b3").pres, cert)
 
 
 def test_en_prediction_values(braid):
@@ -136,7 +136,7 @@ def test_en_prediction_values(braid):
 
 
 def test_en_prediction_9_3_1():
-    a = get_arrangement("9_3_1")
+    a = analysis("9_3_1").arrangement
     cert = search_multinets(a, 3, 1)[0]
     en = en_prediction(cert, a.d)
     assert en.b == 3 and en.linear_syzygies == 2
@@ -162,7 +162,8 @@ def test_en_prediction_hypothesis_guard():
 
 def test_en_matches_computed_b23():
     for name in ("braid-a3", "9_3_1"):
-        a = get_arrangement(name)
+        a = analysis(name).arrangement
         cert = search_multinets(a, 3, 1)[0]
         en = en_prediction(cert, a.d)
-        assert en.linear_syzygies == tor_dimension(get_context(name), 2, 3)
+        b23 = tor_dimension(analysis(name).engine(), 2, 3)
+        assert en.linear_syzygies == b23
