@@ -152,10 +152,28 @@ def parse_arrangement(source: str) -> Arrangement:
             raise ArrangementError("each form needs exactly 3 coefficients, "
                                    "got %r" % (row,))
         try:
-            forms.append([Fraction(str(v)) for v in row])
+            forms.append([_coefficient(str(v)) for v in row])
         except (ValueError, ZeroDivisionError) as e:
             raise ArrangementError("malformed rational %r: %s" % (row, e))
     return Arrangement(forms, name=name)
+
+
+# Fraction("1e1000000") builds a million-digit integer from a few bytes of
+# input; every later step would then stall on it.
+MAX_EXPONENT = 1000
+
+
+def _coefficient(text: str) -> Fraction:
+    """The rational written in `text`, with any decimal exponent checked
+    against MAX_EXPONENT before the value is built."""
+    _, e, exponent = text.lower().partition("e")
+    try:
+        too_big = bool(e) and abs(int(exponent)) > MAX_EXPONENT
+    except ValueError:
+        too_big = False       # no exponent; Fraction names what is wrong
+    if too_big:
+        raise ValueError("exponent beyond +-%d" % MAX_EXPONENT)
+    return Fraction(text)
 
 
 def _cross(a, b):

@@ -131,13 +131,16 @@ def _cmd_poincare(an, args):
 
 
 def _cmd_circuits(an, args):
-    cs = enumerate_circuits(an.arrangement, args.max_size)
+    arr = an.arrangement
+    # rank-3 circuits have at most 4 lines
+    size = min(arr.d, 4 if args.max_size is None else args.max_size)
+    cs = enumerate_circuits(arr, size)
     res = {"count": len(cs), "circuits": [
         {"lines": [i + 1 for i in c.indices],
          "coefficients": list(c.coeffs),
          "relation": circuit_relation(c).to_string()}
         for c in cs]}
-    lines = ["%d circuits (size <= %s)" % (len(cs), args.max_size or "d")]
+    lines = ["%d circuits (size <= %d)" % (len(cs), size)]
     for c in cs:
         lines.append("  {%s}: %s" % (",".join(str(i + 1) for i in c.indices),
                                      list(c.coeffs)))
@@ -355,6 +358,18 @@ _COMMANDS = {
 }
 
 
+def _int_at_least(low: int):
+    """An argparse type: an integer >= low (argparse's error message names
+    the function, hence `integer`)."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError("must be at least %d, got %d"
+                                             % (low, value))
+        return value
+    return integer
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="otb", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
@@ -367,9 +382,10 @@ def _build_parser() -> _Parser:
                        help='JSON file {"name": ..., "forms": [[q,q,q],...]}')
         p.add_argument("--format", choices=("text", "json"), default="text")
         if name == "circuits":
-            p.add_argument("--max-size", type=int, default=None, dest="max_size")
+            p.add_argument("--max-size", type=_int_at_least(0), default=None,
+                           dest="max_size")
         if name == "ot-hilbert":
-            p.add_argument("--upto", type=int, default=5)
+            p.add_argument("--upto", type=_int_at_least(0), default=5)
         if name == "betti":
             p.add_argument("--verify-regularity", action="store_true",
                            dest="verify_regularity")
@@ -380,10 +396,10 @@ def _build_parser() -> _Parser:
                                 "flat order")
         if name == "net-search":
             p.add_argument("--k", type=int, choices=(3, 4), default=None)
-            p.add_argument("--max-weight", type=int, default=1,
+            p.add_argument("--max-weight", type=_int_at_least(1), default=1,
                            dest="max_weight")
         if name == "resonance":
-            p.add_argument("--max-weight", type=int, default=2,
+            p.add_argument("--max-weight", type=_int_at_least(1), default=2,
                            dest="max_weight")
         if name == "report":
             p.add_argument("--all", action="store_true",

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import factorial, gcd
 
 from .arrangement import Arrangement
@@ -262,9 +262,31 @@ def verify_multinet(arr: Arrangement, blocks, weights) -> MultinetCertificate:
                                Z=tuple(Z), n_p=n_p, connected=connected)
 
 
-def _partitions_with_block_weight(d: int, k: int, w, m: int):
+def _forced_leaders(arr: Arrangement, k: int) -> list:
+    """leader[i]: the smallest line that line i must share a block with.
+    A flat with fewer than k lines lies inside one block (see
+    `search_multinets`), so the lines are merged over every such flat."""
+    leader = list(range(arr.d))
+
+    def find(i):
+        while leader[i] != i:
+            leader[i] = leader[leader[i]]
+            i = leader[i]
+        return i
+
+    for f in arr.flats:
+        if len(f.lines) < k:
+            for i in f.lines[1:]:
+                a, b = find(f.lines[0]), find(i)
+                leader[max(a, b)] = min(a, b)
+    return [find(i) for i in range(arr.d)]
+
+
+def _partitions_with_block_weight(leader, k: int, w, m: int):
     """Canonical k-colorings (line 0 in block 0, blocks in order of first
-    appearance) with every block weight exactly m."""
+    appearance) with every block weight exactly m, in which each line has
+    the block of its leader."""
+    d = len(leader)
     assignment = [0] * d
     totals = [0] * k
 
@@ -276,8 +298,11 @@ def _partitions_with_block_weight(d: int, k: int, w, m: int):
         remaining = d - i
         if k - used > remaining:
             return
-        top = min(used + 1, k)
-        for b in range(top):
+        if leader[i] != i:
+            choices = (assignment[leader[i]],)
+        else:
+            choices = range(min(used + 1, k))
+        for b in choices:
             if totals[b] + w[i] > m:
                 continue
             assignment[i] = b
@@ -290,18 +315,28 @@ def _partitions_with_block_weight(d: int, k: int, w, m: int):
 
 def search_multinets(arr: Arrangement, k: int, max_weight: int = 1) -> list:
     """All weak-multinet certificates with k blocks and primitive weight
-    vectors bounded by max_weight, up to block permutation."""
+    vectors bounded by max_weight, up to block permutation.
+
+    Candidates are the canonical k-colorings of the lines, pruned by one
+    exact rule.  Condition (3) of `verify_multinet` compares the weights
+    of all k blocks at every flat that meets two blocks, and weights are
+    positive; so such a flat meets every block and has at least k lines.
+    Hence a flat with fewer than k lines lies inside one block, and so does
+    each class of lines joined through such flats (Falk-Yuzvinsky,
+    "Multinets, resonance varieties, and pencils of plane curves").  The
+    pruning drops only colorings that `verify_multinet` would reject, and
+    keeps the enumeration order; every candidate is still verified."""
     d = arr.d
     if k ** d // factorial(k) > 10 ** 9:
         raise ValueError("partition search space too large; restrict d or k")
     found = []
-    weight_vectors = [[1] * d] if max_weight == 1 else _weight_vectors(d, max_weight)
-    for w in weight_vectors:
+    leader = _forced_leaders(arr, k)
+    for w in _weight_vectors(d, max_weight):
         total = sum(w)
         if total % k:
             continue
         m = total // k
-        for coloring in _partitions_with_block_weight(d, k, w, m):
+        for coloring in _partitions_with_block_weight(leader, k, w, m):
             blocks = [[] for _ in range(k)]
             for i, b in enumerate(coloring):
                 blocks[b].append(i)
@@ -314,21 +349,10 @@ def search_multinets(arr: Arrangement, k: int, max_weight: int = 1) -> list:
 
 
 def _weight_vectors(d: int, max_weight: int):
-    out = []
-
-    def rec(prefix):
-        if len(prefix) == d:
-            g = 0
-            for v in prefix:
-                g = gcd(g, v)
-            if g == 1:
-                out.append(list(prefix))
-            return
-        for v in range(1, max_weight + 1):
-            rec(prefix + [v])
-
-    rec([])
-    return out
+    """Primitive vectors in [1, max_weight]^d, in lexicographic order."""
+    for w in product(range(1, max_weight + 1), repeat=d):
+        if gcd(*w) == 1:
+            yield w
 
 
 # ---------------------------------------------------------------------------

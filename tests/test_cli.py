@@ -1,6 +1,7 @@
 import json
 import os
 import sys
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -212,8 +213,42 @@ def test_report_builds_shared_objects_once(monkeypatch, capsys):
                                    "braid-a3"])
     assert code == 0
     # net-search and resonance share the (k, weight 2) searches; scroll-check
-    # runs the (k, weight 1) ones
-    assert counts == {"presentations": 1, "searches": 4}
+    # reads its (k, weight 1) nets off them
+    assert counts == {"presentations": 1, "searches": 2}
+
+
+def test_huge_exponent_is_an_input_error(tmp_path, capsys):
+    # a few bytes that would stand for a 4001-digit coefficient
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(
+        {"forms": [[1, 0, 0], [0, 1, 0], [0, 0, 1], ["1e4000", 1, 1]]}))
+    start = time.perf_counter()
+    code, out, err = _capture(capsys, ["info", "--arrangement", str(path)])
+    assert time.perf_counter() - start < 5
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "exponent" in err
+
+
+@pytest.mark.parametrize("size, count", [(0, 0), (3, 4), (9, 7)])
+def test_circuits_label_names_the_bound_used(size, count, capsys):
+    code, out, _ = _capture(capsys, ["circuits", "--builtin", "braid-a3",
+                                     "--max-size", str(size)])
+    assert code == 0
+    assert out.splitlines()[0] == "%d circuits (size <= %d)" \
+        % (count, min(size, 6))
+
+
+@pytest.mark.parametrize("argv", [
+    ["circuits", "--max-size=-1"],
+    ["ot-hilbert", "--upto=-1"],
+    ["net-search", "--max-weight=0"],
+    ["resonance", "--max-weight=-2"],
+])
+def test_negative_numeric_option_is_a_usage_error(argv, capsys):
+    code, out, err = _capture(capsys, argv + ["--builtin", "braid-a3"])
+    assert code == 1 and out == ""
+    assert err.startswith("usage error: ") and "must be at least" in err
 
 
 _json_values = st.recursive(
@@ -243,5 +278,28 @@ def test_fuzzed_arrangement_files_never_trace(doc, tmp_path, capsys):
     path = tmp_path / "fuzz.json"
     path.write_text(text)
     code, _, err = _capture(capsys, ["info", "--arrangement", str(path)])
+    assert code in (0, 1)
+    assert "Traceback" not in err
+
+
+_mults = (st.lists(st.integers(-2, 4), min_size=5, max_size=9)
+          .map(lambda v: ",".join(map(str, v)))
+          | st.text("0123456789,- x", max_size=12))
+_option_argvs = (
+    st.builds(lambda m, mults: ["h0", "--m=%d" % m, "--mults=" + mults],
+              st.integers(-2, 6), _mults)
+    | st.builds(lambda n: ["circuits", "--max-size=%s" % n],
+                st.integers(-3, 8) | st.text("0123456789- x", max_size=4))
+    | st.builds(lambda n: ["ot-hilbert", "--upto=%s" % n],
+                st.integers(-3, 5) | st.text("0123456789- x", max_size=3)
+                .filter(lambda t: not t.strip().isdigit())))
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_option_argvs)
+def test_fuzzed_numeric_options_never_trace(argv, capsys):
+    # values stay small (--upto <= 5 on braid-a3) so each run is quick
+    code, _, err = _capture(capsys, argv + ["--builtin", "braid-a3"])
     assert code in (0, 1)
     assert "Traceback" not in err

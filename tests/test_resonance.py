@@ -1,7 +1,12 @@
-import pytest
+import time
 from fractions import Fraction
+from itertools import product
+from math import gcd
 
-from otb.arrangement import Arrangement, poincare_polynomial
+import pytest
+
+from otb.analysis import Analysis
+from otb.arrangement import Arrangement, builtin, poincare_polynomial
 from otb.exact import seeded_rng
 from otb.resonance import (MultinetError, OS2, cartan_test,
                            is_neighborly, local_components,
@@ -186,6 +191,90 @@ def test_search_output_reverifies():
         for cert in search_multinets(a, k, w):
             again = verify_multinet(a, cert.blocks, cert.weights)
             assert again.Z == cert.Z and again.n_p == cert.n_p
+
+
+# b3 plus lines meeting every other line in a double point
+GENERIC_LINES = [(-4, 2, 3), (1, 3, 7), (2, -5, 11), (3, 7, -13)]
+
+
+def b3_plus(n):
+    return Arrangement(list(builtin("b3").forms) + GENERIC_LINES[:n],
+                       name="b3+%d" % n)
+
+
+def brute_force_multinets(arr, k, max_weight):
+    """The search without propagation: every primitive weight vector in
+    lexicographic order, then every canonical k-coloring (line 0 in block
+    0, blocks in order of first appearance) with equal block weights, each
+    one checked by verify_multinet."""
+    d = arr.d
+    found = []
+    for w in product(range(1, max_weight + 1), repeat=d):
+        if gcd(*w) != 1 or sum(w) % k:
+            continue
+        m = sum(w) // k
+        coloring = []
+        totals = [0] * k
+
+        def colorings():
+            i = len(coloring)
+            if i == d:
+                if all(t == m for t in totals):
+                    yield list(coloring)
+                return
+            for b in range(min(max(coloring, default=-1) + 2, k)):
+                if totals[b] + w[i] <= m:
+                    coloring.append(b)
+                    totals[b] += w[i]
+                    yield from colorings()
+                    totals[b] -= w[i]
+                    coloring.pop()
+
+        for c in colorings():
+            blocks = [[i for i in range(d) if c[i] == b] for b in range(k)]
+            try:
+                found.append(verify_multinet(arr, blocks, w))
+            except MultinetError:
+                pass
+    return found
+
+
+@pytest.mark.parametrize("w", [1, 2])
+@pytest.mark.parametrize("k", [3, 4])
+@pytest.mark.parametrize("name", BUILTINS)
+def test_search_matches_brute_force(name, k, w):
+    a = analysis(name).arrangement
+    assert search_multinets(a, k, w) == brute_force_multinets(a, k, w)
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("k", [3, 4])
+def test_search_matches_brute_force_b3_plus_generic(n, k):
+    # b3+1 has 10 lines, so no block weight exists at weight 1; b3+3 (12
+    # lines) gives the brute force thousands of colorings to verify
+    a = b3_plus(n)
+    assert search_multinets(a, k, 1) == brute_force_multinets(a, k, 1) == []
+
+
+def test_narrower_search_read_from_wider_cache():
+    for name in BUILTINS:
+        an = Analysis(builtin(name))
+        for k in (3, 4):
+            wide = an.multinets(k, 2)
+            narrow = an.multinets(k, 1)
+            assert all(c in wide for c in narrow)
+            assert narrow == search_multinets(an.arrangement, k, 1)
+
+
+def test_resonance_d13_in_seconds():
+    arr = b3_plus(4)
+    assert arr.d == 13
+    assert all(f.mu == 1 for f in arr.flats if max(f.lines) >= 9)
+    start = time.perf_counter()
+    comps = resonance_components(Analysis(arr))
+    assert time.perf_counter() - start < 20
+    assert sum(1 for c in comps if c.kind == "local") == 7
+    assert sum(1 for c in comps if c.kind == "essential") == 0
 
 
 def test_search_guard():
