@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import RatMatrix, primitive_vector, rank
+from .exact import primitive_vector, rank
 
 
 class ArrangementError(ValueError):
@@ -91,6 +91,11 @@ class Arrangement:
         if any(all(c == 0 for c in f) for f in forms):
             raise ArrangementError("a form is zero")
         normalized = [primitive_vector(f) for f in forms]
+        for i, f in enumerate(normalized):
+            if max(abs(v) for v in f).bit_length() > MAX_FORM_BITS:
+                raise ArrangementError(
+                    "form %d: an integer coefficient has more than %d bits "
+                    "after clearing denominators" % (i + 1, MAX_FORM_BITS))
         if len(normalized) < 3:
             raise ArrangementError("need at least 3 lines")
         seen = {}
@@ -100,7 +105,7 @@ class Arrangement:
                     "duplicate line: forms %d and %d are proportional"
                     % (seen[f] + 1, i + 1))
             seen[f] = i
-        if rank(RatMatrix(normalized)) < 3:
+        if rank(normalized) < 3:
             raise ArrangementError("non-essential arrangement: forms do not "
                                    "span the dual space")
         self.forms = normalized
@@ -161,6 +166,11 @@ def parse_arrangement(source: str) -> Arrangement:
 # Fraction("1e1000000") builds a million-digit integer from a few bytes of
 # input; every later step would then stall on it.
 MAX_EXPONENT = 1000
+
+# Clearing the denominators of a form multiplies them.  Past this many bits
+# in a normalized form, a 3 x 3 minor of the forms (a circuit coefficient)
+# could exceed Python's 4300-digit limit for printing an integer.
+MAX_FORM_BITS = 4096
 
 
 def _coefficient(text: str) -> Fraction:

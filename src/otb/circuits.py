@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .arrangement import Arrangement
-from .exact import MPoly, RatMatrix, kernel_basis, primitive_vector
+from .exact import MPoly, kernel_basis, primitive_vector
 
 
 @dataclass(frozen=True)
@@ -30,11 +30,10 @@ def dependency_coefficients(arr: Arrangement, indices) -> tuple:
     """The unique (normalized) dependency among the given forms; requires a
     one-dimensional kernel."""
     cols = [arr.forms[i] for i in indices]
-    m = RatMatrix([[cols[j][r] for j in range(len(cols))] for r in range(3)])
-    ker = kernel_basis(m)
-    if ker.ncols != 1:
-        raise ValueError("kernel dimension %d, not a circuit" % ker.ncols)
-    return primitive_vector([ker.rows[i][0] for i in range(len(indices))])
+    ker = kernel_basis([[col[r] for col in cols] for r in range(3)])
+    if len(ker) != 1:
+        raise ValueError("kernel dimension %d, not a circuit" % len(ker))
+    return primitive_vector(ker[0])
 
 
 def enumerate_circuits(arr: Arrangement, max_size: int | None = None) -> list:
@@ -51,13 +50,12 @@ def enumerate_circuits(arr: Arrangement, max_size: int | None = None) -> list:
             if any(c <= sset for c in found_sets):
                 continue
             cols = [arr.forms[i] for i in subset]
-            m = RatMatrix([[cols[j][r] for j in range(k)] for r in range(3)])
-            ker = kernel_basis(m)
-            if ker.ncols == 0:
+            ker = kernel_basis([[col[r] for col in cols] for r in range(3)])
+            if not ker:
                 continue
             # no proper subset is dependent (it would contain an enumerated
             # circuit), so this is a circuit and the kernel is a line
-            coeffs = primitive_vector([ker.rows[i][0] for i in range(k)])
+            coeffs = primitive_vector(ker[0])
             if any(c == 0 for c in coeffs):
                 raise AssertionError("circuit with a zero coefficient")
             found.append(Circuit(indices=subset, coeffs=coeffs, ambient=arr.d))

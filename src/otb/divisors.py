@@ -17,8 +17,7 @@ from fractions import Fraction
 from math import comb
 
 from .arrangement import Arrangement, FlatPoint
-from .exact import (MPoly, RatMatrix, kernel_basis, monomials_of_degree,
-                    primitive_vector)
+from .exact import MPoly, kernel_basis, monomials_of_degree, primitive_vector
 
 
 class DivisorClass:
@@ -141,13 +140,11 @@ def h0_fatpoints(arr: Arrangement, div: DivisorClass) -> SectionSpace:
     if not rows:
         basis = [MPoly.monomial(3, m) for m in monos]
         return SectionSpace(div.m, basis, len(monos), (0, len(monos)))
-    mat = RatMatrix(rows)
-    ker = kernel_basis(mat)
     basis = []
-    for c in range(ker.ncols):
-        vec = primitive_vector([ker.rows[r][c] for r in range(len(monos))])
+    for vec in kernel_basis(rows):
+        vec = primitive_vector(vec)
         basis.append(MPoly(3, {m: v for m, v in zip(monos, vec) if v}))
-    return SectionSpace(div.m, basis, ker.ncols, (len(rows), len(monos)))
+    return SectionSpace(div.m, basis, len(basis), (len(rows), len(monos)))
 
 
 def h0_h1(arr: Arrangement, div: DivisorClass):

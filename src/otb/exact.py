@@ -1,15 +1,16 @@
-"""Exact rational arithmetic kernels: dense/sparse linear algebra over Q,
-multivariate polynomials, and gcd of binary forms.
+"""Exact rational arithmetic kernels: one exact elimination over Q, a mod-p
+rank, multivariate polynomials, and gcd of binary forms.
 
-Everything here is exact.  Scalars are `fractions.Fraction`; matrices are
-small lists of lists; the sparse row reducer carries the echelon machinery
-used for ideal slices.  A word-sized prime fast path (numpy elimination
-mod p) exists for large rank computations.  A rank mod p is a proved lower
-bound for the rank over Q; agreement at two independent primes is evidence,
-not proof, that it is the rank.
+Scalars are `fractions.Fraction`.  `SparseReducer` is the only elimination
+over Q: it keeps sparse rows (dicts) in reduced row echelon form, and
+`rank`, `rref`, `kernel_basis` and `solve` are read-outs of one reducer fed
+a list of rows.  A reduced row echelon form is unique, so these read-outs do
+not depend on how the reducer orders its work.  A word-sized prime fast path
+(numpy elimination mod p) serves large rank computations.  A rank mod p is
+a proved lower bound for the rank over Q; agreement at two independent
+primes is evidence, not proof, that it is the rank.
 
-All values are immutable after construction in the sense that no routine
-mutates its arguments; results are freshly allocated.
+No routine mutates its arguments; results are freshly allocated.
 """
 
 from __future__ import annotations
@@ -72,142 +73,7 @@ def primitive_vector(vec) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Dense exact matrices
-
-
-class RatMatrix:
-    """Dense matrix over Q, row major.  Thin: the point is exactness, not
-    scale; the heavy strands go through the mod-p path instead."""
-
-    def __init__(self, rows):
-        self.rows = [[Fraction(x) for x in row] for row in rows]
-        self.nrows = len(self.rows)
-        self.ncols = len(self.rows[0]) if self.rows else 0
-        for row in self.rows:
-            if len(row) != self.ncols:
-                raise ValueError("ragged matrix")
-
-    @classmethod
-    def identity(cls, n: int) -> "RatMatrix":
-        return cls([[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
-
-    def transpose(self) -> "RatMatrix":
-        return RatMatrix([[self.rows[i][j] for i in range(self.nrows)]
-                          for j in range(self.ncols)])
-
-    def __eq__(self, other):
-        return isinstance(other, RatMatrix) and self.rows == other.rows
-
-    def __repr__(self):
-        return "RatMatrix(%d x %d)" % (self.nrows, self.ncols)
-
-
-def _integer_rows(rows):
-    """Clear denominators row by row; rank is unchanged."""
-    out = []
-    for row in rows:
-        denom = 1
-        for x in row:
-            denom = denom * x.denominator // gcd(denom, x.denominator)
-        out.append([int(x * denom) for x in row])
-    return out
-
-
-def rank(m: RatMatrix) -> int:
-    """Exact rank over Q by fraction-free (Bareiss) elimination."""
-    a = _integer_rows(m.rows)
-    nr, nc = len(a), (len(a[0]) if a else 0)
-    r = 0
-    prev = 1
-    for c in range(nc):
-        if r == nr:
-            break
-        piv = None
-        for i in range(r, nr):
-            if a[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != r:
-            a[r], a[piv] = a[piv], a[r]
-        pval = a[r][c]
-        for i in range(r + 1, nr):
-            ival = a[i][c]
-            row_i, row_r = a[i], a[r]
-            # one-step fraction-free update; the division is exact (the
-            # entries are minors of the original matrix)
-            for j in range(c + 1, nc):
-                row_i[j] = (pval * row_i[j] - ival * row_r[j]) // prev
-            a[i][c] = 0
-        prev = pval
-        r += 1
-    return r
-
-
-def rref(rows):
-    """Reduced row echelon form over Q.
-
-    Returns (rref_rows, pivot_columns); zero rows are dropped.
-    """
-    a = [[Fraction(x) for x in row] for row in rows]
-    nr, nc = len(a), (len(a[0]) if a else 0)
-    pivots = []
-    r = 0
-    for c in range(nc):
-        if r == nr:
-            break
-        piv = None
-        for i in range(r, nr):
-            if a[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(nr):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-    return a[:r], pivots
-
-
-def kernel_basis(m: RatMatrix) -> RatMatrix:
-    """Basis of the right kernel, as matrix columns.
-
-    rank + (number of returned columns) == ncols.
-    """
-    red, pivots = rref(m.rows)
-    pivset = set(pivots)
-    free = [c for c in range(m.ncols) if c not in pivset]
-    cols = []
-    for f in free:
-        v = [Fraction(0)] * m.ncols
-        v[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            v[c] = -red[r][f]
-        cols.append(v)
-    if not cols:
-        return RatMatrix([[] for _ in range(m.ncols)])
-    return RatMatrix([[cols[j][i] for j in range(len(cols))]
-                      for i in range(m.ncols)])
-
-
-def solve(m: RatMatrix, b) -> list | None:
-    """One solution of M x = b over Q, or None if inconsistent."""
-    aug = [row + [Fraction(v)] for row, v in zip(m.rows, [Fraction(x) for x in b])]
-    red, pivots = rref(aug)
-    for row, c in zip(red, pivots):
-        if c == m.ncols:
-            return None
-    x = [Fraction(0)] * m.ncols
-    for row, c in zip(red, pivots):
-        x[c] = row[m.ncols]
-    return x
+# Exact elimination over Q
 
 
 class SparseReducer:
@@ -275,6 +141,61 @@ class SparseReducer:
         return [c for c in range(self.ncols) if c not in pivs]
 
 
+def _reduced(rows) -> SparseReducer:
+    """A SparseReducer holding the reduced row echelon form of `rows`."""
+    red = SparseReducer(len(rows[0]) if rows else 0)
+    for row in rows:
+        red.add({c: v for c, v in enumerate(row) if v})
+    return red
+
+
+def rank(rows) -> int:
+    """Exact rank over Q of a list of rows."""
+    return _reduced(rows).rank
+
+
+def rref(rows):
+    """Reduced row echelon form over Q.
+
+    Returns (rref_rows, pivot_columns); zero rows are dropped.
+    """
+    red = _reduced(rows)
+    pivots = sorted(red.pivot_rows)
+    zero = Fraction(0)
+    return ([[red.pivot_rows[c].get(j, zero) for j in range(red.ncols)]
+             for c in pivots], pivots)
+
+
+def kernel_basis(rows) -> list:
+    """Basis of the right kernel: one vector per non-pivot column f, with
+    entry 1 at f and zero at the other non-pivot columns.
+
+    rank + (number of returned vectors) == number of columns.
+    """
+    red = _reduced(rows)
+    vecs = []
+    for f in red.nonpivot_columns():
+        v = [Fraction(0)] * red.ncols
+        v[f] = Fraction(1)
+        for c, piv in red.pivot_rows.items():
+            if f in piv:
+                v[c] = -piv[f]
+        vecs.append(v)
+    return vecs
+
+
+def solve(rows, b) -> list | None:
+    """One solution of M x = b over Q, or None if inconsistent."""
+    ncols = len(rows[0]) if rows else 0
+    red = _reduced([list(row) + [v] for row, v in zip(rows, b)])
+    if ncols in red.pivot_rows:
+        return None
+    x = [Fraction(0)] * ncols
+    for c, piv in red.pivot_rows.items():
+        x[c] = piv.get(ncols, Fraction(0))
+    return x
+
+
 # ---------------------------------------------------------------------------
 # Modular fast path (numpy elimination mod a word-sized prime)
 
@@ -283,26 +204,11 @@ class BadPrime(ArithmeticError):
     """The chosen prime divides a denominator of the input matrix."""
 
 
-def modp_matrix(rows, p: int) -> np.ndarray:
-    """Reduce rows of Fractions/ints mod p into an int64 array."""
-    nr = len(rows)
-    nc = len(rows[0]) if nr else 0
-    a = np.zeros((nr, nc), dtype=np.int64)
+def modp_matrix(rows, ncols: int, p: int) -> np.ndarray:
+    """Reduce sparse rows {column: Fraction or int} mod p into an int64
+    array with `ncols` columns."""
+    a = np.zeros((len(rows), ncols), dtype=np.int64)
     for i, row in enumerate(rows):
-        for j, x in enumerate(row):
-            if isinstance(x, Fraction):
-                den = x.denominator % p
-                if den == 0:
-                    raise BadPrime(p)
-                a[i, j] = (x.numerator % p) * pow(den, p - 2, p) % p
-            else:
-                a[i, j] = x % p
-    return a
-
-
-def modp_sparse_matrix(sparse_rows, ncols: int, p: int) -> np.ndarray:
-    a = np.zeros((len(sparse_rows), ncols), dtype=np.int64)
-    for i, row in enumerate(sparse_rows):
         for c, x in row.items():
             if isinstance(x, Fraction):
                 den = x.denominator % p

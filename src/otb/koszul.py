@@ -34,8 +34,8 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .exact import (SparseReducer, draw_generic, modp_rank,
-                    modp_sparse_matrix, rref, seeded_rng, two_prime_rank)
+from .exact import (SparseReducer, draw_generic, modp_matrix, modp_rank,
+                    rref, seeded_rng, two_prime_rank)
 from .orlik_terao import OTPresentation, terao_series
 
 EXACT_ENTRY_LIMIT = 50_000   # rows*cols below this: exact sparse elimination
@@ -114,7 +114,7 @@ def _rank_sparse_columns(cols, nrows: int) -> int:
             red.add(col)
         return red.rank
     return two_prime_rank(
-        lambda p: modp_rank(modp_sparse_matrix(cols, nrows, p), p),
+        lambda p: modp_rank(modp_matrix(cols, nrows, p), p),
         "strand rank")
 
 

@@ -23,8 +23,8 @@ import numpy as np
 
 from .arrangement import Arrangement, poincare_polynomial
 from .circuits import circuit_relation, enumerate_circuits
-from .exact import (MPoly, RatMatrix, SparseReducer, modp_rank,
-                    monomials_of_degree, solve, two_prime_rank)
+from .exact import (MPoly, SparseReducer, modp_rank, monomials_of_degree,
+                    solve, two_prime_rank)
 
 
 # ---------------------------------------------------------------------------
@@ -250,12 +250,6 @@ def terao_series(arr: Arrangement, upto: int = 5) -> TeraoSeries:
     return TeraoSeries(h_polynomial=hpoly, coefficients=coeffs)
 
 
-def multiplicity(arr: Arrangement) -> int:
-    """h(1): the degree of the image surface, and the colength that the
-    Artinian reduction of C(A) must attain."""
-    return sum(terao_series(arr, 0).h_polynomial)
-
-
 # ---------------------------------------------------------------------------
 # Membership by substitution
 
@@ -332,7 +326,7 @@ def jacobian_containment(arr: Arrangement) -> bool:
         for e, c in l.terms.items():
             v[index[e]] = c
         cols.append(v)
-    m = RatMatrix([[cols[j][r] for j in range(arr.d)] for r in range(len(monos))])
+    m = [[col[r] for col in cols] for r in range(len(monos))]
     for axis in range(3):
         part = alpha.derivative(axis)
         b = [Fraction(0)] * len(monos)

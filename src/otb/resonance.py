@@ -14,10 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import factorial, gcd
+from math import gcd
 
 from .arrangement import Arrangement
-from .exact import (RatMatrix, SparseReducer, draw_generic, primitive_vector,
+from .exact import (SparseReducer, draw_generic, kernel_basis, primitive_vector,
                     rank, rref, seeded_rng)
 
 
@@ -62,18 +62,6 @@ class OS2:
         res = self.reducer.reduce(vec)
         return {self.quotient_pos[c]: v for c, v in res.items()}
 
-    def multiplication_matrix(self, a) -> RatMatrix:
-        """Matrix of (a wedge -): A^1 -> A^2, one column per line."""
-        d = self.arrangement.d
-        cols = []
-        for j in range(d):
-            b = [Fraction(0)] * d
-            b[j] = Fraction(1)
-            cols.append(self.wedge(a, b))
-        rows = [[cols[j].get(r, Fraction(0)) for j in range(d)]
-                for r in range(self.dim2)]
-        return RatMatrix(rows)
-
     def h1_dimension(self, a) -> int:
         """dim H^1(A, a) for a in the sum-zero hyperplane: the kernel of the
         multiplication A^1 -> A^2 minus the image of A^0."""
@@ -83,9 +71,14 @@ class OS2:
         if sum(a) != 0:
             # the complex is exact off the diagonal hyperplane
             return 0
-        m = self.multiplication_matrix(a)
-        ker_dim = self.arrangement.d - rank(m)
-        return ker_dim - 1
+        # rank of (a wedge -): A^1 -> A^2 from its columns a wedge e_j
+        d = self.arrangement.d
+        red = SparseReducer(self.dim2)
+        for j in range(d):
+            e = [Fraction(0)] * d
+            e[j] = Fraction(1)
+            red.add(self.wedge(a, e))
+        return d - red.rank - 1
 
 
 # ---------------------------------------------------------------------------
@@ -325,12 +318,18 @@ def search_multinets(arr: Arrangement, k: int, max_weight: int = 1) -> list:
     each class of lines joined through such flats (Falk-Yuzvinsky,
     "Multinets, resonance varieties, and pencils of plane curves").  The
     pruning drops only colorings that `verify_multinet` would reject, and
-    keeps the enumeration order; every candidate is still verified."""
+    keeps the enumeration order; every candidate is still verified.
+
+    The search refuses to start when the weight vectors times the canonical
+    colorings of the forced classes (the first class sits in block 0) could
+    exceed 10**9 candidates."""
     d = arr.d
-    if k ** d // factorial(k) > 10 ** 9:
-        raise ValueError("partition search space too large; restrict d or k")
-    found = []
     leader = _forced_leaders(arr, k)
+    classes = len(set(leader))
+    if max_weight ** d * k ** (classes - 1) > 10 ** 9:
+        raise ValueError("partition search space too large; restrict d, k "
+                         "or max_weight")
+    found = []
     for w in _weight_vectors(d, max_weight):
         total = sum(w)
         if total % k:
@@ -459,9 +458,7 @@ def cartan_test(arr: Arrangement, Z) -> CartanReport:
         if negv == 0 and zerov == 0:
             cls = "finite"
         elif negv == 0 and zerov == 1:
-            from .exact import kernel_basis
-            kb = kernel_basis(RatMatrix(sub))
-            vec = primitive_vector([kb.rows[r][0] for r in range(len(lines))])
+            vec = primitive_vector(kernel_basis(sub)[0])
             if all(v > 0 for v in vec):
                 kernel_vec = vec
                 cls = "affine"
@@ -562,7 +559,7 @@ def _dedup_components(comps: list) -> list:
                 continue
             rows = [list(map(Fraction, v)) for v in other.vectors] \
                 + [list(map(Fraction, v)) for v in c.vectors]
-            if rank(RatMatrix(rows)) == dims[id(other)]:
+            if rank(rows) == dims[id(other)]:
                 contained = True
                 break
         if not contained:

@@ -13,7 +13,7 @@ from math import comb
 
 from .arrangement import Arrangement
 from .divisors import h0_fatpoints, net_split
-from .exact import (BinaryForm, MPoly, RatMatrix, SparseReducer, binary_gcd,
+from .exact import (BinaryForm, MPoly, SparseReducer, binary_gcd,
                     monomials_of_degree, mpoly_det, rank, solve)
 from .orlik_terao import OTPresentation, membership
 
@@ -59,7 +59,7 @@ def multiplication_matrix(pres: OTPresentation, cert) -> MultiplicationMatrix:
         products.append(prod)
     rows = [[p.terms.get(mn, Fraction(0)) for mn in monos_m]
             for p in products[:2]]
-    if rank(RatMatrix(rows)) == 2:
+    if rank(rows) == 2:
         sigma = products[:2]
     else:
         sigma = sa.basis[:2]
@@ -67,8 +67,8 @@ def multiplication_matrix(pres: OTPresentation, cert) -> MultiplicationMatrix:
     # solve sigma_i * tau_j = sum c_k l_k exactly
     monos = monomials_of_degree(3, arr.d - 1)
     index = {mn: r for r, mn in enumerate(monos)}
-    lmat = RatMatrix([[pres.l[k].terms.get(mn, Fraction(0))
-                       for k in range(arr.d)] for mn in monos])
+    lmat = [[pres.l[k].terms.get(mn, Fraction(0)) for k in range(arr.d)]
+            for mn in monos]
     entries = [[None] * len(tau) for _ in range(2)]
     for i, sg in enumerate(sigma):
         for j, t in enumerate(tau):

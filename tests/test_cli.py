@@ -230,6 +230,19 @@ def test_huge_exponent_is_an_input_error(tmp_path, capsys):
     assert "exponent" in err
 
 
+def test_form_past_the_size_cap_is_named(tmp_path, capsys):
+    # each denominator has 3000 digits and prints; their product, which
+    # normalizing the form makes, would not
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"forms": [
+        [1, 0, 0], [0, 1, 0], [0, 0, 1],
+        ["1/" + "7" * 3000, "1/" + "3" * 2999 + "1", 1]]}))
+    code, out, err = _capture(capsys, ["info", "--arrangement", str(path)])
+    assert code == 1 and out == ""
+    assert err.startswith("error: form 4: ") and err.count("\n") == 1
+    assert "bits" in err
+
+
 @pytest.mark.parametrize("size, count", [(0, 0), (3, 4), (9, 7)])
 def test_circuits_label_names_the_bound_used(size, count, capsys):
     code, out, _ = _capture(capsys, ["circuits", "--builtin", "braid-a3",

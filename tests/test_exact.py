@@ -1,55 +1,160 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from otb.exact import (BinaryForm, MPoly, RatMatrix, binary_gcd, kernel_basis,
+from otb.exact import (BinaryForm, MPoly, binary_gcd, kernel_basis,
                        modp_matrix, modp_rank, monomials_of_degree, mpoly_det,
                        primitive_vector, rank, rref, seeded_rng, solve,
                        vanishing_order, SparseReducer, draw_generic,
                        GenericityError)
 
 
+# -- dense references, independent of SparseReducer
+
+
+def bareiss_rank(rows) -> int:
+    """Exact rank by fraction-free (Bareiss) elimination on integer rows."""
+    a = []
+    for row in rows:
+        row = [Fraction(x) for x in row]
+        denom = 1
+        for x in row:
+            denom = denom * x.denominator // gcd(denom, x.denominator)
+        a.append([int(x * denom) for x in row])
+    nr, nc = len(a), (len(a[0]) if a else 0)
+    r = 0
+    prev = 1
+    for c in range(nc):
+        if r == nr:
+            break
+        piv = next((i for i in range(r, nr) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        pval = a[r][c]
+        for i in range(r + 1, nr):
+            ival = a[i][c]
+            # one-step fraction-free update; the division is exact (the
+            # entries are minors of the original matrix)
+            for j in range(c + 1, nc):
+                a[i][j] = (pval * a[i][j] - ival * a[r][j]) // prev
+            a[i][c] = 0
+        prev = pval
+        r += 1
+    return r
+
+
+def dense_rref(rows):
+    """(rref rows, pivot columns) by plain dense Gauss-Jordan over Q."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    nr, nc = len(a), (len(a[0]) if a else 0)
+    pivots = []
+    r = 0
+    for c in range(nc):
+        if r == nr:
+            break
+        piv = next((i for i in range(r, nr) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = 1 / a[r][c]
+        a[r] = [x * inv for x in a[r]]
+        for i in range(nr):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+    return a[:r], pivots
+
+
+def dense_kernel(rows, nc):
+    red, pivots = dense_rref(rows)
+    vecs = []
+    for f in (c for c in range(nc) if c not in pivots):
+        v = [Fraction(0)] * nc
+        v[f] = Fraction(1)
+        for r, c in enumerate(pivots):
+            v[c] = -red[r][f]
+        vecs.append(v)
+    return vecs
+
+
+def dense_solve(rows, b, nc):
+    red, pivots = dense_rref([list(row) + [v] for row, v in zip(rows, b)])
+    if nc in pivots:
+        return None
+    x = [Fraction(0)] * nc
+    for row, c in zip(red, pivots):
+        x[c] = row[nc]
+    return x
+
+
+def low_rank(rng, nr, nc, lo=-3, hi=3):
+    """A random nr x nc integer matrix of rank at most min(nr, nc)."""
+    r = rng.randint(0, min(nr, nc))
+    a = [[rng.randint(lo, hi) for _ in range(r)] for _ in range(nr)]
+    b = [[rng.randint(lo, hi) for _ in range(nc)] for _ in range(r)]
+    return [[sum(a[i][k] * b[k][j] for k in range(r)) for j in range(nc)]
+            for i in range(nr)]
+
+
 def test_rank_identity():
-    assert rank(RatMatrix.identity(3)) == 3
+    assert rank([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == 3
 
 
 def test_rank_proportional_rows():
-    assert rank(RatMatrix([[1, 2], [2, 4]])) == 1
+    assert rank([[1, 2], [2, 4]]) == 1
 
 
 def test_rank_transpose_random():
     rng = random.Random(11)
     for _ in range(40):
         nr, nc = rng.randint(1, 7), rng.randint(1, 7)
-        m = RatMatrix([[Fraction(rng.randint(-6, 6), rng.randint(1, 3))
-                        for _ in range(nc)] for _ in range(nr)])
-        assert rank(m) == rank(m.transpose())
+        m = [[Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+              for _ in range(nc)] for _ in range(nr)]
+        mt = [list(col) for col in zip(*m)]
+        assert rank(m) == rank(mt) == bareiss_rank(m) == bareiss_rank(mt)
 
 
 def test_rank_kernel_dimension_sum():
     rng = random.Random(12)
     for _ in range(40):
         nr, nc = rng.randint(1, 7), rng.randint(1, 7)
-        m = RatMatrix([[rng.randint(-5, 5) for _ in range(nc)]
-                       for _ in range(nr)])
-        assert rank(m) + kernel_basis(m).ncols == nc
+        m = [[rng.randint(-5, 5) for _ in range(nc)] for _ in range(nr)]
+        assert rank(m) + len(kernel_basis(m)) == nc
 
 
 def test_bareiss_matches_rref_on_structured_low_rank():
     # regression: the fraction-free update must rescale rows even when the
     # eliminated entry happens to be zero
     m = [[6, 2, -4, 3], [-4, -4, 2, -1], [0, -12, -6, 4], [2, 2, 8, 2]]
-    assert rank(RatMatrix(m)) == len(rref(m)[0]) == 3
+    assert bareiss_rank(m) == rank(m) == len(rref(m)[0]) == 3
     rng = random.Random(13)
     for _ in range(150):
-        nr, nc = rng.randint(1, 6), rng.randint(1, 6)
-        r = rng.randint(0, min(nr, nc))
-        a = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(nr)]
-        b = [[rng.randint(-3, 3) for _ in range(nc)] for _ in range(r)]
-        m = [[sum(a[i][k] * b[k][j] for k in range(r)) for j in range(nc)]
-             for i in range(nr)]
-        assert rank(RatMatrix(m)) == len(rref(m)[0])
+        m = low_rank(rng, rng.randint(1, 6), rng.randint(1, 6))
+        assert bareiss_rank(m) == rank(m) == len(rref(m)[0])
+
+
+def test_readouts_match_dense_gauss_jordan():
+    # rref, kernel_basis and solve against the dense reference, entry for
+    # entry and in order, on random and structured low-rank matrices
+    rng = random.Random(17)
+    for trial in range(200):
+        nr, nc = rng.randint(1, 7), rng.randint(1, 7)
+        if trial % 2:
+            m = low_rank(rng, nr, nc)
+        else:
+            m = [[Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                  for _ in range(nc)] for _ in range(nr)]
+        assert rref(m) == dense_rref(m)
+        assert kernel_basis(m) == dense_kernel(m, nc)
+        consistent = [sum(Fraction(x) for x in row) for row in m]  # m * 1
+        for b in (consistent, [rng.randint(-4, 4) for _ in range(nr)]):
+            assert solve(m, b) == dense_solve(m, b, nc)
+        assert solve(m, consistent) is not None
 
 
 def test_modp_rank_agrees_with_exact():
@@ -59,32 +164,30 @@ def test_modp_rank_agrees_with_exact():
             nr, nc = rng.randint(1, 7), rng.randint(1, 7)
             rows = [[Fraction(rng.randint(-9, 9), rng.randint(1, 4))
                      for _ in range(nc)] for _ in range(nr)]
-            exact = rank(RatMatrix(rows))
-            assert modp_rank(modp_matrix(rows, p), p) == exact
+            sparse = [{j: x for j, x in enumerate(row) if x} for row in rows]
+            exact = bareiss_rank(rows)
+            assert modp_rank(modp_matrix(sparse, nc, p), p) == exact
 
 
 def test_kernel_identity_empty():
-    assert kernel_basis(RatMatrix.identity(2)).ncols == 0
+    assert kernel_basis([[1, 0], [0, 1]]) == []
 
 
 def test_kernel_one_one():
-    k = kernel_basis(RatMatrix([[1, 1]]))
-    assert k.ncols == 1
-    v = primitive_vector([k.rows[0][0], k.rows[1][0]])
-    assert v == (1, -1)
+    k = kernel_basis([[1, 1]])
+    assert len(k) == 1
+    assert primitive_vector(k[0]) == (1, -1)
 
 
 def test_kernel_of_dependency_matrix():
     # forms x1, x2, x3, x1+x2+x3 as columns
-    m = RatMatrix([[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1]])
-    k = kernel_basis(m)
-    assert k.ncols == 1
-    v = primitive_vector([k.rows[i][0] for i in range(4)])
-    assert v == (1, 1, 1, -1)
+    k = kernel_basis([[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1]])
+    assert len(k) == 1
+    assert primitive_vector(k[0]) == (1, 1, 1, -1)
 
 
 def test_solve_consistent_and_inconsistent():
-    m = RatMatrix([[1, 2], [2, 4]])
+    m = [[1, 2], [2, 4]]
     assert solve(m, [1, 2]) is not None
     assert solve(m, [1, 3]) is None
 
@@ -186,7 +289,7 @@ def test_sparse_reducer_rank_matches_dense():
         red = SparseReducer(nc)
         for row in rows:
             red.add({i: v for i, v in enumerate(row) if v})
-        assert red.rank == rank(RatMatrix(rows))
+        assert red.rank == bareiss_rank(rows)
 
 
 def test_seeded_rng_deterministic():

@@ -278,10 +278,13 @@ def test_resonance_d13_in_seconds():
 
 
 def test_search_guard():
+    # the double points force all 20 lines into one block, so w = 1 leaves
+    # one candidate; w = 3 still has 3**20 weight vectors to try
     forms = [(1, 0, -k) for k in range(18)] + [(0, 1, 0), (0, 1, -1)]
     big = Arrangement(forms, name="fan20")
+    assert search_multinets(big, 3, 1) == search_multinets(big, 4, 1) == []
     with pytest.raises(ValueError, match="search space"):
-        search_multinets(big, 4, 1)
+        search_multinets(big, 4, 3)
 
 
 def test_cartan_braid(braid):
