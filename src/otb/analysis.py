@@ -3,7 +3,7 @@
 The command line builds one Analysis per invocation and hands it to every
 subcommand (and to every section of `report --all`); the tests keep one per
 builtin.  So the Orlik-Terao presentation, the degree-two Orlik-Solomon
-algebra, the Betti engines and the multinet searches are built once.
+algebra, the Betti engine and the multinet searches are built once.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from .arrangement import Arrangement
-from .koszul import FullEngine, ReducedEngine
+from .koszul import ReducedEngine
 from .orlik_terao import OTPresentation
 from .resonance import OS2, search_multinets
 
@@ -19,7 +19,6 @@ from .resonance import OS2, search_multinets
 class Analysis:
     def __init__(self, arr: Arrangement):
         self.arrangement = arr
-        self._engines: dict = {}
         self._multinets: dict = {}
 
     @cached_property
@@ -30,19 +29,10 @@ class Analysis:
     def os2(self) -> OS2:
         return OS2(self.arrangement)
 
-    def engine(self, method: str = "auto"):
-        """The Betti engine: "full" (the Koszul complex on all d variables)
-        or "reduced" (the Artinian reduction); "auto" picks full for d <= 7."""
-        if method == "auto":
-            method = "full" if self.arrangement.d <= 7 else "reduced"
-        if method not in self._engines:
-            if method == "full":
-                self._engines[method] = FullEngine(self.pres)
-            elif method == "reduced":
-                self._engines[method] = ReducedEngine(self.pres)
-            else:
-                raise ValueError("unknown method %r" % method)
-        return self._engines[method]
+    @cached_property
+    def engine(self) -> ReducedEngine:
+        """The Betti engine: the certified Artinian reduction of C(A)."""
+        return ReducedEngine(self.pres)
 
     def multinets(self, k: int, max_weight: int = 1) -> list:
         """`search_multinets(arr, k, max_weight)`, computed once per key.

@@ -165,29 +165,25 @@ def _cmd_ot_hilbert(an, args):
 
 
 def _cmd_betti(an, args):
-    table = betti_table(an.engine(), verify_regularity=args.verify_regularity)
+    table = betti_table(an.engine, verify_regularity=args.verify_regularity)
     rep = b23_formula(an.pres)
     res = {
         "totals": table.totals(),
         "entries": table.to_json_map(),
         "projective_dimension": table.projective_dimension,
         "regularity": table.regularity,
-        "method": table.method,
+        "method": "artinian-reduction",
         "quadratic_only": rep.quadratic_only,
         "b23_formula": rep.formula_value,
+        "reduction_certificate": table.certificate,
     }
-    if table.certificate:
-        res["reduction_certificate"] = table.certificate
     if table.strand3:
         res["strand3"] = {str(i): v for i, v in table.strand3.items()}
     lines = table.render_text().splitlines()
     if args.verify_regularity:
-        lines.append("strand 3 homology (i<=4): %s"
-                     % sorted(table.strand3.items()))
-    code = 0
-    if table.strand3 and any(v != 0 for v in table.strand3.values()):
-        code = 2
-    return res, code, lines
+        lines.append("strand 3 homology (i<=%d): %s"
+                     % (len(table.strand3), sorted(table.strand3.items())))
+    return res, (2 if any(table.strand3.values()) else 0), lines
 
 
 def _cmd_divisor_da(an, args):
@@ -266,7 +262,7 @@ def _cmd_resonance(an, args):
 def _cmd_scroll_check(an, args):
     arr = an.arrangement
     nets = [c for k in (3, 4) for c in an.multinets(k, 1) if c.connected]
-    b23 = tor_dimension(an.engine(), 2, 3) if nets else None
+    b23 = tor_dimension(an.engine, 2, 3) if nets else None
     checks = []
     ok = True
     for cert in nets:

@@ -13,8 +13,7 @@ only the rank enters).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import comb
+from math import comb, perm, prod
 
 from .arrangement import Arrangement, FlatPoint
 from .exact import MPoly, kernel_basis, monomials_of_degree, primitive_vector
@@ -98,29 +97,19 @@ class SectionSpace:
 def vanishing_condition_rows(point, order: int, degree: int) -> list:
     """Rows imposing vanishing to order >= `order` at the point on the
     space of degree-`degree` forms: every partial derivative of total order
-    < `order`, evaluated at a primitive representative.  Rows may be
-    redundant; callers use ranks."""
+    < `order`, evaluated at a primitive representative, in integers.  Rows
+    may be redundant; callers use ranks."""
     monos = monomials_of_degree(3, degree)
-    pt = [Fraction(v) for v in point]
     rows = []
     for alpha in range(order):
         for a in range(alpha + 1):
             for b in range(alpha - a + 1):
-                c = alpha - a - b
-                row = []
-                for m in monos:
-                    if m[0] < a or m[1] < b or m[2] < c:
-                        row.append(Fraction(0))
-                        continue
-                    coeff = Fraction(1)
-                    for e, k in zip(m, (a, b, c)):
-                        for t in range(k):
-                            coeff *= e - t
-                    val = coeff
-                    for e, k, x in zip(m, (a, b, c), pt):
-                        val *= x ** (e - k)
-                    row.append(val)
-                rows.append(row)
+                ts = (a, b, alpha - a - b)
+                rows.append([
+                    prod(perm(e, t) * x ** (e - t)
+                         for e, t, x in zip(m, ts, point))
+                    if all(e >= t for e, t in zip(m, ts)) else 0
+                    for m in monos])
     return rows
 
 

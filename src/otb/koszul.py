@@ -4,27 +4,22 @@ b_{i,j} = dim Tor_i(C(A), k)_j is the middle homology of the strand
 
     Wedge^{i+1} V (x) C_{j-i-1}  ->  Wedge^i V (x) C_{j-i}  ->  Wedge^{i-1} V (x) C_{j-i+1}
 
-of the Koszul complex on the d variables tensored with C(A).  Two engines
-compute it:
+of the Koszul complex on the variables tensored with the algebra.
 
-* "full": the strand above, literally; ranks exactly when the matrices are
-  small and mod p otherwise, agreed at two word-sized primes.  A rank mod p
-  never exceeds the rank over Q, so zero homology mod a single prime is
-  already a proof of zero homology over Q.
+`ReducedEngine` computes it for every d.  It quotients C(A) by three
+generic linear forms and checks that the quotient is Artinian with colength
+equal to the multiplicity h(1); colength >= multiplicity always holds for a
+linear system of parameters, and equality forces the module to be
+Cohen-Macaulay and the sequence to be regular, which transfers the graded
+Betti numbers verbatim to the quotient, over the d-3 surviving variables.
+The reduction is exact rational arithmetic; a strand rank is exact below
+EXACT_ENTRY_LIMIT entries and agreed at two primes above it (a rank mod p
+never exceeds the rank over Q).  The quotient vanishes from degree 3 on, so
+every strand with j - i >= 3 is zero by the certificate itself.
 
-* "reduced": quotient C(A) by three generic linear forms first.  The
-  quotient is checked to be Artinian with colength equal to the
-  multiplicity h(1); colength >= multiplicity always holds for a linear
-  system of parameters, and equality forces the module to be Cohen-Macaulay
-  and the sequence to be regular, which transfers the graded Betti numbers
-  verbatim to the small quotient.  The reduction itself is exact rational
-  arithmetic; its strand ranks follow the same rule as the full engine
-  (exact below EXACT_ENTRY_LIMIT entries, two-prime agreement above).
-
-The reduced engine is the default for d >= 8: eliminating the full strands
-of a nine-line arrangement (matrices beyond 10000 x 4500) costs hours on
-commodity hardware, far outside the time budget, while the reduction is
-exact and runs in seconds.
+`FullEngine` is the Koszul complex on all d variables of C(A), literally.
+At d = 9 its strands exceed 10000 x 4500, so the program never runs it;
+the tests compare the reduced engine against it on small arrangements.
 """
 
 from __future__ import annotations
@@ -119,14 +114,19 @@ def _rank_sparse_columns(cols, nrows: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# The two engines
+# The engines
 
 
 class _Engine:
     """Shared shape: quotient dimensions per degree plus multiplication
     maps, over some polynomial ring; builds strands and homology."""
 
-    nvars: int
+    certificate: dict | None = None
+
+    def __init__(self, pres: OTPresentation, nvars: int):
+        self.pres = pres
+        self.nvars = nvars
+        self._rank_cache: dict = {}
 
     def dim(self, q: int) -> int:
         raise NotImplementedError
@@ -154,8 +154,6 @@ class _Engine:
             m_out = [dict() for _ in range(dim_mid)]
         return KoszulStrand(i, s, (dim_in, dim_mid, dim_out), m_in, m_out)
 
-    _rank_cache: dict
-
     def rank_of_differential(self, i: int, q: int) -> int:
         """rank of Wedge^i (x) C_q -> Wedge^{i-1} (x) C_{q+1}."""
         key = (i, q)
@@ -174,10 +172,6 @@ class _Engine:
     def homology(self, i: int, s: int) -> int:
         if i < 0 or i > self.nvars:
             return 0
-        if i == 0:
-            # cokernel of V (x) C_{s-1} -> C_s, which is zero in positive
-            # degrees for a standard graded algebra; degree 0 gives 1
-            return 1 if s == 0 else self.dim(s) - self.rank_of_differential(1, s - 1)
         mid = comb(self.nvars, i) * self.dim(s)
         if mid == 0:
             return 0
@@ -187,12 +181,11 @@ class _Engine:
 
 
 class FullEngine(_Engine):
-    """Koszul complex on all d variables tensored with C(A)."""
+    """Koszul complex on all d variables tensored with C(A): the reference
+    that the tests check `ReducedEngine` against."""
 
     def __init__(self, pres: OTPresentation):
-        self.pres = pres
-        self.nvars = pres.d
-        self._rank_cache = {}
+        super().__init__(pres, pres.d)
 
     def dim(self, q: int) -> int:
         if q < 0:
@@ -209,9 +202,7 @@ class ReducedEngine(_Engine):
     polynomial ring on the surviving d-3 variables."""
 
     def __init__(self, pres: OTPresentation):
-        self.pres = pres
-        self._rank_cache = {}
-        self.nvars = pres.d - 3
+        super().__init__(pres, pres.d - 3)
         self._build()
 
     def _build(self):
@@ -305,7 +296,6 @@ class BettiTable:
     entries: dict                    # (i, j) -> positive value
     projective_dimension: int
     regularity: int
-    method: str
     certificate: dict | None = None
     strand3: dict = field(default_factory=dict)
 
@@ -348,30 +338,27 @@ class BettiTable:
         return out
 
 
-def tor_dimension(eng: _Engine, i: int, j: int,
-                  verify_regularity: bool = False) -> int:
-    """dim Tor_i(C(A), k)_j.  Strands past the regularity bound (j-i > 2)
-    return zero without elimination unless verify_regularity forces the
-    honest computation.  Under the reduced engine the indices above d-3
-    vanish by its certified reduction."""
-    d = eng.pres.d
-    if not (0 <= i <= d):
+def tor_dimension(eng: _Engine, i: int, j: int) -> int:
+    """dim Tor_i(C(A), k)_j.  Under the reduced engine the values with
+    j - i >= 3 or i > d-3 are zero by its certificate, without
+    elimination."""
+    if not (0 <= i <= eng.pres.d):
         raise ValueError("homological index out of range")
     if j < i:
         raise ValueError("internal degree below homological index")
-    s = j - i
     if i == 0:
         return 1 if j == 0 else 0
-    if s > 2 and not verify_regularity:
-        return 0
-    return eng.homology(i, s)
+    return eng.homology(i, j - i)
 
 
 def betti_table(eng: _Engine, verify_regularity: bool = False) -> BettiTable:
-    """All graded Betti numbers.  The full engine runs i all the way to d
-    and checks the vanishing beyond i = d-3; the reduced engine certifies
-    that vanishing through its Artinian-reduction certificate."""
-    d = eng.pres.d
+    """All graded Betti numbers b_{i,i+s}, s = 1, 2, for i up to the
+    engine's number of variables.
+
+    verify_regularity also records the strand-3 homology for
+    i <= min(4, nvars).  Under the reduced engine these zeros are not a
+    separate elimination: they follow from the certified dim (C/theta)_3 = 0.
+    """
     entries = {}
     for i in range(1, eng.nvars + 1):
         for s in (1, 2):
@@ -381,22 +368,13 @@ def betti_table(eng: _Engine, verify_regularity: bool = False) -> BettiTable:
                                       % ((i, s),))
             if v:
                 entries[(i, i + s)] = v
-    if isinstance(eng, FullEngine):
-        for i in range(max(1, d - 2), d + 1):
-            for s in (1, 2):
-                if entries.get((i, i + s)) and i > d - 3:
-                    raise ArithmeticError(
-                        "nonzero Betti number beyond homological index d-3")
-    pd = max((i for (i, _) in entries), default=0)
-    reg = max((j - i for (i, j) in entries), default=0)
     table = BettiTable(
-        d=d, entries=entries, projective_dimension=pd, regularity=reg,
-        method=("koszul-full" if isinstance(eng, FullEngine)
-                else "artinian-reduction"),
-        certificate=getattr(eng, "certificate", None))
+        d=eng.pres.d, entries=entries,
+        projective_dimension=max((i for (i, _) in entries), default=0),
+        regularity=max((j - i for (i, j) in entries), default=0),
+        certificate=eng.certificate)
     if verify_regularity:
-        upper = min(4, eng.nvars)
-        for i in range(1, upper + 1):
+        for i in range(1, min(4, eng.nvars) + 1):
             table.strand3[i] = eng.homology(i, 3)
     return table
 

@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a PASS line with
 the measured values.  All comparisons are exact integer equalities; Betti
 ranks are exact rational arithmetic or mod-p lower bounds agreed at two
-independent primes by the underlying engines."""
+independent primes."""
 
 import time
 from math import comb
@@ -18,7 +18,7 @@ from otb.resonance import (is_neighborly, resonance_components,
 from otb.scroll import (en_prediction, is_one_generic, minors_in_ideal,
                         multiplication_matrix)
 
-from conftest import BUILTINS, analysis
+from conftest import BUILTINS, analysis, oracle
 
 TABLE_BUDGET = 300.0      # seconds per Betti table
 SUITE_BUDGET = 120.0      # seconds per property suite
@@ -42,20 +42,20 @@ def test_criterion_1_betti_tables():
     for name, want in expected.items():
         t0 = time.monotonic()
         an = Analysis(analysis(name).arrangement)   # fresh: honest timing
-        tb = betti_table(an.engine())
+        tb = betti_table(an.engine)
         dt = time.monotonic() - t0
         timings[name] = dt
         assert _table_rows(tb) == want, name
         assert dt < TABLE_BUDGET, "table for %s took %.1fs" % (name, dt)
-    # the braid table is additionally confirmed by the second engine
-    reduced = betti_table(analysis("braid-a3").engine("reduced"))
-    assert _table_rows(reduced) == expected["braid-a3"]
+    # the braid table is additionally confirmed by the full Koszul complex
+    full = betti_table(oracle("braid-a3"))
+    assert _table_rows(full) == expected["braid-a3"]
     print("ACCEPTANCE 1 PASS: Betti tables match (%s)" %
           ", ".join("%s %.1fs" % kv for kv in sorted(timings.items())))
 
 
 def test_criterion_2_tor_and_b23():
-    eng = analysis("braid-a3").engine()
+    eng = analysis("braid-a3").engine
     t24 = tor_dimension(eng, 2, 4)
     assert t24 == 3
     rep = b23_formula(analysis("braid-a3").pres)
@@ -139,7 +139,7 @@ def test_criterion_7_scroll_certificates():
         assert is_one_generic(gamma), name
         assert minors_in_ideal(pres, gamma), name
         en = en_prediction(cert, a.d)
-        b23 = tor_dimension(analysis(name).engine(), 2, 3)
+        b23 = tor_dimension(analysis(name).engine, 2, 3)
         assert en.linear_syzygies == 2 == b23, name
     print("ACCEPTANCE 7 PASS: both nets give 1-generic 2x3 matrices with "
           "minors in the ideal and EN beta_1 = 2 = b_{2,3}")
@@ -157,7 +157,7 @@ def test_criterion_8_property_suites():
     t0 = time.monotonic()
     for name in BUILTINS:
         a = analysis(name).arrangement
-        tb = betti_table(analysis(name).engine())
+        tb = betti_table(analysis(name).engine)
         h = terao_series(a, 2).h_polynomial
         n = a.d - 3
         expect = [0] * (n + 3)
@@ -173,7 +173,7 @@ def test_criterion_8_property_suites():
 
     t0 = time.monotonic()
     for name in BUILTINS:
-        tb = betti_table(analysis(name).engine(), verify_regularity=True)
+        tb = betti_table(analysis(name).engine, verify_regularity=True)
         assert tb.strand3 and all(v == 0 for v in tb.strand3.values()), name
         assert set(tb.strand3) >= set(range(1, min(4, tb.d - 3) + 1))
     suites["strand3-vanishing"] = time.monotonic() - t0

@@ -12,6 +12,7 @@ from otb.analysis import Analysis
 from otb.arrangement import ArrangementError, parse_arrangement
 from otb.cli import run
 from otb.exact import BadPrime, GenericityError
+from otb.koszul import FullEngine, ReducedEngine
 from otb.orlik_terao import OTPresentation
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "golden")
@@ -183,28 +184,40 @@ def test_malformed_file_is_an_input_error(doc, tmp_path, capsys):
     RuntimeError("ran out of primes for the strand rank"),
 ])
 def test_engine_failure_is_a_verification_failure(exc, monkeypatch, capsys):
-    def fail(self, method="auto"):
+    def fail(self):
         raise exc
-    monkeypatch.setattr(Analysis, "engine", fail)
+    monkeypatch.setattr(Analysis, "engine", property(fail))
     code, out, err = _capture(capsys, ["betti", "--builtin", "braid-a3"])
     assert code == 2 and out == ""
     assert err == "verification failed: %s\n" % exc
 
 
 def test_report_builds_shared_objects_once(monkeypatch, capsys):
-    counts = {"presentations": 0, "searches": 0}
+    counts = {"presentations": 0, "searches": 0, "reduced": 0, "full": 0}
     build = OTPresentation.__init__
+    reduce = ReducedEngine.__init__
+    full = FullEngine.__init__
     search = otb.resonance.search_multinets
 
     def counted_build(self, *args, **kwargs):
         counts["presentations"] += 1
         build(self, *args, **kwargs)
 
+    def counted_reduce(self, *args, **kwargs):
+        counts["reduced"] += 1
+        reduce(self, *args, **kwargs)
+
+    def counted_full(self, *args, **kwargs):
+        counts["full"] += 1
+        full(self, *args, **kwargs)
+
     def counted_search(*args, **kwargs):
         counts["searches"] += 1
         return search(*args, **kwargs)
 
     monkeypatch.setattr(OTPresentation, "__init__", counted_build)
+    monkeypatch.setattr(ReducedEngine, "__init__", counted_reduce)
+    monkeypatch.setattr(FullEngine, "__init__", counted_full)
     for name, module in list(sys.modules.items()):
         if name.startswith("otb") and \
                 getattr(module, "search_multinets", None) is search:
@@ -213,8 +226,10 @@ def test_report_builds_shared_objects_once(monkeypatch, capsys):
                                    "braid-a3"])
     assert code == 0
     # net-search and resonance share the (k, weight 2) searches; scroll-check
-    # reads its (k, weight 1) nets off them
-    assert counts == {"presentations": 1, "searches": 2}
+    # reads its (k, weight 1) nets off them; betti and scroll-check share the
+    # one Artinian reduction, and the full Koszul engine is never built
+    assert counts == {"presentations": 1, "searches": 2, "reduced": 1,
+                      "full": 0}
 
 
 def test_huge_exponent_is_an_input_error(tmp_path, capsys):

@@ -1,14 +1,17 @@
+import random
+
 import pytest
 
 from otb.analysis import Analysis
-from otb.koszul import b23_formula, betti_table, tor_dimension
+from otb.arrangement import Arrangement, ArrangementError
+from otb.koszul import FullEngine, b23_formula, betti_table, tor_dimension
 from otb.orlik_terao import terao_series
 
-from conftest import BUILTINS, analysis
+from conftest import BUILTINS, analysis, oracle
 
 
 def test_braid_table_full():
-    tb = betti_table(analysis("braid-a3").engine("full"))
+    tb = betti_table(oracle("braid-a3"))
     assert tb.totals() == [1, 4, 5, 2]
     assert tb.row(1) == [0, 4, 2, 0]
     assert tb.row(2) == [0, 0, 3, 2]
@@ -17,7 +20,7 @@ def test_braid_table_full():
 
 
 def test_braid_tor_values():
-    eng = analysis("braid-a3").engine()
+    eng = analysis("braid-a3").engine
     assert tor_dimension(eng, 2, 3) == 2
     assert tor_dimension(eng, 2, 4) == 3
     assert tor_dimension(eng, 0, 0) == 1
@@ -25,7 +28,7 @@ def test_braid_tor_values():
 
 
 def test_tor_validates_input():
-    eng = analysis("braid-a3").engine()
+    eng = analysis("braid-a3").engine
     with pytest.raises(ValueError):
         tor_dimension(eng, -1, 0)
     with pytest.raises(ValueError):
@@ -35,22 +38,60 @@ def test_tor_validates_input():
 
 
 def test_tor_beyond_regularity_short_circuits():
-    eng = analysis("braid-a3").engine()
-    assert tor_dimension(eng, 1, 5) == 0
-    # forcing the computation gives the same answer
-    assert tor_dimension(eng, 1, 5, verify_regularity=True) == 0
+    # zero by the reduction's certificate, and by elimination in the oracle
+    assert tor_dimension(analysis("braid-a3").engine, 1, 5) == 0
+    assert tor_dimension(oracle("braid-a3"), 1, 5) == 0
+
+
+def _assert_matches_oracle(an, full):
+    """The reduced table equals the full Koszul complex's, and the full
+    complex, which runs i up to d, has nothing beyond i = d-3."""
+    red = betti_table(an.engine)
+    expect = betti_table(full)
+    assert red.entries == expect.entries
+    assert all(i <= an.arrangement.d - 3 for (i, _) in expect.entries)
+    assert red.certificate["colength"] == red.certificate["multiplicity"]
 
 
 def test_reduced_agrees_with_full_on_small():
     for name in ("braid-a3", "ex-2-4"):
-        full = betti_table(analysis(name).engine("full"))
-        red = betti_table(analysis(name).engine("reduced"))
-        assert full.entries == red.entries
-        assert red.certificate["colength"] == red.certificate["multiplicity"]
+        _assert_matches_oracle(analysis(name), oracle(name))
+
+
+def _random_forms(d: int, seed: int) -> list:
+    """The coordinate triangle plus lines with entries in [-2, 2]: small
+    coefficients, so the draws also meet in triple and quadruple points."""
+    rng = random.Random("oracle:%d:%d" % (d, seed))
+    forms = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    while len(forms) < d:
+        cand = tuple(rng.randint(-2, 2) for _ in range(3))
+        try:
+            Arrangement(forms + [cand])
+        except ArrangementError:
+            continue
+        forms.append(cand)
+    return forms
+
+
+ORACLE_FORMS = {
+    "triangle": [(1, 0, 0), (0, 1, 0), (0, 0, 1)],
+    "four-generic": [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)],
+    # braid-a3 plus one generic line, d = 7
+    "braid-a3+1": [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, -1, 0), (1, 0, -1),
+                   (0, 1, -1), (2, 2, 1)],
+    **{"random-%d-%d" % (d, seed): _random_forms(d, seed)
+       for d in (5, 6) for seed in (1, 2, 3)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_FORMS))
+def test_reduced_matches_full_oracle(name):
+    an = Analysis(Arrangement(ORACLE_FORMS[name], name=name))
+    _assert_matches_oracle(an, FullEngine(an.pres))
 
 
 def test_reduced_certificate_contents():
-    tb = betti_table(analysis("9_3_1").engine("reduced"))
+    tb = betti_table(analysis("9_3_1").engine)
     cert = tb.certificate
     assert cert["artinian_in_degree"] == 3
     assert cert["h_vector"] == (1, 6, 12)
@@ -58,14 +99,14 @@ def test_reduced_certificate_contents():
 
 
 def test_ex_2_4_table():
-    tb = betti_table(analysis("ex-2-4").engine("full"))
+    tb = betti_table(oracle("ex-2-4"))
     assert tb.totals() == [1, 1]
     assert tb.entries == {(1, 3): 1}
     assert tb.projective_dimension == 1
 
 
 def test_triangle_table(triangle):
-    tb = betti_table(Analysis(triangle).engine("full"))
+    tb = betti_table(FullEngine(Analysis(triangle).pres))
     assert tb.entries == {}
     assert tb.totals() == [1]
     assert tb.projective_dimension == 0
@@ -74,13 +115,13 @@ def test_triangle_table(triangle):
 
 def test_projective_dimension_is_d_minus_3():
     for name in BUILTINS:
-        tb = betti_table(analysis(name).engine())
+        tb = betti_table(analysis(name).engine)
         assert tb.projective_dimension == analysis(name).arrangement.d - 3
 
 
 def test_strand3_vanishes():
     for name in BUILTINS:
-        tb = betti_table(analysis(name).engine(), verify_regularity=True)
+        tb = betti_table(analysis(name).engine, verify_regularity=True)
         assert tb.strand3
         assert all(v == 0 for v in tb.strand3.values())
 
@@ -88,11 +129,11 @@ def test_strand3_vanishes():
 def test_strand_composite_zero_small():
     # d(d(x)) = 0 on explicitly constructed strands
     for name in ("braid-a3", "ex-2-4"):
-        eng = analysis(name).engine("full")
+        eng = oracle(name)
         for (i, s) in ((1, 1), (2, 1), (2, 2), (3, 2)):
             strand = eng.strand(i, s)
             assert strand.composite_is_zero()
-    eng = analysis("9_3_1").engine("reduced")
+    eng = analysis("9_3_1").engine
     for (i, s) in ((1, 1), (2, 1), (3, 2)):
         assert eng.strand(i, s).composite_is_zero()
 
@@ -101,7 +142,7 @@ def test_euler_characteristic_identity():
     # sum_i (-1)^i b_{i,j} t^j == h(t) * (1-t)^(d-3)
     for name in BUILTINS:
         a = analysis(name).arrangement
-        tb = betti_table(analysis(name).engine())
+        tb = betti_table(analysis(name).engine)
         h = terao_series(a, 2).h_polynomial
         n = a.d - 3
         # expand h(t) * (1-t)^n
@@ -122,7 +163,7 @@ def test_b23_formula_braid():
     rep = b23_formula(analysis("braid-a3").pres)
     assert rep.formula_value == 2
     assert rep.quadratic_only
-    assert rep.formula_value == tor_dimension(analysis("braid-a3").engine(),
+    assert rep.formula_value == tor_dimension(analysis("braid-a3").engine,
                                               2, 3)
 
 
@@ -131,7 +172,7 @@ def test_b23_formula_on_quadratic_corpus():
     for name in BUILTINS:
         rep = b23_formula(analysis(name).pres)
         if rep.quadratic_only:
-            eng = analysis(name).engine()
+            eng = analysis(name).engine
             assert rep.formula_value == tor_dimension(eng, 2, 3)
 
 
@@ -144,7 +185,7 @@ def test_b23_hypothesis_fails_on_9_3():
 
 def test_b12_is_ideal_dimension():
     for name in BUILTINS:
-        tb = betti_table(analysis(name).engine())
+        tb = betti_table(analysis(name).engine)
         pres = analysis(name).pres
         assert tb.value(1, 2) == pres.ideal_dimension(2)
         rep = b23_formula(pres)
@@ -152,7 +193,7 @@ def test_b12_is_ideal_dimension():
 
 
 def test_betti_render_layout():
-    text = betti_table(analysis("braid-a3").engine()).render_text()
+    text = betti_table(analysis("braid-a3").engine).render_text()
     lines = text.splitlines()
     assert lines[0].split() == ["total", "1", "4", "5", "2"]
     assert lines[1].split() == ["0:", "1", "-", "-", "-"]
@@ -161,6 +202,6 @@ def test_betti_render_layout():
 
 
 def test_betti_json_map():
-    m = betti_table(analysis("braid-a3").engine()).to_json_map()
+    m = betti_table(analysis("braid-a3").engine).to_json_map()
     assert m["0,0"] == 1 and m["1,2"] == 4 and m["3,5"] == 2
 

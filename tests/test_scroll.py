@@ -165,5 +165,5 @@ def test_en_matches_computed_b23():
         a = analysis(name).arrangement
         cert = search_multinets(a, 3, 1)[0]
         en = en_prediction(cert, a.d)
-        b23 = tor_dimension(analysis(name).engine(), 2, 3)
+        b23 = tor_dimension(analysis(name).engine, 2, 3)
         assert en.linear_syzygies == b23
