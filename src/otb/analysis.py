@@ -34,7 +34,7 @@ class Analysis:
         """The Betti engine: the certified Artinian reduction of C(A)."""
         return ReducedEngine(self.pres)
 
-    def multinets(self, k: int, max_weight: int = 1) -> list:
+    def multinets(self, k: int, max_weight: int) -> list:
         """`search_multinets(arr, k, max_weight)`, computed once per key.
 
         A cached search with the same k and a larger bound already holds

@@ -26,16 +26,6 @@ class Circuit:
         return len(self.indices)
 
 
-def dependency_coefficients(arr: Arrangement, indices) -> tuple:
-    """The unique (normalized) dependency among the given forms; requires a
-    one-dimensional kernel."""
-    cols = [arr.forms[i] for i in indices]
-    ker = kernel_basis([[col[r] for col in cols] for r in range(3)])
-    if len(ker) != 1:
-        raise ValueError("kernel dimension %d, not a circuit" % len(ker))
-    return primitive_vector(ker[0])
-
-
 def enumerate_circuits(arr: Arrangement, max_size: int | None = None) -> list:
     """All circuits of size <= max_size, by increasing size, lexicographic
     within a size; subsets containing a known circuit are pruned."""

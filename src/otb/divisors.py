@@ -13,9 +13,9 @@ only the rank enters).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, perm, prod
+from math import perm, prod
 
-from .arrangement import Arrangement, FlatPoint
+from .arrangement import Arrangement
 from .exact import MPoly, kernel_basis, monomials_of_degree, primitive_vector
 
 
@@ -25,9 +25,6 @@ class DivisorClass:
     def __init__(self, m: int, mults: dict):
         self.m = int(m)
         self.mults = {p: int(v) for p, v in mults.items() if int(v) != 0}
-
-    def mult(self, p: FlatPoint) -> int:
-        return self.mults.get(p, 0)
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         out = dict(self.mults)
@@ -50,15 +47,6 @@ class DivisorClass:
 
     def __repr__(self):
         return "DivisorClass(m=%d, %d points)" % (self.m, len(self.mults))
-
-
-def exceptional(p: FlatPoint) -> DivisorClass:
-    """E_p as a class (note the sign convention: mult -1)."""
-    return DivisorClass(0, {p: -1})
-
-
-def line_class() -> DivisorClass:
-    return DivisorClass(1, {})
 
 
 def canonical_class(arr: Arrangement) -> DivisorClass:
@@ -151,8 +139,6 @@ def h0_h1(arr: Arrangement, div: DivisorClass):
 class NetSplit:
     A_div: DivisorClass
     B_div: DivisorClass
-    h0A_lower: int
-    h0B_lower: int | None    # km - C(m+1, 2) for a net, else None
 
 
 def net_split(arr: Arrangement, cert) -> NetSplit:
@@ -164,5 +150,4 @@ def net_split(arr: Arrangement, cert) -> NetSplit:
         if v < 0:
             raise ValueError("residual divisor has negative multiplicity at "
                              "%s" % (p.point,))
-    bound = cert.k * cert.m - comb(cert.m + 1, 2) if cert.is_net else None
-    return NetSplit(A_div=a_div, B_div=b_div, h0A_lower=2, h0B_lower=bound)
+    return NetSplit(A_div=a_div, B_div=b_div)

@@ -37,13 +37,13 @@ def seeded_rng(tag: str) -> random.Random:
     return random.Random(f"{SEED_NAMESPACE}:{tag}")
 
 
-def draw_generic(rng: random.Random, make, is_good, tries: int = 5):
-    """Draw candidates until `is_good` accepts one; at most `tries` draws."""
-    for _ in range(tries):
+def draw_generic(rng: random.Random, make, is_good):
+    """Draw candidates until `is_good` accepts one; at most five draws."""
+    for _ in range(5):
         x = make(rng)
         if is_good(x):
             return x
-    raise GenericityError("genericity precondition failed after %d draws" % tries)
+    raise GenericityError("genericity precondition failed after 5 draws")
 
 
 # ---------------------------------------------------------------------------
@@ -320,12 +320,6 @@ class MPoly:
         return cls(nvars, {(0,) * nvars: Fraction(c)})
 
     @classmethod
-    def variable(cls, nvars: int, i: int) -> "MPoly":
-        e = [0] * nvars
-        e[i] = 1
-        return cls(nvars, {tuple(e): Fraction(1)})
-
-    @classmethod
     def linear_form(cls, coeffs) -> "MPoly":
         n = len(coeffs)
         terms = {}
@@ -387,16 +381,6 @@ class MPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int) -> "MPoly":
-        result = MPoly.constant(self.nvars, 1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
-
     def __eq__(self, other):
         return isinstance(other, MPoly) and self.nvars == other.nvars \
             and self.terms == other.terms
@@ -452,11 +436,15 @@ class MPoly:
             total = total + term
         return total
 
-    def to_string(self, names=None) -> str:
+    def to_string(self) -> str:
+        """Terms in descending graded-lex order, in x, y, z for up to three
+        variables and y1, y2, ... otherwise."""
         if not self.terms:
             return "0"
-        if names is None:
-            names = default_names(self.nvars)
+        if self.nvars <= 3:
+            names = ["x", "y", "z"][:self.nvars]
+        else:
+            names = ["y%d" % (i + 1) for i in range(self.nvars)]
         parts = []
         for e in sorted(self.terms, key=_grlex_key, reverse=True):
             c = self.terms[e]
@@ -484,12 +472,6 @@ class MPoly:
 
     def __repr__(self):
         return "MPoly(%s)" % self.to_string()
-
-
-def default_names(nvars: int) -> list:
-    if nvars <= 3:
-        return ["x", "y", "z"][:nvars]
-    return ["y%d" % (i + 1) for i in range(nvars)]
 
 
 def mpoly_det(rows: list) -> MPoly:
@@ -531,32 +513,6 @@ def mpoly_det(rows: list) -> MPoly:
     return det(rows, list(range(n)))
 
 
-def vanishing_order(poly: MPoly, point) -> int:
-    """Order of vanishing of a homogeneous 3-variable polynomial at a
-    projective point: translate the point to the origin of an affine chart
-    and read the minimal total degree.  Returns poly.degree()+1 as a stand-in
-    for 'vanishes identically' only on the zero polynomial (-1 -> infinity
-    is awkward); callers treat the zero polynomial separately."""
-    if poly.nvars != 3:
-        raise ValueError("expects a polynomial in (x, y, z)")
-    if poly.is_zero():
-        raise ValueError("zero polynomial vanishes to infinite order")
-    pt = [Fraction(v) for v in point]
-    chart = next(i for i, v in enumerate(pt) if v != 0)
-    # substitute x_i -> p_i + u_i (i != chart), x_chart -> p_chart,
-    # with u-variables the two affine coordinates
-    subs = []
-    uvars = [i for i in range(3) if i != chart]
-    for i in range(3):
-        if i == chart:
-            subs.append(MPoly.constant(2, pt[i]))
-        else:
-            k = uvars.index(i)
-            subs.append(MPoly.constant(2, pt[i]) + MPoly.variable(2, k))
-    local = poly.compose(subs)
-    return min(sum(e) for e in local.terms)
-
-
 # ---------------------------------------------------------------------------
 # Binary forms in (lambda, mu) and their gcd
 
@@ -579,29 +535,6 @@ class BinaryForm:
 
     def __repr__(self):
         return "BinaryForm(%s)" % (self.coeffs,)
-
-    def to_string(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        b = self.degree
-        for k, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            mono = []
-            if b - k:
-                mono.append("l" if b - k == 1 else "l^%d" % (b - k))
-            if k:
-                mono.append("m" if k == 1 else "m^%d" % k)
-            body = "*".join(mono) or str(abs(c))
-            if mono and abs(c) != 1:
-                body = "%s*%s" % (abs(c), body)
-            parts.append(("-" if c < 0 else "+", body))
-        sign, body = parts[0]
-        text = ("-" if sign == "-" else "") + body
-        for sign, body in parts[1:]:
-            text += " %s %s" % (sign, body)
-        return text
 
 
 def _poly_trim(c: list) -> list:

@@ -40,33 +40,6 @@ EXACT_ENTRY_LIMIT = 50_000   # rows*cols below this: exact sparse elimination
 # Strand matrices
 
 
-class KoszulStrand:
-    """The two differentials around Wedge^i V (x) C_s, with explicit bases
-    (sorted index subsets) x (quotient monomials).  Columns are sparse maps
-    into the row space."""
-
-    def __init__(self, i: int, s: int, dims, matrix_in, matrix_out):
-        self.i = i
-        self.s = s
-        self.dim_in, self.dim_mid, self.dim_out = dims
-        self.matrix_in = matrix_in      # list of sparse columns, len dim_in
-        self.matrix_out = matrix_out    # list of sparse columns, len dim_mid
-
-    def composite_is_zero(self) -> bool:
-        for col in self.matrix_in:
-            acc: dict = {}
-            for mid, c in col.items():
-                for tgt, v in self.matrix_out[mid].items():
-                    nv = acc.get(tgt, Fraction(0)) + c * v
-                    if nv:
-                        acc[tgt] = nv
-                    else:
-                        acc.pop(tgt, None)
-            if acc:
-                return False
-        return True
-
-
 def _differential_columns(nvars: int, i: int, maps, c_src: int, c_dst: int):
     """Columns of Wedge^i (x) C_q -> Wedge^{i-1} (x) C_{q+1}.
 
@@ -133,26 +106,6 @@ class _Engine:
 
     def maps(self, q: int):
         raise NotImplementedError
-
-    def strand(self, i: int, s: int) -> KoszulStrand:
-        c_prev = self.dim(s - 1) if s >= 1 else 0
-        c_mid = self.dim(s)
-        dim_in = comb(self.nvars, i + 1) * c_prev
-        dim_mid = comb(self.nvars, i) * c_mid
-        m_in, check_mid = ([], 0)
-        if c_prev and i + 1 <= self.nvars:
-            m_in, check_mid = _differential_columns(
-                self.nvars, i + 1, self.maps(s - 1), c_prev, c_mid)
-            if check_mid != dim_mid:
-                raise AssertionError("strand shape mismatch")
-        m_out, dim_out = ((), 0)
-        c_next = self.dim(s + 1)
-        if c_mid and c_next and i >= 1:
-            m_out, dim_out = _differential_columns(
-                self.nvars, i, self.maps(s), c_mid, c_next)
-        else:
-            m_out = [dict() for _ in range(dim_mid)]
-        return KoszulStrand(i, s, (dim_in, dim_mid, dim_out), m_in, m_out)
 
     def rank_of_differential(self, i: int, q: int) -> int:
         """rank of Wedge^i (x) C_q -> Wedge^{i-1} (x) C_{q+1}."""
@@ -311,10 +264,6 @@ class BettiTable:
             out[i] += v
         return out
 
-    def row(self, r: int) -> list:
-        return [self.value(i, i + r)
-                for i in range(self.projective_dimension + 1)]
-
     def render_text(self) -> str:
         ncols = self.projective_dimension + 1
         header = ["total"] + [str(t) for t in self.totals()]
@@ -393,17 +342,10 @@ def b23_formula(pres: OTPresentation) -> B23Report:
     degree > 3 are excluded by 2-regularity."""
     d = pres.d
     value = 2 * (comb(d, 3) - 1) - (d - 3) * (pres.arrangement.sum_mu() + 1)
-    piece2 = pres.graded_piece(2)
-    red = SparseReducer(len(pres.graded_piece(3).monomials))
-    index = pres.graded_piece(3).index
-    for row in piece2.reducer.pivot_rows.values():
-        for s in range(d):
-            shifted = {}
-            for c, v in row.items():
-                m = list(piece2.monomials[c])
-                m[s] += 1
-                shifted[index[tuple(m)]] = v
-            red.add(shifted)
-    cubic = pres.graded_piece(3).ideal_dim - red.rank
+    piece3 = pres.graded_piece(3)
+    red = SparseReducer(len(piece3.monomials))
+    for row in pres.graded_piece(2).times_variables(piece3.index):
+        red.add(row)
+    cubic = piece3.ideal_dim - red.rank
     return B23Report(formula_value=value, cubic_generators=cubic,
                      quadratic_only=(cubic == 0))

@@ -50,10 +50,11 @@ class GradedPiece:
     """Degree-j slice: ambient monomials of R_j, an exact echelon basis of
     I_j, and the complement monomial basis of C(A)_j."""
 
-    def __init__(self, degree: int, monomials: list, reducer: SparseReducer):
+    def __init__(self, degree: int, monomials: list, index: dict,
+                 reducer: SparseReducer):
         self.degree = degree
         self.monomials = monomials
-        self.index = {m: k for k, m in enumerate(monomials)}
+        self.index = index
         self.reducer = reducer
         self.ideal_dim = reducer.rank
         self.quotient_cols = reducer.nonpivot_columns()
@@ -70,14 +71,27 @@ class GradedPiece:
         res = self.reducer.reduce(vec)
         return {self.quotient_index[c]: v for c, v in res.items()}
 
+    def times_variables(self, index: dict):
+        """Each echelon row of I_j times each variable, as a sparse row over
+        the degree-(j+1) monomial `index`; together they span R_1 I_j."""
+        nvars = len(self.monomials[0])
+        for row in self.reducer.pivot_rows.values():
+            for s in range(nvars):
+                shifted = {}
+                for c, v in row.items():
+                    m = list(self.monomials[c])
+                    m[s] += 1
+                    shifted[index[tuple(m)]] = v
+                yield shifted
+
 
 class OTPresentation:
     """Circuit generators, l-forms, and cached graded data."""
 
-    def __init__(self, arr: Arrangement, max_circuit_size: int | None = None):
+    def __init__(self, arr: Arrangement):
         self.arrangement = arr
         self.d = arr.d
-        self.circuits = enumerate_circuits(arr, max_circuit_size)
+        self.circuits = enumerate_circuits(arr)
         self.generators = [circuit_relation(c) for c in self.circuits]
         self.l = l_forms(arr)
         self._pieces: dict[int, GradedPiece] = {}
@@ -92,22 +106,15 @@ class OTPresentation:
         if j in self._pieces:
             return self._pieces[j]
         monos = monomials_of_degree(self.d, j)
+        index = {m: k for k, m in enumerate(monos)}
         red = SparseReducer(len(monos))
         if j >= 2:
-            prev = self.graded_piece(j - 1)
-            index = {m: k for k, m in enumerate(monos)}
-            for row in prev.reducer.pivot_rows.values():
-                for s in range(self.d):
-                    shifted = {}
-                    for c, v in row.items():
-                        m = list(prev.monomials[c])
-                        m[s] += 1
-                        shifted[index[tuple(m)]] = v
-                    red.add(shifted)
+            for row in self.graded_piece(j - 1).times_variables(index):
+                red.add(row)
             for g in self.generators:
                 if g.degree() == j:
                     red.add({index[e]: c for e, c in g.terms.items()})
-        piece = GradedPiece(j, monos, red)
+        piece = GradedPiece(j, monos, index, red)
         self._pieces[j] = piece
         return piece
 
@@ -231,7 +238,7 @@ class TeraoSeries:
     coefficients: tuple     # Taylor coefficients through the requested degree
 
 
-def terao_series(arr: Arrangement, upto: int = 5) -> TeraoSeries:
+def terao_series(arr: Arrangement, upto: int) -> TeraoSeries:
     """Hilbert series of C(A): substitute t/(1-t) into the Poincare
     polynomial; returns the numerator h over (1-t)^3 and the expansion."""
     c = poincare_polynomial(arr).coefficients
@@ -262,44 +269,6 @@ def membership(pres: OTPresentation, g: MPoly) -> bool:
     if not g.is_homogeneous():
         raise ValueError("membership test is per-degree; g must be homogeneous")
     return g.compose(pres.l).is_zero()
-
-
-# ---------------------------------------------------------------------------
-# Hilbert-Burch matrix
-
-
-class HilbertBurchError(AssertionError):
-    """The bidiagonal matrix failed its syzygy/minor verification."""
-
-
-def hilbert_burch_psi(arr: Arrangement, verify: bool = True) -> list:
-    """The d x (d-1) bidiagonal matrix with entry (i,i) = a_i and
-    (i+1,i) = -a_{i+1}; columns are syzygies of (l_1..l_d) and the maximal
-    minor deleting row i equals (-1)^(d-i) l_i (verified symbolically)."""
-    d = arr.d
-    lins = [MPoly.linear_form(f) for f in arr.forms]
-    zero = MPoly.zero(3)
-    psi = [[zero] * (d - 1) for _ in range(d)]
-    for j in range(d - 1):
-        psi[j][j] = lins[j]
-        psi[j + 1][j] = -lins[j + 1]
-    if verify:
-        ls = l_forms(arr)
-        for j in range(d - 1):
-            dot = MPoly.zero(3)
-            for i in range(d):
-                if not psi[i][j].is_zero():
-                    dot = dot + psi[i][j] * ls[i]
-            if not dot.is_zero():
-                raise HilbertBurchError("column %d is not a syzygy" % j)
-        from .exact import mpoly_det
-        for i in range(d):
-            sub = [psi[r] for r in range(d) if r != i]
-            minor = mpoly_det(sub)
-            expect = ls[i] if (d - 1 - i) % 2 == 0 else -ls[i]
-            if minor != expect:
-                raise HilbertBurchError("minor %d is not +-l_%d" % (i, i))
-    return psi
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,5 @@
 """Degree-two Orlik-Solomon algebra, the H^1 resonance oracle, neighborly
-partitions, multinets, the Cartan-matrix block test, and the assembly of
-the first resonance variety.
+partitions, multinets, and the assembly of the first resonance variety.
 
 The resonance variety is represented on the hyperplane sum(a) = 0 only (the
 complex is exact off it).  Local components come from flats with three or
@@ -17,8 +16,7 @@ from itertools import combinations, product
 from math import gcd
 
 from .arrangement import Arrangement
-from .exact import (SparseReducer, draw_generic, kernel_basis, primitive_vector,
-                    rank, rref, seeded_rng)
+from .exact import SparseReducer, draw_generic, rank, rref, seeded_rng
 
 
 class MultinetError(ValueError):
@@ -306,7 +304,7 @@ def _partitions_with_block_weight(leader, k: int, w, m: int):
     yield from rec(0, 0)
 
 
-def search_multinets(arr: Arrangement, k: int, max_weight: int = 1) -> list:
+def search_multinets(arr: Arrangement, k: int, max_weight: int) -> list:
     """All weak-multinet certificates with k blocks and primitive weight
     vectors bounded by max_weight, up to block permutation.
 
@@ -355,127 +353,6 @@ def _weight_vectors(d: int, max_weight: int):
 
 
 # ---------------------------------------------------------------------------
-# Cartan-matrix block test
-
-
-@dataclass
-class CartanBlock:
-    lines: tuple
-    matrix: list            # the restricted Q block, integer rows
-    classification: str     # "affine" | "finite" | "indefinite"
-    kernel_vector: tuple | None
-
-
-@dataclass
-class CartanReport:
-    blocks: list
-    excluded_lines: tuple   # lines with no point in Z
-    affine_count: int
-    criterion: bool         # >= 3 affine blocks and nothing else
-
-    def partition(self) -> list:
-        return [b.lines for b in self.blocks]
-
-
-def symmetric_inertia(mat) -> tuple:
-    """(positive, negative, zero) inertia of a symmetric rational matrix by
-    exact congruence reduction."""
-    a = [[Fraction(x) for x in row] for row in mat]
-    n = len(a)
-    pos = neg = zero = 0
-    alive = list(range(n))
-    while alive:
-        piv = next((i for i in alive if a[i][i] != 0), None)
-        if piv is not None:
-            v = a[piv][piv]
-            if v > 0:
-                pos += 1
-            else:
-                neg += 1
-            others = [i for i in alive if i != piv]
-            for i in others:
-                f = a[i][piv] / v
-                if f:
-                    for j in others:
-                        a[i][j] -= f * a[piv][j]
-            alive = others
-            continue
-        off = next(((i, j) for i in alive for j in alive
-                    if j > i and a[i][j] != 0), None)
-        if off is None:
-            zero += len(alive)
-            break
-        i0, j0 = off
-        # hyperbolic pair: inertia (+1, -1), then eliminate both rows
-        pos += 1
-        neg += 1
-        b = a[i0][j0]
-        others = [i for i in alive if i not in (i0, j0)]
-        for i in others:
-            ci, cj = a[i][i0], a[i][j0]
-            if ci or cj:
-                for j in others:
-                    a[i][j] -= (ci * a[j0][j] + cj * a[i0][j]) / b
-        alive = others
-    return pos, neg, zero
-
-
-def cartan_test(arr: Arrangement, Z) -> CartanReport:
-    """Form Q = J^t J - E from the point-line incidence of the chosen base
-    locus, split it into connected blocks on the lines meeting Z, and
-    classify each block (affine / finite / indefinite)."""
-    zlist = list(Z)
-    if not zlist:
-        raise ValueError("Z must be nonempty")
-    d = arr.d
-    incident = [i for i in range(d)
-                if any(i in f.lines for f in zlist)]
-    q = [[sum(1 for f in zlist if i in f.lines and j in f.lines) - 1
-          for j in range(d)] for i in range(d)]
-    # connected components of the support graph on the incident lines
-    seen = set()
-    blocks = []
-    for start in incident:
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for v in incident:
-                if v not in comp and q[u][v] != 0:
-                    comp.add(v)
-                    stack.append(v)
-        seen |= comp
-        blocks.append(tuple(sorted(comp)))
-    blocks.sort()
-    out = []
-    affine = 0
-    for lines in blocks:
-        sub = [[q[i][j] for j in lines] for i in lines]
-        pos, negv, zerov = symmetric_inertia(sub)
-        kernel_vec = None
-        if negv == 0 and zerov == 0:
-            cls = "finite"
-        elif negv == 0 and zerov == 1:
-            vec = primitive_vector(kernel_basis(sub)[0])
-            if all(v > 0 for v in vec):
-                kernel_vec = vec
-                cls = "affine"
-                affine += 1
-            else:
-                cls = "indefinite"
-        else:
-            cls = "indefinite"
-        out.append(CartanBlock(lines=lines, matrix=sub, classification=cls,
-                               kernel_vector=kernel_vec))
-    excluded = tuple(i for i in range(d) if i not in set(incident))
-    criterion = affine >= 3 and all(b.classification == "affine" for b in out)
-    return CartanReport(blocks=out, excluded_lines=excluded,
-                        affine_count=affine, criterion=criterion)
-
-
-# ---------------------------------------------------------------------------
 # Assembly of R^1
 
 
@@ -521,9 +398,7 @@ def resonance_components(an, max_weight: int = 2) -> list:
     rng = seeded_rng("resonance-oracle:%s" % (arr.name or arr.d))
     verified = []
     for comp in comps:
-        need = 1 if comp.kind == "local" else (
-            comp.provenance.k - 2 if isinstance(comp.provenance,
-                                                MultinetCertificate) else 1)
+        need = 1 if comp.kind == "local" else comp.provenance.k - 2
         values = []
         seen_samples = set()
         while len(values) < 2:

@@ -150,10 +150,6 @@ class ENPrediction:
     betti: tuple      # beta_i = (i+1) * C(b, i+2), i = 0, 1, ...
 
     @property
-    def quadrics(self) -> int:
-        return self.betti[0]
-
-    @property
     def linear_syzygies(self) -> int:
         return self.betti[1] if len(self.betti) > 1 else 0
 

@@ -4,6 +4,8 @@ import pytest
 
 from otb.analysis import Analysis
 from otb.arrangement import Arrangement, builtin
+from otb.divisors import vanishing_condition_rows
+from otb.exact import MPoly, monomials_of_degree
 from otb.koszul import FullEngine
 
 BUILTINS = ("braid-a3", "ex-2-4", "9_3_1", "9_3_2", "b3")
@@ -20,6 +22,27 @@ def oracle(name):
     """The full Koszul engine of a builtin: the reference for the Artinian
     reduction that every command runs."""
     return FullEngine(analysis(name).pres)
+
+
+def hilbert_burch_psi(arr):
+    """The d x (d-1) bidiagonal matrix with entry (i, i) = a_i and
+    (i+1, i) = -a_{i+1}."""
+    lins = [MPoly.linear_form(f) for f in arr.forms]
+    psi = [[MPoly.zero(3)] * (arr.d - 1) for _ in range(arr.d)]
+    for j in range(arr.d - 1):
+        psi[j][j], psi[j + 1][j] = lins[j], -lins[j + 1]
+    return psi
+
+
+def vanishing_order(f, point):
+    """ord_p(f) of a nonzero form in (x, y, z): the largest k at which every
+    row of `vanishing_condition_rows(p, k, deg f)` annihilates f."""
+    coeffs = [f.terms.get(m, 0) for m in monomials_of_degree(3, f.degree())]
+    k = 0
+    while all(sum(r * c for r, c in zip(row, coeffs)) == 0
+              for row in vanishing_condition_rows(point, k + 1, f.degree())):
+        k += 1
+    return k
 
 
 @pytest.fixture

@@ -11,14 +11,15 @@ from otb.divisors import DivisorClass, divisor_DA, h0_fatpoints, h0_h1, \
     net_split
 from otb.analysis import Analysis
 from otb.koszul import b23_formula, betti_table, tor_dimension
-from otb.orlik_terao import (gradient_degree, hilbert_burch_psi,
-                             jacobian_containment, terao_series)
+from otb.exact import mpoly_det
+from otb.orlik_terao import (gradient_degree, jacobian_containment, l_forms,
+                             terao_series)
 from otb.resonance import (is_neighborly, resonance_components,
                            search_multinets, verify_multinet)
 from otb.scroll import (en_prediction, is_one_generic, minors_in_ideal,
                         multiplication_matrix)
 
-from conftest import BUILTINS, analysis, oracle
+from conftest import BUILTINS, analysis, hilbert_burch_psi, oracle
 
 TABLE_BUDGET = 300.0      # seconds per Betti table
 SUITE_BUDGET = 120.0      # seconds per property suite
@@ -26,8 +27,8 @@ SUITE_BUDGET = 120.0      # seconds per property suite
 
 def _table_rows(tb):
     return (tuple(tb.totals()),
-            tuple(v for v in tb.row(1) if v),
-            tuple(v for v in tb.row(2) if v))
+            tuple(v for i in range(tb.d) if (v := tb.value(i, i + 1))),
+            tuple(v for i in range(tb.d) if (v := tb.value(i, i + 2))))
 
 
 def test_criterion_1_betti_tables():
@@ -88,7 +89,8 @@ def test_criterion_4_section_counts():
     braid = analysis("braid-a3").arrangement
     cert = search_multinets(braid, 3, 1)[0]
     split = net_split(braid, cert)
-    assert split.h0B_lower == 3
+    assert h0_fatpoints(braid, split.B_div).dimension \
+        == en_prediction(cert, braid.d).b == 3
     print("ACCEPTANCE 4 PASS: h0(D_A)=d on all builtins; 9_3_1 h0(A)=2 "
           "h1(A)=1 h0(B)=3; braid residual bound 3")
 
@@ -180,8 +182,13 @@ def test_criterion_8_property_suites():
 
     t0 = time.monotonic()
     for name in BUILTINS:
-        # verifies minors = +-l_i
-        hilbert_burch_psi(analysis(name).arrangement)
+        # the maximal minors of psi are +-l_i
+        a = analysis(name).arrangement
+        psi, ls = hilbert_burch_psi(a), l_forms(a)
+        for i in range(a.d):
+            minor = mpoly_det([psi[r] for r in range(a.d) if r != i])
+            assert minor == (ls[i] if (a.d - 1 - i) % 2 == 0 else -ls[i]), \
+                name
     suites["hilbert-burch"] = time.monotonic() - t0
 
     t0 = time.monotonic()

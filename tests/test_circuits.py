@@ -1,6 +1,5 @@
-from otb.circuits import (circuit_relation, dependency_coefficients,
-                          enumerate_circuits)
-from otb.exact import MPoly
+from otb.circuits import circuit_relation, enumerate_circuits
+from otb.exact import MPoly, kernel_basis
 
 from conftest import BUILTINS, analysis
 
@@ -65,10 +64,14 @@ def test_no_circuit_contains_another():
                 assert i == j or not s < t
 
 
-def test_coefficients_unique_up_to_normalization(braid):
-    for c in enumerate_circuits(braid, None):
-        again = dependency_coefficients(braid, c.indices)
-        assert again == c.coeffs
+def test_circuit_forms_have_one_dimensional_kernel():
+    # so the dependency coefficients are unique up to scale
+    for name in BUILTINS:
+        a = analysis(name).arrangement
+        for c in enumerate_circuits(a, None):
+            forms = [a.forms[i] for i in c.indices]
+            ker = kernel_basis([[f[r] for f in forms] for r in range(3)])
+            assert len(ker) == 1, c.indices
 
 
 def test_coefficients_are_dependencies():

@@ -1,29 +1,40 @@
 import pytest
-from math import comb
 
-from otb.divisors import (DivisorClass, divisor_DA, exceptional,
-                          h0_fatpoints, h0_h1, line_class, net_split,
-                          pairing, riemann_roch_chi)
-from otb.exact import monomials_of_degree, rank
+from otb.divisors import (DivisorClass, divisor_DA, h0_fatpoints, h0_h1,
+                          net_split, pairing, riemann_roch_chi)
+from otb.exact import MPoly, monomials_of_degree, rank
 from otb.orlik_terao import l_forms
 from otb.resonance import search_multinets
+from otb.scroll import en_prediction
 
-from conftest import BUILTINS, analysis
+from conftest import BUILTINS, analysis, vanishing_order
 
 
 def test_pairing_basis(braid):
-    e0 = line_class()
-    assert pairing(e0, e0) == 1
+    e0 = DivisorClass(1, {})
     p, q = braid.flats[0], braid.flats[1]
-    assert pairing(exceptional(p), exceptional(q)) == 0
-    assert pairing(exceptional(p), exceptional(p)) == -1
-    assert pairing(e0, exceptional(p)) == 0
+    ep, eq = DivisorClass(0, {p: -1}), DivisorClass(0, {q: -1})
+    assert pairing(e0, e0) == 1
+    assert pairing(ep, eq) == 0
+    assert pairing(ep, ep) == -1
+    assert pairing(e0, ep) == 0
 
 
 def test_divisor_arithmetic(braid):
     p = braid.flats[0]
-    d = 2 * (line_class() + exceptional(p))
-    assert d.m == 2 and d.mult(p) == -2
+    d = 2 * (DivisorClass(1, {}) + DivisorClass(0, {p: -1}))
+    assert d.m == 2 and d.mults[p] == -2
+
+
+def test_condition_rows_read_vanishing_orders():
+    # (x - z)^2 y: order 2 where only x - z vanishes, 1 where only y does
+    x, y, z = (MPoly.linear_form(e)
+               for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    f = (x - z) * (x - z) * y
+    assert vanishing_order(f, (1, 1, 1)) == 2
+    assert vanishing_order(f, (1, 0, 0)) == 1
+    assert vanishing_order(f, (1, 0, 1)) == 3
+    assert vanishing_order(f, (0, 1, 1)) == 0
 
 
 def test_braid_DA(braid):
@@ -127,8 +138,7 @@ def test_net_split_braid(braid):
     assert all(p.mu == 2 for p in split.A_div.mults)
     assert split.B_div.m == 3
     assert sorted(split.B_div.mults.values()) == [1] * 7
-    assert split.h0B_lower == 3
-    assert split.h0A_lower == 2
+    assert en_prediction(cert, braid.d).b == 3
     assert h0_fatpoints(braid, split.A_div).dimension == 2
     assert h0_fatpoints(braid, split.B_div).dimension == 3
 
@@ -137,7 +147,8 @@ def test_net_split_9_3_1():
     a = analysis("9_3_1").arrangement
     cert = search_multinets(a, 3, 1)[0]
     split = net_split(a, cert)
-    assert split.h0B_lower == 3 == 9 - comb(4, 2)
+    assert en_prediction(cert, a.d).b == 3 \
+        == h0_fatpoints(a, split.B_div).dimension
     assert h0_fatpoints(a, split.A_div).dimension == 2
     # base-locus Mobius count from the net numerology
     assert sum(p.mu for p in cert.Z) == a.d * cert.m - cert.m ** 2

@@ -7,8 +7,7 @@ import pytest
 from otb.exact import (BinaryForm, MPoly, binary_gcd, kernel_basis,
                        modp_matrix, modp_rank, monomials_of_degree, mpoly_det,
                        primitive_vector, rank, rref, seeded_rng, solve,
-                       vanishing_order, SparseReducer, draw_generic,
-                       GenericityError)
+                       SparseReducer, draw_generic, GenericityError)
 
 
 # -- dense references, independent of SparseReducer
@@ -251,16 +250,16 @@ def test_mpoly_ring_distributivity_random():
 def test_mpoly_compose_and_derivative():
     # f = x^2 y, substitute x -> u+v, y -> u
     f = MPoly.monomial(3, (2, 1, 0))
-    u = MPoly.variable(2, 0)
-    v = MPoly.variable(2, 1)
+    u = MPoly.linear_form([1, 0])
+    v = MPoly.linear_form([0, 1])
     g = f.compose([u + v, u, MPoly.zero(2)])
     assert g == (u + v) * (u + v) * u
     assert f.derivative(0) == MPoly.monomial(3, (1, 1, 0), 2)
 
 
 def test_mpoly_det_small():
-    x = MPoly.variable(3, 0)
-    y = MPoly.variable(3, 1)
+    x = MPoly.linear_form([1, 0, 0])
+    y = MPoly.linear_form([0, 1, 0])
     d = mpoly_det([[x, y], [y, x]])
     assert d == x * x - y * y
 
@@ -269,16 +268,6 @@ def test_monomials_of_degree_count_and_order():
     ms = monomials_of_degree(3, 2)
     assert len(ms) == 6
     assert ms[0] == (2, 0, 0) and ms[-1] == (0, 0, 2)
-
-
-def test_vanishing_order():
-    # (x - z)^2 * y vanishes to order 2 at (1:0:1)... and order 1 at y=0 pts
-    x, y, z = (MPoly.variable(3, i) for i in range(3))
-    f = (x - z) * (x - z) * y
-    assert vanishing_order(f, (1, 1, 1)) == 2
-    assert vanishing_order(f, (1, 0, 0)) == 1
-    assert vanishing_order(f, (1, 0, 1)) == 3
-    assert vanishing_order(f, (0, 1, 1)) == 0
 
 
 def test_sparse_reducer_rank_matches_dense():

@@ -1,13 +1,14 @@
 import pytest
 
 from otb.circuits import circuit_relation
-from otb.exact import MPoly, vanishing_order
-from otb.orlik_terao import (defining_polynomial,
-                             gradient_degree, hilbert_burch_psi,
+from otb.exact import MPoly, mpoly_det
+from otb.orlik_terao import (defining_polynomial, gradient_degree,
                              jacobian_containment, l_forms, membership,
                              terao_series)
 
-from conftest import BUILTINS, analysis
+from conftest import BUILTINS, analysis, hilbert_burch_psi, vanishing_order
+
+HILBERT_BURCH_CASES = ("ex-2-4", "braid-a3", "9_3_1")
 
 
 def test_ideal_dims_braid():
@@ -73,33 +74,36 @@ def test_membership_requires_homogeneous():
 
 
 def test_hilbert_burch_verifies():
-    for name in ("ex-2-4", "braid-a3", "9_3_1"):
+    for name in HILBERT_BURCH_CASES:
         a = analysis(name).arrangement
-        psi = hilbert_burch_psi(a)          # raises on failure
+        psi = hilbert_burch_psi(a)
         assert len(psi) == a.d and len(psi[0]) == a.d - 1
+        assert sum(not e.is_zero() for row in psi for e in row) \
+            == 2 * (a.d - 1)
 
 
-def test_hilbert_burch_column_dot_is_zero(braid):
-    psi = hilbert_burch_psi(braid, verify=False)
-    ls = l_forms(braid)
-    for j in range(braid.d - 1):
-        total = MPoly.zero(3)
-        for i in range(braid.d):
-            total = total + psi[i][j] * ls[i]
-        assert total.is_zero()
+def test_hilbert_burch_column_dot_is_zero():
+    for name in HILBERT_BURCH_CASES:
+        a = analysis(name).arrangement
+        psi = hilbert_burch_psi(a)
+        ls = l_forms(a)
+        for j in range(a.d - 1):
+            total = MPoly.zero(3)
+            for i in range(a.d):
+                total = total + psi[i][j] * ls[i]
+            assert total.is_zero(), (name, j)
 
 
 def test_hilbert_burch_minor_signs():
-    # minor deleting row i equals (-1)^(d-i) l_i; check the alternation on
-    # ex-2-4 explicitly
-    from otb.exact import mpoly_det
-    a = analysis("ex-2-4").arrangement
-    psi = hilbert_burch_psi(a, verify=False)
-    ls = l_forms(a)
-    for i in range(a.d):
-        minor = mpoly_det([psi[r] for r in range(a.d) if r != i])
-        sign = 1 if (a.d - 1 - i) % 2 == 0 else -1
-        assert minor == (ls[i] if sign == 1 else -ls[i])
+    # minor deleting row i equals (-1)^(d-i) l_i
+    for name in HILBERT_BURCH_CASES:
+        a = analysis(name).arrangement
+        psi = hilbert_burch_psi(a)
+        ls = l_forms(a)
+        for i in range(a.d):
+            minor = mpoly_det([psi[r] for r in range(a.d) if r != i])
+            sign = 1 if (a.d - 1 - i) % 2 == 0 else -1
+            assert minor == (ls[i] if sign == 1 else -ls[i]), (name, i)
 
 
 def test_jacobian_containment_all():
@@ -111,7 +115,8 @@ def test_euler_identity():
     for name in ("braid-a3", "9_3_1"):
         a = analysis(name).arrangement
         alpha = defining_polynomial(a)
-        x, y, z = (MPoly.variable(3, i) for i in range(3))
+        x, y, z = (MPoly.linear_form(e)
+                   for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
         total = (x * alpha.derivative(0) + y * alpha.derivative(1)
                  + z * alpha.derivative(2))
         assert total == a.d * alpha

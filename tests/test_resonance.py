@@ -7,11 +7,10 @@ import pytest
 
 from otb.analysis import Analysis
 from otb.arrangement import Arrangement, builtin, poincare_polynomial
-from otb.exact import seeded_rng
-from otb.resonance import (MultinetError, OS2, cartan_test,
-                           is_neighborly, local_components,
-                           resonance_components, search_multinets,
-                           symmetric_inertia, verify_multinet)
+from otb.exact import kernel_basis, primitive_vector, seeded_rng
+from otb.resonance import (MultinetError, OS2, is_neighborly,
+                           local_components, resonance_components,
+                           search_multinets, verify_multinet)
 
 from conftest import BUILTINS, analysis
 
@@ -287,34 +286,122 @@ def test_search_guard():
         search_multinets(big, 4, 3)
 
 
+# -- Cartan block test (Falk-Yuzvinsky): an independent reference for the
+# multinet search.  The fibres of a net's pencil give affine blocks.
+
+
+def symmetric_inertia(mat) -> tuple:
+    """(positive, negative, zero) inertia of a symmetric rational matrix by
+    exact congruence reduction."""
+    a = [[Fraction(x) for x in row] for row in mat]
+    pos = neg = zero = 0
+    alive = list(range(len(a)))
+    while alive:
+        piv = next((i for i in alive if a[i][i] != 0), None)
+        if piv is not None:
+            v = a[piv][piv]
+            if v > 0:
+                pos += 1
+            else:
+                neg += 1
+            alive = [i for i in alive if i != piv]
+            for i in alive:
+                f = a[i][piv] / v
+                if f:
+                    for j in alive:
+                        a[i][j] -= f * a[piv][j]
+            continue
+        off = next(((i, j) for i in alive for j in alive
+                    if j > i and a[i][j] != 0), None)
+        if off is None:
+            zero += len(alive)
+            break
+        i0, j0 = off
+        # hyperbolic pair: inertia (+1, -1), then eliminate both rows
+        pos += 1
+        neg += 1
+        b = a[i0][j0]
+        alive = [i for i in alive if i not in (i0, j0)]
+        for i in alive:
+            ci, cj = a[i][i0], a[i][j0]
+            if ci or cj:
+                for j in alive:
+                    a[i][j] -= (ci * a[j0][j] + cj * a[i0][j]) / b
+    return pos, neg, zero
+
+
+def cartan_blocks(arr, Z) -> list:
+    """Form Q = J^t J - E from the point-line incidence of the base locus Z,
+    split it into connected blocks on the lines meeting Z, and classify each
+    block: (lines, "affine" | "finite" | "indefinite", kernel vector or
+    None)."""
+    if not Z:
+        raise ValueError("Z must be nonempty")
+    incident = [i for i in range(arr.d) if any(i in f.lines for f in Z)]
+    q = [[sum(1 for f in Z if i in f.lines and j in f.lines) - 1
+          for j in range(arr.d)] for i in range(arr.d)]
+    seen, out = set(), []
+    for start in incident:
+        if start in seen:
+            continue
+        comp, stack = {start}, [start]
+        while stack:
+            u = stack.pop()
+            for v in incident:
+                if v not in comp and q[u][v] != 0:
+                    comp.add(v)
+                    stack.append(v)
+        seen |= comp
+        lines = tuple(sorted(comp))
+        sub = [[q[i][j] for j in lines] for i in lines]
+        _, neg, zero = symmetric_inertia(sub)
+        kind, vec = "indefinite", None
+        if neg == 0 and zero == 0:
+            kind = "finite"
+        elif neg == 0 and zero == 1:
+            vec = primitive_vector(kernel_basis(sub)[0])
+            if all(v > 0 for v in vec):
+                kind = "affine"
+            else:
+                vec = None
+        out.append((lines, kind, vec))
+    return sorted(out)
+
+
+def cartan_criterion(blocks) -> bool:
+    """At least three blocks, all affine."""
+    return len(blocks) >= 3 and all(kind == "affine" for _, kind, _ in blocks)
+
+
 def test_cartan_braid(braid):
-    Z = [f for f in braid.flats if f.mu == 2]
-    rep = cartan_test(braid, Z)
-    assert rep.affine_count == 3 and rep.criterion
-    assert [b.lines for b in rep.blocks] == [(0, 5), (1, 4), (2, 3)]
-    for b in rep.blocks:
-        assert b.classification == "affine"
-        assert b.kernel_vector == (1, 1)
+    blocks = cartan_blocks(braid, [f for f in braid.flats if f.mu == 2])
+    assert cartan_criterion(blocks)
+    assert blocks == [((0, 5), "affine", (1, 1)), ((1, 4), "affine", (1, 1)),
+                      ((2, 3), "affine", (1, 1))]
 
 
-def test_cartan_9_3_1_blocks_match_net():
-    a = analysis("9_3_1").arrangement
-    Z = [f for f in a.flats if f.mu == 2]
-    rep = cartan_test(a, Z)
-    assert rep.affine_count == 3 and rep.criterion
-    cert = search_multinets(a, 3, 1)[0]
-    assert tuple(sorted(rep.partition())) == tuple(sorted(cert.blocks))
+def test_cartan_blocks_match_every_net():
+    nets = {}
+    for name in BUILTINS:
+        a = analysis(name).arrangement
+        for k in (3, 4):
+            for cert in analysis(name).multinets(k, 1):
+                blocks = cartan_blocks(a, list(cert.Z))
+                assert cartan_criterion(blocks), name
+                assert sorted(b for b, _, _ in blocks) \
+                    == sorted(cert.blocks), name
+                nets[name] = nets.get(name, 0) + 1
+    assert nets == {"braid-a3": 1, "9_3_1": 1}
 
 
 def test_cartan_single_double_point(braid):
     Z = [next(f for f in braid.flats if f.mu == 1)]
-    rep = cartan_test(braid, Z)
-    assert not rep.criterion
+    assert not cartan_criterion(cartan_blocks(braid, Z))
 
 
 def test_cartan_rejects_empty(braid):
     with pytest.raises(ValueError):
-        cartan_test(braid, [])
+        cartan_blocks(braid, [])
 
 
 def test_symmetric_inertia():
