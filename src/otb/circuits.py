@@ -26,15 +26,20 @@ class Circuit:
         return len(self.indices)
 
 
+def size_bound(arr: Arrangement, max_size: int | None) -> int:
+    """The largest size `enumerate_circuits(arr, max_size)` lists: max_size,
+    or 4 when it is None (four vectors in a 3-space are dependent, so every
+    circuit of a line arrangement has at most 4 lines), and at most d."""
+    return min(arr.d, 4 if max_size is None else max_size)
+
+
 def enumerate_circuits(arr: Arrangement, max_size: int | None = None) -> list:
-    """All circuits of size <= max_size, by increasing size, lexicographic
-    within a size; subsets containing a known circuit are pruned."""
-    if max_size is None:
-        max_size = min(arr.d, 4)
-    max_size = min(max_size, arr.d)
+    """All circuits of size <= `size_bound(arr, max_size)`, by increasing
+    size, lexicographic within a size; subsets containing a known circuit
+    are pruned."""
     found = []
     found_sets = []
-    for k in range(3, max_size + 1):
+    for k in range(3, size_bound(arr, max_size) + 1):
         for subset in combinations(range(arr.d), k):
             sset = set(subset)
             if any(c <= sset for c in found_sets):

@@ -18,12 +18,13 @@ from . import __version__
 from .analysis import Analysis
 from .arrangement import (Arrangement, ArrangementError, BUILTIN_FORMS,
                           builtin, parse_arrangement, poincare_polynomial)
-from .circuits import circuit_relation, enumerate_circuits
+from .circuits import circuit_relation, enumerate_circuits, size_bound
 from .divisors import (DivisorClass, divisor_DA, h0_fatpoints, h0_h1,
                        pairing, riemann_roch_chi)
 from .exact import SEED_NAMESPACE
 from .koszul import b23_formula, betti_table, tor_dimension
-from .orlik_terao import gradient_degree, jacobian_containment, terao_series
+from .orlik_terao import (gradient_degree, jacobian_containment,
+                          substitution_quotient_dim, terao_series)
 from .resonance import is_neighborly, resonance_components
 from .scroll import (en_prediction, is_one_generic, minor_span_dimension,
                      minors_in_ideal, multiplication_matrix)
@@ -132,9 +133,8 @@ def _cmd_poincare(an, args):
 
 def _cmd_circuits(an, args):
     arr = an.arrangement
-    # rank-3 circuits have at most 4 lines
-    size = min(arr.d, 4 if args.max_size is None else args.max_size)
-    cs = enumerate_circuits(arr, size)
+    size = size_bound(arr, args.max_size)
+    cs = enumerate_circuits(arr, args.max_size)
     res = {"count": len(cs), "circuits": [
         {"lines": [i + 1 for i in c.indices],
          "coefficients": list(c.coeffs),
@@ -151,7 +151,7 @@ def _cmd_ot_hilbert(an, args):
     pres = an.pres
     upto = args.upto
     ts = terao_series(an.arrangement, upto)
-    dims = [pres.quotient_dimension(j) for j in range(upto + 1)]
+    dims = [substitution_quotient_dim(pres, j) for j in range(upto + 1)]
     agree = tuple(dims) == ts.coefficients
     res = {"h_polynomial": list(ts.h_polynomial),
            "series_coefficients": list(ts.coefficients),

@@ -182,11 +182,11 @@ class ReducedEngine(_Engine):
         reducers = {0: SparseReducer(1)}
         dims = {0: 1}
         for q in range(1, 4):
-            c_q = pres.quotient_dimension(q)
+            c_q = pres.graded_piece(q).quotient_dim
             maps = pres.multiplication_maps(q - 1)
             red = SparseReducer(c_q)
             for row in theta:
-                for k in range(pres.quotient_dimension(q - 1)):
+                for k in range(pres.graded_piece(q - 1).quotient_dim):
                     col: dict = {}
                     for s in range(d):
                         if not row[s]:

@@ -5,26 +5,22 @@ relations; the algebra C(A) = R/I is also the image of the substitution
 y_k -> l_k := (a_1*...*a_d)/a_k, which gives a Groebner-free membership
 test: a homogeneous g lies in I iff g(l_1,...,l_d) expands to zero.
 
-Graded slices of I are echelonized exactly; the quotient monomial basis of
-each slice carries the multiplication-by-variable maps that the Koszul
-strand computations consume.  Dimensions in degrees past the exact window
-come from the rank of the substitution matrix mod p, a proved lower bound
-for dim C(A)_j, read at two independent primes that must agree.
+Graded slices of I are echelonized exactly in every degree; since the
+circuit relations generate I, the complement of each echelon is a monomial
+basis of C(A)_j, so its size is the exact Hilbert function.  These bases
+carry the multiplication-by-variable maps that the Koszul strand
+computations consume.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import comb
-
-import numpy as np
 
 from .arrangement import Arrangement, poincare_polynomial
 from .circuits import circuit_relation, enumerate_circuits
-from .exact import (MPoly, SparseReducer, modp_rank, monomials_of_degree,
-                    solve, two_prime_rank)
+from .exact import MPoly, SparseReducer, monomials_of_degree, solve
 
 
 # ---------------------------------------------------------------------------
@@ -97,11 +93,6 @@ class OTPresentation:
         self._pieces: dict[int, GradedPiece] = {}
         self._mult: dict[int, list] = {}
 
-    # degree window where the exact echelon is kept (the Koszul strands and
-    # the theta-quotients need the structure, not just dimensions)
-    def exact_degree_limit(self) -> int:
-        return 5 if self.d <= 6 else 3
-
     def graded_piece(self, j: int) -> GradedPiece:
         if j in self._pieces:
             return self._pieces[j]
@@ -137,95 +128,12 @@ class OTPresentation:
         self._mult[q] = maps
         return maps
 
-    def ideal_dimension(self, j: int) -> int:
-        if j <= 1:
-            return 0
-        if j <= self.exact_degree_limit():
-            return self.graded_piece(j).ideal_dim
-        return comb(self.d - 1 + j, j) - substitution_quotient_dim(self, j)
-
-    def quotient_dimension(self, j: int) -> int:
-        return comb(self.d - 1 + j, j) - self.ideal_dimension(j)
-
-
-# ---------------------------------------------------------------------------
-# Substitution-matrix dimensions (two-prime agreement)
-
-
-@lru_cache(maxsize=None)
-def _shift_tables(degree: int):
-    """Index maps sending a monomial of S_degree to its product with x, y, z
-    inside the degree+1 monomial list."""
-    src = monomials_of_degree(3, degree)
-    dst = {m: k for k, m in enumerate(monomials_of_degree(3, degree + 1))}
-    tables = []
-    for axis in range(3):
-        tab = np.empty(len(src), dtype=np.int64)
-        for k, m in enumerate(src):
-            e = list(m)
-            e[axis] += 1
-            tab[k] = dst[tuple(e)]
-        tables.append(tab)
-    return tables
-
-
-def _times_linear_form(vec: np.ndarray, degree: int, form, p: int) -> np.ndarray:
-    out = np.zeros(len(monomials_of_degree(3, degree + 1)), dtype=np.int64)
-    tables = _shift_tables(degree)
-    for axis in range(3):
-        c = form[axis] % p
-        if c:
-            out[tables[axis]] += c * vec  # each shift table is injective
-    return out % p
-
-
-def _substitution_rows(pres: OTPresentation, j: int, p: int) -> np.ndarray:
-    """Rows: images of all degree-j monomials of R under y_k -> l_k, as
-    coefficient vectors in S_{j(d-1)}, mod p.  Prefix products are shared
-    along the lexicographic enumeration of exponent vectors."""
-    d = pres.d
-    forms = pres.arrangement.forms
-    target_dim = len(monomials_of_degree(3, j * (d - 1)))
-    nrows = comb(d - 1 + j, j)
-    rows = np.zeros((nrows, target_dim), dtype=np.int64)
-    counter = [0]
-
-    def times_l(vec: np.ndarray, degree: int, i: int) -> np.ndarray:
-        for k, f in enumerate(forms):
-            if k == i:
-                continue
-            vec = _times_linear_form(vec, degree, f, p)
-            degree += 1
-        return vec
-
-    def rec(var: int, remaining: int, prod: np.ndarray, degree: int):
-        if var == d - 1:
-            q, deg = prod, degree
-            for _ in range(remaining):
-                q = times_l(q, deg, var)
-                deg += d - 1
-            rows[counter[0], :] = q
-            counter[0] += 1
-            return
-        for e in range(remaining, -1, -1):
-            q, deg = prod, degree
-            for _ in range(e):
-                q = times_l(q, deg, var)
-                deg += d - 1
-            rec(var + 1, remaining - e, q, deg)
-
-    rec(0, j, np.ones(1, dtype=np.int64), 0)
-    if counter[0] != nrows:
-        raise AssertionError("monomial enumeration mismatch")
-    return rows
-
 
 def substitution_quotient_dim(pres: OTPresentation, j: int) -> int:
-    """dim C(A)_j as the rank of the substitution matrix mod p, a proved
-    lower bound, agreed at two primes (see `two_prime_rank`)."""
-    return two_prime_rank(
-        lambda p: modp_rank(_substitution_rows(pres, j, p), p),
-        "substitution rank")
+    """dim C(A)_j, exact: the circuit relations generate I (Proudfoot-Speyer,
+    "A broken circuit ring"), so the echelon of I_j built from them in
+    `graded_piece` has the true rank and its complement is C(A)_j."""
+    return pres.graded_piece(j).quotient_dim
 
 
 # ---------------------------------------------------------------------------

@@ -371,7 +371,7 @@ def _sample_in_span(vectors, rng) -> list:
     return draw_generic(rng, lambda r: _combination(vectors, r), any)
 
 
-def resonance_components(an, max_weight: int = 2) -> list:
+def resonance_components(an, max_weight: int) -> list:
     """Local components plus one essential component per multinet (full
     multinets with 3 or 4 blocks, from the Analysis `an`), deduplicated by
     span, each verified by the H^1 oracle at two distinct sample points."""

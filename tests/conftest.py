@@ -1,11 +1,12 @@
 from functools import lru_cache
 
+import numpy as np
 import pytest
 
 from otb.analysis import Analysis
 from otb.arrangement import Arrangement, builtin
 from otb.divisors import vanishing_condition_rows
-from otb.exact import MPoly, monomials_of_degree
+from otb.exact import MPoly, modp_rank, monomials_of_degree
 from otb.koszul import FullEngine
 
 BUILTINS = ("braid-a3", "ex-2-4", "9_3_1", "9_3_2", "b3")
@@ -32,6 +33,27 @@ def hilbert_burch_psi(arr):
     for j in range(arr.d - 1):
         psi[j][j], psi[j + 1][j] = lins[j], -lins[j + 1]
     return psi
+
+
+def substitution_rank(arr, j):
+    """Rank mod p = 32003 of the images of the degree-j monomials under y_k -> l_k,
+    where y^e goes to prod_i a_i^(j - e_i): a lower bound for dim C(A)_j
+    that does not use the circuits.  An image is an array whose (a, b)
+    entry is its coefficient of x^a y^b z^(deg - a - b)."""
+    p = 32003
+    rows = []
+    for e in monomials_of_degree(arr.d, j):
+        img = np.ones((1, 1), dtype=np.int64)
+        for form, k in zip(arr.forms, e):
+            for _ in range(j - k):
+                n = len(img) + 1
+                out = np.zeros((n, n), dtype=np.int64)
+                out[1:, :-1] += form[0] % p * img
+                out[:-1, 1:] += form[1] % p * img
+                out[:-1, :-1] += form[2] % p * img
+                img = out % p
+        rows.append(img.ravel())
+    return modp_rank(np.array(rows), p)
 
 
 def vanishing_order(f, point):

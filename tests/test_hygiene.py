@@ -37,13 +37,14 @@ def test_no_unused_imports(path):
 
 def definitions(source: str) -> list:
     """Top-level functions and classes, and the non-dunder methods of each
-    top-level class as `Class.method`."""
+    top-level class as `Class.method`, each with the reference that counts
+    for it: its name, or `.method`, an attribute read."""
     out = []
     for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             out.append((node.name, node.name))
         if isinstance(node, ast.ClassDef):
-            out.extend(("%s.%s" % (node.name, m.name), m.name)
+            out.extend(("%s.%s" % (node.name, m.name), "." + m.name)
                        for m in node.body
                        if isinstance(m, ast.FunctionDef)
                        and not (m.name.startswith("__")
@@ -52,13 +53,17 @@ def definitions(source: str) -> list:
 
 
 def referenced_names(source: str) -> set:
-    """Names a module loads, reads as an attribute, or imports."""
+    """Names a module loads, reads as an attribute, or imports; an attribute
+    read `x.m` also counts as `.m`, so that a local variable named `m` is
+    no reference to a method `m`."""
     out = set()
     for n in ast.walk(ast.parse(source)):
         if isinstance(n, ast.Name):
             out.add(n.id)
         elif isinstance(n, ast.Attribute):
             out.add(n.attr)
+            if isinstance(n.ctx, ast.Load):
+                out.add("." + n.attr)
         elif isinstance(n, ast.alias):
             out.add(n.name.split(".")[-1])
     return out
@@ -73,10 +78,11 @@ def test_checker_flags_an_unreferenced_definition():
               "class Orphan:\n    pass\n\n\n"
               "class Kept:\n    def __init__(self):\n        pass\n\n"
               "    def spare(self):\n        pass\n\n"
-              "    def called(self):\n        pass\n\n\n"
-              "used()\nKept().called()\n")
+              "    def called(self):\n        pass\n\n"
+              "    def row(self):\n        pass\n\n\n"
+              "used()\nKept().called()\nrow = 1\nprint(row)\n")
     assert unreferenced(source, referenced_names(source)) \
-        == ["Orphan", "Kept.spare"]
+        == ["Orphan", "Kept.spare", "Kept.row"]
 
 
 # Definitions the program itself never calls, kept on purpose:

@@ -205,7 +205,7 @@ def test_b12_is_ideal_dimension():
     for name in BUILTINS:
         tb = betti_table(analysis(name).engine)
         pres = analysis(name).pres
-        assert tb.value(1, 2) == pres.ideal_dimension(2)
+        assert tb.value(1, 2) == pres.graded_piece(2).ideal_dim
         rep = b23_formula(pres)
         assert tb.value(1, 3) == rep.cubic_generators
 

@@ -2,27 +2,29 @@ import pytest
 
 from otb.circuits import circuit_relation
 from otb.exact import MPoly, mpoly_det
-from otb.orlik_terao import (defining_polynomial, gradient_degree,
-                             jacobian_containment, l_forms, membership,
+from otb.orlik_terao import (OTPresentation, defining_polynomial,
+                             gradient_degree, jacobian_containment, l_forms,
+                             membership, substitution_quotient_dim,
                              terao_series)
 
-from conftest import BUILTINS, analysis, hilbert_burch_psi, vanishing_order
+from conftest import (BUILTINS, analysis, hilbert_burch_psi,
+                      substitution_rank, vanishing_order)
 
 HILBERT_BURCH_CASES = ("ex-2-4", "braid-a3", "9_3_1")
 
 
 def test_ideal_dims_braid():
     pres = analysis("braid-a3").pres
-    assert pres.ideal_dimension(1) == 0
-    assert pres.ideal_dimension(2) == 4
-    assert pres.quotient_dimension(2) == 17
+    assert pres.graded_piece(1).ideal_dim == 0
+    assert pres.graded_piece(2).ideal_dim == 4
+    assert pres.graded_piece(2).quotient_dim == 17
 
 
 def test_ideal_dims_9_3_1():
     pres = analysis("9_3_1").pres
-    assert pres.ideal_dimension(2) == 9
-    assert pres.quotient_dimension(1) == 9
-    assert pres.quotient_dimension(2) == 36
+    assert pres.graded_piece(2).ideal_dim == 9
+    assert pres.graded_piece(1).quotient_dim == 9
+    assert pres.graded_piece(2).quotient_dim == 36
 
 
 def test_terao_series_braid():
@@ -50,7 +52,7 @@ def test_hilbert_agreement_small():
         pres = analysis(name).pres
         ts = terao_series(pres.arrangement, 5)
         for j in range(6):
-            assert pres.quotient_dimension(j) == ts.coefficients[j]
+            assert pres.graded_piece(j).quotient_dim == ts.coefficients[j]
 
 
 def test_membership_of_circuit_relations():
@@ -157,11 +159,18 @@ def test_l_form_vanishing_orders():
                 assert vanishing_order(ls[i], f.point) == expect
 
 
-def test_substitution_dims_match_exact_window():
-    # the two linear-algebra routes agree where both run
-    from otb.orlik_terao import substitution_quotient_dim
-    for name in ("braid-a3", "9_3_1"):
+def test_hilbert_function_meets_substitution_rank():
+    # the substitution rank is a lower bound for dim C(A)_j and the echelon
+    # of the circuit relations an upper bound: equality proves both
+    for name in BUILTINS:
         pres = analysis(name).pres
-        for j in (2, 3):
+        for j in range(5):
             assert substitution_quotient_dim(pres, j) \
-                == pres.graded_piece(j).quotient_dim
+                == substitution_rank(pres.arrangement, j), (name, j)
+
+
+def test_substitution_rank_sees_a_dropped_generator():
+    pres = OTPresentation(analysis("9_3_1").arrangement)
+    pres.generators.pop(0)                  # a quadric
+    assert pres.graded_piece(3).quotient_dim == 86
+    assert substitution_rank(pres.arrangement, 3) == 82

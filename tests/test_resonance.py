@@ -270,7 +270,7 @@ def test_resonance_d13_in_seconds():
     assert arr.d == 13
     assert all(f.mu == 1 for f in arr.flats if max(f.lines) >= 9)
     start = time.perf_counter()
-    comps = resonance_components(Analysis(arr))
+    comps = resonance_components(Analysis(arr), 2)
     assert time.perf_counter() - start < 20
     assert sum(1 for c in comps if c.kind == "local") == 7
     assert sum(1 for c in comps if c.kind == "essential") == 0
@@ -417,14 +417,14 @@ def test_resonance_components_counts():
     expect = {"braid-a3": (4, 1), "9_3_1": (9, 1), "9_3_2": (9, 0),
               "b3": (7, 1)}
     for name, (nloc, ness) in expect.items():
-        comps = resonance_components(analysis(name))
+        comps = resonance_components(analysis(name), 2)
         got = (sum(1 for c in comps if c.kind == "local"),
                sum(1 for c in comps if c.kind == "essential"))
         assert got == (nloc, ness), name
 
 
 def test_resonance_components_oracle_values():
-    comps = resonance_components(analysis("9_3_1"))
+    comps = resonance_components(analysis("9_3_1"), 2)
     for c in comps:
         assert len(c.oracle_values) == 2
         assert all(v >= 1 for v in c.oracle_values)
@@ -433,7 +433,7 @@ def test_resonance_components_oracle_values():
 
 
 def test_essential_component_span():
-    comps = resonance_components(analysis("braid-a3"))
+    comps = resonance_components(analysis("braid-a3"), 2)
     ess = [c for c in comps if c.kind == "essential"]
     assert len(ess) == 1
     assert ess[0].projective_dimension == 1

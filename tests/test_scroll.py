@@ -81,7 +81,7 @@ def test_minors_in_ideal_and_span():
     a, _, g = _gamma("braid-a3")
     assert minors_in_ideal(analysis("braid-a3").pres, g)
     assert minor_span_dimension(a, g) == 3
-    assert analysis("braid-a3").pres.ideal_dimension(2) == 4
+    assert analysis("braid-a3").pres.graded_piece(2).ideal_dim == 4
 
 
 def test_minors_in_ideal_9_3_1():
