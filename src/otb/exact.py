@@ -1,29 +1,42 @@
-"""Exact rational arithmetic kernels: one exact elimination over Q, a mod-p
-rank, multivariate polynomials, and gcd of binary forms.
+"""Exact rational arithmetic kernels: one exact elimination over Q, ranks
+proved at mod-p cost, multivariate polynomials, and gcd of binary forms.
 
 Scalars are `fractions.Fraction`.  `SparseReducer` is the only elimination
 over Q: it keeps sparse rows (dicts) in reduced row echelon form, and
 `rank`, `rref`, `kernel_basis` and `solve` are read-outs of one reducer fed
 a list of rows.  A reduced row echelon form is unique, so these read-outs do
-not depend on how the reducer orders its work.  A word-sized prime fast path
-(numpy elimination mod p) serves large rank computations.  A rank mod p is
-a proved lower bound for the rank over Q; agreement at two independent
-primes is evidence, not proof, that it is the rank.
+not depend on how the reducer orders its work.
 
-No routine mutates its arguments; results are freshly allocated.
+`proved_rank` proves the rank of a large sparse matrix over Q at about the
+cost of a numpy elimination mod a prime below 2**31, by two equal bounds.
+The rank mod p is a lower bound.  The number of columns minus the dimension
+of a space of exactly verified kernel vectors is an upper bound.  Those
+vectors are cycles the caller knows, plus vectors lifted from the kernel
+mod p by CRT over further primes and Wang's rational reconstruction, each
+checked with one exact product (the certificate style of Dumas, Saunders
+and Villard in LinBox).  If the bounds do not meet, `SparseReducer`
+computes the rank.
+
+No public routine mutates its arguments; results are freshly allocated.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt, lcm
 
 import numpy as np
 
-# Primes for the modular fast path.  All well below 2**15.5 so that a
-# product of two reduced entries fits comfortably in int64.
-MODP_PRIMES = (32003, 31013, 30011, 28351, 27449)
+# The sixteen largest primes below 2**31: a product of two reduced entries
+# stays below 2**62, so elimination mod p fits in int64.  The first prime
+# that divides no denominator gives a rank's lower bound; the others add
+# residues when kernel vectors are lifted to Q (the lifts on b3 plus one to
+# four generic lines use up to eight).
+MODP_PRIMES = (2147483647, 2147483629, 2147483587, 2147483579, 2147483563,
+               2147483549, 2147483543, 2147483497, 2147483489, 2147483477,
+               2147483423, 2147483399, 2147483353, 2147483323, 2147483269,
+               2147483249)
 
 SEED_NAMESPACE = "otb-2009"
 
@@ -197,7 +210,7 @@ def solve(rows, b) -> list | None:
 
 
 # ---------------------------------------------------------------------------
-# Modular fast path (numpy elimination mod a word-sized prime)
+# Modular elimination and proved ranks
 
 
 class BadPrime(ArithmeticError):
@@ -208,62 +221,228 @@ def modp_matrix(rows, ncols: int, p: int) -> np.ndarray:
     """Reduce sparse rows {column: Fraction or int} mod p into an int64
     array with `ncols` columns."""
     a = np.zeros((len(rows), ncols), dtype=np.int64)
+    residue: dict = {}
     for i, row in enumerate(rows):
         for c, x in row.items():
-            if isinstance(x, Fraction):
-                den = x.denominator % p
-                if den == 0:
+            key = (x.numerator, x.denominator)
+            v = residue.get(key)
+            if v is None:
+                if key[1] % p == 0:
                     raise BadPrime(p)
-                a[i, c] = (x.numerator % p) * pow(den, p - 2, p) % p
-            else:
-                a[i, c] = x % p
+                v = residue[key] = key[0] * pow(key[1], -1, p) % p
+            a[i, c] = v
     return a
 
 
-def modp_rank(a: np.ndarray, p: int) -> int:
-    """Rank mod p by row echelon on a copy; a proved lower bound for the
-    rank over Q of any rational matrix that reduces to `a`."""
-    a = a % p
+def _clear_below(a: np.ndarray, r: int, c: int, p: int) -> None:
+    """Scale row r of `a` to 1 at column c and clear column c below it, mod
+    p and in place.  Products of two reduced entries stay below
+    p**2 < 2**62, inside int64."""
+    a[r, c:] = a[r, c:] * pow(int(a[r, c]), -1, p) % p
+    below = a[r + 1:, c]
+    nzb = np.nonzero(below)[0]
+    if nzb.size:
+        idx = r + 1 + nzb
+        a[idx, c:] = (a[idx, c:] - np.outer(below[nzb], a[r, c:])) % p
+
+
+def _echelon_mod_p(a: np.ndarray, p: int) -> tuple[list, list]:
+    """Row echelon mod p of `a`, whose entries lie in [0, p), in place,
+    pivoting on the first nonzero entry of each column.  Returns, pivot by
+    pivot, the original index of the pivot row and the pivot column."""
     nr, nc = a.shape
+    order = list(range(nr))
+    pivot_cols = []
     r = 0
     for c in range(nc):
         if r == nr:
             break
-        col = a[r:, c]
-        nz = np.nonzero(col)[0]
+        nz = np.nonzero(a[r:, c])[0]
         if nz.size == 0:
             continue
         i = r + int(nz[0])
         if i != r:
             a[[r, i]] = a[[i, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
-        a[r, c:] = a[r, c:] * inv % p
-        below = a[r + 1:, c]
-        nzb = np.nonzero(below)[0]
-        if nzb.size:
-            idx = r + 1 + nzb
-            a[idx, c:] = (a[idx, c:] - np.outer(below[nzb], a[r, c:])) % p
+            order[r], order[i] = order[i], order[r]
+        _clear_below(a, r, c, p)
+        pivot_cols.append(c)
         r += 1
-    return r
+    return order[:r], pivot_cols
 
 
-def two_prime_rank(rank_at, what: str) -> int:
-    """The rank `rank_at(p)` reports at the first two primes of MODP_PRIMES
-    that do not raise BadPrime.  Each value is a proved lower bound for the
-    rank over Q; their agreement is evidence, not proof, of equality."""
-    got = []
-    for p in MODP_PRIMES:
+def modp_rank(a: np.ndarray, p: int) -> int:
+    """Rank mod p by row echelon on a copy; a proved lower bound for the
+    rank over Q of any rational matrix that reduces to `a`."""
+    return len(_echelon_mod_p(a % p, p)[1])
+
+
+def _solve_mod_p(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:
+    """X with X a = -b mod p for a square `a`, or None when `a` is singular
+    mod p.  Eliminates [a | I; b | 0] below the diagonal, pivoting inside
+    `a` only, so that each row of `b` ends as [0 | its row of X]."""
+    r = len(a)
+    g = np.zeros((r + len(b), 2 * r), dtype=np.int64)
+    g[:r, :r] = a
+    g[r:, :r] = b
+    g[range(r), range(r, 2 * r)] = 1
+    for c in range(r):
+        nz = np.nonzero(g[c:r, c])[0]
+        if nz.size == 0:
+            return None
+        i = c + int(nz[0])
+        if i != c:
+            g[[c, i]] = g[[i, c]]
+        _clear_below(g, c, c, p)
+    return g[r:, r:]
+
+
+def _rational(u: int, m: int) -> Fraction | None:
+    """Wang's rational reconstruction: the n/d with |n|, d <= sqrt(m/2) and
+    n = u d mod m, or None when there is none."""
+    bound = isqrt(m // 2)
+    r0, r1, t0, t1 = m, u % m, 0, 1
+    while r1 > bound:
+        quo = r0 // r1
+        r0, r1 = r1, r0 - quo * r1
+        t0, t1 = t1, t0 - quo * t1
+    if t1 < 0:
+        r1, t1 = -r1, -t1
+    if t1 == 0 or t1 > bound or gcd(r1, t1) != 1:
+        return None
+    return Fraction(r1, t1)
+
+
+def _reconstruct(residues: list, m: int) -> list | None:
+    """Rational vectors from their images mod m, or None if an entry has
+    no reconstruction.  Each entry is scaled by the denominators found so
+    far in its vector, so an entry that shares them reconstructs at once,
+    as an integer."""
+    out = []
+    for vec in residues:
+        den, entries = 1, []
+        for u in vec:
+            x = _rational(u * den, m)
+            if x is None:
+                return None
+            entries.append(x / den)
+            den *= x.denominator
+        out.append(entries)
+    return out
+
+
+def _integer_columns(cols) -> list:
+    """Each sparse column as (den, integer column) with column =
+    integer column / den."""
+    out = []
+    for col in cols:
+        den = lcm(*(v.denominator for v in col.values()))
+        out.append((den, {r: v.numerator * (den // v.denominator)
+                          for r, v in col.items()}))
+    return out
+
+
+def _is_cycle(icols: list, vec: dict) -> bool:
+    """Exact check that sum_k vec[k] * column k is the zero vector, in
+    integers over a common denominator; `icols` is `_integer_columns`."""
+    terms = {k: Fraction(v) / icols[k][0] for k, v in vec.items()}
+    den = lcm(*(t.denominator for t in terms.values()))
+    acc: dict = {}
+    for k, t in terms.items():
+        z = t.numerator * (den // t.denominator)
+        for row, w in icols[k][1].items():
+            acc[row] = acc.get(row, 0) + z * w
+    return not any(acc.values())
+
+
+def _lift_cycles(cols, icols: list, rows: list, pivots: list,
+                 known: np.ndarray, p: int) -> int | None:
+    """Lift kernel vectors of the matrix with sparse columns `cols` to Q,
+    verify each exactly, and return how many were lifted, or None when the
+    primes run out first.
+
+    `rows` and `pivots` come from `_echelon_mod_p` on the columns taken as
+    rows: the columns `rows` are a basis mod p of the column space, and
+    their square block at the matrix rows `pivots` is invertible mod p.  A
+    free column f is one outside `rows`.  Its vector is 1 at f, 0 at the
+    other free columns, and on `rows` the unique solution of that square
+    block; residues at further primes are combined by CRT and rational
+    reconstruction until every vector passes `_is_cycle`.  Only the free
+    columns that the `known` cycles mod p leave uncovered get a vector, and
+    on the free columns these vectors are unit vectors there, so the known
+    and lifted cycles together span as much as the kernel mod p.
+    """
+    in_rows = set(rows)
+    free = [c for c in range(len(cols)) if c not in in_rows]
+    covered = set(_echelon_mod_p(known[:, free], p)[1])
+    targets = [f for j, f in enumerate(free) if j not in covered]
+    r = len(rows)
+    at = {c: t for t, c in enumerate(pivots)}
+    square = [{at[c]: v for c, v in cols[k].items() if c in at}
+              for k in rows + targets]
+    residues, m = None, 1
+    for q in (p,) + tuple(x for x in MODP_PRIMES if x != p):
         try:
-            got.append(rank_at(p))
+            s = modp_matrix(square, r, q)
         except BadPrime:
             continue
-        if len(got) == 2:
-            break
-    if len(got) < 2:
-        raise RuntimeError("ran out of primes for the %s" % what)
-    if got[0] != got[1]:
-        raise ArithmeticError("%s differs between primes" % what)
-    return got[0]
+        x = _solve_mod_p(s[:r], s[r:], q)
+        if x is None:
+            continue
+        x = x.tolist()
+        if residues is None:
+            residues = x
+        else:
+            step = pow(m, -1, q)
+            residues = [[u + m * ((y - u) * step % q) for u, y in zip(ru, ry)]
+                        for ru, ry in zip(residues, x)]
+        m *= q
+        vecs = _reconstruct(residues, m)
+        if vecs is not None and all(
+                _is_cycle(icols, {f: 1, **{k: v for k, v in zip(rows, vec)
+                                          if v}})
+                for f, vec in zip(targets, vecs)):
+            return len(targets)
+    return None
+
+
+def proved_rank(cols, nrows: int, cycles, rank_mod_p) -> tuple[int, str]:
+    """Rank over Q of the matrix with sparse columns `cols` ({row: value}
+    over `nrows` rows), proved by two equal bounds, and how it was proved.
+
+    The lower bound is `rank_mod_p(a, p)` (the callers pass `modp_rank`)
+    at the first prime of MODP_PRIMES that divides no denominator.  The
+    upper bound is the number of columns minus the dimension of a space of
+    exactly verified kernel vectors: the given `cycles` ({column: value}
+    each, checked with one exact product; a non-cycle raises
+    ArithmeticError) and, where they fall short of the kernel mod p,
+    cycles lifted by `_lift_cycles`.  Returns (rank, how) with how
+
+      "mod-p"     the given cycles close the gap by themselves;
+      "lifted k"  k lifted cycles were needed as well;
+      "exact"     lifting failed, and `SparseReducer` computed the rank.
+    """
+    ncols = len(cols)
+    icols = _integer_columns(cols)
+    for vec in cycles:
+        if not _is_cycle(icols, vec):
+            raise ArithmeticError("a given cycle is not in the kernel")
+    for p in MODP_PRIMES:
+        try:
+            known = modp_matrix(cycles, ncols, p)
+            lower = rank_mod_p(modp_matrix(cols, nrows, p), p)
+        except BadPrime:
+            continue
+        if lower == ncols or ncols - lower == rank_mod_p(known, p):
+            return lower, "mod-p"
+        rows, pivots = _echelon_mod_p(modp_matrix(cols, nrows, p), p)
+        lifted = _lift_cycles(cols, icols, rows, pivots, known, p)
+        if lifted is not None:
+            return lower, "lifted %d" % lifted
+        break
+    red = SparseReducer(nrows)
+    for col in cols:
+        red.add(col)
+    return red.rank, "exact"
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,16 @@ equal to the multiplicity h(1); colength >= multiplicity always holds for a
 linear system of parameters, and equality forces the module to be
 Cohen-Macaulay and the sequence to be regular, which transfers the graded
 Betti numbers verbatim to the quotient, over the d-3 surviving variables.
-The reduction is exact rational arithmetic; a strand rank is exact below
-EXACT_ENTRY_LIMIT entries and agreed at two primes above it (a rank mod p
-never exceeds the rank over Q).  The quotient vanishes from degree 3 on, so
-every strand with j - i >= 3 is zero by the certificate itself.
+The reduction is exact rational arithmetic.  The quotient vanishes from
+degree 3 on, so every strand with j - i >= 3 is zero by the certificate
+itself.
+
+Every strand rank, in both engines, is proved by `exact.proved_rank`: the
+rank mod one prime bounds it from below, and exactly verified cycles bound
+it from above.  The columns of the incoming differential are cycles, since
+d o d = 0; where they fall short of the kernel mod p, kernel vectors are
+lifted to Q and checked.  `rank_proofs` records, per strand, "mod-p",
+"lifted k" or "exact" (the fallback elimination over Q).
 
 `FullEngine` is the Koszul complex on all d variables of C(A), literally.
 At d = 9 its strands exceed 10000 x 4500, so the program never runs it;
@@ -29,11 +35,9 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .exact import (SparseReducer, draw_generic, modp_matrix, modp_rank,
-                    rref, seeded_rng, two_prime_rank)
+from .exact import (SparseReducer, draw_generic, modp_rank, proved_rank,
+                    rref, seeded_rng)
 from .orlik_terao import OTPresentation, terao_series
-
-EXACT_ENTRY_LIMIT = 50_000   # rows*cols below this: exact sparse elimination
 
 
 # ---------------------------------------------------------------------------
@@ -53,37 +57,14 @@ def _differential_columns(nvars: int, i: int, maps, c_src: int, c_dst: int):
     cols = []
     for t_set in subsets:
         for k in range(c_src):
+            # the faces of t_set are distinct, so no two terms share a row
             col: dict = {}
             for r, var in enumerate(t_set):
-                rest = t_set[:r] + t_set[r + 1:]
-                base = target_index[rest] * c_dst
-                img = maps[var][k]
-                sign = -1 if r % 2 else 1
-                for pos, v in img.items():
-                    key = base + pos
-                    nv = col.get(key, Fraction(0)) + sign * v
-                    if nv:
-                        col[key] = nv
-                    else:
-                        col.pop(key, None)
+                base = target_index[t_set[:r] + t_set[r + 1:]] * c_dst
+                for pos, v in maps[var][k].items():
+                    col[base + pos] = -v if r % 2 else v
             cols.append(col)
     return cols, len(target_index) * c_dst
-
-
-def _rank_sparse_columns(cols, nrows: int) -> int:
-    """Rank of a sparse column collection: exact when small, otherwise mod p
-    with two-prime agreement."""
-    ncols = len(cols)
-    if ncols == 0 or nrows == 0:
-        return 0
-    if ncols * nrows <= EXACT_ENTRY_LIMIT:
-        red = SparseReducer(nrows)
-        for col in cols:
-            red.add(col)
-        return red.rank
-    return two_prime_rank(
-        lambda p: modp_rank(modp_matrix(cols, nrows, p), p),
-        "strand rank")
 
 
 # ---------------------------------------------------------------------------
@@ -100,6 +81,7 @@ class _Engine:
         self.pres = pres
         self.nvars = nvars
         self._rank_cache: dict = {}
+        self.rank_proofs: dict = {}     # (i, q) -> how proved_rank proved it
 
     def dim(self, q: int) -> int:
         raise NotImplementedError
@@ -108,7 +90,9 @@ class _Engine:
         raise NotImplementedError
 
     def rank_of_differential(self, i: int, q: int) -> int:
-        """rank of Wedge^i (x) C_q -> Wedge^{i-1} (x) C_{q+1}."""
+        """rank of Wedge^i (x) C_q -> Wedge^{i-1} (x) C_{q+1}, proved by
+        `proved_rank`, with the columns of the map into Wedge^i (x) C_q as
+        the known cycles (d o d = 0); `rank_proofs` records how."""
         key = (i, q)
         if key in self._rank_cache:
             return self._rank_cache[key]
@@ -118,7 +102,13 @@ class _Engine:
         else:
             cols, nrows = _differential_columns(
                 self.nvars, i, self.maps(q), c_src, c_dst)
-            r = _rank_sparse_columns(cols, nrows)
+            cycles = []
+            if i < self.nvars and self.dim(q - 1):
+                cycles, _ = _differential_columns(
+                    self.nvars, i + 1, self.maps(q - 1), self.dim(q - 1),
+                    c_src)
+            r, self.rank_proofs[key] = proved_rank(cols, nrows, cycles,
+                                                   modp_rank)
         self._rank_cache[key] = r
         return r
 

@@ -7,11 +7,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import otb.koszul
 import otb.resonance
 from otb.analysis import Analysis
 from otb.arrangement import ArrangementError, parse_arrangement
 from otb.cli import run
-from otb.exact import BadPrime, GenericityError
+from otb.exact import BadPrime, GenericityError, proved_rank
 from otb.koszul import FullEngine, ReducedEngine
 from otb.orlik_terao import OTPresentation
 
@@ -178,10 +179,10 @@ def test_malformed_file_is_an_input_error(doc, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("exc", [
-    ArithmeticError("strand rank differs between primes"),
+    ArithmeticError("a given cycle is not in the kernel"),
     BadPrime(32003),
     GenericityError("genericity precondition failed after 5 draws"),
-    RuntimeError("ran out of primes for the strand rank"),
+    RecursionError("maximum recursion depth exceeded"),
 ])
 def test_engine_failure_is_a_verification_failure(exc, monkeypatch, capsys):
     def fail(self):
@@ -190,6 +191,16 @@ def test_engine_failure_is_a_verification_failure(exc, monkeypatch, capsys):
     code, out, err = _capture(capsys, ["betti", "--builtin", "braid-a3"])
     assert code == 2 and out == ""
     assert err == "verification failed: %s\n" % exc
+
+
+def test_planted_non_cycle_is_a_verification_failure(monkeypatch, capsys):
+    # a strand whose known cycles include a vector outside the kernel
+    def planted(cols, nrows, cycles, rank_mod_p):
+        return proved_rank(cols, nrows, list(cycles) + [{0: 1}], rank_mod_p)
+    monkeypatch.setattr(otb.koszul, "proved_rank", planted)
+    code, out, err = _capture(capsys, ["betti", "--builtin", "braid-a3"])
+    assert code == 2 and out == ""
+    assert err == "verification failed: a given cycle is not in the kernel\n"
 
 
 def test_report_builds_shared_objects_once(monkeypatch, capsys):

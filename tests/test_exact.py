@@ -1,12 +1,14 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 
-from otb.exact import (BinaryForm, MPoly, binary_gcd, kernel_basis,
-                       modp_matrix, modp_rank, monomials_of_degree, mpoly_det,
-                       primitive_vector, rank, rref, seeded_rng, solve,
+import otb.exact
+from otb.exact import (MODP_PRIMES, BinaryForm, MPoly, binary_gcd,
+                       kernel_basis, modp_matrix, modp_rank,
+                       monomials_of_degree, mpoly_det, primitive_vector,
+                       proved_rank, rank, rref, seeded_rng, solve,
                        SparseReducer, draw_generic, GenericityError)
 
 
@@ -158,7 +160,7 @@ def test_readouts_match_dense_gauss_jordan():
 
 def test_modp_rank_agrees_with_exact():
     rng = random.Random(14)
-    for p in (32003, 31013):
+    for p in (32003, 31013, MODP_PRIMES[0]):
         for _ in range(40):
             nr, nc = rng.randint(1, 7), rng.randint(1, 7)
             rows = [[Fraction(rng.randint(-9, 9), rng.randint(1, 4))
@@ -166,6 +168,185 @@ def test_modp_rank_agrees_with_exact():
             sparse = [{j: x for j, x in enumerate(row) if x} for row in rows]
             exact = bareiss_rank(rows)
             assert modp_rank(modp_matrix(sparse, nc, p), p) == exact
+    # at the largest prime, negative entries reduce to just below p, so the
+    # products in the elimination come close to p**2 ~ 2**62; an int64
+    # overflow would corrupt the rank, which shows on low-rank matrices
+    p = max(MODP_PRIMES)
+    for trial in range(60):
+        nr, nc = rng.randint(2, 9), rng.randint(2, 9)
+        if trial % 2:
+            rows = low_rank(rng, nr, nc, -9, 9)
+        else:
+            rows = [[-rng.randint(1, 9) for _ in range(nc)]
+                    for _ in range(nr)]
+        a = modp_matrix([{j: x for j, x in enumerate(row) if x}
+                         for row in rows], nc, p)
+        assert trial % 2 or a.min() >= p - 9
+        assert modp_rank(a, p) == bareiss_rank(rows)
+
+
+def test_modp_primes_are_distinct_primes_below_2_31():
+    assert len(set(MODP_PRIMES)) == len(MODP_PRIMES) >= 3
+    for p in MODP_PRIMES:
+        assert 2 < p < 2 ** 31
+        assert p % 2 and all(p % k for k in range(3, isqrt(p) + 1, 2)), p
+
+
+# -- proved_rank against `rank`, the exact reducer
+
+
+def columns(rows) -> list:
+    """The columns of a matrix given by rows, as sparse dicts."""
+    return [{i: Fraction(row[j]) for i, row in enumerate(rows) if row[j]}
+            for j in range(len(rows[0]))]
+
+
+def sparse_matrix(rng, nr: int, nc: int, shape: str) -> list:
+    """Rows of a seeded random sparse rational matrix: `tall` and `wide`
+    have about a third of their entries nonzero, `deficient` is a product
+    of two such factors through a smaller inner dimension."""
+    def draw(r, c):
+        return [[Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                 if rng.random() < 0.35 else Fraction(0) for _ in range(c)]
+                for _ in range(r)]
+    if shape != "deficient":
+        return draw(nr, nc)
+    inner = rng.randint(1, min(nr, nc) - 1)
+    a, b = draw(nr, inner), draw(inner, nc)
+    return [[sum(a[i][k] * b[k][j] for k in range(inner))
+             for j in range(nc)] for i in range(nr)]
+
+
+def some_cycles(rng, rows) -> list:
+    """Random combinations of part of an exact kernel basis, some of them
+    repeated: cycles as a caller would know them, not independent."""
+    basis = kernel_basis(rows)
+    if not basis:
+        return []
+    part = rng.sample(basis, rng.randint(1, len(basis)))
+    out = []
+    for _ in range(len(part) + 1):
+        coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                  for _ in part]
+        vec = [sum(c * v[k] for c, v in zip(coeffs, part))
+               for k in range(len(rows[0]))]
+        out.append({k: x for k, x in enumerate(vec) if x})
+    return out
+
+
+SHAPES = {"tall": (14, 6), "wide": (6, 14), "deficient": (12, 12)}
+
+
+@pytest.mark.parametrize("given", ["no-cycles", "cycles"])
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_proved_rank_matches_reducer(shape, given):
+    rng = random.Random("proved:%s:%s" % (shape, given))
+    for _ in range(15):
+        nr, nc = (rng.randint(n // 2, n) for n in SHAPES[shape])
+        rows = sparse_matrix(rng, nr, nc, shape)
+        cycles = some_cycles(rng, rows) if given == "cycles" else []
+        cols = columns(rows)
+        r, how = proved_rank(cols, nr, cycles, modp_rank)
+        assert r == rank(rows), (shape, rows)
+        assert how == "mod-p" or how.startswith("lifted "), how
+
+
+def test_proved_rank_needs_no_lift_with_the_whole_kernel():
+    rng = random.Random(5)
+    rows = sparse_matrix(rng, 10, 10, "deficient")
+    cycles = [{k: x for k, x in enumerate(v) if x}
+              for v in kernel_basis(rows)]
+    assert proved_rank(columns(rows), 10, cycles, modp_rank) == (
+        rank(rows), "mod-p")
+
+
+def needs_lifting():
+    """A 5 x 7 matrix of rank 3 whose kernel vectors have fractional
+    entries: without given cycles, proved_rank lifts four."""
+    rng = random.Random(8)
+
+    def draw(r, c):
+        return [[Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                 for _ in range(c)] for _ in range(r)]
+    a, b = draw(5, 3), draw(3, 7)
+    return [[sum(a[i][k] * b[k][j] for k in range(3)) for j in range(7)]
+            for i in range(5)]
+
+
+def test_lifting_matrix_needs_lifting():
+    rows = needs_lifting()
+    assert rank(rows) == 3
+    assert any(x.denominator > 1 for v in kernel_basis(rows) for x in v)
+    assert proved_rank(columns(rows), 5, [], modp_rank) == (3, "lifted 4")
+
+
+def test_planted_non_cycle_raises():
+    rows = needs_lifting()
+    cols = columns(rows)
+    good = [{k: x for k, x in enumerate(v) if x} for v in kernel_basis(rows)]
+    bad = {0: Fraction(1)}                       # column 0 is nonzero
+    assert cols[0]
+    with pytest.raises(ArithmeticError):
+        proved_rank(cols, len(rows), good + [bad], modp_rank)
+    # a multiple of a true cycle plus a tiny error is caught as well
+    off = dict(good[0])
+    off[min(off)] += Fraction(1, 10 ** 30)
+    with pytest.raises(ArithmeticError):
+        proved_rank(cols, len(rows), [off], modp_rank)
+
+
+def test_corrupted_lift_falls_back_to_the_same_rank(monkeypatch):
+    rows = needs_lifting()
+    cols = columns(rows)
+    r, how = proved_rank(cols, len(rows), [], modp_rank)
+    assert how.startswith("lifted ")
+    reconstruct = otb.exact._reconstruct
+
+    def corrupt(residues, m):
+        vecs = reconstruct(residues, m)
+        if vecs is not None:
+            vecs[0][0] += 1
+        return vecs
+    monkeypatch.setattr(otb.exact, "_reconstruct", corrupt)
+    assert proved_rank(cols, len(rows), [], modp_rank) == (r, "exact")
+    assert r == rank(rows)
+
+
+def test_rank_drop_at_the_first_prime_still_gives_the_rational_rank():
+    p = MODP_PRIMES[0]
+    # det = p: rank 2 over Q, rank 1 mod p
+    cols = [{0: Fraction(p), 1: Fraction(1)}, {1: Fraction(1)}]
+    assert modp_rank(modp_matrix(cols, 2, p), p) == 1
+    assert proved_rank(cols, 2, [], modp_rank)[0] == 2
+    # the same inside a larger matrix whose other columns need lifting
+    rows = needs_lifting()
+    rows = [row + [Fraction(0)] for row in rows] + [[Fraction(0)] * 7
+                                                    + [Fraction(p)]]
+    cols = columns(rows)
+    assert proved_rank(cols, len(rows), [], modp_rank)[0] == rank(rows)
+
+
+def test_bad_prime_is_skipped():
+    p0, p1 = MODP_PRIMES[:2]
+    primes = []
+
+    def spy(a, p):
+        primes.append(p)
+        return modp_rank(a, p)
+    # a denominator divisible by the first prime: the lower bound moves on
+    rows = needs_lifting()
+    rows[0][0] = Fraction(1, p0)
+    cols = columns(rows)
+    r, how = proved_rank(cols, len(rows), [], spy)
+    assert primes[0] == p1 and r == rank(rows)
+    assert how.startswith("lifted ")
+    # column 0 divided by the second prime: the lifted vectors then carry
+    # that prime as a factor, so the lift needs a second prime, and the
+    # second prime is skipped
+    rows = [[x / p1 if j == 0 else x for j, x in enumerate(row)]
+            for row in needs_lifting()]
+    cols = columns(rows)
+    assert proved_rank(cols, len(rows), [], modp_rank) == (3, "lifted 4")
 
 
 def test_kernel_identity_empty():

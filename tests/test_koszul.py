@@ -4,6 +4,7 @@ import pytest
 
 from otb.analysis import Analysis
 from otb.arrangement import Arrangement, ArrangementError
+from otb.exact import SparseReducer
 from otb.koszul import (FullEngine, _differential_columns, b23_formula,
                         betti_table, tor_dimension)
 from otb.orlik_terao import terao_series
@@ -89,6 +90,59 @@ ORACLE_FORMS = {
 def test_reduced_matches_full_oracle(name):
     an = Analysis(Arrangement(ORACLE_FORMS[name], name=name))
     _assert_matches_oracle(an, FullEngine(an.pres))
+
+
+def _strand_rank_by_reducer(eng, i: int, q: int) -> int:
+    cols, nrows = _differential_columns(eng.nvars, i, eng.maps(q),
+                                        eng.dim(q), eng.dim(q + 1))
+    red = SparseReducer(nrows)
+    for col in cols:
+        red.add(col)
+    return red.rank
+
+
+@pytest.mark.parametrize("name", ["braid-a3", "ex-2-4", "9_3_1"])
+def test_every_strand_rank_matches_the_reducer(name):
+    engines = [analysis(name).engine]
+    if name != "9_3_1":
+        engines.append(oracle(name))
+    for eng in engines:
+        for i in range(1, eng.nvars + 1):
+            for q in range(3):
+                if eng.dim(q) and eng.dim(q + 1):
+                    assert eng.rank_of_differential(i, q) == \
+                        _strand_rank_by_reducer(eng, i, q), (name, i, q)
+
+
+def _assert_no_fallback(eng):
+    betti_table(eng, verify_regularity=True)
+    assert eng.rank_proofs
+    for key, how in eng.rank_proofs.items():
+        assert how == "mod-p" or how.startswith("lifted "), (key, how)
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_no_builtin_strand_falls_back(name):
+    _assert_no_fallback(analysis(name).engine)
+
+
+def test_no_strand_of_the_braid_plus_one_oracle_falls_back():
+    an = Analysis(Arrangement(ORACLE_FORMS["braid-a3+1"], name="braid-a3+1"))
+    _assert_no_fallback(an.engine)
+    _assert_no_fallback(FullEngine(an.pres))
+
+
+def test_b3_lifts_exactly_its_linear_syzygies():
+    # the cycles lifted for B_i: Wedge^i V (x) C_1 -> Wedge^{i-1} V (x) C_2
+    # beyond those of the Koszul complex of V number b_{i,i+1}
+    eng = analysis("b3").engine
+    tb = betti_table(eng)
+    proofs = eng.rank_proofs
+    assert {i: proofs[(i, 1)] for i in (1, 2, 3)} == {
+        1: "lifted 13", 2: "lifted 22", 3: "lifted 1"}
+    assert [tb.value(i, i + 1) for i in (1, 2, 3)] == [13, 22, 1]
+    assert all(how == "mod-p" for (i, q), how in proofs.items()
+               if not (q == 1 and i <= 3))
 
 
 def test_reduced_certificate_contents():
