@@ -38,6 +38,15 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
 
+    def parse_args(self, args=None, namespace=None):
+        # argparse turns --opt=-- into [] where one value belongs
+        ns = super().parse_args(args, namespace)
+        for name, value in vars(ns).items():
+            if isinstance(value, list):
+                self.error("argument --%s: expected one value"
+                           % name.replace("_", "-"))
+        return ns
+
 
 def _frac(x) -> str:
     return str(Fraction(x))

@@ -415,7 +415,10 @@ def proved_rank(cols, nrows: int, cycles, rank_mod_p) -> tuple[int, str]:
     exactly verified kernel vectors: the given `cycles` ({column: value}
     each, checked with one exact product; a non-cycle raises
     ArithmeticError) and, where they fall short of the kernel mod p,
-    cycles lifted by `_lift_cycles`.  Returns (rank, how) with how
+    cycles lifted by `_lift_cycles`.  Those cover the kernel of the echelon
+    mod p that the lifting starts from, so its number of pivots, itself a
+    rank mod p, is then both bounds; a `rank_mod_p` that reports less only
+    costs the lift.  Returns (rank, how) with how
 
       "mod-p"     the given cycles close the gap by themselves;
       "lifted k"  k lifted cycles were needed as well;
@@ -437,7 +440,7 @@ def proved_rank(cols, nrows: int, cycles, rank_mod_p) -> tuple[int, str]:
         rows, pivots = _echelon_mod_p(modp_matrix(cols, nrows, p), p)
         lifted = _lift_cycles(cols, icols, rows, pivots, known, p)
         if lifted is not None:
-            return lower, "lifted %d" % lifted
+            return len(rows), "lifted %d" % lifted
         break
     red = SparseReducer(nrows)
     for col in cols:

@@ -12,9 +12,11 @@ equal to the multiplicity h(1); colength >= multiplicity always holds for a
 linear system of parameters, and equality forces the module to be
 Cohen-Macaulay and the sequence to be regular, which transfers the graded
 Betti numbers verbatim to the quotient, over the d-3 surviving variables.
-The reduction is exact rational arithmetic.  The quotient vanishes from
-degree 3 on, so every strand with j - i >= 3 is zero by the certificate
-itself.
+In degrees 1 and 2 the quotient is an exact echelon over Q, whose basis
+carries the induced maps.  Its vanishing in degree 3 is the full rank of
+theta C_2 inside C_3, proved by `exact.proved_rank` at mod-p cost (with
+its `SparseReducer` fallback); `reduction_proof` records how.  So every
+strand with j - i >= 3 is zero by the certificate itself.
 
 Every strand rank, in both engines, is proved by `exact.proved_rank`: the
 rank mod one prime bounds it from below, and exactly verified cycles bound
@@ -65,6 +67,40 @@ def _differential_columns(nvars: int, i: int, maps, c_src: int, c_dst: int):
                     col[base + pos] = -v if r % 2 else v
             cols.append(col)
     return cols, len(target_index) * c_dst
+
+
+def _theta_products(pres: OTPresentation, theta, q: int) -> list:
+    """theta_1, theta_2, theta_3 times each basis element of C_{q-1}, as
+    sparse vectors over the basis of C_q."""
+    maps = pres.multiplication_maps(q - 1)
+    out = []
+    for row in theta:
+        for k in range(pres.graded_piece(q - 1).quotient_dim):
+            col: dict = {}
+            for s, a in enumerate(row):
+                if not a:
+                    continue
+                for pos, v in maps[s][k].items():
+                    nv = col.get(pos, Fraction(0)) + a * v
+                    if nv:
+                        col[pos] = nv
+                    else:
+                        col.pop(pos, None)
+            out.append(col)
+    return out
+
+
+def _degree3_rank(pres: OTPresentation, theta) -> tuple[int, str]:
+    """Rank of theta C_2 inside C_3 and how `proved_rank` proved it.  The
+    products are the rows of a matrix whose columns are indexed by C_3, so
+    the full rank of a certified reduction is proved by the rank mod p
+    alone, with nothing to lift."""
+    rows = _theta_products(pres, theta, 3)
+    cols: list = [{} for _ in range(pres.graded_piece(3).quotient_dim)]
+    for r, row in enumerate(rows):
+        for c, v in row.items():
+            cols[c][r] = v
+    return proved_rank(cols, len(rows), [], modp_rank)
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +178,8 @@ class FullEngine(_Engine):
 
 class ReducedEngine(_Engine):
     """C(A) modulo three verified-regular generic linear forms, over the
-    polynomial ring on the surviving d-3 variables."""
+    polynomial ring on the surviving d-3 variables.  `reduction_proof` is
+    how `proved_rank` proved that the quotient vanishes in degree 3."""
 
     def __init__(self, pres: OTPresentation):
         super().__init__(pres, pres.d - 3)
@@ -168,34 +205,25 @@ class ReducedEngine(_Engine):
         if len(pivots) != 3:
             return False
         self.kept_vars = [j for j in range(d) if j not in set(pivots)]
-        # quotient C_q / (theta_1, theta_2, theta_3) C_{q-1} for q = 1..3
-        reducers = {0: SparseReducer(1)}
+        # quotient C_q / (theta_1, theta_2, theta_3) C_{q-1} for q = 1, 2:
+        # the non-pivot columns of an exact echelon are its basis
+        reducers = {}
         dims = {0: 1}
-        for q in range(1, 4):
-            c_q = pres.graded_piece(q).quotient_dim
-            maps = pres.multiplication_maps(q - 1)
-            red = SparseReducer(c_q)
-            for row in theta:
-                for k in range(pres.graded_piece(q - 1).quotient_dim):
-                    col: dict = {}
-                    for s in range(d):
-                        if not row[s]:
-                            continue
-                        for pos, v in maps[s][k].items():
-                            nv = col.get(pos, Fraction(0)) + row[s] * v
-                            if nv:
-                                col[pos] = nv
-                            else:
-                                col.pop(pos, None)
-                    red.add(col)
+        for q in (1, 2):
+            red = SparseReducer(pres.graded_piece(q).quotient_dim)
+            for row in _theta_products(pres, theta, q):
+                red.add(row)
             reducers[q] = red
-            dims[q] = c_q - red.rank
-        if dims != {0: 1, 1: d - 3, 2: h[2], 3: 0}:
+            dims[q] = red.ncols - red.rank
+        if dims != {0: 1, 1: d - 3, 2: h[2]}:
             return False
+        rank3, how3 = _degree3_rank(pres, theta)
+        dims[3] = pres.graded_piece(3).quotient_dim - rank3
         colength = sum(dims.values())
-        if colength != mult:
+        if dims[3] or colength != mult:
             return False
         self._dims = dims
+        self.reduction_proof = how3
         self.certificate = {
             "theta": [[str(x) for x in row] for row in theta],
             "h_vector": (dims[0], dims[1], dims[2]),
@@ -205,7 +233,7 @@ class ReducedEngine(_Engine):
         }
         # induced action of the surviving variables on the quotient
         self._maps = {}
-        for q in (0, 1, 2):
+        for q in (0, 1):
             maps = pres.multiplication_maps(q)
             src_positions = reducers[q].nonpivot_columns() if q else [0]
             dst_red = reducers[q + 1]
@@ -218,6 +246,8 @@ class ReducedEngine(_Engine):
                     cols.append({dst_pos[c]: v for c, v in res.items()})
                 per_var.append(cols)
             self._maps[q] = per_var
+        # the quotient is zero in degree 3, so out of degree 2 they are zero
+        self._maps[2] = [[{} for _ in range(dims[2])] for _ in self.kept_vars]
         return True
 
     def dim(self, q: int) -> int:

@@ -290,6 +290,18 @@ def test_negative_numeric_option_is_a_usage_error(argv, capsys):
     assert err.startswith("usage error: ") and "must be at least" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["circuits", "--max-size=--"],
+    ["ot-hilbert", "--upto=--"],
+    ["h0", "--m=--", "--mults=--"],
+    ["resonance", "--max-weight=--"],
+])
+def test_double_dash_option_value_is_a_usage_error(argv, capsys):
+    code, out, err = _capture(capsys, argv + ["--builtin", "braid-a3"])
+    assert code == 1 and out == ""
+    assert err.startswith("usage error: ") and "expected one value" in err
+
+
 _json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats()
     | st.text(max_size=6),

@@ -326,6 +326,17 @@ def test_rank_drop_at_the_first_prime_still_gives_the_rational_rank():
     assert proved_rank(cols, len(rows), [], modp_rank)[0] == rank(rows)
 
 
+def test_an_under_reported_rank_mod_p_still_gives_the_rank():
+    # a lower bound one short only costs the lift: the echelon mod p that
+    # the lift starts from closes the proof
+    def short(a, p):
+        return max(modp_rank(a, p) - 1, 0)
+    rows = needs_lifting()
+    assert proved_rank(columns(rows), 5, [], short) == (3, "lifted 4")
+    full = [[1, 2], [3, 4], [5, 7]]
+    assert proved_rank(columns(full), 3, [], short) == (2, "lifted 0")
+
+
 def test_bad_prime_is_skipped():
     p0, p1 = MODP_PRIMES[:2]
     primes = []

@@ -1,12 +1,16 @@
 import random
+from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
+import otb.koszul
 from otb.analysis import Analysis
 from otb.arrangement import Arrangement, ArrangementError
-from otb.exact import SparseReducer
-from otb.koszul import (FullEngine, _differential_columns, b23_formula,
-                        betti_table, tor_dimension)
+from otb.exact import SparseReducer, modp_rank
+from otb.koszul import (FullEngine, ReducedEngine, _degree3_rank,
+                        _differential_columns, b23_formula, betti_table,
+                        tor_dimension)
 from otb.orlik_terao import terao_series
 
 from conftest import BUILTINS, analysis, oracle
@@ -123,13 +127,101 @@ def _assert_no_fallback(eng):
 
 @pytest.mark.parametrize("name", BUILTINS)
 def test_no_builtin_strand_falls_back(name):
-    _assert_no_fallback(analysis(name).engine)
+    eng = analysis(name).engine
+    _assert_no_fallback(eng)
+    assert eng.reduction_proof == "mod-p"
 
 
 def test_no_strand_of_the_braid_plus_one_oracle_falls_back():
     an = Analysis(Arrangement(ORACLE_FORMS["braid-a3+1"], name="braid-a3+1"))
     _assert_no_fallback(an.engine)
+    assert an.engine.reduction_proof == "mod-p"
     _assert_no_fallback(FullEngine(an.pres))
+
+
+def _degree3_rank_by_reducer(pres, theta) -> int:
+    """The exact reference for the rank of theta C_2 inside C_3: each
+    product theta_i * m, m in the basis of C_2, as a vector over C_3, fed
+    to one SparseReducer."""
+    maps = pres.multiplication_maps(2)
+    red = SparseReducer(pres.graded_piece(3).quotient_dim)
+    for row in theta:
+        for k in range(pres.graded_piece(2).quotient_dim):
+            acc = {}
+            for s, a in enumerate(row):
+                for pos, v in maps[s][k].items():
+                    acc[pos] = acc.get(pos, 0) + a * v
+            red.add({pos: v for pos, v in acc.items() if v})
+    return red.rank
+
+
+def _accepted_theta(name) -> list:
+    return [[Fraction(x) for x in row]
+            for row in analysis(name).engine.certificate["theta"]]
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_degree3_rank_of_the_accepted_theta_matches_the_reducer(name):
+    pres = analysis(name).pres
+    theta = _accepted_theta(name)
+    c3 = pres.graded_piece(3).quotient_dim
+    assert _degree3_rank(pres, theta) == (c3, "mod-p")
+    assert _degree3_rank_by_reducer(pres, theta) == c3
+
+
+@pytest.mark.parametrize("name", ["braid-a3", "ex-2-4"])
+def test_degree3_rank_of_every_coordinate_theta_matches_the_reducer(name):
+    # theta = (y_a, y_b, y_c) is never a regular sequence here: the
+    # quotient keeps a nonzero degree-3 piece, so the rank is not full
+    pres = analysis(name).pres
+    d = pres.d
+    c3 = pres.graded_piece(3).quotient_dim
+    left = {}
+    for triple in combinations(range(d), 3):
+        theta = [[Fraction(int(j == a)) for j in range(d)] for a in triple]
+        r, _ = _degree3_rank(pres, theta)
+        assert r == _degree3_rank_by_reducer(pres, theta) < c3, triple
+        left[triple] = c3 - r
+    if name == "braid-a3":
+        # dims (1, 3, 5, 7) of the quotient by (y_1, y_2, y_3)
+        assert left[(0, 1, 2)] == 7
+
+
+def test_under_reported_degree3_rank_mod_p_still_gives_the_rank(monkeypatch):
+    # a rank mod p one short at the degree-3 matrix: the rank must still
+    # come out exact, so that the same theta is accepted
+    pres = analysis("9_3_1").pres
+    expect = analysis("9_3_1").engine.certificate
+    c2 = pres.graded_piece(2).quotient_dim
+    c3 = pres.graded_piece(3).quotient_dim
+    short = []
+
+    def spy(a, p):
+        r = modp_rank(a, p)
+        if a.shape == (c3, 3 * c2):
+            short.append(p)
+            return r - 1
+        return r
+    monkeypatch.setattr(otb.koszul, "modp_rank", spy)
+    eng = ReducedEngine(pres)
+    assert short
+    assert eng.certificate == expect
+    assert eng.reduction_proof == "lifted 0"
+    assert _degree3_rank(pres, _accepted_theta("9_3_1"))[0] == c3
+
+
+def test_building_the_reduction_eliminates_nothing_over_c3(monkeypatch):
+    pres = analysis("b3").pres
+    c3 = pres.graded_piece(3).quotient_dim
+    sizes = []
+    init = SparseReducer.__init__
+
+    def spy(self, ncols):
+        sizes.append(ncols)
+        init(self, ncols)
+    monkeypatch.setattr(SparseReducer, "__init__", spy)
+    ReducedEngine(pres)
+    assert sizes and c3 not in sizes
 
 
 def test_b3_lifts_exactly_its_linear_syzygies():
