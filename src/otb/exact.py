@@ -432,12 +432,13 @@ def proved_rank(cols, nrows: int, cycles, rank_mod_p) -> tuple[int, str]:
     for p in MODP_PRIMES:
         try:
             known = modp_matrix(cycles, ncols, p)
-            lower = rank_mod_p(modp_matrix(cols, nrows, p), p)
+            a = modp_matrix(cols, nrows, p)
         except BadPrime:
             continue
+        lower = rank_mod_p(a, p)
         if lower == ncols or ncols - lower == rank_mod_p(known, p):
             return lower, "mod-p"
-        rows, pivots = _echelon_mod_p(modp_matrix(cols, nrows, p), p)
+        rows, pivots = _echelon_mod_p(a, p)
         lifted = _lift_cycles(cols, icols, rows, pivots, known, p)
         if lifted is not None:
             return len(rows), "lifted %d" % lifted
@@ -592,31 +593,6 @@ class MPoly:
         p = MPoly(self.nvars)
         p.terms = out
         return p
-
-    def compose(self, polys: list) -> "MPoly":
-        """Substitute variable i -> polys[i] (all in a common ring)."""
-        if len(polys) != self.nvars:
-            raise ValueError("need one substitute per variable")
-        nvars = polys[0].nvars
-        # cache powers per variable
-        maxdeg = [0] * self.nvars
-        for e in self.terms:
-            for i, k in enumerate(e):
-                maxdeg[i] = max(maxdeg[i], k)
-        powers = []
-        for i, q in enumerate(polys):
-            cache = [MPoly.constant(nvars, 1)]
-            for _ in range(maxdeg[i]):
-                cache.append(cache[-1] * q)
-            powers.append(cache)
-        total = MPoly(nvars)
-        for e, c in self.terms.items():
-            term = MPoly.constant(nvars, c)
-            for i, k in enumerate(e):
-                if k:
-                    term = term * powers[i][k]
-            total = total + term
-        return total
 
     def to_string(self) -> str:
         """Terms in descending graded-lex order, in x, y, z for up to three

@@ -75,7 +75,7 @@ def _theta_products(pres: OTPresentation, theta, q: int) -> list:
     maps = pres.multiplication_maps(q - 1)
     out = []
     for row in theta:
-        for k in range(pres.graded_piece(q - 1).quotient_dim):
+        for k in range(len(pres.graded_piece(q - 1))):
             col: dict = {}
             for s, a in enumerate(row):
                 if not a:
@@ -96,7 +96,7 @@ def _degree3_rank(pres: OTPresentation, theta) -> tuple[int, str]:
     the full rank of a certified reduction is proved by the rank mod p
     alone, with nothing to lift."""
     rows = _theta_products(pres, theta, 3)
-    cols: list = [{} for _ in range(pres.graded_piece(3).quotient_dim)]
+    cols: list = [{} for _ in range(len(pres.graded_piece(3)))]
     for r, row in enumerate(rows):
         for c, v in row.items():
             cols[c][r] = v
@@ -169,8 +169,8 @@ class FullEngine(_Engine):
     def dim(self, q: int) -> int:
         if q < 0:
             return 0
-        # exact slice, so that dimensions always match the map bases
-        return self.pres.graded_piece(q).quotient_dim
+        # the proved nbc basis, in which the maps are written
+        return len(self.pres.graded_piece(q))
 
     def maps(self, q: int):
         return self.pres.multiplication_maps(q)
@@ -210,7 +210,7 @@ class ReducedEngine(_Engine):
         reducers = {}
         dims = {0: 1}
         for q in (1, 2):
-            red = SparseReducer(pres.graded_piece(q).quotient_dim)
+            red = SparseReducer(len(pres.graded_piece(q)))
             for row in _theta_products(pres, theta, q):
                 red.add(row)
             reducers[q] = red
@@ -218,7 +218,7 @@ class ReducedEngine(_Engine):
         if dims != {0: 1, 1: d - 3, 2: h[2]}:
             return False
         rank3, how3 = _degree3_rank(pres, theta)
-        dims[3] = pres.graded_piece(3).quotient_dim - rank3
+        dims[3] = len(pres.graded_piece(3)) - rank3
         colength = sum(dims.values())
         if dims[3] or colength != mult:
             return False
@@ -348,24 +348,10 @@ def betti_table(eng: _Engine, verify_regularity: bool = False) -> BettiTable:
     return table
 
 
-@dataclass(frozen=True)
-class B23Report:
-    formula_value: int
-    cubic_generators: int
-    quadratic_only: bool      # the I = I_2 hypothesis
-
-
-def b23_formula(pres: OTPresentation) -> B23Report:
+def b23_formula(pres: OTPresentation) -> int:
     """Closed form for the linear first syzygies when the ideal is generated
-    by quadrics: 2*(C(d,3) - 1) - (d-3)*(sum mu + 1).  Also reports whether
-    degree-3 minimal generators exist (the hypothesis check); generators in
-    degree > 3 are excluded by 2-regularity."""
+    by quadrics: 2*(C(d,3) - 1) - (d-3)*(sum mu + 1).  That hypothesis is
+    b_{1,3} = 0 in the Betti table (generators in degree > 3 are excluded
+    by 2-regularity)."""
     d = pres.d
-    value = 2 * (comb(d, 3) - 1) - (d - 3) * (pres.arrangement.sum_mu() + 1)
-    piece3 = pres.graded_piece(3)
-    red = SparseReducer(len(piece3.monomials))
-    for row in pres.graded_piece(2).times_variables(piece3.index):
-        red.add(row)
-    cubic = piece3.ideal_dim - red.rank
-    return B23Report(formula_value=value, cubic_generators=cubic,
-                     quadratic_only=(cubic == 0))
+    return 2 * (comb(d, 3) - 1) - (d - 3) * (pres.arrangement.sum_mu() + 1)

@@ -1,26 +1,33 @@
-"""The Orlik-Terao algebra of a line arrangement.
+"""The Orlik-Terao algebra C(A) = Q[y_1..y_d]/I of a line arrangement, the
+algebra of the reciprocals 1/a_k of its forms, in one presentation: the
+circuit relations as rewriting rules into the monomials with
+broken-circuit-free (nbc) support.
 
-For forms a_1..a_d the ideal I in Q[y_1..y_d] is generated by the circuit
-relations; the algebra C(A) = R/I is also the image of the substitution
-y_k -> l_k := (a_1*...*a_d)/a_k, which gives a Groebner-free membership
-test: a homogeneous g lies in I iff g(l_1,...,l_d) expands to zero.
-
-Graded slices of I are echelonized exactly in every degree; since the
-circuit relations generate I, the complement of each echelon is a monomial
-basis of C(A)_j, so its size is the exact Hilbert function.  These bases
-carry the multiplication-by-variable maps that the Koszul strand
-computations consume.
+For a circuit i_0 < ... < i_k with coefficients c, the broken circuit is
+the circuit minus its largest line; its monomial rewrites to
+-sum_{t<k} (c_t/c_k) y^(C - {i_t}).  Each step moves one exponent to a
+larger index, so rewriting terminates, and the nbc monomials of degree j
+span C(A)_j.  `graded_piece` proves them independent: evaluated at
+y_k = 1/a_k(P) for as many points P of F_p^3 as there are monomials, they
+give a matrix of full rank mod p, which a primitive integer dependency over
+Q would not.  So they are a basis, each piece's size is the exact Hilbert
+function, and normal forms, which carry the multiplication maps and decide
+ideal membership, are unique.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
+import numpy as np
+
 from .arrangement import Arrangement, poincare_polynomial
-from .circuits import circuit_relation, enumerate_circuits
-from .exact import MPoly, SparseReducer, monomials_of_degree, solve
+from .circuits import enumerate_circuits
+from .exact import (MODP_PRIMES, MPoly, draw_generic, modp_rank,
+                    monomials_of_degree, seeded_rng, solve)
 
 
 # ---------------------------------------------------------------------------
@@ -42,98 +49,125 @@ def l_forms(arr: Arrangement) -> list:
     return [pre[i] * suf[i + 1] for i in range(d)]
 
 
-class GradedPiece:
-    """Degree-j slice: ambient monomials of R_j, an exact echelon basis of
-    I_j, and the complement monomial basis of C(A)_j."""
-
-    def __init__(self, degree: int, monomials: list, index: dict,
-                 reducer: SparseReducer):
-        self.degree = degree
-        self.monomials = monomials
-        self.index = index
-        self.reducer = reducer
-        self.ideal_dim = reducer.rank
-        self.quotient_cols = reducer.nonpivot_columns()
-        self.quotient_basis = [monomials[c] for c in self.quotient_cols]
-        self.quotient_index = {c: k for k, c in enumerate(self.quotient_cols)}
-
-    @property
-    def quotient_dim(self) -> int:
-        return len(self.quotient_cols)
-
-    def reduce_vector(self, vec: dict) -> dict:
-        """Image in C(A)_j of a vector over ambient monomial indices, as a
-        dict over quotient-basis positions."""
-        res = self.reducer.reduce(vec)
-        return {self.quotient_index[c]: v for c, v in res.items()}
-
-    def times_variables(self, index: dict):
-        """Each echelon row of I_j times each variable, as a sparse row over
-        the degree-(j+1) monomial `index`; together they span R_1 I_j."""
-        nvars = len(self.monomials[0])
-        for row in self.reducer.pivot_rows.values():
-            for s in range(nvars):
-                shifted = {}
-                for c, v in row.items():
-                    m = list(self.monomials[c])
-                    m[s] += 1
-                    shifted[index[tuple(m)]] = v
-                yield shifted
-
-
 class OTPresentation:
-    """Circuit generators, l-forms, and cached graded data."""
+    """Circuits as rewriting rules into the nbc basis, l-forms, and the
+    proved bases and normal forms per degree."""
 
     def __init__(self, arr: Arrangement):
         self.arrangement = arr
         self.d = arr.d
         self.circuits = enumerate_circuits(arr)
-        self.generators = [circuit_relation(c) for c in self.circuits]
         self.l = l_forms(arr)
-        self._pieces: dict[int, GradedPiece] = {}
+        # broken circuit -> (its largest line, [(i_t, -c_t/c_k), t < k])
+        self._rules = {}
+        for c in self.circuits:
+            top = Fraction(c.coeffs[-1])
+            self._rules.setdefault(c.indices[:-1], (c.indices[-1], [
+                (i, -ct / top) for i, ct in zip(c.indices, c.coeffs[:-1])]))
+        self._sizes = sorted({len(b) for b in self._rules})
+        self._rule_of_support: dict = {}
+        self._pieces: dict[int, list] = {}
+        self._position: dict = {}        # nbc monomial -> index in its piece
+        self._nf: dict = {}
         self._mult: dict[int, list] = {}
 
-    def graded_piece(self, j: int) -> GradedPiece:
-        if j in self._pieces:
-            return self._pieces[j]
-        monos = monomials_of_degree(self.d, j)
-        index = {m: k for k, m in enumerate(monos)}
-        red = SparseReducer(len(monos))
-        if j >= 2:
-            for row in self.graded_piece(j - 1).times_variables(index):
-                red.add(row)
-            for g in self.generators:
-                if g.degree() == j:
-                    red.add({index[e]: c for e, c in g.terms.items()})
-        piece = GradedPiece(j, monos, index, red)
-        self._pieces[j] = piece
-        return piece
+    def _rule(self, m: tuple):
+        """A rule whose broken circuit lies in the support of m, or None
+        when the support is nbc."""
+        support = tuple(i for i, e in enumerate(m) if e)
+        if support not in self._rule_of_support:
+            self._rule_of_support[support] = next(
+                (self._rules[b] for k in self._sizes
+                 for b in combinations(support, k) if b in self._rules), None)
+        return self._rule_of_support[support]
+
+    def graded_piece(self, j: int) -> list:
+        """The degree-j monomials with nbc support, in `monomials_of_degree`
+        order, proved a basis of C(A)_j by an evaluation rank mod p."""
+        if j not in self._pieces:
+            basis = [m for m in monomials_of_degree(self.d, j)
+                     if self._rule(m) is None]
+            self._prove_independent(basis, j)
+            self._position.update((m, k) for k, m in enumerate(basis))
+            self._pieces[j] = basis
+        return self._pieces[j]
+
+    def _prove_independent(self, basis: list, j: int) -> None:
+        """Raise GenericityError unless, at one of five seeded draws of
+        K = len(basis) points P of F_p^3 off every line, the K x K matrix
+        of the monomials at y_k = 1/a_k(P) has rank K mod p."""
+        p, size = MODP_PRIMES[0], len(basis)
+        forms = self.arrangement.forms
+        expo = np.array(basis, dtype=np.int64)
+
+        def full_rank(points) -> bool:
+            values = [[sum(a * x for a, x in zip(f, pt)) % p for f in forms]
+                      for pt in points]
+            if any(0 in row for row in values):
+                return False
+            inv = np.array([[pow(v, -1, p) for v in row] for row in values],
+                           dtype=np.int64)
+            a = np.ones((size, size), dtype=np.int64)
+            for k in range(self.d):
+                powers = np.ones((size, j + 1), dtype=np.int64)
+                for e in range(1, j + 1):
+                    powers[:, e] = powers[:, e - 1] * inv[:, k] % p
+                a = a * powers[:, expo[:, k]] % p
+            return modp_rank(a, p) == size
+
+        rng = seeded_rng("nbc-basis:%s:%d" % (self.arrangement.name or self.d,
+                                              j))
+        draw_generic(rng, lambda r: [[r.randrange(p) for _ in range(3)]
+                                     for _ in range(size)], full_rank)
+
+    def normal_form(self, terms: dict) -> dict:
+        """The image in C(A) of sum c * y^e over `terms` {e: c}, all of one
+        degree j, as {position in graded_piece(j): coefficient}; that piece
+        must be built."""
+        out: dict = {}
+        for m, c in terms.items():
+            nf = self._nf.get(m)
+            if nf is None:
+                rule = self._rule(m)
+                if rule is None:
+                    nf = {self._position[m]: Fraction(1)}
+                else:
+                    top, steps = rule
+                    nf = self.normal_form({_shift(m, i, top): ci
+                                           for i, ci in steps})
+                self._nf[m] = nf
+            for pos, v in nf.items():
+                nv = out.get(pos, 0) + c * v
+                if nv:
+                    out[pos] = nv
+                else:
+                    out.pop(pos, None)
+        return out
 
     def multiplication_maps(self, q: int) -> list:
         """For each variable s, the map C(A)_q -> C(A)_{q+1} as a list of
         sparse columns (dict target-position -> coefficient), one column per
-        quotient basis element of degree q."""
-        if q in self._mult:
-            return self._mult[q]
-        src = self.graded_piece(q)
-        dst = self.graded_piece(q + 1)
-        maps = []
-        for s in range(self.d):
-            cols = []
-            for m in src.quotient_basis:
-                e = list(m)
-                e[s] += 1
-                cols.append(dst.reduce_vector({dst.index[tuple(e)]: Fraction(1)}))
-            maps.append(cols)
-        self._mult[q] = maps
-        return maps
+        basis monomial of degree q: the normal forms of y_s * m."""
+        if q not in self._mult:
+            src = self.graded_piece(q)
+            self.graded_piece(q + 1)
+            self._mult[q] = [
+                [self.normal_form({m[:s] + (m[s] + 1,) + m[s + 1:]: 1})
+                 for m in src] for s in range(self.d)]
+        return self._mult[q]
+
+
+def _shift(m: tuple, i: int, k: int) -> tuple:
+    """The exponent m with one unit moved from index i to index k."""
+    e = list(m)
+    e[i] -= 1
+    e[k] += 1
+    return tuple(e)
 
 
 def substitution_quotient_dim(pres: OTPresentation, j: int) -> int:
-    """dim C(A)_j, exact: the circuit relations generate I (Proudfoot-Speyer,
-    "A broken circuit ring"), so the echelon of I_j built from them in
-    `graded_piece` has the true rank and its complement is C(A)_j."""
-    return pres.graded_piece(j).quotient_dim
+    """dim C(A)_j, proved: the size of the nbc basis of `graded_piece`."""
+    return len(pres.graded_piece(j))
 
 
 # ---------------------------------------------------------------------------
@@ -166,17 +200,20 @@ def terao_series(arr: Arrangement, upto: int) -> TeraoSeries:
 
 
 # ---------------------------------------------------------------------------
-# Membership by substitution
+# Membership by normal form
 
 
 def membership(pres: OTPresentation, g: MPoly) -> bool:
-    """Exact ideal membership: homogeneous g is in I iff its pullback under
-    y_k -> l_k vanishes identically."""
+    """Exact ideal membership: homogeneous g is in I iff its normal form in
+    the proved nbc basis of its degree is zero."""
     if g.nvars != pres.d:
         raise ValueError("polynomial lives in the wrong ring")
     if not g.is_homogeneous():
         raise ValueError("membership test is per-degree; g must be homogeneous")
-    return g.compose(pres.l).is_zero()
+    if g.is_zero():
+        return True
+    pres.graded_piece(g.degree())
+    return not pres.normal_form(g.terms)
 
 
 # ---------------------------------------------------------------------------

@@ -130,7 +130,7 @@ def _mpoly2_to_binary(p: MPoly, degree: int) -> BinaryForm:
 
 
 def minors_in_ideal(pres: OTPresentation, g: MultiplicationMatrix) -> bool:
-    """Every 2x2 minor must pass the substitution membership test."""
+    """Every 2x2 minor must lie in the Orlik-Terao ideal."""
     return all(membership(pres, q) for q in g.minors() if not q.is_zero())
 
 

@@ -1,20 +1,52 @@
+import random
 from functools import lru_cache
 
 import numpy as np
 import pytest
 
 from otb.analysis import Analysis
-from otb.arrangement import Arrangement, builtin
+from otb.arrangement import Arrangement, ArrangementError, builtin
+from otb.circuits import circuit_relation, enumerate_circuits
 from otb.divisors import vanishing_condition_rows
-from otb.exact import MPoly, modp_rank, monomials_of_degree
+from otb.exact import MPoly, SparseReducer, modp_rank, monomials_of_degree
 from otb.koszul import FullEngine
 
 BUILTINS = ("braid-a3", "ex-2-4", "9_3_1", "9_3_2", "b3")
 
 
+def _random_forms(d: int, seed: int) -> list:
+    """The coordinate triangle plus lines with entries in [-2, 2]: small
+    coefficients, so the draws also meet in triple and quadruple points."""
+    rng = random.Random("oracle:%d:%d" % (d, seed))
+    forms = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    while len(forms) < d:
+        cand = tuple(rng.randint(-2, 2) for _ in range(3))
+        try:
+            Arrangement(forms + [cand])
+        except ArrangementError:
+            continue
+        forms.append(cand)
+    return forms
+
+
+# small inputs beyond the builtins, where every reference is cheap
+ORACLE_FORMS = {
+    "triangle": [(1, 0, 0), (0, 1, 0), (0, 0, 1)],
+    "four-generic": [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)],
+    # braid-a3 plus one generic line, d = 7
+    "braid-a3+1": [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, -1, 0), (1, 0, -1),
+                   (0, 1, -1), (2, 2, 1)],
+    **{"random-%d-%d" % (d, seed): _random_forms(d, seed)
+       for d in (5, 6) for seed in (1, 2, 3)},
+}
+
+
 @lru_cache(maxsize=None)
 def analysis(name):
-    """The shared Analysis of a builtin arrangement."""
+    """The shared Analysis of a builtin arrangement or of an ORACLE_FORMS
+    input."""
+    if name in ORACLE_FORMS:
+        return Analysis(Arrangement(ORACLE_FORMS[name], name=name))
     return Analysis(builtin(name))
 
 
@@ -23,6 +55,100 @@ def oracle(name):
     """The full Koszul engine of a builtin: the reference for the Artinian
     reduction that every command runs."""
     return FullEngine(analysis(name).pres)
+
+
+def compose(f, polys):
+    """f with variable i replaced by polys[i] (all in one ring)."""
+    if len(polys) != f.nvars:
+        raise ValueError("need one substitute per variable")
+    nvars = polys[0].nvars
+    # cache powers per variable
+    maxdeg = [max((e[i] for e in f.terms), default=0) for i in range(f.nvars)]
+    powers = []
+    for i, q in enumerate(polys):
+        cache = [MPoly.constant(nvars, 1)]
+        for _ in range(maxdeg[i]):
+            cache.append(cache[-1] * q)
+        powers.append(cache)
+    total = MPoly(nvars)
+    for e, c in f.terms.items():
+        term = MPoly.constant(nvars, c)
+        for i, k in enumerate(e):
+            if k:
+                term = term * powers[i][k]
+        total = total + term
+    return total
+
+
+def substitution_membership(pres, g):
+    """The membership oracle that does not use the circuits: homogeneous g
+    lies in I iff g(l_1, ..., l_d) expands to zero, since C(A) is the image
+    of y_k -> l_k = (a_1 * ... * a_d) / a_k."""
+    return compose(g, pres.l).is_zero()
+
+
+class AmbientPiece:
+    """Degree-j slice of I as an exact echelon over all monomials of R_j,
+    fed R_1 * I_{j-1} and the circuit relations of degree j.  The circuits
+    generate I, so the monomials off its pivots are a basis of C(A)_j: the
+    reference for the nbc basis and its normal forms."""
+
+    def __init__(self, monomials, reducer):
+        self.monomials = monomials
+        self.index = {m: k for k, m in enumerate(monomials)}
+        self.reducer = reducer
+        self.ideal_dim = reducer.rank
+        cols = reducer.nonpivot_columns()
+        self.quotient_basis = [monomials[c] for c in cols]
+        self._position = {c: k for k, c in enumerate(cols)}
+
+    def reduce_monomial(self, m) -> dict:
+        """The image of the monomial m in C(A)_j, over quotient positions."""
+        res = self.reducer.reduce({self.index[m]: 1})
+        return {self._position[c]: v for c, v in res.items()}
+
+    def times_variables(self, index):
+        """Each echelon row times each variable, as a sparse row over the
+        degree-(j+1) monomial `index`; together they span R_1 I_j."""
+        for row in self.reducer.pivot_rows.values():
+            for s in range(len(self.monomials[0])):
+                shifted = {}
+                for c, v in row.items():
+                    m = list(self.monomials[c])
+                    m[s] += 1
+                    shifted[index[tuple(m)]] = v
+                yield shifted
+
+
+_AMBIENT: dict = {}
+
+
+def ambient_piece(arr, j) -> AmbientPiece:
+    """The exact echelon of I_j of the arrangement, built degree by degree."""
+    key = (tuple(map(tuple, arr.forms)), j)
+    if key not in _AMBIENT:
+        monos = monomials_of_degree(arr.d, j)
+        red = SparseReducer(len(monos))
+        if j >= 2:
+            index = {m: k for k, m in enumerate(monos)}
+            for row in ambient_piece(arr, j - 1).times_variables(index):
+                red.add(row)
+            for c in enumerate_circuits(arr):
+                if c.size - 1 == j:
+                    red.add({index[e]: v for e, v
+                             in circuit_relation(c).terms.items()})
+        _AMBIENT[key] = AmbientPiece(monos, red)
+    return _AMBIENT[key]
+
+
+def cubic_generators(arr) -> int:
+    """The number of minimal cubic generators of I, dim I_3 - dim R_1 I_2,
+    by the ambient echelons."""
+    piece3 = ambient_piece(arr, 3)
+    red = SparseReducer(len(piece3.monomials))
+    for row in ambient_piece(arr, 2).times_variables(piece3.index):
+        red.add(row)
+    return piece3.ideal_dim - red.rank
 
 
 def hilbert_burch_psi(arr):

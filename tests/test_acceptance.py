@@ -59,18 +59,18 @@ def test_criterion_2_tor_and_b23():
     eng = analysis("braid-a3").engine
     t24 = tor_dimension(eng, 2, 4)
     assert t24 == 3
-    rep = b23_formula(analysis("braid-a3").pres)
+    formula = b23_formula(analysis("braid-a3").pres)
     t23 = tor_dimension(eng, 2, 3)
-    assert rep.formula_value == 2 == t23
+    assert formula == 2 == t23
     print("ACCEPTANCE 2 PASS: tor(2,4)=%d, b23 formula %d == tor(2,3)=%d"
-          % (t24, rep.formula_value, t23))
+          % (t24, formula, t23))
 
 
 def test_criterion_3_hilbert_agreement():
     for name in BUILTINS:
         pres = analysis(name).pres
         ts = terao_series(pres.arrangement, 5)
-        dims = tuple(pres.graded_piece(j).quotient_dim for j in range(6))
+        dims = tuple(len(pres.graded_piece(j)) for j in range(6))
         assert dims == ts.coefficients, name
     print("ACCEPTANCE 3 PASS: dim C(A)_j matches the Hilbert series for "
           "j <= 5 on all %d builtins" % len(BUILTINS))

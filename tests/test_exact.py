@@ -11,6 +11,8 @@ from otb.exact import (MODP_PRIMES, BinaryForm, MPoly, binary_gcd,
                        proved_rank, rank, rref, seeded_rng, solve,
                        SparseReducer, draw_generic, GenericityError)
 
+from conftest import compose
+
 
 # -- dense references, independent of SparseReducer
 
@@ -444,7 +446,7 @@ def test_mpoly_compose_and_derivative():
     f = MPoly.monomial(3, (2, 1, 0))
     u = MPoly.linear_form([1, 0])
     v = MPoly.linear_form([0, 1])
-    g = f.compose([u + v, u, MPoly.zero(2)])
+    g = compose(f, [u + v, u, MPoly.zero(2)])
     assert g == (u + v) * (u + v) * u
     assert f.derivative(0) == MPoly.monomial(3, (1, 1, 0), 2)
 

@@ -1,19 +1,19 @@
-import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
+import otb.exact
 import otb.koszul
 from otb.analysis import Analysis
-from otb.arrangement import Arrangement, ArrangementError
-from otb.exact import SparseReducer, modp_rank
+from otb.exact import MODP_PRIMES, SparseReducer, modp_rank, proved_rank
 from otb.koszul import (FullEngine, ReducedEngine, _degree3_rank,
                         _differential_columns, b23_formula, betti_table,
                         tor_dimension)
 from otb.orlik_terao import terao_series
 
-from conftest import BUILTINS, analysis, oracle
+from conftest import (BUILTINS, ORACLE_FORMS, ambient_piece, analysis,
+                      cubic_generators, oracle)
 
 
 def test_braid_table_full():
@@ -64,35 +64,9 @@ def test_reduced_agrees_with_full_on_small():
         _assert_matches_oracle(analysis(name), oracle(name))
 
 
-def _random_forms(d: int, seed: int) -> list:
-    """The coordinate triangle plus lines with entries in [-2, 2]: small
-    coefficients, so the draws also meet in triple and quadruple points."""
-    rng = random.Random("oracle:%d:%d" % (d, seed))
-    forms = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    while len(forms) < d:
-        cand = tuple(rng.randint(-2, 2) for _ in range(3))
-        try:
-            Arrangement(forms + [cand])
-        except ArrangementError:
-            continue
-        forms.append(cand)
-    return forms
-
-
-ORACLE_FORMS = {
-    "triangle": [(1, 0, 0), (0, 1, 0), (0, 0, 1)],
-    "four-generic": [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)],
-    # braid-a3 plus one generic line, d = 7
-    "braid-a3+1": [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, -1, 0), (1, 0, -1),
-                   (0, 1, -1), (2, 2, 1)],
-    **{"random-%d-%d" % (d, seed): _random_forms(d, seed)
-       for d in (5, 6) for seed in (1, 2, 3)},
-}
-
-
 @pytest.mark.parametrize("name", sorted(ORACLE_FORMS))
 def test_reduced_matches_full_oracle(name):
-    an = Analysis(Arrangement(ORACLE_FORMS[name], name=name))
+    an = analysis(name)
     _assert_matches_oracle(an, FullEngine(an.pres))
 
 
@@ -133,7 +107,7 @@ def test_no_builtin_strand_falls_back(name):
 
 
 def test_no_strand_of_the_braid_plus_one_oracle_falls_back():
-    an = Analysis(Arrangement(ORACLE_FORMS["braid-a3+1"], name="braid-a3+1"))
+    an = analysis("braid-a3+1")
     _assert_no_fallback(an.engine)
     assert an.engine.reduction_proof == "mod-p"
     _assert_no_fallback(FullEngine(an.pres))
@@ -144,9 +118,9 @@ def _degree3_rank_by_reducer(pres, theta) -> int:
     product theta_i * m, m in the basis of C_2, as a vector over C_3, fed
     to one SparseReducer."""
     maps = pres.multiplication_maps(2)
-    red = SparseReducer(pres.graded_piece(3).quotient_dim)
+    red = SparseReducer(len(pres.graded_piece(3)))
     for row in theta:
-        for k in range(pres.graded_piece(2).quotient_dim):
+        for k in range(len(pres.graded_piece(2))):
             acc = {}
             for s, a in enumerate(row):
                 for pos, v in maps[s][k].items():
@@ -164,7 +138,7 @@ def _accepted_theta(name) -> list:
 def test_degree3_rank_of_the_accepted_theta_matches_the_reducer(name):
     pres = analysis(name).pres
     theta = _accepted_theta(name)
-    c3 = pres.graded_piece(3).quotient_dim
+    c3 = len(pres.graded_piece(3))
     assert _degree3_rank(pres, theta) == (c3, "mod-p")
     assert _degree3_rank_by_reducer(pres, theta) == c3
 
@@ -175,7 +149,7 @@ def test_degree3_rank_of_every_coordinate_theta_matches_the_reducer(name):
     # quotient keeps a nonzero degree-3 piece, so the rank is not full
     pres = analysis(name).pres
     d = pres.d
-    c3 = pres.graded_piece(3).quotient_dim
+    c3 = len(pres.graded_piece(3))
     left = {}
     for triple in combinations(range(d), 3):
         theta = [[Fraction(int(j == a)) for j in range(d)] for a in triple]
@@ -192,8 +166,8 @@ def test_under_reported_degree3_rank_mod_p_still_gives_the_rank(monkeypatch):
     # come out exact, so that the same theta is accepted
     pres = analysis("9_3_1").pres
     expect = analysis("9_3_1").engine.certificate
-    c2 = pres.graded_piece(2).quotient_dim
-    c3 = pres.graded_piece(3).quotient_dim
+    c2 = len(pres.graded_piece(2))
+    c3 = len(pres.graded_piece(3))
     short = []
 
     def spy(a, p):
@@ -212,7 +186,7 @@ def test_under_reported_degree3_rank_mod_p_still_gives_the_rank(monkeypatch):
 
 def test_building_the_reduction_eliminates_nothing_over_c3(monkeypatch):
     pres = analysis("b3").pres
-    c3 = pres.graded_piece(3).quotient_dim
+    c3 = len(pres.graded_piece(3))
     sizes = []
     init = SparseReducer.__init__
 
@@ -235,6 +209,25 @@ def test_b3_lifts_exactly_its_linear_syzygies():
     assert [tb.value(i, i + 1) for i in (1, 2, 3)] == [13, 22, 1]
     assert all(how == "mod-p" for (i, q), how in proofs.items()
                if not (q == 1 and i <= 3))
+
+
+def test_proved_rank_builds_each_residue_matrix_once(monkeypatch):
+    # a strand that lifts: its columns are reduced mod each prime tried once
+    eng = analysis("b3").engine
+    cols, nrows = _differential_columns(eng.nvars, 1, eng.maps(1), eng.dim(1),
+                                        eng.dim(2))
+    cycles, _ = _differential_columns(eng.nvars, 2, eng.maps(0), eng.dim(0),
+                                      eng.dim(1))
+    primes = []
+    build = otb.exact.modp_matrix
+
+    def spy(rows, ncols, p):
+        if rows is cols:
+            primes.append(p)
+        return build(rows, ncols, p)
+    monkeypatch.setattr(otb.exact, "modp_matrix", spy)
+    assert proved_rank(cols, nrows, cycles, modp_rank)[1] == "lifted 13"
+    assert primes == [MODP_PRIMES[0]]
 
 
 def test_reduced_certificate_contents():
@@ -324,36 +317,39 @@ def test_euler_characteristic_identity():
 
 
 def test_b23_formula_braid():
-    rep = b23_formula(analysis("braid-a3").pres)
-    assert rep.formula_value == 2
-    assert rep.quadratic_only
-    assert rep.formula_value == tor_dimension(analysis("braid-a3").engine,
-                                              2, 3)
+    assert betti_table(analysis("braid-a3").engine).value(1, 3) == 0
+    assert b23_formula(analysis("braid-a3").pres) == 2 \
+        == tor_dimension(analysis("braid-a3").engine, 2, 3)
 
 
 def test_b23_formula_on_quadratic_corpus():
     # wherever the ideal is quadratic the formula matches the elimination
     for name in BUILTINS:
-        rep = b23_formula(analysis(name).pres)
-        if rep.quadratic_only:
-            eng = analysis(name).engine
-            assert rep.formula_value == tor_dimension(eng, 2, 3)
+        eng = analysis(name).engine
+        if betti_table(eng).value(1, 3) == 0:
+            assert b23_formula(analysis(name).pres) == tor_dimension(eng, 2, 3)
 
 
 def test_b23_hypothesis_fails_on_9_3():
-    rep1 = b23_formula(analysis("9_3_1").pres)
-    assert rep1.cubic_generators == 4 and not rep1.quadratic_only
-    rep2 = b23_formula(analysis("9_3_2").pres)
-    assert rep2.cubic_generators == 2 and not rep2.quadratic_only
+    assert betti_table(analysis("9_3_1").engine).value(1, 3) == 4
+    assert betti_table(analysis("9_3_2").engine).value(1, 3) == 2
 
 
 def test_b12_is_ideal_dimension():
     for name in BUILTINS:
         tb = betti_table(analysis(name).engine)
-        pres = analysis(name).pres
-        assert tb.value(1, 2) == pres.graded_piece(2).ideal_dim
-        rep = b23_formula(pres)
-        assert tb.value(1, 3) == rep.cubic_generators
+        assert tb.value(1, 2) == ambient_piece(analysis(name).arrangement,
+                                               2).ideal_dim
+
+
+@pytest.mark.parametrize("name", BUILTINS + tuple(sorted(ORACLE_FORMS)))
+def test_b13_counts_the_cubic_generators(name):
+    # b_{1,3} against dim I_3 - dim R_1 I_2 of the ambient echelons; 9_3_1
+    # has 4 cubic generators and ex-2-4 one
+    tb = betti_table(analysis(name).engine)
+    assert tb.value(1, 3) == cubic_generators(analysis(name).arrangement)
+    if name in ("9_3_1", "ex-2-4"):
+        assert tb.value(1, 3) == {"9_3_1": 4, "ex-2-4": 1}[name]
 
 
 def test_betti_render_layout():

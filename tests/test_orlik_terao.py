@@ -1,30 +1,58 @@
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from otb.circuits import circuit_relation
-from otb.exact import MPoly, mpoly_det
+import otb.orlik_terao
+from otb.circuits import circuit_relation, enumerate_circuits
+from otb.cli import run
+from otb.exact import GenericityError, MPoly, monomials_of_degree, mpoly_det
 from otb.orlik_terao import (OTPresentation, defining_polynomial,
                              gradient_degree, jacobian_containment, l_forms,
                              membership, substitution_quotient_dim,
                              terao_series)
+from otb.resonance import search_multinets
+from otb.scroll import multiplication_matrix
 
-from conftest import (BUILTINS, analysis, hilbert_burch_psi,
+from conftest import (BUILTINS, ORACLE_FORMS, ambient_piece, analysis,
+                      hilbert_burch_psi, substitution_membership,
                       substitution_rank, vanishing_order)
+
+REFERENCE_CASES = BUILTINS + tuple(sorted(ORACLE_FORMS))
 
 HILBERT_BURCH_CASES = ("ex-2-4", "braid-a3", "9_3_1")
 
 
 def test_ideal_dims_braid():
     pres = analysis("braid-a3").pres
-    assert pres.graded_piece(1).ideal_dim == 0
-    assert pres.graded_piece(2).ideal_dim == 4
-    assert pres.graded_piece(2).quotient_dim == 17
+    assert ambient_piece(pres.arrangement, 1).ideal_dim == 0
+    assert ambient_piece(pres.arrangement, 2).ideal_dim == 4
+    assert len(pres.graded_piece(2)) == 17
 
 
 def test_ideal_dims_9_3_1():
     pres = analysis("9_3_1").pres
-    assert pres.graded_piece(2).ideal_dim == 9
-    assert pres.graded_piece(1).quotient_dim == 9
-    assert pres.graded_piece(2).quotient_dim == 36
+    assert ambient_piece(pres.arrangement, 2).ideal_dim == 9
+    assert len(pres.graded_piece(1)) == 9
+    assert len(pres.graded_piece(2)) == 36
+
+
+@pytest.mark.parametrize("name", REFERENCE_CASES)
+def test_nbc_basis_is_the_complement_of_the_ambient_echelon(name):
+    pres = analysis(name).pres
+    for j in range(5):
+        assert pres.graded_piece(j) \
+            == ambient_piece(pres.arrangement, j).quotient_basis, j
+
+
+@pytest.mark.parametrize("name", REFERENCE_CASES)
+def test_multiplication_maps_are_the_reduced_columns(name):
+    pres = analysis(name).pres
+    for q in range(4):
+        src = ambient_piece(pres.arrangement, q).quotient_basis
+        dst = ambient_piece(pres.arrangement, q + 1)
+        expect = [[dst.reduce_monomial(m[:s] + (m[s] + 1,) + m[s + 1:])
+                   for m in src] for s in range(pres.d)]
+        assert pres.multiplication_maps(q) == expect, q
 
 
 def test_terao_series_braid():
@@ -52,7 +80,7 @@ def test_hilbert_agreement_small():
         pres = analysis(name).pres
         ts = terao_series(pres.arrangement, 5)
         for j in range(6):
-            assert pres.graded_piece(j).quotient_dim == ts.coefficients[j]
+            assert len(pres.graded_piece(j)) == ts.coefficients[j]
 
 
 def test_membership_of_circuit_relations():
@@ -66,6 +94,50 @@ def test_membership_rejects_square():
     pres = analysis("braid-a3").pres
     y1sq = MPoly.monomial(6, (2, 0, 0, 0, 0, 0))
     assert not membership(pres, y1sq)
+
+
+@pytest.mark.parametrize("name", ["braid-a3", "9_3_1"])
+def test_membership_matches_substitution_on_net_minors(name):
+    # the two builtins that carry a net; an nbc monomial added to a member
+    # is a non-member
+    pres = analysis(name).pres
+    net = search_multinets(pres.arrangement, 3, 1)[0]
+    minors = [q for q in multiplication_matrix(pres, net).minors()
+              if not q.is_zero()]
+    assert minors
+    off = MPoly.monomial(pres.d, pres.graded_piece(2)[-1])
+    for q in minors:
+        assert membership(pres, q) and substitution_membership(pres, q)
+        assert not membership(pres, q + off)
+        assert not substitution_membership(pres, q + off)
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(name=st.sampled_from(("braid-a3", "ex-2-4", "b3")), data=st.data())
+def test_membership_matches_substitution_on_drawn_sums(name, data):
+    # sum of monomial * circuit relation, with or without one nbc monomial
+    pres = analysis(name).pres
+    deg = data.draw(st.integers(2, 3), label="degree")
+    fitting = [c for c in pres.circuits if c.size - 1 <= deg]
+    if not fitting:
+        return
+    g = MPoly.zero(pres.d)
+    for _ in range(data.draw(st.integers(1, 3), label="terms")):
+        c = data.draw(st.sampled_from(fitting), label="circuit")
+        expo = [0] * pres.d
+        for v in data.draw(st.lists(st.integers(0, pres.d - 1),
+                                    min_size=deg - c.size + 1,
+                                    max_size=deg - c.size + 1), label="vars"):
+            expo[v] += 1
+        coeff = data.draw(st.integers(-3, 3), label="coefficient")
+        g = g + MPoly.monomial(pres.d, expo, coeff) * circuit_relation(c)
+    member = data.draw(st.booleans(), label="member")
+    if not member:
+        basis = pres.graded_piece(deg)
+        k = data.draw(st.integers(0, len(basis) - 1), label="nbc monomial")
+        g = g + MPoly.monomial(pres.d, basis[k])
+    assert membership(pres, g) == substitution_membership(pres, g) == member
 
 
 def test_membership_requires_homogeneous():
@@ -169,8 +241,42 @@ def test_hilbert_function_meets_substitution_rank():
                 == substitution_rank(pres.arrangement, j), (name, j)
 
 
-def test_substitution_rank_sees_a_dropped_generator():
+def _drop_first_circuit(monkeypatch):
+    """Present C(A) without its first circuit, a quadric."""
+    monkeypatch.setattr(otb.orlik_terao, "enumerate_circuits",
+                        lambda arr: enumerate_circuits(arr)[1:])
+
+
+def test_substitution_rank_sees_a_dropped_generator(monkeypatch):
+    # without one quadric 86 cubic monomials avoid the remaining broken
+    # circuits, but the substitution rank, and the proof, see only 82
+    _drop_first_circuit(monkeypatch)
     pres = OTPresentation(analysis("9_3_1").arrangement)
-    pres.generators.pop(0)                  # a quadric
-    assert pres.graded_piece(3).quotient_dim == 86
+    broken = [c.indices[:-1] for c in pres.circuits]
+    assert sum(not any(all(m[i] for i in b) for b in broken)
+               for m in monomials_of_degree(pres.d, 3)) == 86
     assert substitution_rank(pres.arrangement, 3) == 82
+    with pytest.raises(GenericityError):
+        pres.graded_piece(3)
+
+
+def test_a_dropped_circuit_makes_ot_hilbert_exit_2(monkeypatch, capsys):
+    _drop_first_circuit(monkeypatch)
+    assert run(["ot-hilbert", "--builtin", "9_3_1"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("verification failed: ")
+
+
+def test_a_short_evaluation_rank_exhausts_the_draws(monkeypatch):
+    shapes = []
+
+    def spy(a, p):
+        shapes.append(a.shape)
+        return a.shape[1] - 1
+    monkeypatch.setattr(otb.orlik_terao, "modp_rank", spy)
+    pres = OTPresentation(analysis("9_3_1").arrangement)
+    with pytest.raises(GenericityError):
+        pres.graded_piece(2)
+    assert shapes == [(36, 36)] * 5
+

@@ -1,5 +1,6 @@
 import pytest
 from fractions import Fraction
+from math import comb
 
 from otb.exact import MPoly
 from otb.koszul import tor_dimension
@@ -81,7 +82,7 @@ def test_minors_in_ideal_and_span():
     a, _, g = _gamma("braid-a3")
     assert minors_in_ideal(analysis("braid-a3").pres, g)
     assert minor_span_dimension(a, g) == 3
-    assert analysis("braid-a3").pres.graded_piece(2).ideal_dim == 4
+    assert comb(7, 2) - len(analysis("braid-a3").pres.graded_piece(2)) == 4
 
 
 def test_minors_in_ideal_9_3_1():
