@@ -354,11 +354,11 @@ def _is_cycle(icols: list, vec: dict) -> bool:
     return not any(acc.values())
 
 
-def _lift_cycles(cols, icols: list, rows: list, pivots: list,
-                 known: np.ndarray, p: int) -> int | None:
-    """Lift kernel vectors of the matrix with sparse columns `cols` to Q,
-    verify each exactly, and return how many were lifted, or None when the
-    primes run out first.
+def _lift_cycles(cols, icols: list, rows: list, pivots: list, targets: list,
+                 p: int) -> bool:
+    """Lift one kernel vector of the matrix with sparse columns `cols` to Q
+    for each free column in `targets`, verify each exactly, and return
+    whether all were lifted before the primes ran out.
 
     `rows` and `pivots` come from `_echelon_mod_p` on the columns taken as
     rows: the columns `rows` are a basis mod p of the column space, and
@@ -366,15 +366,8 @@ def _lift_cycles(cols, icols: list, rows: list, pivots: list,
     free column f is one outside `rows`.  Its vector is 1 at f, 0 at the
     other free columns, and on `rows` the unique solution of that square
     block; residues at further primes are combined by CRT and rational
-    reconstruction until every vector passes `_is_cycle`.  Only the free
-    columns that the `known` cycles mod p leave uncovered get a vector, and
-    on the free columns these vectors are unit vectors there, so the known
-    and lifted cycles together span as much as the kernel mod p.
+    reconstruction until every vector passes `_is_cycle`.
     """
-    in_rows = set(rows)
-    free = [c for c in range(len(cols)) if c not in in_rows]
-    covered = set(_echelon_mod_p(known[:, free], p)[1])
-    targets = [f for j, f in enumerate(free) if j not in covered]
     r = len(rows)
     at = {c: t for t, c in enumerate(pivots)}
     square = [{at[c]: v for c, v in cols[k].items() if c in at}
@@ -401,24 +394,27 @@ def _lift_cycles(cols, icols: list, rows: list, pivots: list,
                 _is_cycle(icols, {f: 1, **{k: v for k, v in zip(rows, vec)
                                           if v}})
                 for f, vec in zip(targets, vecs)):
-            return len(targets)
-    return None
+            return True
+    return False
 
 
-def proved_rank(cols, nrows: int, cycles, rank_mod_p) -> tuple[int, str]:
+def proved_rank(cols, nrows: int, cycles) -> tuple[int, str]:
     """Rank over Q of the matrix with sparse columns `cols` ({row: value}
     over `nrows` rows), proved by two equal bounds, and how it was proved.
 
-    The lower bound is `rank_mod_p(a, p)` (the callers pass `modp_rank`)
-    at the first prime of MODP_PRIMES that divides no denominator.  The
-    upper bound is the number of columns minus the dimension of a space of
+    At the first prime of MODP_PRIMES that divides no denominator, the
+    residues of the columns, taken as rows, are echeloned once, in place;
+    the number of pivots, the rank mod p, is the lower bound.  The upper
+    bound is the number of columns minus the dimension of a space of
     exactly verified kernel vectors: the given `cycles` ({column: value}
     each, checked with one exact product; a non-cycle raises
     ArithmeticError) and, where they fall short of the kernel mod p,
-    cycles lifted by `_lift_cycles`.  Those cover the kernel of the echelon
-    mod p that the lifting starts from, so its number of pivots, itself a
-    rank mod p, is then both bounds; a `rank_mod_p` that reports less only
-    costs the lift.  Returns (rank, how) with how
+    cycles lifted by `_lift_cycles`.  A kernel vector mod p is determined
+    by its free coordinates (the columns that are not pivot rows), so one
+    echelon of the cycles restricted to those both measures them against
+    the kernel mod p and names the free columns left to lift; the known
+    and lifted cycles then span as much as the kernel mod p, and the two
+    bounds meet.  Returns (rank, how) with how
 
       "mod-p"     the given cycles close the gap by themselves;
       "lifted k"  k lifted cycles were needed as well;
@@ -435,13 +431,15 @@ def proved_rank(cols, nrows: int, cycles, rank_mod_p) -> tuple[int, str]:
             a = modp_matrix(cols, nrows, p)
         except BadPrime:
             continue
-        lower = rank_mod_p(a, p)
-        if lower == ncols or ncols - lower == rank_mod_p(known, p):
-            return lower, "mod-p"
         rows, pivots = _echelon_mod_p(a, p)
-        lifted = _lift_cycles(cols, icols, rows, pivots, known, p)
-        if lifted is not None:
-            return len(rows), "lifted %d" % lifted
+        in_rows = set(rows)
+        free = [c for c in range(ncols) if c not in in_rows]
+        covered = set(_echelon_mod_p(known[:, free], p)[1])
+        if len(covered) == len(free):
+            return len(rows), "mod-p"
+        targets = [f for j, f in enumerate(free) if j not in covered]
+        if _lift_cycles(cols, icols, rows, pivots, targets, p):
+            return len(rows), "lifted %d" % len(targets)
         break
     red = SparseReducer(nrows)
     for col in cols:

@@ -18,12 +18,21 @@ theta C_2 inside C_3, proved by `exact.proved_rank` at mod-p cost (with
 its `SparseReducer` fallback); `reduction_proof` records how.  So every
 strand with j - i >= 3 is zero by the certificate itself.
 
-Every strand rank, in both engines, is proved by `exact.proved_rank`: the
-rank mod one prime bounds it from below, and exactly verified cycles bound
-it from above.  The columns of the incoming differential are cycles, since
-d o d = 0; where they fall short of the kernel mod p, kernel vectors are
-lifted to Q and checked.  `rank_proofs` records, per strand, "mod-p",
-"lifted k" or "exact" (the fallback elimination over Q).
+Every strand rank that is computed, in both engines, is proved by
+`exact.proved_rank`: the rank mod one prime bounds it from below, and
+exactly verified cycles bound it from above.  The columns of the incoming
+differential are cycles, since d o d = 0; where they fall short of the
+kernel mod p, kernel vectors are lifted to Q and checked.
+
+The reduced engine also stops at the end of the linear strand.  Its ideal
+holds no linear forms (the quotient has dims (1, d-3, h_2, 0)), so
+b_{k,k+1} = 0 implies b_{k+1,k+2} = 0 (Eisenbud, The Geometry of Syzygies,
+2005).  Once homology(k, 1) has come out 0, B_i = Wedge^i V (x) C_1 ->
+Wedge^{i-1} V (x) C_2 for i > k is exact at its source, so its rank is
+C(d-3, i)(d-3) minus the rank into it, and row 2, b_{i-1,i+1} =
+C(d-3, i-1) h_2 - rank B_i, follows without ranking B_i.  `rank_proofs`
+records, per strand, "mod-p", "lifted k", "exact" (the fallback
+elimination over Q) or "linear strand" (forced).
 
 `FullEngine` is the Koszul complex on all d variables of C(A), literally.
 At d = 9 its strands exceed 10000 x 4500, so the program never runs it;
@@ -37,8 +46,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .exact import (SparseReducer, draw_generic, modp_rank, proved_rank,
-                    rref, seeded_rng)
+from .exact import SparseReducer, draw_generic, proved_rank, rref, seeded_rng
 from .orlik_terao import OTPresentation, terao_series
 
 
@@ -100,7 +108,7 @@ def _degree3_rank(pres: OTPresentation, theta) -> tuple[int, str]:
     for r, row in enumerate(rows):
         for c, v in row.items():
             cols[c][r] = v
-    return proved_rank(cols, len(rows), [], modp_rank)
+    return proved_rank(cols, len(rows), [])
 
 
 # ---------------------------------------------------------------------------
@@ -125,16 +133,25 @@ class _Engine:
     def maps(self, q: int):
         raise NotImplementedError
 
+    def _past_linear_strand(self, i: int, q: int) -> bool:
+        return False
+
     def rank_of_differential(self, i: int, q: int) -> int:
         """rank of Wedge^i (x) C_q -> Wedge^{i-1} (x) C_{q+1}, proved by
         `proved_rank`, with the columns of the map into Wedge^i (x) C_q as
-        the known cycles (d o d = 0); `rank_proofs` records how."""
+        the known cycles (d o d = 0), or forced where the linear strand has
+        ended; `rank_proofs` records how."""
         key = (i, q)
         if key in self._rank_cache:
             return self._rank_cache[key]
         c_src, c_dst = self.dim(q), self.dim(q + 1)
         if i <= 0 or i > self.nvars or c_src == 0 or c_dst == 0:
             r = 0
+        elif self._past_linear_strand(i, q):
+            # b_{i,i+1} = 0: the strand is exact at Wedge^i (x) C_1
+            r = (comb(self.nvars, i) * c_src
+                 - self.rank_of_differential(i + 1, q - 1))
+            self.rank_proofs[key] = "linear strand"
         else:
             cols, nrows = _differential_columns(
                 self.nvars, i, self.maps(q), c_src, c_dst)
@@ -143,8 +160,7 @@ class _Engine:
                 cycles, _ = _differential_columns(
                     self.nvars, i + 1, self.maps(q - 1), self.dim(q - 1),
                     c_src)
-            r, self.rank_proofs[key] = proved_rank(cols, nrows, cycles,
-                                                   modp_rank)
+            r, self.rank_proofs[key] = proved_rank(cols, nrows, cycles)
         self._rank_cache[key] = r
         return r
 
@@ -183,6 +199,7 @@ class ReducedEngine(_Engine):
 
     def __init__(self, pres: OTPresentation):
         super().__init__(pres, pres.d - 3)
+        self._row1_zero: int | None = None  # least i >= 1 with b_{i,i+1} = 0
         self._build()
 
     def _build(self):
@@ -258,6 +275,19 @@ class ReducedEngine(_Engine):
     def maps(self, q: int):
         return self._maps[q]
 
+    def homology(self, i: int, s: int) -> int:
+        h = super().homology(i, s)
+        if s == 1 and i >= 1 and h == 0:
+            self._row1_zero = min(i, self._row1_zero or i)
+        return h
+
+    def _past_linear_strand(self, i: int, q: int) -> bool:
+        """Whether B_i = rank_of_differential(i, 1) is forced: its ideal
+        holds no linear forms, so once b_{k,k+1} = 0 has been proved, the
+        linear strand has ended and b_{i,i+1} = 0 for every i > k."""
+        return (q == 1 and self._row1_zero is not None
+                and i > self._row1_zero)
+
 
 # ---------------------------------------------------------------------------
 # Public results
@@ -310,7 +340,9 @@ class BettiTable:
 def tor_dimension(eng: _Engine, i: int, j: int) -> int:
     """dim Tor_i(C(A), k)_j.  Under the reduced engine the values with
     j - i >= 3 or i > d-3 are zero by its certificate, without
-    elimination."""
+    elimination, and a strand past the end of the linear strand is forced
+    once an earlier b_{k,k+1} = 0 has been computed; no strand is ranked
+    only to find that end."""
     if not (0 <= i <= eng.pres.d):
         raise ValueError("homological index out of range")
     if j < i:
@@ -322,7 +354,9 @@ def tor_dimension(eng: _Engine, i: int, j: int) -> int:
 
 def betti_table(eng: _Engine, verify_regularity: bool = False) -> BettiTable:
     """All graded Betti numbers b_{i,i+s}, s = 1, 2, for i up to the
-    engine's number of variables.
+    engine's number of variables, in increasing i: under the reduced
+    engine, B_i is ranked only until row 1 has met its first zero, and
+    row 2 past it is read off the forced ranks.
 
     verify_regularity also records the strand-3 homology for
     i <= min(4, nvars).  Under the reduced engine these zeros are not a

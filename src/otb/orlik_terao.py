@@ -65,6 +65,10 @@ class OTPresentation:
             self._rules.setdefault(c.indices[:-1], (c.indices[-1], [
                 (i, -ct / top) for i, ct in zip(c.indices, c.coeffs[:-1])]))
         self._sizes = sorted({len(b) for b in self._rules})
+        # the broken circuits as bit masks, grouped by their largest line
+        self._broken_by_top: list[list] = [[] for _ in range(self.d)]
+        for b in self._rules:
+            self._broken_by_top[b[-1]].append(sum(1 << i for i in b))
         self._rule_of_support: dict = {}
         self._pieces: dict[int, list] = {}
         self._position: dict = {}        # nbc monomial -> index in its piece
@@ -85,12 +89,36 @@ class OTPresentation:
         """The degree-j monomials with nbc support, in `monomials_of_degree`
         order, proved a basis of C(A)_j by an evaluation rank mod p."""
         if j not in self._pieces:
-            basis = [m for m in monomials_of_degree(self.d, j)
-                     if self._rule(m) is None]
+            basis = self._nbc_monomials(j)
             self._prove_independent(basis, j)
             self._position.update((m, k) for k, m in enumerate(basis))
             self._pieces[j] = basis
         return self._pieces[j]
+
+    def _nbc_monomials(self, j: int) -> list:
+        """The degree-j monomials with nbc support, in `monomials_of_degree`
+        order, generated directly: an exponent prefix is cut as soon as its
+        support holds a broken circuit."""
+        d, out = self.d, []
+
+        def rec(prefix: tuple, support: int, remaining: int) -> None:
+            i = len(prefix)
+            if not remaining:
+                out.append(prefix + (0,) * (d - i))
+                return
+            grown = support | 1 << i
+            nbc = not any(b & grown == b for b in self._broken_by_top[i])
+            if i == d - 1:
+                if nbc:
+                    out.append(prefix + (remaining,))
+                return
+            if nbc:
+                for e in range(remaining, 0, -1):
+                    rec(prefix + (e,), grown, remaining - e)
+            rec(prefix + (0,), support, remaining)
+
+        rec((), 0, j)
+        return out
 
     def _prove_independent(self, basis: list, j: int) -> None:
         """Raise GenericityError unless, at one of five seeded draws of

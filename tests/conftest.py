@@ -87,6 +87,13 @@ def substitution_membership(pres, g):
     return compose(g, pres.l).is_zero()
 
 
+def nbc_by_filter(pres, j) -> list:
+    """The degree-j monomials with nbc support, found by filtering all
+    C(d+j-1, j) monomials of degree j: the reference for their direct
+    generation in `OTPresentation.graded_piece`."""
+    return [m for m in monomials_of_degree(pres.d, j) if pres._rule(m) is None]
+
+
 class AmbientPiece:
     """Degree-j slice of I as an exact echelon over all monomials of R_j,
     fed R_1 * I_{j-1} and the circuit relations of degree j.  The circuits

@@ -195,8 +195,8 @@ def test_engine_failure_is_a_verification_failure(exc, monkeypatch, capsys):
 
 def test_planted_non_cycle_is_a_verification_failure(monkeypatch, capsys):
     # a strand whose known cycles include a vector outside the kernel
-    def planted(cols, nrows, cycles, rank_mod_p):
-        return proved_rank(cols, nrows, list(cycles) + [{0: 1}], rank_mod_p)
+    def planted(cols, nrows, cycles):
+        return proved_rank(cols, nrows, list(cycles) + [{0: 1}])
     monkeypatch.setattr(otb.koszul, "proved_rank", planted)
     code, out, err = _capture(capsys, ["betti", "--builtin", "braid-a3"])
     assert code == 2 and out == ""

@@ -248,7 +248,7 @@ def test_proved_rank_matches_reducer(shape, given):
         rows = sparse_matrix(rng, nr, nc, shape)
         cycles = some_cycles(rng, rows) if given == "cycles" else []
         cols = columns(rows)
-        r, how = proved_rank(cols, nr, cycles, modp_rank)
+        r, how = proved_rank(cols, nr, cycles)
         assert r == rank(rows), (shape, rows)
         assert how == "mod-p" or how.startswith("lifted "), how
 
@@ -258,7 +258,7 @@ def test_proved_rank_needs_no_lift_with_the_whole_kernel():
     rows = sparse_matrix(rng, 10, 10, "deficient")
     cycles = [{k: x for k, x in enumerate(v) if x}
               for v in kernel_basis(rows)]
-    assert proved_rank(columns(rows), 10, cycles, modp_rank) == (
+    assert proved_rank(columns(rows), 10, cycles) == (
         rank(rows), "mod-p")
 
 
@@ -279,7 +279,7 @@ def test_lifting_matrix_needs_lifting():
     rows = needs_lifting()
     assert rank(rows) == 3
     assert any(x.denominator > 1 for v in kernel_basis(rows) for x in v)
-    assert proved_rank(columns(rows), 5, [], modp_rank) == (3, "lifted 4")
+    assert proved_rank(columns(rows), 5, []) == (3, "lifted 4")
 
 
 def test_planted_non_cycle_raises():
@@ -289,18 +289,18 @@ def test_planted_non_cycle_raises():
     bad = {0: Fraction(1)}                       # column 0 is nonzero
     assert cols[0]
     with pytest.raises(ArithmeticError):
-        proved_rank(cols, len(rows), good + [bad], modp_rank)
+        proved_rank(cols, len(rows), good + [bad])
     # a multiple of a true cycle plus a tiny error is caught as well
     off = dict(good[0])
     off[min(off)] += Fraction(1, 10 ** 30)
     with pytest.raises(ArithmeticError):
-        proved_rank(cols, len(rows), [off], modp_rank)
+        proved_rank(cols, len(rows), [off])
 
 
 def test_corrupted_lift_falls_back_to_the_same_rank(monkeypatch):
     rows = needs_lifting()
     cols = columns(rows)
-    r, how = proved_rank(cols, len(rows), [], modp_rank)
+    r, how = proved_rank(cols, len(rows), [])
     assert how.startswith("lifted ")
     reconstruct = otb.exact._reconstruct
 
@@ -310,7 +310,7 @@ def test_corrupted_lift_falls_back_to_the_same_rank(monkeypatch):
             vecs[0][0] += 1
         return vecs
     monkeypatch.setattr(otb.exact, "_reconstruct", corrupt)
-    assert proved_rank(cols, len(rows), [], modp_rank) == (r, "exact")
+    assert proved_rank(cols, len(rows), []) == (r, "exact")
     assert r == rank(rows)
 
 
@@ -319,38 +319,29 @@ def test_rank_drop_at_the_first_prime_still_gives_the_rational_rank():
     # det = p: rank 2 over Q, rank 1 mod p
     cols = [{0: Fraction(p), 1: Fraction(1)}, {1: Fraction(1)}]
     assert modp_rank(modp_matrix(cols, 2, p), p) == 1
-    assert proved_rank(cols, 2, [], modp_rank)[0] == 2
+    assert proved_rank(cols, 2, [])[0] == 2
     # the same inside a larger matrix whose other columns need lifting
     rows = needs_lifting()
     rows = [row + [Fraction(0)] for row in rows] + [[Fraction(0)] * 7
                                                     + [Fraction(p)]]
     cols = columns(rows)
-    assert proved_rank(cols, len(rows), [], modp_rank)[0] == rank(rows)
+    assert proved_rank(cols, len(rows), [])[0] == rank(rows)
 
 
-def test_an_under_reported_rank_mod_p_still_gives_the_rank():
-    # a lower bound one short only costs the lift: the echelon mod p that
-    # the lift starts from closes the proof
-    def short(a, p):
-        return max(modp_rank(a, p) - 1, 0)
-    rows = needs_lifting()
-    assert proved_rank(columns(rows), 5, [], short) == (3, "lifted 4")
-    full = [[1, 2], [3, 4], [5, 7]]
-    assert proved_rank(columns(full), 3, [], short) == (2, "lifted 0")
-
-
-def test_bad_prime_is_skipped():
+def test_bad_prime_is_skipped(monkeypatch):
     p0, p1 = MODP_PRIMES[:2]
     primes = []
+    echelon = otb.exact._echelon_mod_p
 
     def spy(a, p):
         primes.append(p)
-        return modp_rank(a, p)
+        return echelon(a, p)
     # a denominator divisible by the first prime: the lower bound moves on
     rows = needs_lifting()
     rows[0][0] = Fraction(1, p0)
     cols = columns(rows)
-    r, how = proved_rank(cols, len(rows), [], spy)
+    monkeypatch.setattr(otb.exact, "_echelon_mod_p", spy)
+    r, how = proved_rank(cols, len(rows), [])
     assert primes[0] == p1 and r == rank(rows)
     assert how.startswith("lifted ")
     # column 0 divided by the second prime: the lifted vectors then carry
@@ -359,7 +350,7 @@ def test_bad_prime_is_skipped():
     rows = [[x / p1 if j == 0 else x for j, x in enumerate(row)]
             for row in needs_lifting()]
     cols = columns(rows)
-    assert proved_rank(cols, len(rows), [], modp_rank) == (3, "lifted 4")
+    assert proved_rank(cols, len(rows), []) == (3, "lifted 4")
 
 
 def test_kernel_identity_empty():

@@ -1,12 +1,14 @@
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
 
 import otb.exact
 import otb.koszul
 from otb.analysis import Analysis
-from otb.exact import MODP_PRIMES, SparseReducer, modp_rank, proved_rank
+from otb.arrangement import Arrangement
+from otb.exact import MODP_PRIMES, SparseReducer, proved_rank
 from otb.koszul import (FullEngine, ReducedEngine, _degree3_rank,
                         _differential_columns, b23_formula, betti_table,
                         tor_dimension)
@@ -96,7 +98,8 @@ def _assert_no_fallback(eng):
     betti_table(eng, verify_regularity=True)
     assert eng.rank_proofs
     for key, how in eng.rank_proofs.items():
-        assert how == "mod-p" or how.startswith("lifted "), (key, how)
+        assert how in ("mod-p", "linear strand") \
+            or how.startswith("lifted "), (key, how)
 
 
 @pytest.mark.parametrize("name", BUILTINS)
@@ -161,29 +164,6 @@ def test_degree3_rank_of_every_coordinate_theta_matches_the_reducer(name):
         assert left[(0, 1, 2)] == 7
 
 
-def test_under_reported_degree3_rank_mod_p_still_gives_the_rank(monkeypatch):
-    # a rank mod p one short at the degree-3 matrix: the rank must still
-    # come out exact, so that the same theta is accepted
-    pres = analysis("9_3_1").pres
-    expect = analysis("9_3_1").engine.certificate
-    c2 = len(pres.graded_piece(2))
-    c3 = len(pres.graded_piece(3))
-    short = []
-
-    def spy(a, p):
-        r = modp_rank(a, p)
-        if a.shape == (c3, 3 * c2):
-            short.append(p)
-            return r - 1
-        return r
-    monkeypatch.setattr(otb.koszul, "modp_rank", spy)
-    eng = ReducedEngine(pres)
-    assert short
-    assert eng.certificate == expect
-    assert eng.reduction_proof == "lifted 0"
-    assert _degree3_rank(pres, _accepted_theta("9_3_1"))[0] == c3
-
-
 def test_building_the_reduction_eliminates_nothing_over_c3(monkeypatch):
     pres = analysis("b3").pres
     c3 = len(pres.graded_piece(3))
@@ -206,9 +186,96 @@ def test_b3_lifts_exactly_its_linear_syzygies():
     proofs = eng.rank_proofs
     assert {i: proofs[(i, 1)] for i in (1, 2, 3)} == {
         1: "lifted 13", 2: "lifted 22", 3: "lifted 1"}
-    assert [tb.value(i, i + 1) for i in (1, 2, 3)] == [13, 22, 1]
-    assert all(how == "mod-p" for (i, q), how in proofs.items()
-               if not (q == 1 and i <= 3))
+    assert [tb.value(i, i + 1) for i in (1, 2, 3, 4)] == [13, 22, 1, 0]
+    # b_{4,5} = 0 ends the linear strand: B_5 and B_6 are not ranked
+    assert {i: proofs[(i, 1)] for i in (4, 5, 6)} == {
+        4: "mod-p", 5: "linear strand", 6: "linear strand"}
+    assert all(how == "mod-p" for (i, q), how in proofs.items() if q != 1)
+
+
+# the generic lines that bench/inputs.extended_forms adds to b3 with
+# Random("b3+4:0"); each meets the others and b3 in double points only
+B3_EXTRA = [(3, 4, -2), (4, 2, 1), (-4, 3, -2), (2, -1, 4)]
+
+
+def _b3_plus(k: int) -> Analysis:
+    forms = list(analysis("b3").arrangement.forms) + B3_EXTRA[:k]
+    return Analysis(Arrangement(forms, name="b3+%d" % k))
+
+
+def _forced_strands(eng) -> set:
+    """After `betti_table`, the i of every B_i that the linear strand
+    forced, each checked against the reducer."""
+    betti_table(eng)
+    forced = {key for key, how in eng.rank_proofs.items()
+              if how == "linear strand"}
+    for (i, q) in forced:
+        assert q == 1
+        assert eng.rank_of_differential(i, q) == \
+            _strand_rank_by_reducer(eng, i, q), (i, q)
+    return {i for (i, _) in forced}
+
+
+# where row 1 ends, B_i is forced for i past the end and up to d - 3; on
+# braid-a3 it ends at d - 3 = 3, and B_4 = 0 stays untagged
+FORCED = {"9_3_1": {4, 5, 6}, "9_3_2": {3, 4, 5, 6}, "b3": {5, 6},
+          "braid-a3+1": {4}, "random-6-1": {3}, "random-6-3": {3}}
+
+
+@pytest.mark.parametrize("name", BUILTINS + tuple(sorted(ORACLE_FORMS)))
+def test_linear_strand_ranks_match_the_reducer(name):
+    assert _forced_strands(ReducedEngine(analysis(name).pres)) == \
+        FORCED.get(name, set())
+
+
+def test_linear_strand_ranks_of_b3_plus_a_line_match_the_reducer():
+    assert _forced_strands(_b3_plus(1).engine) == {5, 6, 7}
+
+
+def test_betti_on_b3_ranks_no_strand_past_the_linear_strand(monkeypatch):
+    # B_i for i >= 5 maps Wedge^i V (x) C_1 with C(6, i) * 6 columns
+    eng = ReducedEngine(analysis("b3").pres)
+    shapes = []
+    prove = otb.koszul.proved_rank
+
+    def spy(cols, nrows, cycles):
+        shapes.append((len(cols), nrows))
+        return prove(cols, nrows, cycles)
+    monkeypatch.setattr(otb.koszul, "proved_rank", spy)
+    tb = betti_table(eng)
+    h2 = eng.dim(2)
+    assert shapes
+    assert not {(comb(6, i) * 6, comb(6, i - 1) * h2)
+                for i in (5, 6)} & set(shapes)
+    assert (comb(6, 4) * 6, comb(6, 3) * h2) in shapes
+    assert [tb.value(i, i + 2) for i in (4, 5)] == [85, 42]
+
+
+def test_tor_23_alone_ranks_only_its_two_strands(monkeypatch):
+    # scroll-check asks for b_{2,3} only: no stop is known yet, so exactly
+    # the two strands of homology(2, 1) are ranked, and B_1 is not
+    eng = ReducedEngine(analysis("9_3_1").pres)
+    calls = []
+    prove = otb.koszul.proved_rank
+
+    def spy(cols, nrows, cycles):
+        calls.append((len(cols), nrows))
+        return prove(cols, nrows, cycles)
+    monkeypatch.setattr(otb.koszul, "proved_rank", spy)
+    assert tor_dimension(eng, 2, 3) == 2
+    assert eng.rank_proofs == {(2, 1): "lifted 2", (3, 0): "mod-p"}
+    assert len(calls) == 2
+
+
+def test_b3_plus_four_lines_table_is_pinned():
+    # d = 13: the table of the literal computation, every strand ranked
+    tb = betti_table(_b3_plus(4).engine)
+    assert [tb.value(i, i + 1) for i in range(1, 4)] == [13, 22, 1]
+    assert [tb.value(i, i + 2) for i in range(1, 11)] == [
+        112, 901, 3192, 6510, 8604, 7665, 4600, 1791, 410, 42]
+    assert tb.totals() == [1, 125, 923, 3193, 6510, 8604, 7665, 4600, 1791,
+                           410, 42]
+    assert len(tb.entries) == 13
 
 
 def test_proved_rank_builds_each_residue_matrix_once(monkeypatch):
@@ -226,8 +293,29 @@ def test_proved_rank_builds_each_residue_matrix_once(monkeypatch):
             primes.append(p)
         return build(rows, ncols, p)
     monkeypatch.setattr(otb.exact, "modp_matrix", spy)
-    assert proved_rank(cols, nrows, cycles, modp_rank)[1] == "lifted 13"
+    assert proved_rank(cols, nrows, cycles)[1] == "lifted 13"
     assert primes == [MODP_PRIMES[0]]
+
+
+def test_proved_rank_echelons_each_residue_matrix_once(monkeypatch):
+    # the same strand: one echelon of its residue matrix and one of the
+    # known cycles, which serves both the mod-p test and the lift
+    eng = analysis("b3").engine
+    cols, nrows = _differential_columns(eng.nvars, 1, eng.maps(1), eng.dim(1),
+                                        eng.dim(2))
+    cycles, _ = _differential_columns(eng.nvars, 2, eng.maps(0), eng.dim(0),
+                                      eng.dim(1))
+    shapes = []
+    echelon = otb.exact._echelon_mod_p
+
+    def spy(a, p):
+        shapes.append(a.shape)
+        return echelon(a, p)
+    monkeypatch.setattr(otb.exact, "_echelon_mod_p", spy)
+    assert proved_rank(cols, nrows, cycles)[1] == "lifted 13"
+    assert len(shapes) == 2
+    assert shapes[0] == (len(cols), nrows)
+    assert shapes[1][0] == len(cycles)
 
 
 def test_reduced_certificate_contents():

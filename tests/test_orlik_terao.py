@@ -14,7 +14,8 @@ from otb.resonance import search_multinets
 from otb.scroll import multiplication_matrix
 
 from conftest import (BUILTINS, ORACLE_FORMS, ambient_piece, analysis,
-                      hilbert_burch_psi, substitution_membership,
+                      hilbert_burch_psi, nbc_by_filter,
+                      substitution_membership,
                       substitution_rank, vanishing_order)
 
 REFERENCE_CASES = BUILTINS + tuple(sorted(ORACLE_FORMS))
@@ -42,6 +43,13 @@ def test_nbc_basis_is_the_complement_of_the_ambient_echelon(name):
     for j in range(5):
         assert pres.graded_piece(j) \
             == ambient_piece(pres.arrangement, j).quotient_basis, j
+
+
+@pytest.mark.parametrize("name", REFERENCE_CASES)
+def test_nbc_monomials_generated_directly_match_the_filter(name):
+    pres = analysis(name).pres
+    for j in range(6):
+        assert pres.graded_piece(j) == nbc_by_filter(pres, j), j
 
 
 @pytest.mark.parametrize("name", REFERENCE_CASES)
