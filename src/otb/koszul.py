@@ -14,8 +14,9 @@ Cohen-Macaulay and the sequence to be regular, which transfers the graded
 Betti numbers verbatim to the quotient, over the d-3 surviving variables.
 In degrees 1 and 2 the quotient is an exact echelon over Q, whose basis
 carries the induced maps.  Its vanishing in degree 3 is the full rank of
-theta C_2 inside C_3, proved by `exact.proved_rank` at mod-p cost (with
-its `SparseReducer` fallback); `reduction_proof` records how.  So every
+theta C_2 inside C_3, proved by a rank mod p equal to dim C_3 (or else by
+`exact.proved_rank`, with its `SparseReducer` fallback);
+`reduction_proof` records how.  So every
 strand with j - i >= 3 is zero by the certificate itself.
 
 Every strand rank that is computed, in both engines, is proved by
@@ -46,7 +47,8 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .exact import SparseReducer, draw_generic, proved_rank, rref, seeded_rng
+from .exact import (MODP_PRIMES, BadPrime, SparseReducer, draw_generic,
+                    modp_matrix, modp_rank, proved_rank, rref, seeded_rng)
 from .orlik_terao import OTPresentation, terao_series
 
 
@@ -99,12 +101,20 @@ def _theta_products(pres: OTPresentation, theta, q: int) -> list:
 
 
 def _degree3_rank(pres: OTPresentation, theta) -> tuple[int, str]:
-    """Rank of theta C_2 inside C_3 and how `proved_rank` proved it.  The
-    products are the rows of a matrix whose columns are indexed by C_3, so
-    the full rank of a certified reduction is proved by the rank mod p
-    alone, with nothing to lift."""
+    """Rank of theta C_2 inside C_3 and how it was proved.  The products,
+    as rows over the basis of C_3, span it when their rank mod p is
+    dim C_3, which is then both bounds ("mod-p"): so a certified reduction
+    needs one echelon mod p and nothing to lift.  Otherwise, or when the
+    prime divides a denominator, `proved_rank` finds the rank."""
     rows = _theta_products(pres, theta, 3)
-    cols: list = [{} for _ in range(len(pres.graded_piece(3)))]
+    n3 = len(pres.graded_piece(3))
+    p = MODP_PRIMES[0]
+    try:
+        if modp_rank(modp_matrix(rows, n3, p), p) == n3:
+            return n3, "mod-p"
+    except BadPrime:
+        pass
+    cols: list = [{} for _ in range(n3)]
     for r, row in enumerate(rows):
         for c, v in row.items():
             cols[c][r] = v

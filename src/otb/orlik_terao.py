@@ -65,20 +65,15 @@ class OTPresentation:
             self._rules.setdefault(c.indices[:-1], (c.indices[-1], [
                 (i, -ct / top) for i, ct in zip(c.indices, c.coeffs[:-1])]))
         self._sizes = sorted({len(b) for b in self._rules})
-        # the broken circuits as bit masks, grouped by their largest line
-        self._broken_by_top: list[list] = [[] for _ in range(self.d)]
-        for b in self._rules:
-            self._broken_by_top[b[-1]].append(sum(1 << i for i in b))
         self._rule_of_support: dict = {}
         self._pieces: dict[int, list] = {}
         self._position: dict = {}        # nbc monomial -> index in its piece
         self._nf: dict = {}
         self._mult: dict[int, list] = {}
 
-    def _rule(self, m: tuple):
-        """A rule whose broken circuit lies in the support of m, or None
-        when the support is nbc."""
-        support = tuple(i for i, e in enumerate(m) if e)
+    def _rule(self, support: tuple):
+        """A rule whose broken circuit lies in `support`, increasing line
+        indices, or None when the support is nbc."""
         if support not in self._rule_of_support:
             self._rule_of_support[support] = next(
                 (self._rules[b] for k in self._sizes
@@ -101,13 +96,13 @@ class OTPresentation:
         support holds a broken circuit."""
         d, out = self.d, []
 
-        def rec(prefix: tuple, support: int, remaining: int) -> None:
+        def rec(prefix: tuple, support: tuple, remaining: int) -> None:
             i = len(prefix)
             if not remaining:
                 out.append(prefix + (0,) * (d - i))
                 return
-            grown = support | 1 << i
-            nbc = not any(b & grown == b for b in self._broken_by_top[i])
+            grown = support + (i,)
+            nbc = self._rule(grown) is None
             if i == d - 1:
                 if nbc:
                     out.append(prefix + (remaining,))
@@ -117,7 +112,7 @@ class OTPresentation:
                     rec(prefix + (e,), grown, remaining - e)
             rec(prefix + (0,), support, remaining)
 
-        rec((), 0, j)
+        rec((), (), j)
         return out
 
     def _prove_independent(self, basis: list, j: int) -> None:
@@ -156,7 +151,7 @@ class OTPresentation:
         for m, c in terms.items():
             nf = self._nf.get(m)
             if nf is None:
-                rule = self._rule(m)
+                rule = self._rule(tuple(i for i, e in enumerate(m) if e))
                 if rule is None:
                     nf = {self._position[m]: Fraction(1)}
                 else:

@@ -91,7 +91,8 @@ def nbc_by_filter(pres, j) -> list:
     """The degree-j monomials with nbc support, found by filtering all
     C(d+j-1, j) monomials of degree j: the reference for their direct
     generation in `OTPresentation.graded_piece`."""
-    return [m for m in monomials_of_degree(pres.d, j) if pres._rule(m) is None]
+    return [m for m in monomials_of_degree(pres.d, j)
+            if pres._rule(tuple(i for i, e in enumerate(m) if e)) is None]
 
 
 class AmbientPiece:

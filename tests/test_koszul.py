@@ -8,7 +8,7 @@ import otb.exact
 import otb.koszul
 from otb.analysis import Analysis
 from otb.arrangement import Arrangement
-from otb.exact import MODP_PRIMES, SparseReducer, proved_rank
+from otb.exact import MODP_PRIMES, SparseReducer, modp_rank, proved_rank
 from otb.koszul import (FullEngine, ReducedEngine, _degree3_rank,
                         _differential_columns, b23_formula, betti_table,
                         tor_dimension)
@@ -162,6 +162,31 @@ def test_degree3_rank_of_every_coordinate_theta_matches_the_reducer(name):
     if name == "braid-a3":
         # dims (1, 3, 5, 7) of the quotient by (y_1, y_2, y_3)
         assert left[(0, 1, 2)] == 7
+
+
+def test_under_reported_degree3_rank_mod_p_still_gives_the_rank(monkeypatch):
+    # a rank mod p one short at the degree-3 matrix: the rank must still
+    # come out exact, so that the same theta is accepted
+    pres = analysis("9_3_1").pres
+    expect = analysis("9_3_1").engine.certificate
+    c2 = len(pres.graded_piece(2))
+    c3 = len(pres.graded_piece(3))
+    short = []
+
+    def spy(a, p):
+        r = modp_rank(a, p)
+        if a.shape == (3 * c2, c3):
+            short.append(p)
+            return r - 1
+        return r
+    monkeypatch.setattr(otb.koszul, "modp_rank", spy)
+    eng = ReducedEngine(pres)
+    assert short
+    assert eng.certificate == expect
+    # proved_rank's own echelon of the products as columns closes the proof
+    assert eng.reduction_proof == "mod-p"
+    assert _degree3_rank(pres, _accepted_theta("9_3_1")) == (c3, "mod-p")
+    assert len(short) == 2
 
 
 def test_building_the_reduction_eliminates_nothing_over_c3(monkeypatch):
