@@ -35,21 +35,9 @@ class Analysis:
         return ReducedEngine(self.pres)
 
     def multinets(self, k: int, max_weight: int) -> list:
-        """`search_multinets(arr, k, max_weight)`, computed once per key.
-
-        A cached search with the same k and a larger bound already holds
-        the answer: its certificates with every weight <= max_weight, in
-        the same order (the weight vectors are enumerated lexicographically,
-        so those bounded by max_weight come in their own search's order)."""
+        """`search_multinets(arr, k, max_weight)`, computed once per key."""
         key = (k, max_weight)
         if key not in self._multinets:
-            wider = [w for (kk, w) in self._multinets
-                     if kk == k and w > max_weight]
-            if wider:
-                self._multinets[key] = [
-                    c for c in self._multinets[(k, min(wider))]
-                    if max(c.weights) <= max_weight]
-            else:
-                self._multinets[key] = search_multinets(self.arrangement, k,
-                                                        max_weight)
+            self._multinets[key] = search_multinets(self.arrangement, k,
+                                                    max_weight)
         return self._multinets[key]

@@ -7,16 +7,15 @@ b_{i,j} = dim Tor_i(C(A), k)_j is the middle homology of the strand
 of the Koszul complex on the variables tensored with the algebra.
 
 `ReducedEngine` computes it for every d.  It quotients C(A) by three
-generic linear forms and checks that the quotient is Artinian with colength
-equal to the multiplicity h(1); colength >= multiplicity always holds for a
-linear system of parameters, and equality forces the module to be
-Cohen-Macaulay and the sequence to be regular, which transfers the graded
-Betti numbers verbatim to the quotient, over the d-3 surviving variables.
-In degrees 1 and 2 the quotient is an exact echelon over Q, whose basis
-carries the induced maps.  Its vanishing in degree 3 is the full rank of
-theta C_2 inside C_3, proved by a rank mod p equal to dim C_3 (or else by
-`exact.proved_rank`, with its `SparseReducer` fallback);
-`reduction_proof` records how.  So every
+generic linear forms theta and accepts theta on one test: the quotient has
+dimensions h = (1, d-3, h_2) in degrees 0..2, by exact echelons over Q
+whose bases carry the induced maps, and theta C_2 spans C_3, by a rank mod
+p equal to dim C_3 (a lower bound for the rank over Q).  Then rank theta =
+3, the quotient is Artinian with colength sum(h) = h(1), the multiplicity,
+and colength >= multiplicity, which holds for every linear system of
+parameters, is an equality.  That forces the module to be Cohen-Macaulay
+and the sequence to be regular, which transfers the graded Betti numbers
+verbatim to the quotient, over the d-3 surviving variables.  So every
 strand with j - i >= 3 is zero by the certificate itself.
 
 Every strand rank that is computed, in both engines, is proved by
@@ -48,7 +47,7 @@ from itertools import combinations
 from math import comb
 
 from .exact import (MODP_PRIMES, BadPrime, SparseReducer, draw_generic,
-                    modp_matrix, modp_rank, proved_rank, rref, seeded_rng)
+                    modp_matrix, modp_rank, proved_rank, seeded_rng)
 from .orlik_terao import OTPresentation, terao_series
 
 
@@ -98,27 +97,6 @@ def _theta_products(pres: OTPresentation, theta, q: int) -> list:
                         col.pop(pos, None)
             out.append(col)
     return out
-
-
-def _degree3_rank(pres: OTPresentation, theta) -> tuple[int, str]:
-    """Rank of theta C_2 inside C_3 and how it was proved.  The products,
-    as rows over the basis of C_3, span it when their rank mod p is
-    dim C_3, which is then both bounds ("mod-p"): so a certified reduction
-    needs one echelon mod p and nothing to lift.  Otherwise, or when the
-    prime divides a denominator, `proved_rank` finds the rank."""
-    rows = _theta_products(pres, theta, 3)
-    n3 = len(pres.graded_piece(3))
-    p = MODP_PRIMES[0]
-    try:
-        if modp_rank(modp_matrix(rows, n3, p), p) == n3:
-            return n3, "mod-p"
-    except BadPrime:
-        pass
-    cols: list = [{} for _ in range(n3)]
-    for r, row in enumerate(rows):
-        for c, v in row.items():
-            cols[c][r] = v
-    return proved_rank(cols, len(rows), [])
 
 
 # ---------------------------------------------------------------------------
@@ -203,9 +181,8 @@ class FullEngine(_Engine):
 
 
 class ReducedEngine(_Engine):
-    """C(A) modulo three verified-regular generic linear forms, over the
-    polynomial ring on the surviving d-3 variables.  `reduction_proof` is
-    how `proved_rank` proved that the quotient vanishes in degree 3."""
+    """C(A) modulo three certified generic linear forms, over the
+    polynomial ring on the surviving d-3 variables."""
 
     def __init__(self, pres: OTPresentation):
         super().__init__(pres, pres.d - 3)
@@ -216,22 +193,17 @@ class ReducedEngine(_Engine):
         pres = self.pres
         d = pres.d
         h = terao_series(pres.arrangement, 2).h_polynomial
-        mult = sum(h)
         rng = seeded_rng("artinian-reduction:%s" % (pres.arrangement.name or d))
         draw_generic(rng,
                      lambda r: [[Fraction(r.randint(-5, 5)) for _ in range(d)]
                                 for _ in range(3)],
-                     lambda theta: self._try_theta(theta, h, mult))
+                     lambda theta: self._try_theta(theta, h))
 
-    def _try_theta(self, theta, h, mult) -> bool:
-        """Install the reduction by theta when it is a certified linear
-        system of parameters; False when this draw is not one."""
+    def _try_theta(self, theta, h) -> bool:
+        """Install the reduction by theta when the quotient has the h-vector
+        h in degrees 0..2 and theta C_2 has rank dim C_3 mod p; False when
+        this draw is not a certified linear system of parameters."""
         pres = self.pres
-        d = pres.d
-        _, pivots = rref(theta)
-        if len(pivots) != 3:
-            return False
-        self.kept_vars = [j for j in range(d) if j not in set(pivots)]
         # quotient C_q / (theta_1, theta_2, theta_3) C_{q-1} for q = 1, 2:
         # the non-pivot columns of an exact echelon are its basis
         reducers = {}
@@ -242,20 +214,24 @@ class ReducedEngine(_Engine):
                 red.add(row)
             reducers[q] = red
             dims[q] = red.ncols - red.rank
-        if dims != {0: 1, 1: d - 3, 2: h[2]}:
+        if dims != dict(enumerate(h)):
             return False
-        rank3, how3 = _degree3_rank(pres, theta)
-        dims[3] = len(pres.graded_piece(3)) - rank3
-        colength = sum(dims.values())
-        if dims[3] or colength != mult:
+        n3 = len(pres.graded_piece(3))
+        p = MODP_PRIMES[0]
+        try:
+            if modp_rank(modp_matrix(_theta_products(pres, theta, 3), n3, p),
+                         p) != n3:
+                return False
+        except BadPrime:
             return False
+        # C_1 has the basis y_1..y_d
+        self.kept_vars = reducers[1].nonpivot_columns()
         self._dims = dims
-        self.reduction_proof = how3
         self.certificate = {
             "theta": [[str(x) for x in row] for row in theta],
-            "h_vector": (dims[0], dims[1], dims[2]),
-            "colength": colength,
-            "multiplicity": mult,
+            "h_vector": h,
+            "colength": sum(h),
+            "multiplicity": sum(h),
             "artinian_in_degree": 3,
         }
         # induced action of the surviving variables on the quotient

@@ -14,7 +14,7 @@ from math import comb
 from .arrangement import Arrangement
 from .divisors import h0_fatpoints, net_split
 from .exact import (BinaryForm, MPoly, SparseReducer, binary_gcd,
-                    monomials_of_degree, mpoly_det, rank, solve)
+                    monomials_of_degree, mpoly_det, solve)
 from .orlik_terao import OTPresentation, membership
 
 
@@ -49,20 +49,14 @@ def multiplication_matrix(pres: OTPresentation, cert) -> MultiplicationMatrix:
     sa = h0_fatpoints(arr, split.A_div)
     if sa.dimension != 2:
         raise ValueError("not a pencil: h^0(A) = %d" % sa.dimension)
-    # prefer the block products as the pencil basis when independent
-    monos_m = monomials_of_degree(3, cert.m)
-    products = []
-    for b in cert.blocks:
+    # the products of two disjoint blocks of distinct lines share no
+    # factor, so they are independent: a basis of the pencil
+    sigma = []
+    for b in cert.blocks[:2]:
         prod = MPoly.constant(3, 1)
         for i in b:
             prod = prod * MPoly.linear_form(arr.forms[i])
-        products.append(prod)
-    rows = [[p.terms.get(mn, Fraction(0)) for mn in monos_m]
-            for p in products[:2]]
-    if rank(rows) == 2:
-        sigma = products[:2]
-    else:
-        sigma = sa.basis[:2]
+        sigma.append(prod)
     tau = h0_fatpoints(arr, split.B_div).basis
     # solve sigma_i * tau_j = sum c_k l_k exactly
     monos = monomials_of_degree(3, arr.d - 1)

@@ -237,9 +237,9 @@ def test_report_builds_shared_objects_once(monkeypatch, capsys):
                                    "braid-a3"])
     assert code == 0
     # net-search and resonance share the (k, weight 2) searches; scroll-check
-    # reads its (k, weight 1) nets off them; betti and scroll-check share the
-    # one Artinian reduction, and the full Koszul engine is never built
-    assert counts == {"presentations": 1, "searches": 2, "reduced": 1,
+    # runs its own (k, weight 1) ones; betti and scroll-check share the one
+    # Artinian reduction, and the full Koszul engine is never built
+    assert counts == {"presentations": 1, "searches": 4, "reduced": 1,
                       "full": 0}
 
 

@@ -8,10 +8,10 @@ import otb.exact
 import otb.koszul
 from otb.analysis import Analysis
 from otb.arrangement import Arrangement
-from otb.exact import MODP_PRIMES, SparseReducer, modp_rank, proved_rank
-from otb.koszul import (FullEngine, ReducedEngine, _degree3_rank,
-                        _differential_columns, b23_formula, betti_table,
-                        tor_dimension)
+from otb.exact import (MODP_PRIMES, GenericityError, SparseReducer,
+                       modp_rank, proved_rank)
+from otb.koszul import (FullEngine, ReducedEngine, _differential_columns,
+                        b23_formula, betti_table, tor_dimension)
 from otb.orlik_terao import terao_series
 
 from conftest import (BUILTINS, ORACLE_FORMS, ambient_piece, analysis,
@@ -106,13 +106,11 @@ def _assert_no_fallback(eng):
 def test_no_builtin_strand_falls_back(name):
     eng = analysis(name).engine
     _assert_no_fallback(eng)
-    assert eng.reduction_proof == "mod-p"
 
 
 def test_no_strand_of_the_braid_plus_one_oracle_falls_back():
     an = analysis("braid-a3+1")
     _assert_no_fallback(an.engine)
-    assert an.engine.reduction_proof == "mod-p"
     _assert_no_fallback(FullEngine(an.pres))
 
 
@@ -137,13 +135,20 @@ def _accepted_theta(name) -> list:
             for row in analysis(name).engine.certificate["theta"]]
 
 
+def _h_vector(pres) -> tuple:
+    return terao_series(pres.arrangement, 2).h_polynomial
+
+
 @pytest.mark.parametrize("name", BUILTINS)
 def test_degree3_rank_of_the_accepted_theta_matches_the_reducer(name):
+    # the draw the engine accepted passes the one test again, and the exact
+    # reference agrees that theta C_2 spans C_3
     pres = analysis(name).pres
     theta = _accepted_theta(name)
-    c3 = len(pres.graded_piece(3))
-    assert _degree3_rank(pres, theta) == (c3, "mod-p")
-    assert _degree3_rank_by_reducer(pres, theta) == c3
+    eng = ReducedEngine(pres)
+    assert eng._try_theta(theta, _h_vector(pres))
+    assert eng.certificate == analysis(name).engine.certificate
+    assert _degree3_rank_by_reducer(pres, theta) == len(pres.graded_piece(3))
 
 
 @pytest.mark.parametrize("name", ["braid-a3", "ex-2-4"])
@@ -151,27 +156,43 @@ def test_degree3_rank_of_every_coordinate_theta_matches_the_reducer(name):
     # theta = (y_a, y_b, y_c) is never a regular sequence here: the
     # quotient keeps a nonzero degree-3 piece, so the rank is not full
     pres = analysis(name).pres
+    eng = ReducedEngine(pres)
+    cert = eng.certificate
+    h = _h_vector(pres)
     d = pres.d
     c3 = len(pres.graded_piece(3))
     left = {}
     for triple in combinations(range(d), 3):
         theta = [[Fraction(int(j == a)) for j in range(d)] for a in triple]
-        r, _ = _degree3_rank(pres, theta)
-        assert r == _degree3_rank_by_reducer(pres, theta) < c3, triple
+        assert not eng._try_theta(theta, h), triple
+        r = _degree3_rank_by_reducer(pres, theta)
+        assert r < c3, triple
         left[triple] = c3 - r
+    assert eng.certificate is cert
     if name == "braid-a3":
         # dims (1, 3, 5, 7) of the quotient by (y_1, y_2, y_3)
         assert left[(0, 1, 2)] == 7
 
 
-def test_under_reported_degree3_rank_mod_p_still_gives_the_rank(monkeypatch):
-    # a rank mod p one short at the degree-3 matrix: the rank must still
-    # come out exact, so that the same theta is accepted
+def test_a_theta_of_rank_two_is_rejected():
+    # the quotient has dimension d - rank theta in degree 1
     pres = analysis("9_3_1").pres
-    expect = analysis("9_3_1").engine.certificate
+    eng = ReducedEngine(pres)
+    t = _accepted_theta("9_3_1")
+    theta = [t[0], t[1], [a + b for a, b in zip(t[0], t[1])]]
+    assert not eng._try_theta(theta, _h_vector(pres))
+    assert eng.certificate == analysis("9_3_1").engine.certificate
+
+
+def test_a_short_degree3_rank_mod_p_rejects_every_draw(monkeypatch):
+    # a rank mod p one short at the degree-3 matrix proves no vanishing in
+    # degree 3: each of the five draws is rejected there, and no
+    # certificate is ever installed
+    pres = analysis("9_3_1").pres
     c2 = len(pres.graded_piece(2))
     c3 = len(pres.graded_piece(3))
     short = []
+    seen = []
 
     def spy(a, p):
         r = modp_rank(a, p)
@@ -179,14 +200,18 @@ def test_under_reported_degree3_rank_mod_p_still_gives_the_rank(monkeypatch):
             short.append(p)
             return r - 1
         return r
+    try_theta = ReducedEngine._try_theta
+
+    def spy_try(self, theta, h):
+        ok = try_theta(self, theta, h)
+        seen.append((ok, self.certificate))
+        return ok
     monkeypatch.setattr(otb.koszul, "modp_rank", spy)
-    eng = ReducedEngine(pres)
-    assert short
-    assert eng.certificate == expect
-    # proved_rank's own echelon of the products as columns closes the proof
-    assert eng.reduction_proof == "mod-p"
-    assert _degree3_rank(pres, _accepted_theta("9_3_1")) == (c3, "mod-p")
-    assert len(short) == 2
+    monkeypatch.setattr(ReducedEngine, "_try_theta", spy_try)
+    with pytest.raises(GenericityError):
+        ReducedEngine(pres)
+    assert short == [MODP_PRIMES[0]] * 5
+    assert seen == [(False, None)] * 5
 
 
 def test_building_the_reduction_eliminates_nothing_over_c3(monkeypatch):
