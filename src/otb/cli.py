@@ -213,11 +213,15 @@ def _cmd_divisor_da(an, args):
 
 def _cmd_h0(an, args):
     arr = an.arrangement
-    mults = [int(x) for x in args.mults.split(",")] if args.mults else []
     flats = arr.flats
+    bad = UsageError("--mults needs %d comma-separated integers (one per "
+                     "canonical flat; see the flats subcommand)" % len(flats))
+    try:
+        mults = [int(x) for x in args.mults.split(",")] if args.mults else []
+    except ValueError:
+        raise bad from None
     if len(mults) != len(flats):
-        raise UsageError("--mults needs %d comma-separated integers (one per "
-                         "canonical flat; see the flats subcommand)" % len(flats))
+        raise bad
     div = DivisorClass(args.m, {p: a for p, a in zip(flats, mults)})
     sec = h0_fatpoints(arr, div)
     chi = riemann_roch_chi(arr, div)

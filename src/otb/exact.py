@@ -17,6 +17,8 @@ checked with one exact product (the certificate style of Dumas, Saunders
 and Villard in LinBox).  If the bounds do not meet, `SparseReducer`
 computes the rank.
 
+`_lift_cycles` also lifts the fat-point sections of `divisors`.
+
 No public routine mutates its arguments; results are freshly allocated.
 """
 
@@ -321,6 +323,9 @@ def _reconstruct(residues: list, m: int) -> list | None:
     for vec in residues:
         den, entries = 1, []
         for u in vec:
+            if not u:
+                entries.append(0)
+                continue
             x = _rational(u * den, m)
             if x is None:
                 return None
@@ -354,25 +359,24 @@ def _is_cycle(icols: list, vec: dict) -> bool:
     return not any(acc.values())
 
 
-def _lift_cycles(cols, icols: list, rows: list, pivots: list, targets: list,
-                 p: int) -> bool:
+def _lift_cycles(cols, icols: list, basis: list, prows: list, targets: list,
+                 p: int) -> tuple[list, int] | None:
     """Lift one kernel vector of the matrix with sparse columns `cols` to Q
-    for each free column in `targets`, verify each exactly, and return
-    whether all were lifted before the primes ran out.
+    for each free column in `targets`, each checked by `_is_cycle`.  Returns
+    their entries on `basis` and the number of primes combined, or None.
 
-    `rows` and `pivots` come from `_echelon_mod_p` on the columns taken as
-    rows: the columns `rows` are a basis mod p of the column space, and
-    their square block at the matrix rows `pivots` is invertible mod p.  A
-    free column f is one outside `rows`.  Its vector is 1 at f, 0 at the
-    other free columns, and on `rows` the unique solution of that square
-    block; residues at further primes are combined by CRT and rational
-    reconstruction until every vector passes `_is_cycle`.
+    The columns `basis` are a basis mod p of the column space, and their
+    square block at the rows `prows` is invertible mod p (one
+    `_echelon_mod_p` of the matrix or of its transpose gives both).  The
+    vector of a free column f is 1 at f, 0 at the other free columns, and
+    on `basis` the solution of that square block, lifted by CRT and
+    rational reconstruction.
     """
-    r = len(rows)
-    at = {c: t for t, c in enumerate(pivots)}
+    r = len(basis)
+    at = {c: t for t, c in enumerate(prows)}
     square = [{at[c]: v for c, v in cols[k].items() if c in at}
-              for k in rows + targets]
-    residues, m = None, 1
+              for k in basis + targets]
+    residues, m, used = None, 1, 0
     for q in (p,) + tuple(x for x in MODP_PRIMES if x != p):
         try:
             s = modp_matrix(square, r, q)
@@ -389,13 +393,14 @@ def _lift_cycles(cols, icols: list, rows: list, pivots: list, targets: list,
             residues = [[u + m * ((y - u) * step % q) for u, y in zip(ru, ry)]
                         for ru, ry in zip(residues, x)]
         m *= q
+        used += 1
         vecs = _reconstruct(residues, m)
         if vecs is not None and all(
-                _is_cycle(icols, {f: 1, **{k: v for k, v in zip(rows, vec)
+                _is_cycle(icols, {f: 1, **{k: v for k, v in zip(basis, vec)
                                           if v}})
                 for f, vec in zip(targets, vecs)):
-            return True
-    return False
+            return vecs, used
+    return None
 
 
 def proved_rank(cols, nrows: int, cycles) -> tuple[int, str]:

@@ -122,6 +122,14 @@ def test_h0_needs_correct_mult_count(capsys):
     assert "7 comma-separated" in err
 
 
+def test_h0_non_integer_mult_is_a_usage_error(capsys):
+    code, out, err = _capture(capsys, ["h0", "--builtin", "braid-a3",
+                                       "--m", "3", "--mults", "a,1,1,1,1,1,1"])
+    assert code == 1 and out == ""
+    assert err.startswith("usage error: --mults needs 7 comma-separated")
+    assert "invalid literal" not in err
+
+
 def test_file_input(tmp_path, capsys):
     path = tmp_path / "tri.json"
     path.write_text(json.dumps(

@@ -1,8 +1,12 @@
+import random
+
 import pytest
 
 from otb.divisors import (DivisorClass, divisor_DA, h0_fatpoints, h0_h1,
-                          net_split, pairing, riemann_roch_chi)
-from otb.exact import MPoly, monomials_of_degree, rank
+                          net_split, pairing, primitive_kernel,
+                          riemann_roch_chi)
+from otb.exact import (MODP_PRIMES, MPoly, kernel_basis, monomials_of_degree,
+                       primitive_vector, rank)
 from otb.orlik_terao import l_forms
 from otb.resonance import search_multinets
 from otb.scroll import en_prediction
@@ -111,6 +115,64 @@ def _condition_rows(a, div):
     for p, v in sorted(div.mults.items(), key=lambda kv: kv[0].point):
         rows.extend(vanishing_condition_rows(p.point, v, div.m))
     return rows
+
+
+def _reducer_kernel(rows):
+    return [primitive_vector(v) for v in kernel_basis(rows)]
+
+
+@pytest.mark.parametrize("m", [3, 6, 9, 12])
+@pytest.mark.parametrize("mode", ["one", "mu"])
+@pytest.mark.parametrize("name", ["9_3_1", "b3"])
+def test_h0_basis_is_the_reducers_kernel_without_the_reducer(name, mode, m):
+    # the h0 sweep of the benchmark: a_p = 1 or mu_p, four degrees
+    a = analysis(name).arrangement
+    div = DivisorClass(m, {p: 1 if mode == "one" else p.mu for p in a.flats})
+    sec = h0_fatpoints(a, div)
+    monos = monomials_of_degree(3, m)
+    assert [tuple(f.terms.get(mo, 0) for mo in monos) for f in sec.basis] \
+        == _reducer_kernel(_condition_rows(a, div))
+    assert sec.how != "exact"
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_primitive_kernel_matches_the_reducer_on_random_matrices(seed):
+    # products of random factors, so that the rank is often short, with
+    # entries small or large enough to need several primes
+    rng = random.Random(seed)
+    nr, nc, k = rng.randint(1, 7), rng.randint(1, 9), rng.randint(1, 6)
+    size = rng.choice((2, 300, 10 ** 6))
+    left = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(nr)]
+    right = [[rng.randint(-size, size) * (rng.random() < 0.7)
+              for _ in range(nc)] for _ in range(k)]
+    rows = [[sum(x * y[c] for x, y in zip(row, right)) for c in range(nc)]
+            for row in left]
+    vecs, how = primitive_kernel(rows)
+    assert vecs == _reducer_kernel(rows)
+    assert (how == "mod-p") == (not vecs)
+    assert how != "exact"
+
+
+@pytest.mark.parametrize("rows", [[[MODP_PRIMES[0], 1]],
+                                  [[MODP_PRIMES[0], 1, 1]],
+                                  [[1, 0, 0], [0, MODP_PRIMES[0], 1]]])
+def test_pivots_that_move_mod_p_fall_back_to_the_basis_over_q(rows):
+    # a column that is a pivot over Q vanishes mod p, so the pivots mod p
+    # sit later; the lifted vectors are cycles but fail the support check
+    vecs, how = primitive_kernel(rows)
+    assert vecs == _reducer_kernel(rows)
+    assert how == "exact"
+
+
+def test_a_kernel_past_one_prime_is_lifted_with_more():
+    # entries far above sqrt(p / 2) need two and then three primes for
+    # Wang's reconstruction
+    for a, b, primes in ((1000003, 999983, 2),
+                         (10 ** 12 + 39, 10 ** 12 - 11, 3)):
+        rows = [[a, b, 0], [0, 0, 1]]
+        assert primitive_kernel(rows) == ([(b, -a, 0)],
+                                          "lifted %d" % primes)
+    assert primitive_kernel([[1, 0], [0, 2]]) == ([], "mod-p")
 
 
 def test_9_3_1_pencil_lower_bound_matches():

@@ -255,7 +255,7 @@ def test_search_matches_brute_force_b3_plus_generic(n, k):
     assert search_multinets(a, k, 1) == brute_force_multinets(a, k, 1) == []
 
 
-def test_narrower_search_read_from_wider_cache():
+def test_weight_one_nets_are_weight_two_nets_and_a_direct_search():
     for name in BUILTINS:
         an = Analysis(builtin(name))
         for k in (3, 4):
