@@ -26,8 +26,7 @@ import numpy as np
 
 from .arrangement import Arrangement, poincare_polynomial
 from .circuits import enumerate_circuits
-from .exact import (MODP_PRIMES, MPoly, draw_generic, modp_rank,
-                    monomials_of_degree, seeded_rng, solve)
+from .exact import MODP_PRIMES, MPoly, draw_generic, modp_rank, seeded_rng
 
 
 # ---------------------------------------------------------------------------
@@ -252,24 +251,15 @@ def defining_polynomial(arr: Arrangement) -> MPoly:
 
 def jacobian_containment(arr: Arrangement) -> bool:
     """Whether each partial of the defining polynomial lies in the span of
-    the l_i (the degree d-1 slice of the ideal they generate)."""
+    the l_i (the degree d-1 slice of the ideal they generate), checked on
+    the product-rule witness d(alpha)/dx_t = sum_i a_i[t] l_i."""
     alpha = defining_polynomial(arr)
     ls = l_forms(arr)
-    monos = monomials_of_degree(3, arr.d - 1)
-    index = {m: k for k, m in enumerate(monos)}
-    cols = []
-    for l in ls:
-        v = [Fraction(0)] * len(monos)
-        for e, c in l.terms.items():
-            v[index[e]] = c
-        cols.append(v)
-    m = [[col[r] for col in cols] for r in range(len(monos))]
-    for axis in range(3):
-        part = alpha.derivative(axis)
-        b = [Fraction(0)] * len(monos)
-        for e, c in part.terms.items():
-            b[index[e]] = c
-        if solve(m, b) is None:
+    for t in range(3):
+        witness = MPoly.zero(3)
+        for form, l in zip(arr.forms, ls):
+            witness = witness + l * form[t]
+        if alpha.derivative(t) != witness:
             return False
     return True
 

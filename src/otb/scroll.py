@@ -1,7 +1,9 @@
 """Determinantal certificates from nets: the 2 x b matrix of linear forms
 representing multiplication of the net pencil sections against the residual
-sections, its 1-genericity, membership of its 2x2 minors in the Orlik-Terao
-ideal, and the Eagon-Northcott count of linear syzygies it predicts.
+sections, membership of its 2x2 minors in the Orlik-Terao ideal, and the
+Eagon-Northcott count of linear syzygies it predicts.  The matrix is
+1-generic by construction (Eisenbud's lemma on matrices of multiplied
+sections; the proof is in `multiplication_matrix`), so nothing decides it.
 """
 
 from __future__ import annotations
@@ -13,8 +15,7 @@ from math import comb
 
 from .arrangement import Arrangement
 from .divisors import h0_fatpoints, net_split
-from .exact import (BinaryForm, MPoly, SparseReducer, binary_gcd,
-                    monomials_of_degree, mpoly_det, solve)
+from .exact import MPoly, SparseReducer, monomials_of_degree, solve
 from .orlik_terao import OTPresentation, membership
 
 
@@ -23,7 +24,6 @@ class MultiplicationMatrix:
     entries: list        # 2 x b nested list of linear MPoly in y_1..y_d
     sigma: list          # the two pencil sections (degree m forms)
     tau: list            # the b residual sections (degree d-1-m forms)
-    d: int
 
     @property
     def ncols(self) -> int:
@@ -40,7 +40,20 @@ class MultiplicationMatrix:
 
 def multiplication_matrix(pres: OTPresentation, cert) -> MultiplicationMatrix:
     """Entry (i,j) is the expansion of sigma_i * tau_j in the basis
-    l_1..l_d of the degree-(d-1) sections, read as a linear form in y."""
+    l_1..l_d of the degree-(d-1) sections, read as a linear form in y.
+
+    The matrix returned is 1-generic (Eisenbud, "Linear sections of
+    determinantal varieties", Amer. J. Math. 110, 1988): no nonzero v and
+    point (lambda : mu) of P^1 give sum_j v_j (lambda G_0j + mu G_1j) = 0.
+    Suppose some did.  Each entry G_ij = sum_k c_k y_k is checked exactly
+    below to satisfy sigma_i tau_j = sum_k c_k l_k, so reading y_k as l_k
+    turns that vanishing combination into (lambda sigma_0 + mu sigma_1)
+    (sum_j v_j tau_j) = 0 in Q[x, y, z], which has no zero divisors.  The
+    first factor is nonzero: sigma_0 and sigma_1 are the products of two
+    disjoint blocks of distinct lines, so they are not proportional.  The
+    second is nonzero: the tau_j are the basis `h0_fatpoints` returns, so
+    they are independent.
+    """
     if not cert.is_net:
         raise ValueError("multiplication matrix needs a net certificate "
                          "(all weights one)")
@@ -76,51 +89,7 @@ def multiplication_matrix(pres: OTPresentation, cert) -> MultiplicationMatrix:
                     "pencil-times-residual product fell outside the span of "
                     "the l_k; this contradicts the section computation")
             entries[i][j] = MPoly.linear_form(coeffs)
-    return MultiplicationMatrix(entries=entries, sigma=sigma, tau=tau, d=arr.d)
-
-
-def _entry_to_binary(row0: MPoly, row1: MPoly, d: int) -> list:
-    """Coefficients of lambda*row0 + mu*row1 per y variable, as MPoly(2) in
-    (lambda, mu)."""
-    out = []
-    for k in range(d):
-        e = [0] * d
-        e[k] = 1
-        c0 = row0.terms.get(tuple(e), Fraction(0))
-        c1 = row1.terms.get(tuple(e), Fraction(0))
-        out.append(MPoly(2, {(1, 0): c0, (0, 1): c1}))
-    return out
-
-
-def is_one_generic(g: MultiplicationMatrix) -> bool:
-    """No generalized zero entry: for every point of the pencil P^1 the b
-    combined entries stay linearly independent.  Decided exactly: the b x b
-    minors of the coefficient matrix are binary forms; 1-generic iff their
-    gcd is a nonzero constant."""
-    b = g.ncols
-    d = g.d
-    pencil = [_entry_to_binary(g.entries[0][j], g.entries[1][j], d)
-              for j in range(b)]          # b rows, d columns of MPoly(2)
-    if b > d:
-        return False
-    minors = []
-    for cols in combinations(range(d), b):
-        sub = [[pencil[r][c] for c in cols] for r in range(b)]
-        det = mpoly_det(sub)
-        if not det.is_zero():
-            minors.append(_mpoly2_to_binary(det, b))
-    if not minors:
-        return False
-    return binary_gcd(minors).degree == 0
-
-
-def _mpoly2_to_binary(p: MPoly, degree: int) -> BinaryForm:
-    coeffs = [Fraction(0)] * (degree + 1)
-    for (a, bq), c in p.terms.items():
-        if a + bq != degree:
-            raise ValueError("minor is not homogeneous of the pencil degree")
-        coeffs[bq] = c
-    return BinaryForm(coeffs)
+    return MultiplicationMatrix(entries=entries, sigma=sigma, tau=tau)
 
 
 def minors_in_ideal(pres: OTPresentation, g: MultiplicationMatrix) -> bool:

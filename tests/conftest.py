@@ -1,5 +1,7 @@
 import random
+from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -167,6 +169,143 @@ def hilbert_burch_psi(arr):
     for j in range(arr.d - 1):
         psi[j][j], psi[j + 1][j] = lins[j], -lins[j + 1]
     return psi
+
+
+def mpoly_det(rows: list) -> MPoly:
+    """Determinant of a square MPoly matrix by Laplace expansion along the
+    sparsest column; fine for the small structured matrices used here."""
+    n = len(rows)
+    if n == 0:
+        raise ValueError("empty matrix")
+    nvars = rows[0][0].nvars
+    if n == 1:
+        return rows[0][0]
+
+    def det(rs, cols):
+        k = len(cols)
+        if k == 1:
+            return rs[0][cols[0]]
+        # pick the column with the fewest nonzero entries
+        best, best_nz = None, None
+        for ci, c in enumerate(cols):
+            nz = [ri for ri in range(k) if not rs[ri][c].is_zero()]
+            if best_nz is None or len(nz) < len(best_nz):
+                best, best_nz = ci, nz
+                if len(nz) <= 1:
+                    break
+        if not best_nz:
+            return MPoly.zero(nvars)
+        c = cols[best]
+        rest = cols[:best] + cols[best + 1:]
+        total = MPoly.zero(nvars)
+        for ri in best_nz:
+            sub = rs[:ri] + rs[ri + 1:]
+            minor = det(sub, rest)
+            term = rs[ri][c] * minor
+            if (ri + best) % 2 == 1:
+                term = -term
+            total = total + term
+        return total
+
+    return det(rows, list(range(n)))
+
+
+class BinaryForm:
+    """Homogeneous form of degree b in two variables; coefficient k is the
+    coefficient of lambda^(b-k) mu^k."""
+
+    def __init__(self, coeffs):
+        self.coeffs = [Fraction(c) for c in coeffs]
+        if not self.coeffs:
+            raise ValueError("binary form needs at least one coefficient")
+        self.degree = len(self.coeffs) - 1
+
+    def is_zero(self) -> bool:
+        return all(c == 0 for c in self.coeffs)
+
+
+def _poly_trim(c: list) -> list:
+    while c and c[-1] == 0:
+        c.pop()
+    return c
+
+
+def _poly_divmod(a: list, b: list):
+    a = list(a)
+    db, lb = len(b) - 1, b[-1]
+    while len(a) - 1 >= db and _poly_trim(a):
+        f = a[-1] / lb
+        shift = len(a) - 1 - db
+        for i, bc in enumerate(b):
+            a[shift + i] -= f * bc
+        _poly_trim(a)
+        if not a:
+            break
+    return a
+
+
+def _poly_gcd(a: list, b: list) -> list:
+    a, b = _poly_trim(list(a)), _poly_trim(list(b))
+    while b:
+        a, b = b, _poly_trim(_poly_divmod(a, b))
+    if a:
+        lead = a[-1]
+        a = [c / lead for c in a]
+    return a
+
+
+def binary_gcd(forms: list) -> BinaryForm:
+    """Monic gcd of binary forms, tracking the common mu-power (the shared
+    root at infinity that dehomogenization would drop)."""
+    nonzero = [f for f in forms if not f.is_zero()]
+    if not nonzero:
+        raise ValueError("zero pencil")
+    g: list = []
+    mu_order = None
+    for f in nonzero:
+        # univariate in u = lambda: coefficient of u^(b-k) is coeffs[k]
+        b = f.degree
+        uni = [Fraction(0)] * (b + 1)
+        for k, c in enumerate(f.coeffs):
+            uni[b - k] = c
+        _poly_trim(uni)
+        ordmu = b - (len(uni) - 1)
+        mu_order = ordmu if mu_order is None else min(mu_order, ordmu)
+        g = uni if not g else _poly_gcd(g, uni)
+    deg_u = len(g) - 1
+    total = deg_u + mu_order
+    coeffs = [Fraction(0)] * (total + 1)
+    for j, c in enumerate(g):
+        # term c * u^j -> c * lambda^j mu^(deg_u - j), times mu^mu_order
+        coeffs[total - j] = c
+    lead = next(c for c in coeffs if c)
+    return BinaryForm([c / lead for c in coeffs])
+
+
+def is_one_generic(entries) -> bool:
+    """Whether a 2 x b matrix of linear forms in y_1..y_d is 1-generic,
+    decided by brute force: the reference for the lemma that makes every
+    `multiplication_matrix` 1-generic.  For every point (lambda : mu) of
+    P^1 the b combined entries must stay independent, so the b x b minors
+    of their coefficient matrix, binary forms of degree b, must have a
+    nonzero constant gcd."""
+    b, d = len(entries[0]), entries[0][0].nvars
+    if b > d:
+        return False
+    unit = [tuple(int(i == k) for i in range(d)) for k in range(d)]
+    # row j, column k: the y_k coefficient of lambda G_0j + mu G_1j
+    pencil = [[MPoly(2, {(1, 0): entries[0][j].terms.get(e, 0),
+                         (0, 1): entries[1][j].terms.get(e, 0)})
+               for e in unit] for j in range(b)]
+    minors = []
+    for cols in combinations(range(d), b):
+        det = mpoly_det([[row[c] for c in cols] for row in pencil])
+        if not det.is_zero():
+            coeffs = [Fraction(0)] * (b + 1)
+            for (_, k), c in det.terms.items():
+                coeffs[k] = c
+            minors.append(BinaryForm(coeffs))
+    return bool(minors) and binary_gcd(minors).degree == 0
 
 
 def substitution_rank(arr, j):

@@ -11,15 +11,14 @@ from otb.divisors import DivisorClass, divisor_DA, h0_fatpoints, h0_h1, \
     net_split
 from otb.analysis import Analysis
 from otb.koszul import b23_formula, betti_table, tor_dimension
-from otb.exact import mpoly_det
 from otb.orlik_terao import (gradient_degree, jacobian_containment, l_forms,
                              terao_series)
 from otb.resonance import (is_neighborly, resonance_components,
                            search_multinets, verify_multinet)
-from otb.scroll import (en_prediction, is_one_generic, minors_in_ideal,
-                        multiplication_matrix)
+from otb.scroll import en_prediction, minors_in_ideal, multiplication_matrix
 
-from conftest import BUILTINS, analysis, hilbert_burch_psi, oracle
+from conftest import (BUILTINS, analysis, hilbert_burch_psi, is_one_generic,
+                      mpoly_det, oracle)
 
 TABLE_BUDGET = 300.0      # seconds per Betti table
 SUITE_BUDGET = 120.0      # seconds per property suite
@@ -138,7 +137,7 @@ def test_criterion_7_scroll_certificates():
         cert = search_multinets(a, 3, 1)[0]
         gamma = multiplication_matrix(pres, cert)
         assert (len(gamma.entries), gamma.ncols) == (2, 3), name
-        assert is_one_generic(gamma), name
+        assert is_one_generic(gamma.entries), name
         assert minors_in_ideal(pres, gamma), name
         en = en_prediction(cert, a.d)
         b23 = tor_dimension(analysis(name).engine, 2, 3)

@@ -5,13 +5,12 @@ from math import gcd, isqrt
 import pytest
 
 import otb.exact
-from otb.exact import (MODP_PRIMES, BinaryForm, MPoly, binary_gcd,
-                       kernel_basis, modp_matrix, modp_rank,
-                       monomials_of_degree, mpoly_det, primitive_vector,
+from otb.exact import (MODP_PRIMES, MPoly, kernel_basis, modp_matrix,
+                       modp_rank, monomials_of_degree, primitive_vector,
                        proved_rank, rank, rref, seeded_rng, solve,
                        SparseReducer, draw_generic, GenericityError)
 
-from conftest import compose
+from conftest import BinaryForm, binary_gcd, compose, mpoly_det
 
 
 # -- dense references, independent of SparseReducer
@@ -383,7 +382,7 @@ def test_primitive_vector():
         primitive_vector([0, 0])
 
 
-# -- binary forms
+# -- binary forms (the gcd behind the tests' 1-genericity oracle)
 
 
 def test_binary_gcd_lambda_power():

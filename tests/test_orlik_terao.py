@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 import otb.orlik_terao
 from otb.circuits import circuit_relation, enumerate_circuits
 from otb.cli import run
-from otb.exact import GenericityError, MPoly, monomials_of_degree, mpoly_det
+from otb.exact import GenericityError, MPoly, monomials_of_degree
 from otb.orlik_terao import (OTPresentation, defining_polynomial,
                              gradient_degree, jacobian_containment, l_forms,
                              membership, substitution_quotient_dim,
@@ -14,7 +14,7 @@ from otb.resonance import search_multinets
 from otb.scroll import multiplication_matrix
 
 from conftest import (BUILTINS, ORACLE_FORMS, ambient_piece, analysis,
-                      hilbert_burch_psi, nbc_by_filter,
+                      hilbert_burch_psi, mpoly_det, nbc_by_filter,
                       substitution_membership,
                       substitution_rank, vanishing_order)
 

@@ -2,15 +2,14 @@ import pytest
 from fractions import Fraction
 from math import comb
 
-from otb.exact import MPoly
+from otb.exact import MPoly, monomials_of_degree, rank
 from otb.koszul import tor_dimension
 from otb.orlik_terao import membership
 from otb.resonance import search_multinets
-from otb.scroll import (MultiplicationMatrix, en_prediction,
-                        is_one_generic, minor_span_dimension, minors_in_ideal,
+from otb.scroll import (en_prediction, minor_span_dimension, minors_in_ideal,
                         multiplication_matrix)
 
-from conftest import analysis
+from conftest import analysis, is_one_generic
 
 
 def _gamma(name):
@@ -38,24 +37,20 @@ def test_gamma_shape_9_3_1():
 def test_one_generic_on_nets():
     for name in ("braid-a3", "9_3_1"):
         _, _, g = _gamma(name)
-        assert is_one_generic(g)
+        assert is_one_generic(g.entries)
 
 
 def test_one_generic_rejects_zero_entry():
     y1 = MPoly.linear_form([1, 0, 0, 0])
     y2 = MPoly.linear_form([0, 1, 0, 0])
-    g = MultiplicationMatrix(entries=[[y1, MPoly.zero(4)], [y2, y1]],
-                             sigma=[], tau=[], d=4)
-    assert not is_one_generic(g)
+    assert not is_one_generic([[y1, MPoly.zero(4)], [y2, y1]])
 
 
 def test_one_generic_rejects_dependent_pencil_row():
     # at (1 : 1) the combined row is (y1+y2, y1+y2): dependent entries
     y1 = MPoly.linear_form([1, 0, 0, 0])
     y2 = MPoly.linear_form([0, 1, 0, 0])
-    g = MultiplicationMatrix(entries=[[y1, y2], [y2, y1]],
-                             sigma=[], tau=[], d=4)
-    assert not is_one_generic(g)
+    assert not is_one_generic([[y1, y2], [y2, y1]])
 
 
 def test_one_generic_invariant_under_row_and_column_ops():
@@ -72,11 +67,31 @@ def test_one_generic_invariant_under_row_and_column_ops():
         r1 = [c * e1 + d * e2 for e1, e2 in zip(g.entries[0], g.entries[1])]
         cols = list(range(g.ncols))
         rng.shuffle(cols)
-        h = MultiplicationMatrix(
-            entries=[[r0[j] for j in cols], [r1[j] for j in cols]],
-            sigma=[], tau=[], d=g.d)
-        assert is_one_generic(h)
+        assert is_one_generic([[r0[j] for j in cols], [r1[j] for j in cols]])
 
+
+
+def _coefficients(f):
+    return [f.terms.get(m, 0) for m in monomials_of_degree(3, f.degree())]
+
+
+def test_lemma_premises_on_every_net_matrix():
+    """Every Gamma that scroll-check builds is 1-generic by Eisenbud's
+    lemma, given two premises pinned here: sigma_0 and sigma_1 are not
+    proportional, and the tau_j are independent.  The oracle agrees, and
+    rejects the matrix once its third column is the sum of the first two."""
+    for name in ("braid-a3", "9_3_1"):
+        an = analysis(name)
+        nets = [c for k in (3, 4) for c in an.multinets(k, 1) if c.connected]
+        assert nets, name
+        for cert in nets:
+            g = multiplication_matrix(an.pres, cert)
+            assert rank([_coefficients(s) for s in g.sigma]) == 2, name
+            assert rank([_coefficients(t) for t in g.tau]) == g.ncols, name
+            assert is_one_generic(g.entries), name
+            dependent = [row[:2] + [row[0] + row[1]] + row[3:]
+                         for row in g.entries]
+            assert not is_one_generic(dependent), name
 
 def test_minors_in_ideal_and_span():
     a, _, g = _gamma("braid-a3")
