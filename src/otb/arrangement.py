@@ -3,8 +3,9 @@
 An arrangement is an ordered list of defining linear forms in (x, y, z),
 normalized to primitive integer vectors with positive leading entry.  From
 the forms we compute the rank-two flats (intersection points with their
-incidence sets and Mobius values) and the Poincare polynomial of the
-complement of the central cone in C^3.
+incidence sets and Mobius values).  The flats fix the rest of the lattice:
+the Poincare polynomial of the complement of the central cone in C^3 is
+read off d and the sum of the Mobius values.
 """
 
 from __future__ import annotations
@@ -211,17 +212,9 @@ def compute_flats(arr: Arrangement) -> list:
 
 
 def poincare_polynomial(arr: Arrangement) -> PoincarePoly:
-    """P(M,t) via the Mobius recursion on the rank <= 3 lattice: the bottom
-    element, the lines, the rank-two flats, and the center."""
-    mu_lines = {i: -1 for i in range(arr.d)}
-    mu_points = {}
-    for f in arr.flats:
-        mu_points[f] = -(1 + sum(mu_lines[i] for i in f.lines))
-    mu_top = -(1 + sum(mu_lines.values()) + sum(mu_points.values()))
-    c0 = 1
-    c1 = -sum(mu_lines.values())
-    c2 = sum(mu_points.values())
-    c3 = -mu_top
-    poly = PoincarePoly(coefficients=(c0, c1, c2, c3))
-    poly.projective_coefficients()  # asserts divisibility by (1+t)
-    return poly
+    """P(M,t) = sum over the flats X of |mu(0, X)| t^rank(X).  The lattice
+    has rank 3: mu is -1 on each line, mu(X) on each rank-two flat, and the
+    values sum to zero below the center, so P(M,t) = 1 + d t + (sum mu) t^2
+    + (sum mu - d + 1) t^3."""
+    d, s = arr.d, arr.sum_mu()
+    return PoincarePoly(coefficients=(1, d, s, s - d + 1))

@@ -1,6 +1,8 @@
 """Circuits of the linear matroid on the defining forms.
 
-A circuit is a minimal dependent subset of the forms; its dependency
+A circuit is a minimal dependent subset of the forms; for lines in the
+plane it is a concurrent triple or a quadruple with no concurrent triple,
+so the circuits are read off the rank-two flats.  Its dependency
 coefficients are projectively unique, and each circuit of size k yields the
 degree k-1 generator f of the Orlik-Terao ideal obtained by dropping one
 variable at a time from the product y_{i_1} ... y_{i_k}.
@@ -35,26 +37,28 @@ def size_bound(arr: Arrangement, max_size: int | None) -> int:
 
 def enumerate_circuits(arr: Arrangement, max_size: int | None = None) -> list:
     """All circuits of size <= `size_bound(arr, max_size)`, by increasing
-    size, lexicographic within a size; subsets containing a known circuit
-    are pruned."""
+    size, lexicographic within a size.  Two distinct lines are independent,
+    so the circuits of size 3 are the concurrent triples, read off the
+    rank-two flats; four forms in a 3-space are dependent, so the circuits
+    of size 4 are the quadruples that hold no concurrent triple."""
+    size = size_bound(arr, max_size)
+    triples = sorted(t for f in arr.flats for t in combinations(f.lines, 3))
+    subsets = triples if size >= 3 else []
+    if size >= 4:
+        concurrent = set(triples)
+        subsets = subsets + [
+            q for q in combinations(range(arr.d), 4)
+            if not any(t in concurrent for t in combinations(q, 3))]
     found = []
-    found_sets = []
-    for k in range(3, size_bound(arr, max_size) + 1):
-        for subset in combinations(range(arr.d), k):
-            sset = set(subset)
-            if any(c <= sset for c in found_sets):
-                continue
-            cols = [arr.forms[i] for i in subset]
-            ker = kernel_basis([[col[r] for col in cols] for r in range(3)])
-            if not ker:
-                continue
-            # no proper subset is dependent (it would contain an enumerated
-            # circuit), so this is a circuit and the kernel is a line
-            coeffs = primitive_vector(ker[0])
-            if any(c == 0 for c in coeffs):
-                raise AssertionError("circuit with a zero coefficient")
-            found.append(Circuit(indices=subset, coeffs=coeffs, ambient=arr.d))
-            found_sets.append(sset)
+    for subset in subsets:
+        cols = [arr.forms[i] for i in subset]
+        ker = kernel_basis([[col[r] for col in cols] for r in range(3)])
+        # a circuit's kernel is a line off every coordinate hyperplane
+        coeffs = primitive_vector(ker[0])
+        if any(c == 0 for c in coeffs):
+            raise ArithmeticError("circuit {%s} has a zero coefficient"
+                                  % ",".join(str(i + 1) for i in subset))
+        found.append(Circuit(indices=subset, coeffs=coeffs, ambient=arr.d))
     return found
 
 

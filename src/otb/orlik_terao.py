@@ -203,18 +203,12 @@ class TeraoSeries:
 
 
 def terao_series(arr: Arrangement, upto: int) -> TeraoSeries:
-    """Hilbert series of C(A): substitute t/(1-t) into the Poincare
-    polynomial; returns the numerator h over (1-t)^3 and the expansion."""
-    c = poincare_polynomial(arr).coefficients
-    # numerator: sum c_k t^k (1-t)^(3-k); degree 3 coefficient cancels
-    h = [0, 0, 0, 0]
-    for k, ck in enumerate(c):
-        # (1-t)^(3-k) expansion
-        for i in range(3 - k + 1):
-            h[k + i] += ck * comb(3 - k, i) * (-1) ** i
-    if h[3] != 0:
-        raise ArithmeticError("h-polynomial has degree > 2")
-    hpoly = tuple(h[:3])
+    """Hilbert series of C(A), pi(A, t/(1-t)) by Terao's theorem, as
+    h(t)/(1-t)^3 and its expansion.  With pi = (1, d, s, s - d + 1) and
+    s = sum mu, h = sum c_k t^k (1-t)^(3-k) = 1 + (d-3) t + (s-2d+3) t^2;
+    its t^3 coefficient -1 + d - s + (s - d + 1) is zero."""
+    _, d, s, _ = poincare_polynomial(arr).coefficients
+    hpoly = (1, d - 3, s - 2 * d + 3)
     coeffs = tuple(sum(hpoly[i] * comb(j - i + 2, 2)
                        for i in range(3) if j - i >= 0)
                    for j in range(upto + 1))

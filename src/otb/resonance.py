@@ -1,5 +1,6 @@
-"""Degree-two Orlik-Solomon algebra, the H^1 resonance oracle, neighborly
-partitions, multinets, and the assembly of the first resonance variety.
+"""Degree-two Orlik-Solomon algebra in the nbc basis read off the flats,
+the H^1 resonance oracle, neighborly partitions, multinets, and the
+assembly of the first resonance variety.
 
 The resonance variety is represented on the hyperplane sum(a) = 0 only (the
 complex is exact off it).  Local components come from flats with three or
@@ -29,36 +30,23 @@ class MultinetError(ValueError):
 
 
 class OS2:
-    """A^1 = Q^d and A^2 = wedge^2 / relations d(e_ijk) over concurrent
-    triples; dim A^2 equals the sum of the Mobius values of the flats."""
+    """A^1 = Q^d and A^2 in its nbc basis.  By Brieskorn's lemma A^2 is the
+    direct sum over the rank-two flats X of the local pieces A^2_X; with
+    m = max X, the products e_i e_m for i in X - {m} are a basis of A^2_X,
+    so dim A^2 is the sum of the Mobius values.  For i < j < m the relation
+    d(e_i e_j e_m) = 0 rewrites e_i e_j as e_i e_m - e_j e_m."""
 
     def __init__(self, arr: Arrangement):
         self.arrangement = arr
-        d = arr.d
-        self.pairs = list(combinations(range(d), 2))
-        self.pair_index = {t: k for k, t in enumerate(self.pairs)}
-        red = SparseReducer(len(self.pairs))
+        self.top = {}            # pair (i, j), i < j -> max of its flat
+        basis = []               # (i, m) for the basis element e_i e_m
         for f in arr.flats:
-            if f.mu < 2:
-                continue
-            for (i, j, k) in combinations(f.lines, 3):
-                red.add({self.pair_index[(j, k)]: Fraction(1),
-                         self.pair_index[(i, k)]: Fraction(-1),
-                         self.pair_index[(i, j)]: Fraction(1)})
-        self.reducer = red
-        self.quotient_cols = red.nonpivot_columns()
-        self.quotient_pos = {c: t for t, c in enumerate(self.quotient_cols)}
-        self.dim2 = len(self.quotient_cols)
-
-    def wedge(self, a, b) -> dict:
-        """a wedge b in the A^2 quotient basis."""
-        vec: dict = {}
-        for (i, j) in self.pairs:
-            c = a[i] * b[j] - a[j] * b[i]
-            if c:
-                vec[self.pair_index[(i, j)]] = c
-        res = self.reducer.reduce(vec)
-        return {self.quotient_pos[c]: v for c, v in res.items()}
+            m = f.lines[-1]
+            for pair in combinations(f.lines, 2):
+                self.top[pair] = m
+            basis.extend((i, m) for i in f.lines[:-1])
+        self.position = {b: k for k, b in enumerate(basis)}
+        self.dim2 = len(basis)
 
     def h1_dimension(self, a) -> int:
         """dim H^1(A, a) for a in the sum-zero hyperplane: the kernel of the
@@ -69,13 +57,22 @@ class OS2:
         if sum(a) != 0:
             # the complex is exact off the diagonal hyperplane
             return 0
-        # rank of (a wedge -): A^1 -> A^2 from its columns a wedge e_j
+        # rank of (a wedge -) from its columns sum_i a_i e_i e_j, nbc basis
         d = self.arrangement.d
         red = SparseReducer(self.dim2)
         for j in range(d):
-            e = [Fraction(0)] * d
-            e[j] = Fraction(1)
-            red.add(self.wedge(a, e))
+            col: dict = {}
+            for i in range(d):
+                if i == j or not a[i]:
+                    continue
+                p, q, s = (i, j, a[i]) if i < j else (j, i, -a[i])
+                m = self.top[(p, q)]
+                k = self.position[(p, m)]
+                col[k] = col.get(k, 0) + s
+                if q != m:
+                    k = self.position[(q, m)]
+                    col[k] = col.get(k, 0) - s
+            red.add(col)
         return d - red.rank - 1
 
 
@@ -425,7 +422,7 @@ def _dedup_components(comps: list) -> list:
     for c in comps:
         uniq.setdefault(c.span_key(), c)
     items = list(uniq.values())
-    dims = {id(c): len(c.span_key()) for c in items}
+    dims = {id(c): len(key) for key, c in uniq.items()}
     keep = []
     for c in items:
         contained = False

@@ -8,9 +8,10 @@ import pytest
 
 from otb.analysis import Analysis
 from otb.arrangement import Arrangement, ArrangementError, builtin
-from otb.circuits import circuit_relation, enumerate_circuits
+from otb.circuits import Circuit, circuit_relation
 from otb.divisors import vanishing_condition_rows
-from otb.exact import MPoly, SparseReducer, modp_rank, monomials_of_degree
+from otb.exact import (MPoly, SparseReducer, kernel_basis, modp_rank,
+                       monomials_of_degree, primitive_vector)
 from otb.koszul import FullEngine
 
 BUILTINS = ("braid-a3", "ex-2-4", "9_3_1", "9_3_2", "b3")
@@ -143,7 +144,7 @@ def ambient_piece(arr, j) -> AmbientPiece:
             index = {m: k for k, m in enumerate(monos)}
             for row in ambient_piece(arr, j - 1).times_variables(index):
                 red.add(row)
-            for c in enumerate_circuits(arr):
+            for c in circuits_by_kernels(arr, None):
                 if c.size - 1 == j:
                     red.add({index[e]: v for e, v
                              in circuit_relation(c).terms.items()})
@@ -327,6 +328,50 @@ def substitution_rank(arr, j):
                 img = out % p
         rows.append(img.ravel())
     return modp_rank(np.array(rows), p)
+
+
+def os2_relations(arr):
+    """The pair index of wedge^2 Q^d and the echelon of the relations
+    d(e_i e_j e_k) over the concurrent triples; A^2 is their quotient."""
+    index = {t: k for k, t in enumerate(combinations(range(arr.d), 2))}
+    relations = SparseReducer(len(index))
+    for f in arr.flats:
+        for (i, j, k) in combinations(f.lines, 3):
+            relations.add({index[(j, k)]: 1, index[(i, k)]: -1,
+                           index[(i, j)]: 1})
+    return index, relations
+
+
+def h1_by_quotient(arr, a) -> int:
+    """dim H^1(A, a) for a nonzero sum-zero a, with A^2 the quotient of
+    wedge^2 Q^d by the relations of `os2_relations`: the reference for the
+    nbc basis of `OS2`."""
+    index, relations = os2_relations(arr)
+    images = SparseReducer(len(index))
+    for j in range(arr.d):
+        wedge = {index[(min(i, j), max(i, j))]: a[i] if i < j else -a[i]
+                 for i in range(arr.d) if i != j}
+        images.add(relations.reduce(wedge))
+    return arr.d - images.rank - 1
+
+
+def circuits_by_kernels(arr, max_size) -> list:
+    """Circuits by the kernel of every subset of 3 or 4 forms, skipping the
+    subsets that hold a circuit already found: the reference for
+    `enumerate_circuits`, which reads them off the flats."""
+    size = min(arr.d, 4 if max_size is None else max_size)
+    found = []
+    for k in range(3, size + 1):
+        for subset in combinations(range(arr.d), k):
+            if any(set(c.indices) <= set(subset) for c in found):
+                continue
+            ker = kernel_basis([[arr.forms[i][r] for i in subset]
+                                for r in range(3)])
+            if ker:
+                found.append(Circuit(indices=subset,
+                                     coeffs=primitive_vector(ker[0]),
+                                     ambient=arr.d))
+    return found
 
 
 def vanishing_order(f, point):

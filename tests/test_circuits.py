@@ -1,7 +1,11 @@
+import pytest
+
+import otb.circuits
 from otb.circuits import circuit_relation, enumerate_circuits
+from otb.cli import run
 from otb.exact import MPoly, kernel_basis
 
-from conftest import BUILTINS, analysis
+from conftest import BUILTINS, ORACLE_FORMS, analysis, circuits_by_kernels
 
 
 def test_braid_triples(braid):
@@ -101,3 +105,18 @@ def test_all_coefficients_nonzero():
     for name in BUILTINS:
         for c in enumerate_circuits(analysis(name).arrangement, None):
             assert all(v != 0 for v in c.coeffs)
+
+
+@pytest.mark.parametrize("name", BUILTINS + tuple(ORACLE_FORMS))
+def test_circuits_match_the_kernel_oracle(name):
+    a = analysis(name).arrangement
+    for max_size in (None, 0, 1, 2, 3, 4):
+        assert enumerate_circuits(a, max_size) \
+            == circuits_by_kernels(a, max_size), max_size
+
+
+def test_zero_coefficient_is_a_verification_failure(monkeypatch, capsys):
+    monkeypatch.setattr(otb.circuits, "primitive_vector",
+                        lambda v: (0,) * len(v))
+    assert run(["circuits", "--builtin", "braid-a3"]) == 2
+    assert "zero coefficient" in capsys.readouterr().err

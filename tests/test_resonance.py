@@ -12,26 +12,40 @@ from otb.resonance import (MultinetError, OS2, is_neighborly,
                            local_components, resonance_components,
                            search_multinets, verify_multinet)
 
-from conftest import BUILTINS, analysis
+from conftest import (BUILTINS, ORACLE_FORMS, analysis, h1_by_quotient,
+                      os2_relations)
 
 
 def test_os2_dimension_is_sum_mu():
     for name in BUILTINS:
         a = analysis(name).arrangement
-        assert OS2(a).dim2 == a.sum_mu() \
+        index, relations = os2_relations(a)
+        assert OS2(a).dim2 == len(index) - relations.rank == a.sum_mu() \
             == poincare_polynomial(a).coefficients[2]
 
 
-def test_wedge_square_is_zero_random():
-    rng = seeded_rng("wedge-square")
-    for name in ("braid-a3", "9_3_1", "b3"):
-        a = analysis(name).arrangement
-        os2 = OS2(a)
-        for _ in range(20):
-            v = [Fraction(rng.randint(-9, 9)) for _ in range(a.d)]
-            if not any(v):
-                continue
-            assert os2.wedge(v, v) == {}
+def _sum_zero_point(rng, d, support) -> list:
+    """A nonzero point of the sum-zero hyperplane supported on `support`."""
+    while True:
+        a = [0] * d
+        for i in support:
+            a[i] = rng.randint(-3, 3)
+        a[support[-1]] -= sum(a)
+        if any(a):
+            return a
+
+
+@pytest.mark.parametrize("name", BUILTINS + tuple(ORACLE_FORMS))
+def test_h1_matches_the_quotient_oracle(name):
+    # 40 points of the whole hyperplane, then two on the lines of each flat
+    arr = analysis(name).arrangement
+    os2 = OS2(arr)
+    rng = seeded_rng("h1-oracle:%s" % name)
+    supports = [tuple(range(arr.d))] * 40 \
+        + [f.lines for f in arr.flats for _ in range(2)]
+    for support in supports:
+        a = _sum_zero_point(rng, arr.d, support)
+        assert os2.h1_dimension(a) == h1_by_quotient(arr, a), a
 
 
 def test_h1_braid_net_point(braid):
