@@ -60,16 +60,12 @@ class PoincarePoly:
     coefficients: tuple   # (1, d, sum mu, sum mu - d + 1)
 
     def projective_coefficients(self) -> tuple:
-        """Coefficients of P(M,t)/(1+t), the projective complement."""
-        c = self.coefficients
-        out = []
-        carry = 0
-        for a in c[:-1]:
-            out.append(a - carry)
-            carry = out[-1]
-        if c[-1] != carry:
-            raise ArithmeticError("Poincare polynomial not divisible by 1+t")
-        return tuple(out)
+        """Coefficients of P(M,t)/(1+t), the projective complement.  The
+        only constructor, `poincare_polynomial`, gives (1, d, s, s - d + 1),
+        and (1 + t)(1 + (d-1) t + (s-d+1) t^2) is exactly that, so the
+        quotient is (1, d - 1, s - d + 1) with no remainder."""
+        _, d, _, top = self.coefficients
+        return (1, d - 1, top)
 
     def __str__(self):
         parts = []
@@ -195,20 +191,16 @@ def _cross(a, b):
 
 def compute_flats(arr: Arrangement) -> list:
     """All pairwise intersection points, deduplicated, with full incidence
-    sets, sorted by canonical point representative."""
+    sets, sorted by canonical point representative.  The pairs alone give
+    the incidence: a line through a flat p meets some other line there,
+    and that pair adds it to `points[p]`."""
     points = {}
     for i in range(arr.d):
         for j in range(i + 1, arr.d):
-            p = _cross(arr.forms[i], arr.forms[j])
-            p = primitive_vector(p)
+            p = primitive_vector(_cross(arr.forms[i], arr.forms[j]))
             points.setdefault(p, set()).update((i, j))
-    flats = []
-    for p in sorted(points):
-        incident = tuple(sorted(
-            i for i in range(arr.d)
-            if sum(c * x for c, x in zip(arr.forms[i], p)) == 0))
-        flats.append(FlatPoint(point=p, lines=incident))
-    return flats
+    return [FlatPoint(point=p, lines=tuple(sorted(points[p])))
+            for p in sorted(points)]
 
 
 def poincare_polynomial(arr: Arrangement) -> PoincarePoly:

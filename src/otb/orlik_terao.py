@@ -49,14 +49,13 @@ def l_forms(arr: Arrangement) -> list:
 
 
 class OTPresentation:
-    """Circuits as rewriting rules into the nbc basis, l-forms, and the
-    proved bases and normal forms per degree."""
+    """Circuits as rewriting rules into the nbc basis, and the proved
+    bases and normal forms per degree."""
 
     def __init__(self, arr: Arrangement):
         self.arrangement = arr
         self.d = arr.d
         self.circuits = enumerate_circuits(arr)
-        self.l = l_forms(arr)
         # broken circuit -> (its largest line, [(i_t, -c_t/c_k), t < k])
         self._rules = {}
         for c in self.circuits:

@@ -16,7 +16,7 @@ from math import comb
 from .arrangement import Arrangement
 from .divisors import h0_fatpoints, net_split
 from .exact import MPoly, SparseReducer, monomials_of_degree, solve
-from .orlik_terao import OTPresentation, membership
+from .orlik_terao import OTPresentation, l_forms, membership
 
 
 @dataclass
@@ -74,8 +74,8 @@ def multiplication_matrix(pres: OTPresentation, cert) -> MultiplicationMatrix:
     # solve sigma_i * tau_j = sum c_k l_k exactly
     monos = monomials_of_degree(3, arr.d - 1)
     index = {mn: r for r, mn in enumerate(monos)}
-    lmat = [[pres.l[k].terms.get(mn, Fraction(0)) for k in range(arr.d)]
-            for mn in monos]
+    ls = l_forms(arr)
+    lmat = [[l.terms.get(mn, Fraction(0)) for l in ls] for mn in monos]
     entries = [[None] * len(tau) for _ in range(2)]
     for i, sg in enumerate(sigma):
         for j, t in enumerate(tau):

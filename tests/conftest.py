@@ -1,18 +1,21 @@
+import json
 import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from otb.analysis import Analysis
-from otb.arrangement import Arrangement, ArrangementError, builtin
+from otb.arrangement import Arrangement, ArrangementError, _cross, builtin
 from otb.circuits import Circuit, circuit_relation
 from otb.divisors import vanishing_condition_rows
 from otb.exact import (MPoly, SparseReducer, kernel_basis, modp_rank,
-                       monomials_of_degree, primitive_vector)
+                       monomials_of_degree, primitive_vector, rank)
 from otb.koszul import FullEngine
+from otb.orlik_terao import l_forms
 
 BUILTINS = ("braid-a3", "ex-2-4", "9_3_1", "9_3_2", "b3")
 
@@ -44,12 +47,22 @@ ORACLE_FORMS = {
 }
 
 
+# the seed-0 inputs of the benchmark: b3 plus one or two generic lines, and
+# braid-a3 plus one line at three draws
+BENCH_FORMS = {name: [tuple(f) for f in forms]
+               for workload in json.loads((Path(__file__).resolve().parent.parent
+                                           / "bench" / "inputs_seed0.json")
+                                          .read_text()).values()
+               for name, forms in workload.items()}
+
+
 @lru_cache(maxsize=None)
 def analysis(name):
-    """The shared Analysis of a builtin arrangement or of an ORACLE_FORMS
-    input."""
-    if name in ORACLE_FORMS:
-        return Analysis(Arrangement(ORACLE_FORMS[name], name=name))
+    """The shared Analysis of a builtin arrangement or of an ORACLE_FORMS or
+    BENCH_FORMS input."""
+    forms = ORACLE_FORMS.get(name) or BENCH_FORMS.get(name)
+    if forms:
+        return Analysis(Arrangement(forms, name=name))
     return Analysis(builtin(name))
 
 
@@ -87,7 +100,7 @@ def substitution_membership(pres, g):
     """The membership oracle that does not use the circuits: homogeneous g
     lies in I iff g(l_1, ..., l_d) expands to zero, since C(A) is the image
     of y_k -> l_k = (a_1 * ... * a_d) / a_k."""
-    return compose(g, pres.l).is_zero()
+    return compose(g, l_forms(pres.arrangement)).is_zero()
 
 
 def nbc_by_filter(pres, j) -> list:
@@ -353,6 +366,46 @@ def h1_by_quotient(arr, a) -> int:
                  for i in range(arr.d) if i != j}
         images.add(relations.reduce(wedge))
     return arr.d - images.rank - 1
+
+
+def incidence_by_scan(arr) -> list:
+    """(point, lines) for every rank-two flat, each point found as the
+    meet of a pair of lines and its lines by testing every form on it: the
+    reference for `compute_flats`, which reads the lines off the pairs."""
+    points = {primitive_vector(_cross(a, b))
+              for a, b in combinations(arr.forms, 2)}
+    return [(p, tuple(i for i, f in enumerate(arr.forms)
+                      if sum(c * x for c, x in zip(f, p)) == 0))
+            for p in sorted(points)]
+
+
+def nested_components(comps) -> list:
+    """The components whose span lies strictly inside the span of another,
+    by exact ranks: the containment filter that `resonance_components`
+    omits, since distinct components meet only in 0."""
+    def rows(c):
+        return [list(map(Fraction, v)) for v in c.vectors]
+
+    return [c for c in comps
+            if any(rank(rows(o)) > rank(rows(c))
+                   and rank(rows(o) + rows(c)) == rank(rows(o))
+                   for o in comps if o is not c)]
+
+
+def count_identities(arr, cert) -> list:
+    """The weighted count identities of a multinet that fail on `cert`:
+    total weight k m, sum of n_p^2 = m^2, and for every line the sum of
+    n_p over the base locus points on it = m.  `verify_multinet` proves
+    them from its conditions (1) and (3); this checks them by counting."""
+    k, m, n_p = cert.k, cert.m, cert.n_p
+    failed = []
+    if sum(cert.weights) != k * m:
+        failed.append("total weight %d != k m" % sum(cert.weights))
+    if sum(v * v for v in n_p.values()) != m * m:
+        failed.append("sum n_p^2 != m^2")
+    failed.extend("line %d: sum of n_p != m" % (i + 1) for i in range(arr.d)
+                  if sum(n_p[f] for f in cert.Z if i in f.lines) != m)
+    return failed
 
 
 def circuits_by_kernels(arr, max_size) -> list:

@@ -3,12 +3,15 @@ import random
 from math import comb
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from otb.arrangement import (Arrangement, ArrangementError,
                              parse_arrangement, poincare_polynomial)
 from otb.exact import seeded_rng
 
-from conftest import BUILTINS, analysis
+from conftest import (BENCH_FORMS, BUILTINS, ORACLE_FORMS, analysis,
+                      incidence_by_scan)
 
 
 def test_builtin_braid_forms(braid):
@@ -161,3 +164,23 @@ def test_flats_permutation_equivariant(braid):
     for f in shuffled.flats:
         assert tuple(sorted(perm[i] for i in f.lines)) \
             == tuple(sorted(orig[f.point]))
+
+
+@pytest.mark.parametrize("name", BUILTINS + tuple(ORACLE_FORMS)
+                         + tuple(BENCH_FORMS))
+def test_incidence_read_off_the_pairs_matches_the_scan(name):
+    arr = analysis(name).arrangement
+    assert [(f.point, f.lines) for f in arr.flats] == incidence_by_scan(arr)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(st.lists(st.tuples(*[st.integers(-2, 2)] * 3), min_size=3,
+                max_size=10))
+def test_incidence_matches_the_scan_on_drawn_arrangements(forms):
+    # small coefficients, so that many lines meet in triple points and more
+    try:
+        arr = Arrangement(forms)
+    except ArrangementError:
+        assume(False)
+    assert [(f.point, f.lines) for f in arr.flats] == incidence_by_scan(arr)

@@ -1,5 +1,6 @@
 import json
 import os
+import subprocess
 import sys
 import time
 
@@ -175,6 +176,19 @@ def test_report_matches_golden(name, capsys):
               encoding="utf-8") as fh:
         golden = fh.read()
     assert out == golden
+
+
+def test_python_dash_m_runs_the_tool():
+    # a source checkout runs the tool as `python -m otb`, which the README's
+    # golden-regeneration loop uses
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "otb", "report", "--all",
+                           "--builtin", "ex-2-4"],
+                          capture_output=True, env=env, check=True)
+    with open(os.path.join(GOLDEN_DIR, "ex-2-4.json"), "rb") as fh:
+        assert done.stdout == fh.read()
 
 
 @pytest.mark.parametrize("doc", [{"forms": [5, 6, 7]}, {"forms": 5}])

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import otb.exact
 from otb.divisors import (DivisorClass, divisor_DA, h0_fatpoints, h0_h1,
                           net_split, pairing, primitive_kernel,
                           riemann_roch_chi)
@@ -173,6 +174,24 @@ def test_a_kernel_past_one_prime_is_lifted_with_more():
         assert primitive_kernel(rows) == ([(b, -a, 0)],
                                           "lifted %d" % primes)
     assert primitive_kernel([[1, 0], [0, 2]]) == ([], "mod-p")
+
+
+def test_a_prime_with_a_singular_block_is_skipped(monkeypatch):
+    # the pivot block [[1, 1], [1, 1 + p1]] has determinant p1: singular
+    # only mod the second prime, which the lift skips; it needs three others
+    skipped = []
+    solve = otb.exact._solve_mod_p
+
+    def spy(a, b, q):
+        x = solve(a, b, q)
+        skipped.append((q, x is None))
+        return x
+    monkeypatch.setattr(otb.exact, "_solve_mod_p", spy)
+    rows = [[1, 1, 5], [1, 1 + MODP_PRIMES[1], 7]]
+    vecs, how = primitive_kernel(rows)
+    assert vecs == [(10737418143, 2, -2147483629)] == _reducer_kernel(rows)
+    assert how == "lifted 3"
+    assert skipped == [(q, q == MODP_PRIMES[1]) for q in MODP_PRIMES[:4]]
 
 
 def test_9_3_1_pencil_lower_bound_matches():

@@ -12,8 +12,11 @@ from otb.resonance import (MultinetError, OS2, is_neighborly,
                            local_components, resonance_components,
                            search_multinets, verify_multinet)
 
-from conftest import (BUILTINS, ORACLE_FORMS, analysis, h1_by_quotient,
+from conftest import (BENCH_FORMS, BUILTINS, ORACLE_FORMS, analysis,
+                      count_identities, h1_by_quotient, nested_components,
                       os2_relations)
+
+INPUTS = BUILTINS + tuple(ORACLE_FORMS) + tuple(BENCH_FORMS)
 
 
 def test_os2_dimension_is_sum_mu():
@@ -246,9 +249,11 @@ def brute_force_multinets(arr, k, max_weight):
         for c in colorings():
             blocks = [[i for i in range(d) if c[i] == b] for b in range(k)]
             try:
-                found.append(verify_multinet(arr, blocks, w))
+                cert = verify_multinet(arr, blocks, w)
             except MultinetError:
-                pass
+                continue
+            assert count_identities(arr, cert) == [], cert.describe()
+            found.append(cert)
     return found
 
 
@@ -267,6 +272,18 @@ def test_search_matches_brute_force_b3_plus_generic(n, k):
     # lines) gives the brute force thousands of colorings to verify
     a = b3_plus(n)
     assert search_multinets(a, k, 1) == brute_force_multinets(a, k, 1) == []
+
+
+@pytest.mark.parametrize("name", INPUTS)
+def test_count_identities_hold_on_every_certificate(name):
+    # verify_multinet does not count them: its conditions (1) and (3)
+    # prove them, so every certificate it issues satisfies them
+    an = analysis(name)
+    for k in (3, 4):
+        for w in (1, 2):
+            for cert in an.multinets(k, w):
+                assert count_identities(an.arrangement, cert) == [], \
+                    cert.describe()
 
 
 def test_weight_one_nets_are_weight_two_nets_and_a_direct_search():
@@ -452,3 +469,11 @@ def test_essential_component_span():
     assert len(ess) == 1
     assert ess[0].projective_dimension == 1
     assert all(sum(v) == 0 for v in ess[0].vectors)
+
+
+@pytest.mark.parametrize("name", INPUTS)
+def test_no_component_lies_inside_another(name):
+    # distinct components of R^1 meet only in 0, so the assembly keeps
+    # every deduplicated span
+    comps = resonance_components(analysis(name), 2)
+    assert nested_components(comps) == []
