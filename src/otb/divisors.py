@@ -15,7 +15,7 @@ to the exact elimination when a check fails.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm, perm, prod
+from math import gcd, lcm, perm
 
 import numpy as np
 
@@ -95,16 +95,17 @@ def vanishing_condition_rows(point, order: int, degree: int) -> list:
     < `order`, evaluated at a primitive representative, in integers.  Rows
     may be redundant; callers use ranks."""
     monos = monomials_of_degree(3, degree)
+    powers = [[x ** j for j in range(degree + 1)] for x in point]
     rows = []
     for alpha in range(order):
         for a in range(alpha + 1):
             for b in range(alpha - a + 1):
-                ts = (a, b, alpha - a - b)
-                rows.append([
-                    prod(perm(e, t) * x ** (e - t)
-                         for e, t, x in zip(m, ts, point))
-                    if all(e >= t for e, t in zip(m, ts)) else 0
-                    for m in monos])
+                # d^t/dx^t x^e = perm(e, t) x^(e - t), one table per variable
+                f0, f1, f2 = ([perm(e, t) * pw[e - t] if e >= t else 0
+                               for e in range(degree + 1)]
+                              for t, pw in zip((a, b, alpha - a - b), powers))
+                rows.append([f0[e0] * f1[e1] * f2[e2]
+                             for e0, e1, e2 in monos])
     return rows
 
 

@@ -1,18 +1,21 @@
 """Exact rational arithmetic kernels: one exact elimination over Q, ranks
 proved at mod-p cost, and multivariate polynomials.
 
-Scalars are `fractions.Fraction`.  `SparseReducer` is the only elimination
-over Q: it keeps sparse rows (dicts) in reduced row echelon form, and
-`rank`, `rref`, `kernel_basis` and `solve` are read-outs of one reducer fed
-a list of rows.  A reduced row echelon form is unique, so these read-outs do
-not depend on how the reducer orders its work.
+Inputs and outputs are `fractions.Fraction` (or int).  `SparseReducer` is
+the only elimination over Q: it keeps sparse rows (dicts) in reduced row
+echelon form, each stored as a primitive integer row that stands for itself
+over its pivot entry, and `rank`, `rref`, `kernel_basis` and `solve` are
+read-outs of one reducer fed a list of rows.  A reduced row echelon form is
+unique, so these read-outs do not depend on how the reducer orders its work
+or scales its rows.
 
 `proved_rank` proves the rank of a large sparse matrix over Q at about the
 cost of a numpy elimination mod a prime below 2**31, by two equal bounds.
-The rank mod p is a lower bound.  The number of columns minus the dimension
-of a space of exactly verified kernel vectors is an upper bound.  Those
-vectors are cycles the caller knows, plus vectors lifted from the kernel
-mod p by CRT over further primes and Wang's rational reconstruction, each
+The rank mod p is a lower bound.  The number of rows is an upper bound, and
+so is the number of columns minus the dimension of a space of exactly
+verified kernel vectors.  Those vectors are cycles the caller knows, plus,
+when the rank mod p meets neither bound, vectors lifted from the kernel mod
+p by CRT over further primes and Wang's rational reconstruction, each
 checked with one exact product (the certificate style of Dumas, Saunders
 and Villard in LinBox).  If the bounds do not meet, `SparseReducer`
 computes the rank.
@@ -91,64 +94,85 @@ def primitive_vector(vec) -> tuple:
 # Exact elimination over Q
 
 
-class SparseReducer:
-    """Incremental exact row echelon over Q with sparse rows (dicts).
+def _clear(x: dict, c: int, piv: dict) -> tuple[dict, int]:
+    """The integer row x cleared at column c by the stored row `piv` with
+    pivot c, as D x - x[c] piv over gcd(D, x[c]) with D = piv[c], and the
+    factor that multiplied x.  Pops x[c]; the result may be x itself."""
+    a, big = x.pop(c), piv[c]
+    g = gcd(a, big)
+    a, big = a // g, big // g
+    if big != 1:
+        x = {cc: big * v for cc, v in x.items()}
+    for cc, v in piv.items():
+        if cc != c:
+            nv = x.get(cc, 0) - a * v
+            if nv:
+                x[cc] = nv
+            else:
+                del x[cc]
+    return x, big
 
-    Maintains fully reduced pivot rows (pivot entry 1, pivot columns absent
-    from every other stored row).  `add` reduces a row and absorbs a nonzero
-    residue as a new pivot; `reduce` just computes the residue.
+
+def _primitive_part(x: dict) -> tuple[dict, int]:
+    """x divided by the gcd of its entries, and that gcd."""
+    g = gcd(*x.values())
+    return (x if g < 2 else {c: v // g for c, v in x.items()}), g
+
+
+class SparseReducer:
+    """Incremental exact reduced row echelon form over Q, kept in integers.
+
+    Each pivot row is a primitive integer dict whose positive pivot entry D
+    stands for 1: the row of the reduced row echelon form is the stored row
+    over D, and no stored row holds another's pivot column.  A row is
+    cleared at a pivot column fraction-free, as in Bareiss's elimination
+    (`_clear`), and its gcd divided out.  Values become Fractions only in
+    the read-outs: `reduce` (the residue of a row), `rref`, `kernel_basis`
+    and `solve`.  `add` reduces a row and absorbs a nonzero residue as a
+    new pivot.
     """
 
     def __init__(self, ncols: int):
         self.ncols = ncols
-        self.pivot_rows: dict[int, dict[int, Fraction]] = {}
+        self.pivot_rows: dict[int, dict[int, int]] = {}
 
     @property
     def rank(self) -> int:
         return len(self.pivot_rows)
 
-    def reduce(self, row: dict) -> dict:
-        row = {c: Fraction(v) for c, v in row.items() if v}
-        for c in sorted(row):
-            if c not in row:
-                continue
+    def _residue(self, row: dict) -> tuple[dict, int, int]:
+        """(res, num, den) with res a primitive integer dict and the residue
+        of `row` equal to res * num / den; res is empty for a zero residue."""
+        den = lcm(*(v.denominator for v in row.values()))
+        res = {c: v.numerator * (den // v.denominator)
+               for c, v in row.items() if v}
+        for c in sorted(res):
             piv = self.pivot_rows.get(c)
-            if piv is None:
-                continue
-            f = row.pop(c)
-            for cc, vv in piv.items():
-                if cc == c:
-                    continue
-                nv = row.get(cc, Fraction(0)) - f * vv
-                if nv:
-                    row[cc] = nv
-                else:
-                    row.pop(cc, None)
-        return row
+            if piv is not None:
+                res, big = _clear(res, c, piv)
+                den *= big
+        res, num = _primitive_part(res)
+        return res, num, den
+
+    def reduce(self, row: dict) -> dict:
+        res, num, den = self._residue(row)
+        return {c: Fraction(v * num, den) for c, v in res.items()}
 
     def add(self, row: dict) -> bool:
         """Reduce and, if independent from the span so far, insert. Returns
         True when the rank grew."""
-        res = self.reduce(row)
+        res = self._residue(row)[0]
         if not res:
             return False
         lead = min(res)
-        inv = 1 / res[lead]
-        newrow = {c: v * inv for c, v in res.items()}
+        if res[lead] < 0:
+            res = {c: -v for c, v in res.items()}
         # keep stored rows reduced against the new pivot
-        for piv in self.pivot_rows.values():
-            f = piv.get(lead)
-            if f:
-                piv.pop(lead)
-                for cc, vv in newrow.items():
-                    if cc == lead:
-                        continue
-                    nv = piv.get(cc, Fraction(0)) - f * vv
-                    if nv:
-                        piv[cc] = nv
-                    else:
-                        piv.pop(cc, None)
-        self.pivot_rows[lead] = newrow
+        for c, piv in self.pivot_rows.items():
+            if lead in piv:
+                piv = _clear(piv, lead, res)[0]
+                self.pivot_rows[c] = _primitive_part(piv)[0]
+        self.pivot_rows[lead] = res
         return True
 
     def nonpivot_columns(self) -> list[int]:
@@ -176,9 +200,8 @@ def rref(rows):
     """
     red = _reduced(rows)
     pivots = sorted(red.pivot_rows)
-    zero = Fraction(0)
-    return ([[red.pivot_rows[c].get(j, zero) for j in range(red.ncols)]
-             for c in pivots], pivots)
+    return ([[Fraction(red.pivot_rows[c].get(j, 0), red.pivot_rows[c][c])
+              for j in range(red.ncols)] for c in pivots], pivots)
 
 
 def kernel_basis(rows) -> list:
@@ -194,7 +217,7 @@ def kernel_basis(rows) -> list:
         v[f] = Fraction(1)
         for c, piv in red.pivot_rows.items():
             if f in piv:
-                v[c] = -piv[f]
+                v[c] = Fraction(-piv[f], piv[c])
         vecs.append(v)
     return vecs
 
@@ -207,7 +230,7 @@ def solve(rows, b) -> list | None:
         return None
     x = [Fraction(0)] * ncols
     for c, piv in red.pivot_rows.items():
-        x[c] = piv.get(ncols, Fraction(0))
+        x[c] = Fraction(piv.get(ncols, 0), piv[c])
     return x
 
 
@@ -407,21 +430,23 @@ def proved_rank(cols, nrows: int, cycles) -> tuple[int, str]:
     """Rank over Q of the matrix with sparse columns `cols` ({row: value}
     over `nrows` rows), proved by two equal bounds, and how it was proved.
 
-    At the first prime of MODP_PRIMES that divides no denominator, the
-    residues of the columns, taken as rows, are echeloned once, in place;
-    the number of pivots, the rank mod p, is the lower bound.  The upper
-    bound is the number of columns minus the dimension of a space of
-    exactly verified kernel vectors: the given `cycles` ({column: value}
-    each, checked with one exact product; a non-cycle raises
-    ArithmeticError) and, where they fall short of the kernel mod p,
-    cycles lifted by `_lift_cycles`.  A kernel vector mod p is determined
-    by its free coordinates (the columns that are not pivot rows), so one
-    echelon of the cycles restricted to those both measures them against
-    the kernel mod p and names the free columns left to lift; the known
-    and lifted cycles then span as much as the kernel mod p, and the two
-    bounds meet.  Returns (rank, how) with how
+    The given `cycles` ({column: value} each) are checked first, each
+    with one exact product; a non-cycle raises ArithmeticError.  At the
+    first prime of MODP_PRIMES that divides no denominator, the residues of
+    the columns, taken as rows, are echeloned once, in place; the number of
+    pivots, the rank mod p, is the lower bound.  If it equals `nrows`, the
+    row count bounds it from above and the rank is proved.  Otherwise the
+    upper bound is the number of columns minus the dimension of a space of
+    exactly verified kernel vectors: the given cycles and, where they fall
+    short of the kernel mod p, cycles lifted by `_lift_cycles`.  A kernel
+    vector mod p is determined by its free coordinates (the columns that
+    are not pivot rows), so one echelon of the cycles restricted to those
+    both measures them against the kernel mod p and names the free columns
+    left to lift; the known and lifted cycles then span as much as the
+    kernel mod p, and the two bounds meet.  Returns (rank, how) with how
 
-      "mod-p"     the given cycles close the gap by themselves;
+      "mod-p"     the rank mod p meets the row count, or the given cycles
+                  close the gap by themselves;
       "lifted k"  k lifted cycles were needed as well;
       "exact"     lifting failed, and `SparseReducer` computed the rank.
     """
@@ -437,6 +462,8 @@ def proved_rank(cols, nrows: int, cycles) -> tuple[int, str]:
         except BadPrime:
             continue
         rows, pivots = _echelon_mod_p(a, p)
+        if len(rows) == nrows:
+            return nrows, "mod-p"
         in_rows = set(rows)
         free = [c for c in range(ncols) if c not in in_rows]
         covered = set(_echelon_mod_p(known[:, free], p)[1])

@@ -19,10 +19,16 @@ verbatim to the quotient, over the d-3 surviving variables.  So every
 strand with j - i >= 3 is zero by the certificate itself.
 
 Every strand rank that is computed, in both engines, is proved by
-`exact.proved_rank`: the rank mod one prime bounds it from below, and
-exactly verified cycles bound it from above.  The columns of the incoming
-differential are cycles, since d o d = 0; where they fall short of the
-kernel mod p, kernel vectors are lifted to Q and checked.
+`exact.proved_rank`: the rank mod one prime bounds it from below, and the
+row count or exactly verified cycles bound it from above.  The columns of
+the incoming differential are cycles, since d o d = 0; where the rank mod
+p is short of the row count and they fall short of the kernel mod p,
+kernel vectors are lifted to Q and checked.
+
+The strands Wedge^i V (x) C_0 -> Wedge^{i-1} V (x) C_1 are not ranked.  In
+both engines the variables are a basis of C_1, so such a strand is the
+Koszul complex of the polynomial ring on V in its first degree, injective
+with rank C(n, i) for i <= n, the number of variables.
 
 The reduced engine also stops at the end of the linear strand.  Its ideal
 holds no linear forms (the quotient has dims (1, d-3, h_2, 0)), so
@@ -32,7 +38,7 @@ Wedge^{i-1} V (x) C_2 for i > k is exact at its source, so its rank is
 C(d-3, i)(d-3) minus the rank into it, and row 2, b_{i-1,i+1} =
 C(d-3, i-1) h_2 - rank B_i, follows without ranking B_i.  `rank_proofs`
 records, per strand, "mod-p", "lifted k", "exact" (the fallback
-elimination over Q) or "linear strand" (forced).
+elimination over Q), "koszul" or "linear strand" (both forced).
 
 `FullEngine` is the Koszul complex on all d variables of C(A), literally.
 At d = 9 its strands exceed 10000 x 4500, so the program never runs it;
@@ -127,14 +133,19 @@ class _Engine:
     def rank_of_differential(self, i: int, q: int) -> int:
         """rank of Wedge^i (x) C_q -> Wedge^{i-1} (x) C_{q+1}, proved by
         `proved_rank`, with the columns of the map into Wedge^i (x) C_q as
-        the known cycles (d o d = 0), or forced where the linear strand has
-        ended; `rank_proofs` records how."""
+        the known cycles (d o d = 0), or forced: for q = 0, since the
+        variables are a basis of C_1, and where the linear strand has ended;
+        `rank_proofs` records how."""
         key = (i, q)
         if key in self._rank_cache:
             return self._rank_cache[key]
         c_src, c_dst = self.dim(q), self.dim(q + 1)
         if i <= 0 or i > self.nvars or c_src == 0 or c_dst == 0:
             r = 0
+        elif q == 0:
+            # the Koszul map of the variables, a basis of C_1: injective
+            r = comb(self.nvars, i)
+            self.rank_proofs[key] = "koszul"
         elif self._past_linear_strand(i, q):
             # b_{i,i+1} = 0: the strand is exact at Wedge^i (x) C_1
             r = (comb(self.nvars, i) * c_src

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import perm, prod
 from pathlib import Path
 
 import numpy as np
@@ -109,6 +110,109 @@ def nbc_by_filter(pres, j) -> list:
     generation in `OTPresentation.graded_piece`."""
     return [m for m in monomials_of_degree(pres.d, j)
             if pres._rule(tuple(i for i, e in enumerate(m) if e)) is None]
+
+
+class FractionReducer:
+    """Incremental exact row echelon over Q on rows of Fractions: the
+    reference for `SparseReducer`, which keeps its rows in integers.
+
+    Maintains fully reduced pivot rows (pivot entry 1, pivot columns absent
+    from every other stored row).  `add` reduces a row and absorbs a nonzero
+    residue as a new pivot; `reduce` just computes the residue.
+    """
+
+    def __init__(self, ncols: int):
+        self.ncols = ncols
+        self.pivot_rows: dict = {}
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivot_rows)
+
+    def reduce(self, row: dict) -> dict:
+        row = {c: Fraction(v) for c, v in row.items() if v}
+        for c in sorted(row):
+            if c not in row:
+                continue
+            piv = self.pivot_rows.get(c)
+            if piv is None:
+                continue
+            f = row.pop(c)
+            for cc, vv in piv.items():
+                if cc == c:
+                    continue
+                nv = row.get(cc, Fraction(0)) - f * vv
+                if nv:
+                    row[cc] = nv
+                else:
+                    row.pop(cc, None)
+        return row
+
+    def add(self, row: dict) -> bool:
+        res = self.reduce(row)
+        if not res:
+            return False
+        lead = min(res)
+        inv = 1 / res[lead]
+        newrow = {c: v * inv for c, v in res.items()}
+        for piv in self.pivot_rows.values():
+            f = piv.get(lead)
+            if f:
+                piv.pop(lead)
+                for cc, vv in newrow.items():
+                    if cc == lead:
+                        continue
+                    nv = piv.get(cc, Fraction(0)) - f * vv
+                    if nv:
+                        piv[cc] = nv
+                    else:
+                        piv.pop(cc, None)
+        self.pivot_rows[lead] = newrow
+        return True
+
+    def nonpivot_columns(self) -> list:
+        return [c for c in range(self.ncols) if c not in self.pivot_rows]
+
+
+def fraction_reduced(rows) -> FractionReducer:
+    red = FractionReducer(len(rows[0]) if rows else 0)
+    for row in rows:
+        red.add({c: v for c, v in enumerate(row) if v})
+    return red
+
+
+def fraction_rref(rows):
+    """`exact.rref` read off the Fraction reference."""
+    red = fraction_reduced(rows)
+    pivots = sorted(red.pivot_rows)
+    return ([[red.pivot_rows[c].get(j, Fraction(0)) for j in range(red.ncols)]
+             for c in pivots], pivots)
+
+
+def fraction_kernel(rows) -> list:
+    """`exact.kernel_basis` read off the Fraction reference."""
+    red = fraction_reduced(rows)
+    vecs = []
+    for f in red.nonpivot_columns():
+        v = [Fraction(0)] * red.ncols
+        v[f] = Fraction(1)
+        for c, piv in red.pivot_rows.items():
+            if f in piv:
+                v[c] = -piv[f]
+        vecs.append(v)
+    return vecs
+
+
+def fraction_solve(rows, b):
+    """`exact.solve` read off the Fraction reference."""
+    ncols = len(rows[0]) if rows else 0
+    red = fraction_reduced([list(row) + [v] for row, v in zip(rows, b)])
+    if ncols in red.pivot_rows:
+        return None
+    x = [Fraction(0)] * ncols
+    for c, piv in red.pivot_rows.items():
+        x[c] = piv.get(ncols, Fraction(0))
+    return x
 
 
 class AmbientPiece:
@@ -425,6 +529,23 @@ def circuits_by_kernels(arr, max_size) -> list:
                                      coeffs=primitive_vector(ker[0]),
                                      ambient=arr.d))
     return found
+
+
+def vanishing_rows_by_formula(point, order: int, degree: int) -> list:
+    """`vanishing_condition_rows` entry by entry: the derivative d^t of
+    the monomial x^e at the point is prod perm(e_k, t_k) x_k^(e_k - t_k)."""
+    monos = monomials_of_degree(3, degree)
+    rows = []
+    for alpha in range(order):
+        for a in range(alpha + 1):
+            for b in range(alpha - a + 1):
+                ts = (a, b, alpha - a - b)
+                rows.append([
+                    prod(perm(e, t) * x ** (e - t)
+                         for e, t, x in zip(m, ts, point))
+                    if all(e >= t for e, t in zip(m, ts)) else 0
+                    for m in monos])
+    return rows
 
 
 def vanishing_order(f, point):

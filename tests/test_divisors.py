@@ -5,14 +5,15 @@ import pytest
 import otb.exact
 from otb.divisors import (DivisorClass, divisor_DA, h0_fatpoints, h0_h1,
                           net_split, pairing, primitive_kernel,
-                          riemann_roch_chi)
+                          riemann_roch_chi, vanishing_condition_rows)
 from otb.exact import (MODP_PRIMES, MPoly, kernel_basis, monomials_of_degree,
                        primitive_vector, rank)
 from otb.orlik_terao import l_forms
 from otb.resonance import search_multinets
 from otb.scroll import en_prediction
 
-from conftest import BUILTINS, analysis, vanishing_order
+from conftest import (BUILTINS, analysis, vanishing_order,
+                      vanishing_rows_by_formula)
 
 
 def test_pairing_basis(braid):
@@ -111,7 +112,6 @@ def test_9_3_1_net_divisors():
 
 
 def _condition_rows(a, div):
-    from otb.divisors import vanishing_condition_rows
     rows = []
     for p, v in sorted(div.mults.items(), key=lambda kv: kv[0].point):
         rows.extend(vanishing_condition_rows(p.point, v, div.m))
@@ -134,6 +134,18 @@ def test_h0_basis_is_the_reducers_kernel_without_the_reducer(name, mode, m):
     assert [tuple(f.terms.get(mo, 0) for mo in monos) for f in sec.basis] \
         == _reducer_kernel(_condition_rows(a, div))
     assert sec.how != "exact"
+
+
+@pytest.mark.parametrize("m", [3, 6, 9, 12])
+@pytest.mark.parametrize("mode", ["one", "mu"])
+@pytest.mark.parametrize("name", ["9_3_1", "b3"])
+def test_condition_rows_match_the_formula(name, mode, m):
+    # the same 16 inputs: the tabled rows equal the entry-by-entry formula
+    a = analysis(name).arrangement
+    for p in a.flats:
+        order = 1 if mode == "one" else p.mu
+        assert vanishing_condition_rows(p.point, order, m) == \
+            vanishing_rows_by_formula(p.point, order, m), p.point
 
 
 @pytest.mark.parametrize("seed", range(60))

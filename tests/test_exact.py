@@ -3,6 +3,8 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import otb.exact
 from otb.exact import (MODP_PRIMES, MPoly, kernel_basis, modp_matrix,
@@ -10,7 +12,9 @@ from otb.exact import (MODP_PRIMES, MPoly, kernel_basis, modp_matrix,
                        proved_rank, rank, rref, seeded_rng, solve,
                        SparseReducer, draw_generic, GenericityError)
 
-from conftest import BinaryForm, binary_gcd, compose, mpoly_det
+from conftest import (BinaryForm, FractionReducer, binary_gcd, compose,
+                      fraction_kernel, fraction_rref, fraction_solve,
+                      mpoly_det)
 
 
 # -- dense references, independent of SparseReducer
@@ -157,6 +161,74 @@ def test_readouts_match_dense_gauss_jordan():
         for b in (consistent, [rng.randint(-4, 4) for _ in range(nr)]):
             assert solve(m, b) == dense_solve(m, b, nc)
         assert solve(m, consistent) is not None
+
+
+# -- the integer SparseReducer against the Fraction reference
+
+
+def _scalars():
+    """Small rationals, denominators up to 10**12 and entries around
+    10**12, with zeros half the time."""
+    big = 10 ** 12
+    return st.one_of(
+        st.just(Fraction(0)),
+        st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)),
+        st.builds(Fraction, st.integers(-9, 9), st.integers(1, big)),
+        st.builds(Fraction, st.integers(big - 50, big + 50)
+                  .map(lambda x: x * (-1) ** x), st.integers(1, 7)))
+
+
+@st.composite
+def sparse_rows(draw):
+    """Rows of a random sparse rational matrix, some of them rational
+    combinations of earlier rows, so that reductions cancel."""
+    nc = draw(st.integers(1, 8))
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        if rows and draw(st.booleans()):
+            coeffs = draw(st.lists(_scalars(), min_size=len(rows),
+                                   max_size=len(rows)))
+            rows.append([sum(c * r[j] for c, r in zip(coeffs, rows))
+                         for j in range(nc)])
+        else:
+            rows.append(draw(st.lists(_scalars(), min_size=nc, max_size=nc)))
+    return rows
+
+
+def _assert_primitive_integer_rows(red):
+    """Each stored row is a primitive integer dict with a positive pivot
+    entry, and holds no other row's pivot column."""
+    for c, piv in red.pivot_rows.items():
+        assert all(type(v) is int and v for v in piv.values()), piv
+        assert piv[c] > 0 and min(piv) == c and gcd(*piv.values()) == 1, piv
+        assert not (set(piv) - {c}) & set(red.pivot_rows), piv
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(rows=sparse_rows(), data=st.data())
+def test_sparse_reducer_matches_the_fraction_reference(rows, data):
+    nc = len(rows[0])
+    red, ref = SparseReducer(nc), FractionReducer(nc)
+    for row in rows:
+        sparse = {j: x for j, x in enumerate(row) if x}
+        assert red.add(sparse) == ref.add(sparse)
+        _assert_primitive_integer_rows(red)
+        assert red.rank == ref.rank
+        assert red.nonpivot_columns() == ref.nonpivot_columns()
+    for _ in range(3):
+        probe = data.draw(st.lists(_scalars(), min_size=nc, max_size=nc))
+        sparse = {j: x for j, x in enumerate(probe) if x}
+        assert red.reduce(sparse) == ref.reduce(sparse)
+    assert rank(rows) == ref.rank
+    assert rref(rows) == fraction_rref(rows)
+    assert kernel_basis(rows) == fraction_kernel(rows)
+    b = data.draw(st.lists(_scalars(), min_size=len(rows),
+                           max_size=len(rows)))
+    consistent = [sum(row) for row in rows]
+    for rhs in (b, consistent):
+        assert solve(rows, rhs) == fraction_solve(rows, rhs)
+    assert solve(rows, consistent) is not None
 
 
 def test_modp_rank_agrees_with_exact():
@@ -463,6 +535,7 @@ def test_sparse_reducer_rank_matches_dense():
         for row in rows:
             red.add({i: v for i, v in enumerate(row) if v})
         assert red.rank == bareiss_rank(rows)
+        _assert_primitive_integer_rows(red)
 
 
 def test_seeded_rng_deterministic():

@@ -9,13 +9,13 @@ import otb.koszul
 from otb.analysis import Analysis
 from otb.arrangement import Arrangement
 from otb.exact import (MODP_PRIMES, GenericityError, SparseReducer,
-                       modp_rank, proved_rank)
+                       modp_matrix, modp_rank, proved_rank)
 from otb.koszul import (FullEngine, ReducedEngine, _differential_columns,
                         b23_formula, betti_table, tor_dimension)
 from otb.orlik_terao import terao_series
 
-from conftest import (BUILTINS, ORACLE_FORMS, ambient_piece, analysis,
-                      cubic_generators, oracle)
+from conftest import (BENCH_FORMS, BUILTINS, ORACLE_FORMS, ambient_piece,
+                      analysis, cubic_generators, oracle)
 
 
 def test_braid_table_full():
@@ -98,7 +98,7 @@ def _assert_no_fallback(eng):
     betti_table(eng, verify_regularity=True)
     assert eng.rank_proofs
     for key, how in eng.rank_proofs.items():
-        assert how in ("mod-p", "linear strand") \
+        assert how in ("mod-p", "koszul", "linear strand") \
             or how.startswith("lifted "), (key, how)
 
 
@@ -229,18 +229,85 @@ def test_building_the_reduction_eliminates_nothing_over_c3(monkeypatch):
 
 
 def test_b3_lifts_exactly_its_linear_syzygies():
-    # the cycles lifted for B_i: Wedge^i V (x) C_1 -> Wedge^{i-1} V (x) C_2
-    # beyond those of the Koszul complex of V number b_{i,i+1}
+    # B_i: Wedge^i V (x) C_1 -> Wedge^{i-1} V (x) C_2.  B_1 and B_2 have
+    # full row rank mod p (C(A) is generated in degree 1, and b_{1,3} = 0),
+    # so the row count proves them; B_3 lifts its b_{3,4} = 1 cycle beyond
+    # those of the Koszul complex of V
     eng = analysis("b3").engine
     tb = betti_table(eng)
     proofs = eng.rank_proofs
     assert {i: proofs[(i, 1)] for i in (1, 2, 3)} == {
-        1: "lifted 13", 2: "lifted 22", 3: "lifted 1"}
+        1: "mod-p", 2: "mod-p", 3: "lifted 1"}
     assert [tb.value(i, i + 1) for i in (1, 2, 3, 4)] == [13, 22, 1, 0]
+    assert tb.value(1, 3) == 0
     # b_{4,5} = 0 ends the linear strand: B_5 and B_6 are not ranked
     assert {i: proofs[(i, 1)] for i in (4, 5, 6)} == {
         4: "mod-p", 5: "linear strand", 6: "linear strand"}
-    assert all(how == "mod-p" for (i, q), how in proofs.items() if q != 1)
+    assert all(how == "koszul" for (i, q), how in proofs.items() if q != 1)
+
+
+@pytest.mark.parametrize("name, proofs", [
+    ("9_3_1", {1: "mod-p", 2: "lifted 2"}),
+    ("b3+2", {2: "lifted 22", 3: "lifted 1"})])
+def test_b2_lifts_where_b13_is_positive(name, proofs):
+    # b_{1,3} > 0 (4 cubic generators on 9_3_1; b3+2 is the seed-0 input of
+    # the scale workload): B_2 falls short of full row rank, and lifts
+    eng = ReducedEngine(analysis(name).pres)
+    assert betti_table(eng).value(1, 3) > 0
+    assert {i: eng.rank_proofs[(i, 1)] for i in proofs} == proofs
+
+
+def _koszul_strands(eng) -> set:
+    """After `betti_table`, the (i, 0) strands forced as Koszul maps, each
+    checked against the reducer."""
+    betti_table(eng)
+    forced = {key for key, how in eng.rank_proofs.items() if how == "koszul"}
+    for (i, q) in forced:
+        assert q == 0
+        assert eng.rank_of_differential(i, q) == comb(eng.nvars, i) == \
+            _strand_rank_by_reducer(eng, i, q), (i, q)
+    return forced
+
+
+@pytest.mark.parametrize("name", BUILTINS + tuple(sorted(ORACLE_FORMS)))
+def test_koszul_strand_ranks_match_the_reducer(name):
+    engines = [ReducedEngine(analysis(name).pres)]
+    if analysis(name).arrangement.d <= 7:
+        engines.append(FullEngine(analysis(name).pres))
+    for eng in engines:
+        forced = _koszul_strands(eng)
+        # homology(i, 1) needs B_{i+1} out of C_0, for i up to nvars - 1
+        assert {i for (i, _) in forced} == set(
+            range(2, eng.nvars + 1)), (name, type(eng).__name__)
+
+
+@pytest.mark.parametrize("name", BUILTINS + tuple(sorted(BENCH_FORMS)))
+def test_a_strand_of_full_row_rank_mod_p_lifts_nothing(name, monkeypatch):
+    # across every strand ranked for the table, `_lift_cycles` runs only
+    # where the rank mod p is short of the row count
+    eng = ReducedEngine(analysis(name).pres)
+    lifts = []
+    lift = otb.exact._lift_cycles
+    prove = otb.koszul.proved_rank
+    seen = []
+
+    def spy_lift(*args):
+        lifts.append(args)
+        return lift(*args)
+
+    def spy(cols, nrows, cycles):
+        del lifts[:]
+        r, how = prove(cols, nrows, cycles)
+        p = MODP_PRIMES[0]
+        full = modp_rank(modp_matrix(cols, nrows, p), p) == nrows
+        if full:
+            assert (r, how, lifts) == (nrows, "mod-p", []), (nrows, how)
+        seen.append(full)
+        return r, how
+    monkeypatch.setattr(otb.exact, "_lift_cycles", spy_lift)
+    monkeypatch.setattr(otb.koszul, "proved_rank", spy)
+    betti_table(eng, verify_regularity=True)
+    assert any(seen)
 
 
 # the generic lines that bench/inputs.extended_forms adds to b3 with
@@ -302,8 +369,9 @@ def test_betti_on_b3_ranks_no_strand_past_the_linear_strand(monkeypatch):
 
 
 def test_tor_23_alone_ranks_only_its_two_strands(monkeypatch):
-    # scroll-check asks for b_{2,3} only: no stop is known yet, so exactly
-    # the two strands of homology(2, 1) are ranked, and B_1 is not
+    # scroll-check asks for b_{2,3} only: no stop is known yet, so only
+    # the two strands of homology(2, 1) are touched, and B_1 is not; the
+    # one out of C_0 is forced as a Koszul map, so one strand is ranked
     eng = ReducedEngine(analysis("9_3_1").pres)
     calls = []
     prove = otb.koszul.proved_rank
@@ -313,8 +381,8 @@ def test_tor_23_alone_ranks_only_its_two_strands(monkeypatch):
         return prove(cols, nrows, cycles)
     monkeypatch.setattr(otb.koszul, "proved_rank", spy)
     assert tor_dimension(eng, 2, 3) == 2
-    assert eng.rank_proofs == {(2, 1): "lifted 2", (3, 0): "mod-p"}
-    assert len(calls) == 2
+    assert eng.rank_proofs == {(2, 1): "lifted 2", (3, 0): "koszul"}
+    assert len(calls) == 1
 
 
 def test_b3_plus_four_lines_table_is_pinned():
@@ -328,13 +396,19 @@ def test_b3_plus_four_lines_table_is_pinned():
     assert len(tb.entries) == 13
 
 
+def _9_3_1_b2():
+    """B_2 of 9_3_1, a strand that lifts, with its known cycles."""
+    eng = analysis("9_3_1").engine
+    cols, nrows = _differential_columns(eng.nvars, 2, eng.maps(1), eng.dim(1),
+                                        eng.dim(2))
+    cycles, _ = _differential_columns(eng.nvars, 3, eng.maps(0), eng.dim(0),
+                                      eng.dim(1))
+    return cols, nrows, cycles
+
+
 def test_proved_rank_builds_each_residue_matrix_once(monkeypatch):
     # a strand that lifts: its columns are reduced mod each prime tried once
-    eng = analysis("b3").engine
-    cols, nrows = _differential_columns(eng.nvars, 1, eng.maps(1), eng.dim(1),
-                                        eng.dim(2))
-    cycles, _ = _differential_columns(eng.nvars, 2, eng.maps(0), eng.dim(0),
-                                      eng.dim(1))
+    cols, nrows, cycles = _9_3_1_b2()
     primes = []
     build = otb.exact.modp_matrix
 
@@ -343,18 +417,14 @@ def test_proved_rank_builds_each_residue_matrix_once(monkeypatch):
             primes.append(p)
         return build(rows, ncols, p)
     monkeypatch.setattr(otb.exact, "modp_matrix", spy)
-    assert proved_rank(cols, nrows, cycles)[1] == "lifted 13"
+    assert proved_rank(cols, nrows, cycles)[1] == "lifted 2"
     assert primes == [MODP_PRIMES[0]]
 
 
 def test_proved_rank_echelons_each_residue_matrix_once(monkeypatch):
     # the same strand: one echelon of its residue matrix and one of the
     # known cycles, which serves both the mod-p test and the lift
-    eng = analysis("b3").engine
-    cols, nrows = _differential_columns(eng.nvars, 1, eng.maps(1), eng.dim(1),
-                                        eng.dim(2))
-    cycles, _ = _differential_columns(eng.nvars, 2, eng.maps(0), eng.dim(0),
-                                      eng.dim(1))
+    cols, nrows, cycles = _9_3_1_b2()
     shapes = []
     echelon = otb.exact._echelon_mod_p
 
@@ -362,7 +432,7 @@ def test_proved_rank_echelons_each_residue_matrix_once(monkeypatch):
         shapes.append(a.shape)
         return echelon(a, p)
     monkeypatch.setattr(otb.exact, "_echelon_mod_p", spy)
-    assert proved_rank(cols, nrows, cycles)[1] == "lifted 13"
+    assert proved_rank(cols, nrows, cycles)[1] == "lifted 2"
     assert len(shapes) == 2
     assert shapes[0] == (len(cols), nrows)
     assert shapes[1][0] == len(cycles)
