@@ -7,22 +7,18 @@ E_0^2 = 1, E_p^2 = -1, mixed products zero; the canonical class is
 -3 E_0 + sum E_p.  Sections of a class with nonnegative coefficients are
 the degree-m forms vanishing to order >= a_p at each p: the kernel of the
 integer matrix of derivative conditions (redundant rows are harmless).
-The basis is its reduced row echelon kernel, read off one echelon mod p
-and lifted to Q with exact checks by `primitive_kernel`, which falls back
-to the exact elimination when a check fails.
+The basis is its reduced row echelon kernel in primitive integer
+vectors, from `exact.primitive_kernel`: one echelon mod p and lifts to Q
+with exact checks, and the exact elimination when a check fails.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm, perm
-
-import numpy as np
+from math import perm
 
 from .arrangement import Arrangement
-from .exact import (MODP_PRIMES, MPoly, _echelon_mod_p, _integer_columns,
-                    _lift_cycles, kernel_basis, monomials_of_degree,
-                    primitive_vector)
+from .exact import MPoly, monomials_of_degree, primitive_kernel
 
 
 class DivisorClass:
@@ -107,59 +103,6 @@ def vanishing_condition_rows(point, order: int, degree: int) -> list:
                 rows.append([f0[e0] * f1[e1] * f2[e2]
                              for e0, e1, e2 in monos])
     return rows
-
-
-def _primitive(vec: dict, ncols: int) -> tuple:
-    """A sparse vector {column: int or Fraction} with `ncols` columns as a
-    primitive integer tuple, first nonzero entry positive."""
-    den = lcm(*(v.denominator for v in vec.values()))
-    ints = {c: v.numerator * (den // v.denominator) for c, v in vec.items()}
-    g = gcd(*ints.values())
-    if ints[min(ints)] < 0:
-        g = -g
-    out = [0] * ncols
-    for c, v in ints.items():
-        out[c] = v // g
-    return tuple(out)
-
-
-def primitive_kernel(rows) -> tuple[list, str]:
-    """`[primitive_vector(v) for v in kernel_basis(rows)]` for a nonempty
-    integer matrix, at mod-p cost, and how it was proved.
-
-    One `_echelon_mod_p` at the first prime gives the pivot columns mod p
-    (the greedy column basis mod p) and pivot rows whose square block at
-    them is invertible mod p.  For each free column f, `_lift_cycles` lifts
-    the kernel vector that is 1 at f and 0 at the other free columns, and
-    checks it exactly.  The lifts are accepted only if each vanishes on
-    the pivot columns after f.  Then every free column is a combination
-    over Q of earlier columns, so rank_Q <= rank_p; an integer matrix has
-    rank_Q >= rank_p; so the pivot columns mod p are the pivot columns over
-    Q, and the lifted vectors are exactly the reduced row echelon kernel of
-    `kernel_basis`.  Returns (vectors, how) with how
-
-      "mod-p"     there is no free column: the kernel is zero;
-      "lifted k"  the vectors were lifted with k primes;
-      "exact"     the lift or the support check failed, and `kernel_basis`
-                  computed the vectors.
-    """
-    p, ncols = MODP_PRIMES[0], len(rows[0])
-    a = np.array([[v % p for v in row] for row in rows], dtype=np.int64)
-    prows, pcols = _echelon_mod_p(a, p)
-    pivots = set(pcols)
-    free = [c for c in range(ncols) if c not in pivots]
-    if not free:
-        return [], "mod-p"
-    cols = [{i: row[c] for i, row in enumerate(rows) if row[c]}
-            for c in range(ncols)]
-    lifted = _lift_cycles(cols, _integer_columns(cols), pcols, prows, free, p)
-    if lifted is not None:
-        vecs = [{f: 1, **{k: v for k, v in zip(pcols, vec) if v}}
-                for f, vec in zip(free, lifted[0])]
-        if all(max(vec) == f for f, vec in zip(free, vecs)):
-            return ([_primitive(vec, ncols) for vec in vecs],
-                    "lifted %d" % lifted[1])
-    return [primitive_vector(v) for v in kernel_basis(rows)], "exact"
 
 
 def h0_fatpoints(arr: Arrangement, div: DivisorClass) -> SectionSpace:

@@ -20,7 +20,11 @@ checked with one exact product (the certificate style of Dumas, Saunders
 and Villard in LinBox).  If the bounds do not meet, `SparseReducer`
 computes the rank.
 
-`_lift_cycles` also lifts the fat-point sections of `divisors`.
+`primitive_kernel` reads the reduced row echelon kernel of an integer
+matrix, such as the fat-point conditions of `divisors`, off the same
+echelon mod p and lift: the primitive integer vectors of `kernel_basis`,
+at mod-p cost.  Rational entries become integers over their common
+denominator in one place, `_over_denominator`.
 
 No public routine mutates its arguments; results are freshly allocated.
 """
@@ -68,26 +72,34 @@ def draw_generic(rng: random.Random, make, is_good):
 # Integer vector normalization
 
 
+def _over_denominator(row: dict) -> tuple[dict, int]:
+    """(ints, den) with ints an integer dict and the sparse row {column: int
+    or Fraction} equal to ints / den; zero entries are dropped."""
+    den = lcm(*(v.denominator for v in row.values()))
+    return {c: v.numerator * (den // v.denominator)
+            for c, v in row.items() if v}, den
+
+
+def _primitive_tuple(vec: dict, n: int) -> tuple:
+    """The sparse vector `vec` with `n` entries scaled to a primitive integer
+    tuple, first nonzero entry positive.  Raises on the zero vector."""
+    ints = _over_denominator(vec)[0]
+    if not ints:
+        raise ValueError("cannot normalize the zero vector")
+    g = gcd(*ints.values())
+    if ints[min(ints)] < 0:
+        g = -g
+    out = [0] * n
+    for c, v in ints.items():
+        out[c] = v // g
+    return tuple(out)
+
+
 def primitive_vector(vec) -> tuple:
     """Scale a rational vector to a primitive integer vector, first nonzero
     entry positive.  Raises on the zero vector."""
-    fracs = [Fraction(v) for v in vec]
-    if all(f == 0 for f in fracs):
-        raise ValueError("cannot normalize the zero vector")
-    denom = 1
-    for f in fracs:
-        denom = denom * f.denominator // gcd(denom, f.denominator)
-    ints = [int(f * denom) for f in fracs]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    ints = [v // g for v in ints]
-    for v in ints:
-        if v != 0:
-            if v < 0:
-                ints = [-w for w in ints]
-            break
-    return tuple(ints)
+    vec = tuple(vec)
+    return _primitive_tuple(dict(enumerate(vec)), len(vec))
 
 
 # ---------------------------------------------------------------------------
@@ -143,9 +155,7 @@ class SparseReducer:
     def _residue(self, row: dict) -> tuple[dict, int, int]:
         """(res, num, den) with res a primitive integer dict and the residue
         of `row` equal to res * num / den; res is empty for a zero residue."""
-        den = lcm(*(v.denominator for v in row.values()))
-        res = {c: v.numerator * (den // v.denominator)
-               for c, v in row.items() if v}
+        res, den = _over_denominator(row)
         for c in sorted(res):
             piv = self.pivot_rows.get(c)
             if piv is not None:
@@ -358,26 +368,15 @@ def _reconstruct(residues: list, m: int) -> list | None:
     return out
 
 
-def _integer_columns(cols) -> list:
-    """Each sparse column as (den, integer column) with column =
-    integer column / den."""
-    out = []
-    for col in cols:
-        den = lcm(*(v.denominator for v in col.values()))
-        out.append((den, {r: v.numerator * (den // v.denominator)
-                          for r, v in col.items()}))
-    return out
-
-
 def _is_cycle(icols: list, vec: dict) -> bool:
     """Exact check that sum_k vec[k] * column k is the zero vector, in
-    integers over a common denominator; `icols` is `_integer_columns`."""
-    terms = {k: Fraction(v) / icols[k][0] for k, v in vec.items()}
-    den = lcm(*(t.denominator for t in terms.values()))
+    integers over a common denominator; icols[k] is column k as
+    `_over_denominator` gives it."""
+    ints = _over_denominator({k: Fraction(v) / icols[k][1]
+                              for k, v in vec.items()})[0]
     acc: dict = {}
-    for k, t in terms.items():
-        z = t.numerator * (den // t.denominator)
-        for row, w in icols[k][1].items():
+    for k, z in ints.items():
+        for row, w in icols[k][0].items():
             acc[row] = acc.get(row, 0) + z * w
     return not any(acc.values())
 
@@ -451,7 +450,7 @@ def proved_rank(cols, nrows: int, cycles) -> tuple[int, str]:
       "exact"     lifting failed, and `SparseReducer` computed the rank.
     """
     ncols = len(cols)
-    icols = _integer_columns(cols)
+    icols = [_over_denominator(col) for col in cols]
     for vec in cycles:
         if not _is_cycle(icols, vec):
             raise ArithmeticError("a given cycle is not in the kernel")
@@ -477,6 +476,46 @@ def proved_rank(cols, nrows: int, cycles) -> tuple[int, str]:
     for col in cols:
         red.add(col)
     return red.rank, "exact"
+
+
+def primitive_kernel(rows) -> tuple[list, str]:
+    """`[primitive_vector(v) for v in kernel_basis(rows)]` for a nonempty
+    integer matrix, at mod-p cost, and how it was proved.
+
+    One `_echelon_mod_p` at the first prime gives the pivot columns mod p
+    (the greedy column basis mod p) and pivot rows whose square block at
+    them is invertible mod p.  For each free column f, `_lift_cycles` lifts
+    the kernel vector that is 1 at f and 0 at the other free columns, and
+    checks it exactly.  The lifts are accepted only if each vanishes on
+    the pivot columns after f.  Then every free column is a combination
+    over Q of earlier columns, so rank_Q <= rank_p; an integer matrix has
+    rank_Q >= rank_p; so the pivot columns mod p are the pivot columns over
+    Q, and the lifted vectors are exactly the reduced row echelon kernel of
+    `kernel_basis`.  Returns (vectors, how) with how
+
+      "mod-p"     there is no free column: the kernel is zero;
+      "lifted k"  the vectors were lifted with k primes;
+      "exact"     the lift or the support check failed, and `kernel_basis`
+                  computed the vectors.
+    """
+    p, ncols = MODP_PRIMES[0], len(rows[0])
+    a = np.array([[v % p for v in row] for row in rows], dtype=np.int64)
+    prows, pcols = _echelon_mod_p(a, p)
+    pivots = set(pcols)
+    free = [c for c in range(ncols) if c not in pivots]
+    if not free:
+        return [], "mod-p"
+    cols = [{i: row[c] for i, row in enumerate(rows) if row[c]}
+            for c in range(ncols)]
+    icols = [_over_denominator(col) for col in cols]
+    lifted = _lift_cycles(cols, icols, pcols, prows, free, p)
+    if lifted is not None:
+        vecs = [{f: 1, **{k: v for k, v in zip(pcols, vec) if v}}
+                for f, vec in zip(free, lifted[0])]
+        if all(max(vec) == f for f, vec in zip(free, vecs)):
+            return ([_primitive_tuple(vec, ncols) for vec in vecs],
+                    "lifted %d" % lifted[1])
+    return [primitive_vector(v) for v in kernel_basis(rows)], "exact"
 
 
 # ---------------------------------------------------------------------------

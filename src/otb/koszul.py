@@ -7,7 +7,9 @@ b_{i,j} = dim Tor_i(C(A), k)_j is the middle homology of the strand
 of the Koszul complex on the variables tensored with the algebra.
 
 `ReducedEngine` computes it for every d.  It quotients C(A) by three
-generic linear forms theta and accepts theta on one test: the quotient has
+generic linear forms theta, with small integer coefficients, whose products
+theta_r m are normal forms of sum_s theta_rs y_s m (normal forms are
+linear), and accepts theta on one test: the quotient has
 dimensions h = (1, d-3, h_2) in degrees 0..2, by exact echelons over Q
 whose bases carry the induced maps, and theta C_2 spans C_3, by a rank mod
 p equal to dim C_3 (a lower bound for the rank over Q).  Then rank theta =
@@ -48,7 +50,6 @@ the tests compare the reduced engine against it on small arrangements.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import combinations
 from math import comb
 
@@ -85,24 +86,13 @@ def _differential_columns(nvars: int, i: int, maps, c_src: int, c_dst: int):
 
 
 def _theta_products(pres: OTPresentation, theta, q: int) -> list:
-    """theta_1, theta_2, theta_3 times each basis element of C_{q-1}, as
-    sparse vectors over the basis of C_q."""
-    maps = pres.multiplication_maps(q - 1)
-    out = []
-    for row in theta:
-        for k in range(len(pres.graded_piece(q - 1))):
-            col: dict = {}
-            for s, a in enumerate(row):
-                if not a:
-                    continue
-                for pos, v in maps[s][k].items():
-                    nv = col.get(pos, Fraction(0)) + a * v
-                    if nv:
-                        col[pos] = nv
-                    else:
-                        col.pop(pos, None)
-            out.append(col)
-    return out
+    """theta_1, theta_2, theta_3 times each basis element m of C_{q-1}, as
+    sparse vectors over the basis of C_q: normal forms are linear, so
+    theta_r m is the normal form of sum_s theta_rs y_s m."""
+    pres.graded_piece(q)  # normal_form needs the basis of C_q
+    return [pres.normal_form({m[:s] + (m[s] + 1,) + m[s + 1:]: a
+                              for s, a in enumerate(row) if a})
+            for row in theta for m in pres.graded_piece(q - 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +196,7 @@ class ReducedEngine(_Engine):
         h = terao_series(pres.arrangement, 2).h_polynomial
         rng = seeded_rng("artinian-reduction:%s" % (pres.arrangement.name or d))
         draw_generic(rng,
-                     lambda r: [[Fraction(r.randint(-5, 5)) for _ in range(d)]
+                     lambda r: [[r.randint(-5, 5) for _ in range(d)]
                                 for _ in range(3)],
                      lambda theta: self._try_theta(theta, h))
 

@@ -205,10 +205,9 @@ def verify_multinet(arr: Arrangement, blocks, weights) -> MultinetCertificate:
                 % (bi + 1, m, bw))
     # base locus: flats meeting at least two blocks.  Condition (2) -- all
     # cross-block intersections lie in Z -- holds by this construction.
-    Z = []
+    Z, off_z = [], []
     for f in arr.flats:
-        if len({block_of[i] for i in f.lines}) >= 2:
-            Z.append(f)
+        (Z if len({block_of[i] for i in f.lines}) >= 2 else off_z).append(f)
     n_p = {}
     for f in Z:
         per_block = [sum(w[i] for i in f.lines if block_of[i] == bi)
@@ -221,40 +220,20 @@ def verify_multinet(arr: Arrangement, blocks, weights) -> MultinetCertificate:
                 "%d and %d" % (f.point, lo + 1, hi + 1,
                                per_block[lo], per_block[hi]))
         n_p[f] = per_block[0]
-    zset = set(Z)
-    # condition (4): within each block, lines are connected through
-    # intersections away from Z
-    connected = True
-    flat_of_pair = {}
-    for f in arr.flats:
-        for (i, j) in combinations(f.lines, 2):
-            flat_of_pair[(i, j)] = f
-    for b in blocks:
-        if len(b) <= 1:
-            continue
-        adj = {i: set() for i in b}
-        for (i, j) in combinations(b, 2):
-            if flat_of_pair[(i, j)] not in zset:
-                adj[i].add(j)
-                adj[j].add(i)
-        seen = {b[0]}
-        stack = [b[0]]
-        while stack:
-            for nb in adj[stack.pop()]:
-                if nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-        if len(seen) != len(b):
-            connected = False
+    # condition (4): within each block, the lines are connected by the
+    # pairs that meet off Z.  A flat off Z meets only one block, so it lies
+    # inside that block: joining the lines of each flat off Z joins exactly
+    # the same-block pairs that meet off Z.  The classes refine the k
+    # blocks, so every block is connected when there are k classes.
+    connected = len(set(_joined(arr.d, (f.lines for f in off_z)))) == k
     return MultinetCertificate(blocks=blocks, weights=tuple(w), k=k, m=m,
                                Z=tuple(Z), n_p=n_p, connected=connected)
 
 
-def _forced_leaders(arr: Arrangement, k: int) -> list:
-    """leader[i]: the smallest line that line i must share a block with.
-    A flat with fewer than k lines lies inside one block (see
-    `search_multinets`), so the lines are merged over every such flat."""
-    leader = list(range(arr.d))
+def _joined(d: int, groups) -> list:
+    """leader[i]: the smallest line joined to line i when the lines of each
+    group (a sequence of lines) are joined, by one union-find."""
+    leader = list(range(d))
 
     def find(i):
         while leader[i] != i:
@@ -262,12 +241,11 @@ def _forced_leaders(arr: Arrangement, k: int) -> list:
             i = leader[i]
         return i
 
-    for f in arr.flats:
-        if len(f.lines) < k:
-            for i in f.lines[1:]:
-                a, b = find(f.lines[0]), find(i)
-                leader[max(a, b)] = min(a, b)
-    return [find(i) for i in range(arr.d)]
+    for g in groups:
+        for i in g[1:]:
+            a, b = find(g[0]), find(i)
+            leader[max(a, b)] = min(a, b)
+    return [find(i) for i in range(d)]
 
 
 def _partitions_with_block_weight(leader, k: int, w, m: int):
@@ -319,7 +297,7 @@ def search_multinets(arr: Arrangement, k: int, max_weight: int) -> list:
     colorings of the forced classes (the first class sits in block 0) could
     exceed 10**9 candidates."""
     d = arr.d
-    leader = _forced_leaders(arr, k)
+    leader = _joined(d, [f.lines for f in arr.flats if len(f.lines) < k])
     classes = len(set(leader))
     if max_weight ** d * k ** (classes - 1) > 10 ** 9:
         raise ValueError("partition search space too large; restrict d, k "

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import perm, prod
+from math import gcd, perm, prod
 from pathlib import Path
 
 import numpy as np
@@ -110,6 +110,28 @@ def nbc_by_filter(pres, j) -> list:
     generation in `OTPresentation.graded_piece`."""
     return [m for m in monomials_of_degree(pres.d, j)
             if pres._rule(tuple(i for i, e in enumerate(m) if e)) is None]
+
+
+def primitive_vector_by_fractions(vec) -> tuple:
+    """`exact.primitive_vector` in Fraction arithmetic, with a gcd loop: the
+    reference for the sparse integer rule that `exact` now uses."""
+    fracs = [Fraction(v) for v in vec]
+    if all(f == 0 for f in fracs):
+        raise ValueError("cannot normalize the zero vector")
+    denom = 1
+    for f in fracs:
+        denom = denom * f.denominator // gcd(denom, f.denominator)
+    ints = [int(f * denom) for f in fracs]
+    g = 0
+    for v in ints:
+        g = gcd(g, v)
+    ints = [v // g for v in ints]
+    for v in ints:
+        if v != 0:
+            if v < 0:
+                ints = [-w for w in ints]
+            break
+    return tuple(ints)
 
 
 class FractionReducer:
@@ -510,6 +532,41 @@ def count_identities(arr, cert) -> list:
     failed.extend("line %d: sum of n_p != m" % (i + 1) for i in range(arr.d)
                   if sum(n_p[f] for f in cert.Z if i in f.lines) != m)
     return failed
+
+
+def leaders_by_dfs(d: int, edges) -> list:
+    """leader[i], the smallest vertex of the component of i in the graph on
+    range(d) with the given edges, by depth-first search: the reference for
+    the union-find `resonance._joined`."""
+    adj = {i: set() for i in range(d)}
+    for i, j in edges:
+        adj[i].add(j)
+        adj[j].add(i)
+    leader = [None] * d
+    for s in range(d):
+        if leader[s] is None:
+            leader[s] = s
+            stack = [s]
+            while stack:
+                for nb in adj[stack.pop()]:
+                    if leader[nb] is None:
+                        leader[nb] = s
+                        stack.append(nb)
+    return leader
+
+
+def connected_by_pairs(arr, blocks) -> bool:
+    """Condition (4) of a multinet by its definition: in each block, the
+    graph whose edges are the pairs of lines that meet off the base locus
+    Z (the flats meeting two blocks) is connected.  The reference for
+    `verify_multinet`, which joins the lines of each flat off Z instead."""
+    block_of = {i: bi for bi, b in enumerate(blocks) for i in b}
+    flat_of_pair = {pair: f for f in arr.flats
+                    for pair in combinations(f.lines, 2)}
+    edges = [(i, j) for b in blocks for i, j in combinations(b, 2)
+             if len({block_of[t] for t in flat_of_pair[(i, j)].lines}) == 1]
+    leader = leaders_by_dfs(arr.d, edges)
+    return all(len({leader[i] for i in b}) == 1 for b in blocks)
 
 
 def circuits_by_kernels(arr, max_size) -> list:

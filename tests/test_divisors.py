@@ -4,10 +4,10 @@ import pytest
 
 import otb.exact
 from otb.divisors import (DivisorClass, divisor_DA, h0_fatpoints, h0_h1,
-                          net_split, pairing, primitive_kernel,
-                          riemann_roch_chi, vanishing_condition_rows)
+                          net_split, pairing, riemann_roch_chi,
+                          vanishing_condition_rows)
 from otb.exact import (MODP_PRIMES, MPoly, kernel_basis, monomials_of_degree,
-                       primitive_vector, rank)
+                       primitive_kernel, primitive_vector, rank)
 from otb.orlik_terao import l_forms
 from otb.resonance import search_multinets
 from otb.scroll import en_prediction

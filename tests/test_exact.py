@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import otb.exact
@@ -14,7 +14,7 @@ from otb.exact import (MODP_PRIMES, MPoly, kernel_basis, modp_matrix,
 
 from conftest import (BinaryForm, FractionReducer, binary_gcd, compose,
                       fraction_kernel, fraction_rref, fraction_solve,
-                      mpoly_det)
+                      mpoly_det, primitive_vector_by_fractions)
 
 
 # -- dense references, independent of SparseReducer
@@ -452,6 +452,28 @@ def test_primitive_vector():
     assert primitive_vector([0, 6, -9]) == (0, 2, -3)
     with pytest.raises(ValueError):
         primitive_vector([0, 0])
+
+
+# entries are ints and Fractions, zeros among them, with denominators up to
+# 10^12; a negative leading entry flips the sign of the whole vector
+_entries = st.one_of(st.just(0), st.just(Fraction(0)),
+                     st.integers(-10 ** 12, 10 ** 12),
+                     st.fractions(min_value=-10 ** 6, max_value=10 ** 6,
+                                  max_denominator=10 ** 12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(vec=st.lists(_entries, min_size=1, max_size=8))
+@example(vec=[0, Fraction(0)])
+@example(vec=[0, Fraction(-3, 10 ** 12), 6])
+def test_primitive_vector_matches_the_fraction_loop(vec):
+    if not any(vec):
+        with pytest.raises(ValueError):
+            primitive_vector(vec)
+        return
+    got = primitive_vector(vec)
+    assert got == primitive_vector_by_fractions(vec)
+    assert all(type(v) is int for v in got)
 
 
 # -- binary forms (the gcd behind the tests' 1-genericity oracle)

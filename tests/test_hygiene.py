@@ -1,6 +1,6 @@
-"""Source hygiene: no module of the package imports a name it never uses,
-and every function, class and method of the package has a caller in the
-package or the benchmark harness."""
+"""Source hygiene: no module of the package imports a name it never uses
+or another module's private name, and every function, class and method of
+the package has a caller in the package or the benchmark harness."""
 
 import ast
 from pathlib import Path
@@ -33,6 +33,35 @@ def test_checker_flags_an_unused_import():
                          ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def private_imports(source: str) -> list:
+    """The underscore names a module imports from an otb module (relative
+    or absolute); dunders such as __version__ are public."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "otb"):
+            out.extend(a.name for a in node.names
+                       if a.name.startswith("_") and not (
+                           a.name.startswith("__") and a.name.endswith("__")))
+    return out
+
+
+def test_checker_flags_a_private_import():
+    assert private_imports("from . import __version__\n"
+                           "from os import _exit\n"
+                           "from .exact import _lift, rank\n"
+                           "from otb.koszul import _theta\n") \
+        == ["_lift", "_theta"]
+
+
+def test_no_module_imports_a_private_name():
+    """A module reaches another only through its public names, so a private
+    helper can change without breaking a caller outside its module."""
+    found = {path.name: private_imports(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    assert {name: names for name, names in found.items() if names} == {}
 
 
 def definitions(source: str) -> list:

@@ -1,20 +1,22 @@
 import time
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from otb.analysis import Analysis
 from otb.arrangement import Arrangement, builtin, poincare_polynomial
 from otb.exact import kernel_basis, primitive_vector, seeded_rng
-from otb.resonance import (MultinetError, OS2, is_neighborly,
+from otb.resonance import (MultinetError, OS2, _joined, is_neighborly,
                            local_components, resonance_components,
                            search_multinets, verify_multinet)
 
 from conftest import (BENCH_FORMS, BUILTINS, ORACLE_FORMS, analysis,
-                      count_identities, h1_by_quotient, nested_components,
-                      os2_relations)
+                      connected_by_pairs, count_identities, h1_by_quotient,
+                      leaders_by_dfs, nested_components, os2_relations)
 
 INPUTS = BUILTINS + tuple(ORACLE_FORMS) + tuple(BENCH_FORMS)
 
@@ -284,6 +286,48 @@ def test_count_identities_hold_on_every_certificate(name):
             for cert in an.multinets(k, w):
                 assert count_identities(an.arrangement, cert) == [], \
                     cert.describe()
+
+
+def test_connected_matches_the_pair_graph():
+    # condition (4) by the union-find over the flats off Z against the
+    # pair graph of its definition, on every certificate of the searches
+    checked = 0
+    for name in INPUTS:
+        an = analysis(name)
+        for k in (3, 4):
+            for w in (1, 2):
+                for cert in an.multinets(k, w):
+                    assert cert.connected == connected_by_pairs(
+                        an.arrangement, cert.blocks), (name, cert.describe())
+                    checked += 1
+    assert checked > 0
+
+
+@st.composite
+def _groupings(draw):
+    """d lines split into k blocks, and groups of lines each inside one
+    block, as the flats off Z are."""
+    d = draw(st.integers(1, 12))
+    block_of = draw(st.lists(st.integers(0, 3), min_size=d, max_size=d))
+    blocks = [[i for i in range(d) if block_of[i] == b]
+              for b in sorted(set(block_of))]
+    groups = [sorted(draw(st.sets(st.sampled_from(b), min_size=1)))
+              for b in draw(st.lists(st.sampled_from(blocks), max_size=10))]
+    return d, blocks, groups
+
+
+@settings(max_examples=300, deadline=None)
+@given(_groupings())
+def test_union_find_matches_the_dfs(grouping):
+    # random groupings also reach the disconnected case, which no builtin
+    # has: their weak multinets (weights up to 3) are all connected
+    d, blocks, groups = grouping
+    leader = leaders_by_dfs(d, [e for g in groups for e in combinations(g, 2)])
+    joined = _joined(d, groups)
+    assert joined == leader
+    # the test of condition (4) in verify_multinet: k classes
+    assert (len(set(joined)) == len(blocks)) \
+        == all(len({leader[i] for i in b}) == 1 for b in blocks)
 
 
 def test_weight_one_nets_are_weight_two_nets_and_a_direct_search():
