@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -53,9 +54,11 @@ def _frac(x) -> str:
 
 
 def _load_arrangement(args) -> Arrangement:
-    if getattr(args, "builtin", None):
+    if args.builtin and args.arrangement:
+        raise UsageError("give --builtin or --arrangement, not both")
+    if args.builtin:
         return builtin(args.builtin)
-    if getattr(args, "arrangement", None):
+    if args.arrangement:
         try:
             with open(args.arrangement, "r", encoding="utf-8") as fh:
                 return parse_arrangement(fh.read())
@@ -110,6 +113,7 @@ def _cert_dict(arr, cert) -> dict:
 
 
 def _cmd_info(an, args):
+    """the forms, and the rank-two flats by multiplicity"""
     arr = an.arrangement
     meta = _arrangement_meta(arr)
     lines = ["%s: %d lines, %d rank-two flats"
@@ -122,6 +126,7 @@ def _cmd_info(an, args):
 
 
 def _cmd_flats(an, args):
+    """the rank-two flats: points, lines and multiplicities"""
     arr = an.arrangement
     res = {"flats": [_flat_dict(f) for f in arr.flats]}
     lines = ["%d rank-two flats:" % len(arr.flats)]
@@ -133,6 +138,7 @@ def _cmd_flats(an, args):
 
 
 def _cmd_poincare(an, args):
+    """the Poincare polynomial"""
     poly = poincare_polynomial(an.arrangement)
     res = {"coefficients": list(poly.coefficients),
            "projective": list(poly.projective_coefficients()),
@@ -141,6 +147,7 @@ def _cmd_poincare(an, args):
 
 
 def _cmd_circuits(an, args):
+    """the circuits of the form matroid"""
     arr = an.arrangement
     size = size_bound(arr, args.max_size)
     cs = enumerate_circuits(arr, args.max_size)
@@ -157,6 +164,7 @@ def _cmd_circuits(an, args):
 
 
 def _cmd_ot_hilbert(an, args):
+    """the Orlik-Terao Hilbert function, by series and by rank"""
     pres = an.pres
     upto = args.upto
     ts = terao_series(an.arrangement, upto)
@@ -174,6 +182,7 @@ def _cmd_ot_hilbert(an, args):
 
 
 def _cmd_betti(an, args):
+    """the graded Betti table of the Orlik-Terao algebra"""
     table = betti_table(an.engine, verify_regularity=args.verify_regularity)
     res = {
         "totals": table.totals(),
@@ -195,6 +204,7 @@ def _cmd_betti(an, args):
 
 
 def _cmd_divisor_da(an, args):
+    """chi, h0 and h1 of the divisor D_A on the blowup"""
     arr = an.arrangement
     da = divisor_DA(arr)
     h0, h1 = h0_h1(arr, da)
@@ -212,6 +222,7 @@ def _cmd_divisor_da(an, args):
 
 
 def _cmd_h0(an, args):
+    """h0 of the fat-point class m E_0 - sum a_p E_p"""
     arr = an.arrangement
     flats = arr.flats
     bad = UsageError("--mults needs %d comma-separated integers (one per "
@@ -235,6 +246,7 @@ def _cmd_h0(an, args):
 
 
 def _cmd_net_search(an, args):
+    """net and multinet certificates"""
     ks = [args.k] if args.k else [3, 4]
     certs = []
     for k in ks:
@@ -248,6 +260,7 @@ def _cmd_net_search(an, args):
 
 
 def _cmd_resonance(an, args):
+    """the components of the first resonance variety"""
     arr = an.arrangement
     comps = resonance_components(an, max_weight=args.max_weight)
     out = []
@@ -272,6 +285,7 @@ def _cmd_resonance(an, args):
 
 
 def _cmd_scroll_check(an, args):
+    """the scroll certificates of the nets"""
     arr = an.arrangement
     nets = [c for k in (3, 4) for c in an.multinets(k, 1) if c.connected]
     b23 = tor_dimension(an.engine, 2, 3) if nets else None
@@ -307,12 +321,14 @@ def _cmd_scroll_check(an, args):
 
 
 def _cmd_jacobian_check(an, args):
+    """whether the Jacobian ideal lies in the span of the l_i"""
     ok = jacobian_containment(an.arrangement)
     res = {"jacobian_in_l_span": ok}
     return res, (0 if ok else 2), ["jacobian ideal contained: %s" % ok]
 
 
 def _cmd_gradient_degree(an, args):
+    """the degree of the gradient map"""
     arr = an.arrangement
     val = gradient_degree(arr)
     poly = poincare_polynomial(arr)
@@ -324,6 +340,7 @@ def _cmd_gradient_degree(an, args):
 
 
 def _cmd_report(an, args):
+    """every analysis in one JSON payload (the golden files)"""
     results = {}
     code = 0
     for name, fn, extra in (
@@ -377,50 +394,72 @@ def _int_at_least(low: int):
     return integer
 
 
+def _add_options(p: _Parser, name: str) -> None:
+    """Add the options of subcommand `name` to its parser `p`."""
+    p.add_argument("--builtin", choices=sorted(BUILTIN_FORMS),
+                   help="use a named builtin arrangement")
+    p.add_argument("--arrangement", metavar="FILE",
+                   help='JSON file {"name": ..., "forms": [[q,q,q],...]}')
+    p.add_argument("--format", choices=("text", "json"), default="text")
+    if name == "circuits":
+        p.add_argument("--max-size", type=_int_at_least(0), default=None,
+                       dest="max_size")
+    if name == "ot-hilbert":
+        p.add_argument("--upto", type=_int_at_least(0), default=5)
+    if name == "betti":
+        p.add_argument("--verify-regularity", action="store_true",
+                       dest="verify_regularity")
+    if name == "h0":
+        p.add_argument("--m", type=int, required=True)
+        p.add_argument("--mults", type=str, default="",
+                       help="comma-separated multiplicities in canonical "
+                            "flat order")
+    if name == "net-search":
+        p.add_argument("--k", type=int, choices=(3, 4), default=None)
+        p.add_argument("--max-weight", type=_int_at_least(1), default=1,
+                       dest="max_weight")
+    if name == "resonance":
+        p.add_argument("--max-weight", type=_int_at_least(1), default=2,
+                       dest="max_weight")
+    if name == "report":
+        p.add_argument("--all", action="store_true",
+                       help="run every analysis (the golden-file payload)")
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="otb", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", metavar="command")
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--builtin", choices=sorted(BUILTIN_FORMS),
-                       help="use a named builtin arrangement")
-        p.add_argument("--arrangement", metavar="FILE",
-                       help='JSON file {"name": ..., "forms": [[q,q,q],...]}')
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        if name == "circuits":
-            p.add_argument("--max-size", type=_int_at_least(0), default=None,
-                           dest="max_size")
-        if name == "ot-hilbert":
-            p.add_argument("--upto", type=_int_at_least(0), default=5)
-        if name == "betti":
-            p.add_argument("--verify-regularity", action="store_true",
-                           dest="verify_regularity")
-        if name == "h0":
-            p.add_argument("--m", type=int, required=True)
-            p.add_argument("--mults", type=str, default="",
-                           help="comma-separated multiplicities in canonical "
-                                "flat order")
-        if name == "net-search":
-            p.add_argument("--k", type=int, choices=(3, 4), default=None)
-            p.add_argument("--max-weight", type=_int_at_least(1), default=1,
-                           dest="max_weight")
-        if name == "resonance":
-            p.add_argument("--max-weight", type=_int_at_least(1), default=2,
-                           dest="max_weight")
-        if name == "report":
-            p.add_argument("--all", action="store_true",
-                           help="run every analysis (the golden-file payload)")
+    for name, fn in _COMMANDS.items():     # --help lists each docstring
+        _add_options(sub.add_parser(name, help=fn.__doc__), name)
     return parser
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """The Namespace of `_build_parser().parse_args(argv)`; UsageError when
+    argv names no subcommand.
+
+    The full parser hands everything after a subcommand's name to that
+    subcommand's parser, so a call that names one builds only that parser,
+    with the same prog, options and messages.  The full parser serves the
+    rest: --help, --version, no command or an unknown one.
+    """
+    if argv and argv[0] in _COMMANDS:
+        parser = _Parser(prog="otb " + argv[0])
+        _add_options(parser, argv[0])
+        return parser.parse_args(argv[1:],
+                                 argparse.Namespace(command=argv[0]))
+    args = _build_parser().parse_args(argv)
+    if not args.command:
+        raise UsageError("missing subcommand, one of "
+                         + ", ".join(_COMMANDS))
+    return args
 
 
 def run(argv) -> int:
     """Dispatch; prints the report to stdout and returns the exit code."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        if not args.command:
-            raise UsageError("missing subcommand")
+        args = _parse_args(argv)
         arr = _load_arrangement(args)
         results, code, lines = _COMMANDS[args.command](Analysis(arr), args)
     except UsageError as e:
@@ -459,7 +498,15 @@ def run(argv) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (as `| head` does); point it at devnull
+        # so that the flush at interpreter exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

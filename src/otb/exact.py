@@ -17,14 +17,16 @@ verified kernel vectors.  Those vectors are cycles the caller knows, plus,
 when the rank mod p meets neither bound, vectors lifted from the kernel mod
 p by CRT over further primes and Wang's rational reconstruction, each
 checked with one exact product (the certificate style of Dumas, Saunders
-and Villard in LinBox).  If the bounds do not meet, `SparseReducer`
-computes the rank.
+and Villard in LinBox).  A lifted vector is reconstructed as integers over
+one common denominator, so its check is integer arithmetic throughout.  If
+the bounds do not meet, `SparseReducer` computes the rank.
 
 `primitive_kernel` reads the reduced row echelon kernel of an integer
 matrix, such as the fat-point conditions of `divisors`, off the same
 echelon mod p and lift: the primitive integer vectors of `kernel_basis`,
-at mod-p cost.  Rational entries become integers over their common
-denominator in one place, `_over_denominator`.
+at mod-p cost.  Rational inputs become integers over their common
+denominator in one place, `_over_denominator`; lifted vectors are integer
+dicts from the start.
 
 No public routine mutates its arguments; results are freshly allocated.
 """
@@ -80,10 +82,10 @@ def _over_denominator(row: dict) -> tuple[dict, int]:
             for c, v in row.items() if v}, den
 
 
-def _primitive_tuple(vec: dict, n: int) -> tuple:
-    """The sparse vector `vec` with `n` entries scaled to a primitive integer
-    tuple, first nonzero entry positive.  Raises on the zero vector."""
-    ints = _over_denominator(vec)[0]
+def _primitive_tuple(ints: dict, n: int) -> tuple:
+    """The sparse integer vector `ints` with `n` entries divided by the gcd
+    of its entries, first nonzero entry positive.  Raises on the zero
+    vector."""
     if not ints:
         raise ValueError("cannot normalize the zero vector")
     g = gcd(*ints.values())
@@ -99,7 +101,8 @@ def primitive_vector(vec) -> tuple:
     """Scale a rational vector to a primitive integer vector, first nonzero
     entry positive.  Raises on the zero vector."""
     vec = tuple(vec)
-    return _primitive_tuple(dict(enumerate(vec)), len(vec))
+    return _primitive_tuple(_over_denominator(dict(enumerate(vec)))[0],
+                            len(vec))
 
 
 # ---------------------------------------------------------------------------
@@ -331,9 +334,9 @@ def _solve_mod_p(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:
     return g[r:, r:]
 
 
-def _rational(u: int, m: int) -> Fraction | None:
-    """Wang's rational reconstruction: the n/d with |n|, d <= sqrt(m/2) and
-    n = u d mod m, or None when there is none."""
+def _rational(u: int, m: int) -> tuple[int, int] | None:
+    """Wang's rational reconstruction: the (n, d) with |n|, d <= sqrt(m/2),
+    gcd(n, d) = 1 and n = u d mod m, or None when there is none."""
     bound = isqrt(m // 2)
     r0, r1, t0, t1 = m, u % m, 0, 1
     while r1 > bound:
@@ -344,39 +347,41 @@ def _rational(u: int, m: int) -> Fraction | None:
         r1, t1 = -r1, -t1
     if t1 == 0 or t1 > bound or gcd(r1, t1) != 1:
         return None
-    return Fraction(r1, t1)
+    return r1, t1
 
 
 def _reconstruct(residues: list, m: int) -> list | None:
-    """Rational vectors from their images mod m, or None if an entry has
-    no reconstruction.  Each entry is scaled by the denominators found so
-    far in its vector, so an entry that shares them reconstructs at once,
-    as an integer."""
+    """Each vector rebuilt over Q from its image mod m, as (ints, den): a
+    list of integers and their common denominator.  None if an entry has no
+    reconstruction.  Each entry is scaled by the denominators found so far
+    in its vector, so an entry that shares them reconstructs at once, as an
+    integer."""
     out = []
     for vec in residues:
-        den, entries = 1, []
+        den, parts = 1, []
         for u in vec:
             if not u:
-                entries.append(0)
+                parts.append((0, 1))
                 continue
             x = _rational(u * den, m)
             if x is None:
                 return None
-            entries.append(x / den)
-            den *= x.denominator
-        out.append(entries)
+            den *= x[1]
+            parts.append((x[0], den))       # the entry is x[0] / den
+        out.append(([n * (den // d) for n, d in parts], den))
     return out
 
 
 def _is_cycle(icols: list, vec: dict) -> bool:
-    """Exact check that sum_k vec[k] * column k is the zero vector, in
-    integers over a common denominator; icols[k] is column k as
-    `_over_denominator` gives it."""
-    ints = _over_denominator({k: Fraction(v) / icols[k][1]
-                              for k, v in vec.items()})[0]
+    """Exact check that sum_k vec[k] * column k is the zero vector for an
+    integer vector `vec`, in integers over the lcm of the columns'
+    denominators; icols[k] is column k as `_over_denominator` gives it."""
+    den = lcm(*(icols[k][1] for k in vec))
     acc: dict = {}
-    for k, z in ints.items():
-        for row, w in icols[k][0].items():
+    for k, z in vec.items():
+        ints, d = icols[k]
+        z *= den // d
+        for row, w in ints.items():
             acc[row] = acc.get(row, 0) + z * w
     return not any(acc.values())
 
@@ -385,7 +390,8 @@ def _lift_cycles(cols, icols: list, basis: list, prows: list, targets: list,
                  p: int) -> tuple[list, int] | None:
     """Lift one kernel vector of the matrix with sparse columns `cols` to Q
     for each free column in `targets`, each checked by `_is_cycle`.  Returns
-    their entries on `basis` and the number of primes combined, or None.
+    the vectors, as integer dicts over their common denominators, and the
+    number of primes combined, or None.
 
     The columns `basis` are a basis mod p of the column space, and their
     square block at the rows `prows` is invertible mod p (one
@@ -416,11 +422,12 @@ def _lift_cycles(cols, icols: list, basis: list, prows: list, targets: list,
                         for ru, ry in zip(residues, x)]
         m *= q
         used += 1
-        vecs = _reconstruct(residues, m)
-        if vecs is not None and all(
-                _is_cycle(icols, {f: 1, **{k: v for k, v in zip(basis, vec)
-                                          if v}})
-                for f, vec in zip(targets, vecs)):
+        lifts = _reconstruct(residues, m)
+        if lifts is None:
+            continue
+        vecs = [{f: den, **{k: v for k, v in zip(basis, ints) if v}}
+                for f, (ints, den) in zip(targets, lifts)]
+        if all(_is_cycle(icols, vec) for vec in vecs):
             return vecs, used
     return None
 
@@ -452,7 +459,7 @@ def proved_rank(cols, nrows: int, cycles) -> tuple[int, str]:
     ncols = len(cols)
     icols = [_over_denominator(col) for col in cols]
     for vec in cycles:
-        if not _is_cycle(icols, vec):
+        if not _is_cycle(icols, _over_denominator(vec)[0]):
             raise ArithmeticError("a given cycle is not in the kernel")
     for p in MODP_PRIMES:
         try:
@@ -510,11 +517,10 @@ def primitive_kernel(rows) -> tuple[list, str]:
     icols = [_over_denominator(col) for col in cols]
     lifted = _lift_cycles(cols, icols, pcols, prows, free, p)
     if lifted is not None:
-        vecs = [{f: 1, **{k: v for k, v in zip(pcols, vec) if v}}
-                for f, vec in zip(free, lifted[0])]
+        vecs, used = lifted
         if all(max(vec) == f for f, vec in zip(free, vecs)):
             return ([_primitive_tuple(vec, ncols) for vec in vecs],
-                    "lifted %d" % lifted[1])
+                    "lifted %d" % used)
     return [primitive_vector(v) for v in kernel_basis(rows)], "exact"
 
 

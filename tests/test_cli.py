@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import otb.cli
 import otb.koszul
 import otb.resonance
 from otb.analysis import Analysis
@@ -55,7 +58,27 @@ def test_missing_source_usage_error(capsys):
 
 
 def test_missing_subcommand(capsys):
-    assert _capture(capsys, [])[0] == 1
+    code, _, err = _capture(capsys, [])
+    assert code == 1
+    assert err == ("usage error: missing subcommand, one of %s\n"
+                   % ", ".join(otb.cli._COMMANDS))
+
+
+def test_help_names_every_subcommand(capsys):
+    with pytest.raises(SystemExit) as done:
+        run(["--help"])
+    assert done.value.code == 0
+    listed = re.findall(r"^    (\S+)", capsys.readouterr().out, re.M)
+    assert listed == list(otb.cli._COMMANDS)
+
+
+def test_two_arrangement_sources_are_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "b3.json"
+    path.write_text(json.dumps({"forms": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}))
+    code, out, err = _capture(capsys, ["betti", "--builtin", "b3",
+                                       "--arrangement", str(path)])
+    assert code == 1 and out == ""
+    assert err == "usage error: give --builtin or --arrangement, not both\n"
 
 
 def test_net_search_empty_exits_zero(capsys):
@@ -178,17 +201,102 @@ def test_report_matches_golden(name, capsys):
     assert out == golden
 
 
+def _source_env() -> dict:
+    """The environment that runs `python -m otb` from this checkout."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_python_dash_m_runs_the_tool():
     # a source checkout runs the tool as `python -m otb`, which the README's
     # golden-regeneration loop uses
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-m", "otb", "report", "--all",
                            "--builtin", "ex-2-4"],
-                          capture_output=True, env=env, check=True)
+                          capture_output=True, env=_source_env(), check=True)
     with open(os.path.join(GOLDEN_DIR, "ex-2-4.json"), "rb") as fh:
         assert done.stdout == fh.read()
+
+
+def test_closed_stdout_pipe_exits_one_without_a_traceback():
+    # the reader is gone before the tool writes its 15 kB report
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-m", "otb", "report", "--all",
+                               "--builtin", "braid-a3"],
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              env=_source_env(), timeout=120)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 1
+    assert b"Traceback" not in done.stderr, done.stderr.decode()
+
+
+# Each subcommand's options, valid, and argvs that each parser must treat
+# alike: an invalid choice, an unknown option, h0 without --m, and values
+# that argparse or `_int_at_least` reject (or, on a subcommand without the
+# option, an unrecognized argument)
+_VALID_OPTIONS = {
+    "circuits": ["--max-size", "3"],
+    "ot-hilbert": ["--upto", "2"],
+    "betti": ["--verify-regularity"],
+    "h0": ["--m", "3", "--mults", "1,1"],
+    "net-search": ["--k", "3", "--max-weight", "2"],
+    "resonance": ["--max-weight", "1"],
+    "report": ["--all"],
+}
+_FAULTS = (["--builtin", "nope"], ["--bogus"], ["--m"], ["--max-size=--"],
+           ["--upto", "-1"], ["--max-weight", "0"], ["--format", "xml"],
+           ["--m", "3", "--", "x"], ["-h"])
+
+
+class _Parsed(Exception):
+    pass
+
+
+def _outcome(parse, argv, capsys):
+    """The Namespace that `parse(argv)` reaches, or its exit code and
+    output."""
+    try:
+        return parse(argv)
+    except _Parsed as stop:
+        return stop.args[0]
+    except SystemExit as done:
+        return done.code, capsys.readouterr()
+
+
+@pytest.mark.parametrize("name", sorted(otb.cli._COMMANDS))
+def test_one_subcommand_parser_parses_as_the_full_parser(name, monkeypatch,
+                                                          capsys):
+    build = otb.cli._build_parser
+
+    def full(argv):
+        try:
+            return build().parse_args(argv)
+        except otb.cli.UsageError as e:
+            print("usage error: %s" % e, file=sys.stderr)
+            return 1, capsys.readouterr()
+
+    def stop(args):
+        raise _Parsed(args)
+
+    def one(argv):
+        code = run(argv)
+        return code, capsys.readouterr()
+
+    def no_full_parser():
+        raise AssertionError("a subcommand built the full parser")
+    monkeypatch.setattr(otb.cli, "_load_arrangement", stop)
+    monkeypatch.setattr(otb.cli, "_build_parser", no_full_parser)
+    valid = [name, "--builtin", "b3"] + _VALID_OPTIONS.get(name, [])
+    parsed = 0
+    for argv in [valid, [name, "--builtin", "b3"]] + [
+            valid + fault for fault in _FAULTS]:
+        expected = _outcome(full, argv, capsys)
+        assert _outcome(one, argv, capsys) == expected, argv
+        parsed += isinstance(expected, argparse.Namespace)
+    assert parsed >= 1
 
 
 @pytest.mark.parametrize("doc", [{"forms": [5, 6, 7]}, {"forms": 5}])

@@ -368,6 +368,38 @@ def test_planted_non_cycle_raises():
         proved_rank(cols, len(rows), [off])
 
 
+def residues_of(vec, m) -> list:
+    return [x.numerator * pow(x.denominator, -1, m) % m for x in vec]
+
+
+_small_fractions = st.builds(Fraction, st.integers(-50, 50),
+                             st.integers(1, 12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(vecs=st.lists(st.lists(_small_fractions, max_size=8), min_size=1,
+                     max_size=3))
+@example(vecs=[[Fraction(1, 3), Fraction(0), Fraction(-5, 2), Fraction(7),
+                Fraction(5, 6)], [Fraction(0)], []])
+def test_reconstruct_gives_integers_over_one_denominator(vecs):
+    m = MODP_PRIMES[0] * MODP_PRIMES[1] * MODP_PRIMES[2]
+    lifts = otb.exact._reconstruct([residues_of(v, m) for v in vecs], m)
+    assert [[Fraction(n, den) for n in ints] for ints, den in lifts] == vecs
+    for ints, den in lifts:
+        assert den >= 1 and gcd(den, *ints) == 1
+
+
+def test_reconstruct_is_none_below_the_bound():
+    # scaled by the denominator 6 found before it, the last entry is
+    # 600006/100003, past sqrt(p/2) for one prime p but not for two
+    vec = [Fraction(1, 3), Fraction(0), Fraction(-5, 2), Fraction(7),
+           Fraction(100001, 100003)]
+    p, q = MODP_PRIMES[:2]
+    assert otb.exact._reconstruct([residues_of(vec, p)], p) is None
+    assert otb.exact._reconstruct([residues_of(vec, p * q)], p * q) == [
+        ([200006, 0, -1500045, 4200126, 600006], 600018)]
+
+
 def test_corrupted_lift_falls_back_to_the_same_rank(monkeypatch):
     rows = needs_lifting()
     cols = columns(rows)
@@ -376,10 +408,10 @@ def test_corrupted_lift_falls_back_to_the_same_rank(monkeypatch):
     reconstruct = otb.exact._reconstruct
 
     def corrupt(residues, m):
-        vecs = reconstruct(residues, m)
-        if vecs is not None:
-            vecs[0][0] += 1
-        return vecs
+        lifts = reconstruct(residues, m)
+        if lifts is not None:
+            lifts[0][0][0] += 1              # one integer entry, den kept
+        return lifts
     monkeypatch.setattr(otb.exact, "_reconstruct", corrupt)
     assert proved_rank(cols, len(rows), []) == (r, "exact")
     assert r == rank(rows)
