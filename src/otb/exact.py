@@ -2,31 +2,28 @@
 proved at mod-p cost, and multivariate polynomials.
 
 Inputs and outputs are `fractions.Fraction` (or int).  `SparseReducer` is
-the only elimination over Q: it keeps sparse rows (dicts) in reduced row
-echelon form, each stored as a primitive integer row that stands for itself
-over its pivot entry, and `rank`, `rref`, `kernel_basis` and `solve` are
-read-outs of one reducer fed a list of rows.  A reduced row echelon form is
-unique, so these read-outs do not depend on how the reducer orders its work
-or scales its rows.
+the only elimination over Q, and `rank`, `rref`, `kernel_basis` and
+`solve` are read-outs of one reducer fed a list of rows; a reduced row
+echelon form is unique, so they do not depend on how it works.
 
 `proved_rank` proves the rank of a large sparse matrix over Q at about the
 cost of a numpy elimination mod a prime below 2**31, by two equal bounds.
 The rank mod p is a lower bound.  The number of rows is an upper bound, and
 so is the number of columns minus the dimension of a space of exactly
-verified kernel vectors.  Those vectors are cycles the caller knows, plus,
-when the rank mod p meets neither bound, vectors lifted from the kernel mod
-p by CRT over further primes and Wang's rational reconstruction, each
-checked with one exact product (the certificate style of Dumas, Saunders
-and Villard in LinBox).  A lifted vector is reconstructed as integers over
-one common denominator, so its check is integer arithmetic throughout.  If
-the bounds do not meet, `SparseReducer` computes the rank.
+verified kernel vectors: cycles the caller knows, plus vectors lifted from
+the kernel mod p by CRT and Wang's rational reconstruction, each checked
+with one exact product (the certificate style of Dumas, Saunders and
+Villard in LinBox).  The one dense kernel mod p is an in-place LU, as in
+Dumas, Giorgi and Pernet's FFLAS-FFPACK: the kernel at the first prime is
+read off the matrix's own LU by one triangular solve, and each further
+prime factors only the square block of the lift.  If the bounds do not
+meet, `SparseReducer` computes the rank.
 
-`primitive_kernel` reads the reduced row echelon kernel of an integer
-matrix, such as the fat-point conditions of `divisors`, off the same
-echelon mod p and lift: the primitive integer vectors of `kernel_basis`,
-at mod-p cost.  Rational inputs become integers over their common
-denominator in one place, `_over_denominator`; lifted vectors are integer
-dicts from the start.
+`primitive_kernel` reads the primitive integer vectors of `kernel_basis` of
+an integer matrix, such as the fat-point conditions of `divisors`, off the
+same LU and lift.  Integers stay integers (a residue is x % p); rationals
+become integers over their common denominator in one place,
+`_over_denominator`, and lifted vectors are integer dicts from the start.
 
 No public routine mutates its arguments; results are freshly allocated.
 """
@@ -77,6 +74,8 @@ def draw_generic(rng: random.Random, make, is_good):
 def _over_denominator(row: dict) -> tuple[dict, int]:
     """(ints, den) with ints an integer dict and the sparse row {column: int
     or Fraction} equal to ints / den; zero entries are dropped."""
+    if set(map(type, row.values())) <= {int}:
+        return {c: v for c, v in row.items() if v}, 1
     den = lcm(*(v.denominator for v in row.values()))
     return {c: v.numerator * (den // v.denominator)
             for c, v in row.items() if v}, den
@@ -256,56 +255,59 @@ class BadPrime(ArithmeticError):
 
 
 def modp_matrix(rows, ncols: int, p: int) -> np.ndarray:
-    """Reduce sparse rows {column: Fraction or int} mod p into an int64
-    array with `ncols` columns."""
+    """Reduce sparse rows {column: int or Fraction} mod p into an int64
+    array with `ncols` columns: x % p for integers; if there is a Fraction,
+    each row over its denominator (`_over_denominator`) first."""
+    at = ([i for i, row in enumerate(rows) for _ in row],
+          [c for row in rows for c in row])
+    vals = [x for row in rows for x in row.values()]
+    if not set(map(type, vals)) <= {int}:
+        over = [_over_denominator(row) for row in rows]
+        if any(den % p == 0 for _, den in over):
+            raise BadPrime(p)
+        vals = [ints.get(c, 0) * pow(den, -1, p)
+                for (ints, den), row in zip(over, rows) for c in row]
     a = np.zeros((len(rows), ncols), dtype=np.int64)
-    residue: dict = {}
-    for i, row in enumerate(rows):
-        for c, x in row.items():
-            key = (x.numerator, x.denominator)
-            v = residue.get(key)
-            if v is None:
-                if key[1] % p == 0:
-                    raise BadPrime(p)
-                v = residue[key] = key[0] * pow(key[1], -1, p) % p
-            a[i, c] = v
+    a[at] = [x % p for x in vals]
     return a
 
 
-def _clear_below(a: np.ndarray, r: int, c: int, p: int) -> None:
-    """Scale row r of `a` to 1 at column c and clear column c below it, mod
-    p and in place.  Products of two reduced entries stay below
-    p**2 < 2**62, inside int64."""
-    a[r, c:] = a[r, c:] * pow(int(a[r, c]), -1, p) % p
+def _clear_below(a: np.ndarray, r: int, c: int, p: int, order: list,
+                 stop: int) -> bool:
+    """One step of the in-place LU mod p: swap into row r (and in `order`)
+    the first of rows r..stop-1 nonzero at column c, False if none; it stays
+    as a row of U, and each row below keeps at c its multiplier l, an entry
+    of L, and loses l times row r from c+1 on.  Products of two reduced
+    entries stay below p**2 < 2**62, inside int64."""
+    nz = np.nonzero(a[r:stop, c])[0]
+    if nz.size == 0:
+        return False
+    i = r + int(nz[0])
+    if i != r:
+        a[[r, i]] = a[[i, r]]
+        order[r], order[i] = order[i], order[r]
     below = a[r + 1:, c]
     nzb = np.nonzero(below)[0]
     if nzb.size:
         idx = r + 1 + nzb
-        a[idx, c:] = (a[idx, c:] - np.outer(below[nzb], a[r, c:])) % p
+        mult = below[nzb] * pow(int(a[r, c]), -1, p) % p
+        a[idx, c] = mult
+        a[idx, c + 1:] = (a[idx, c + 1:] - np.outer(mult, a[r, c + 1:])) % p
+    return True
 
 
 def _echelon_mod_p(a: np.ndarray, p: int) -> tuple[list, list]:
-    """Row echelon mod p of `a`, whose entries lie in [0, p), in place,
-    pivoting on the first nonzero entry of each column.  Returns, pivot by
-    pivot, the original index of the pivot row and the pivot column."""
-    nr, nc = a.shape
-    order = list(range(nr))
-    pivot_cols = []
-    r = 0
-    for c in range(nc):
-        if r == nr:
+    """Row echelon mod p of `a`, entries in [0, p), as an LU in place; the
+    row order (original index of each row) and the pivot columns.  Row k <
+    r holds U from the k-th pivot column c_k on, row i holds L[i, k] at c_k
+    for k < min(i, r), and all else is 0: a[order] = L U mod p, L[k, k] = 1."""
+    order, pivot_cols = list(range(len(a))), []
+    for c in range(a.shape[1]):
+        if len(pivot_cols) == len(a):
             break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-            order[r], order[i] = order[i], order[r]
-        _clear_below(a, r, c, p)
-        pivot_cols.append(c)
-        r += 1
-    return order[:r], pivot_cols
+        if _clear_below(a, len(pivot_cols), c, p, order, len(a)):
+            pivot_cols.append(c)
+    return order, pivot_cols
 
 
 def modp_rank(a: np.ndarray, p: int) -> int:
@@ -314,24 +316,28 @@ def modp_rank(a: np.ndarray, p: int) -> int:
     return len(_echelon_mod_p(a % p, p)[1])
 
 
-def _solve_mod_p(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:
-    """X with X a = -b mod p for a square `a`, or None when `a` is singular
-    mod p.  Eliminates [a | I; b | 0] below the diagonal, pivoting inside
-    `a` only, so that each row of `b` ends as [0 | its row of X]."""
-    r = len(a)
-    g = np.zeros((r + len(b), 2 * r), dtype=np.int64)
-    g[:r, :r] = a
-    g[r:, :r] = b
-    g[range(r), range(r, 2 * r)] = 1
-    for c in range(r):
-        nz = np.nonzero(g[c:r, c])[0]
-        if nz.size == 0:
-            return None
-        i = c + int(nz[0])
-        if i != c:
-            g[[c, i]] = g[[i, c]]
-        _clear_below(g, c, c, p)
-    return g[r:, r:]
+def _lu_kernel(a: np.ndarray, pivots: list, at, p: int) -> np.ndarray:
+    """Y with Y L_B = -L_T mod p, by one triangular solve on the LU that
+    `_echelon_mod_p` left in `a`: L_B is L on the pivot rows, L_T on the
+    rows at the positions `at`.  A row of Y on the pivot rows, in order,
+    and 1 at its own row is in the left kernel of the matrix mod p."""
+    lb = a[:len(pivots)][:, pivots]
+    yt = (-a[np.ix_(at, pivots)] % p).T.copy()
+    for k in range(len(pivots) - 1, 0, -1):
+        yt[:k] -= np.outer(lb[k, :k], yt[k])
+        yt[:k] %= p
+    return yt.T
+
+
+def _square_kernel(s: np.ndarray, r: int, p: int) -> np.ndarray | None:
+    """X with X s_B = -s_T mod p, s_B the first r rows of `s`, or None when
+    s_B is singular mod p: the LU of `_echelon_mod_p` in place, pivoting
+    inside s_B only, then `_lu_kernel`."""
+    order = list(range(r))
+    if not all(_clear_below(s, c, c, p, order, r) for c in range(r)):
+        return None
+    return _lu_kernel(s, list(range(r)), list(range(r, len(s))),
+                      p)[:, np.argsort(order)]
 
 
 def _rational(u: int, m: int) -> tuple[int, int] | None:
@@ -387,7 +393,7 @@ def _is_cycle(icols: list, vec: dict) -> bool:
 
 
 def _lift_cycles(cols, icols: list, basis: list, prows: list, targets: list,
-                 p: int) -> tuple[list, int] | None:
+                 p: int, first=None) -> tuple[list, int] | None:
     """Lift one kernel vector of the matrix with sparse columns `cols` to Q
     for each free column in `targets`, each checked by `_is_cycle`.  Returns
     the vectors, as integer dicts over their common denominators, and the
@@ -397,7 +403,8 @@ def _lift_cycles(cols, icols: list, basis: list, prows: list, targets: list,
     square block at the rows `prows` is invertible mod p (one
     `_echelon_mod_p` of the matrix or of its transpose gives both).  The
     vector of a free column f is 1 at f, 0 at the other free columns, and
-    on `basis` the solution of that square block, lifted by CRT and
+    on `basis` the solution of that square block (`first` at p if given,
+    else `_square_kernel`, which skips a singular prime), lifted by CRT and
     rational reconstruction.
     """
     r = len(basis)
@@ -407,10 +414,10 @@ def _lift_cycles(cols, icols: list, basis: list, prows: list, targets: list,
     residues, m, used = None, 1, 0
     for q in (p,) + tuple(x for x in MODP_PRIMES if x != p):
         try:
-            s = modp_matrix(square, r, q)
+            x = (first if q == p and first is not None
+                 else _square_kernel(modp_matrix(square, r, q), r, q))
         except BadPrime:
             continue
-        x = _solve_mod_p(s[:r], s[r:], q)
         if x is None:
             continue
         x = x.tolist()
@@ -439,17 +446,18 @@ def proved_rank(cols, nrows: int, cycles) -> tuple[int, str]:
     The given `cycles` ({column: value} each) are checked first, each
     with one exact product; a non-cycle raises ArithmeticError.  At the
     first prime of MODP_PRIMES that divides no denominator, the residues of
-    the columns, taken as rows, are echeloned once, in place; the number of
-    pivots, the rank mod p, is the lower bound.  If it equals `nrows`, the
-    row count bounds it from above and the rank is proved.  Otherwise the
+    the columns, taken as rows, are factored once, as an LU in place; the
+    rank mod p is the lower bound.  If it equals `nrows`, the row count
+    bounds it from above and the rank is proved.  Otherwise the
     upper bound is the number of columns minus the dimension of a space of
     exactly verified kernel vectors: the given cycles and, where they fall
     short of the kernel mod p, cycles lifted by `_lift_cycles`.  A kernel
     vector mod p is determined by its free coordinates (the columns that
     are not pivot rows), so one echelon of the cycles restricted to those
     both measures them against the kernel mod p and names the free columns
-    left to lift; the known and lifted cycles then span as much as the
-    kernel mod p, and the two bounds meet.  Returns (rank, how) with how
+    left to lift, whose kernel mod p the LU gives; the known and lifted
+    cycles then span the kernel mod p, and the bounds meet.  Returns (rank,
+    how) with how
 
       "mod-p"     the rank mod p meets the row count, or the given cycles
                   close the gap by themselves;
@@ -467,17 +475,18 @@ def proved_rank(cols, nrows: int, cycles) -> tuple[int, str]:
             a = modp_matrix(cols, nrows, p)
         except BadPrime:
             continue
-        rows, pivots = _echelon_mod_p(a, p)
-        if len(rows) == nrows:
+        order, pivots = _echelon_mod_p(a, p)
+        r = len(pivots)
+        if r == nrows:
             return nrows, "mod-p"
-        in_rows = set(rows)
-        free = [c for c in range(ncols) if c not in in_rows]
+        free = sorted(order[r:])
         covered = set(_echelon_mod_p(known[:, free], p)[1])
         if len(covered) == len(free):
-            return len(rows), "mod-p"
+            return r, "mod-p"
         targets = [f for j, f in enumerate(free) if j not in covered]
-        if _lift_cycles(cols, icols, rows, pivots, targets, p):
-            return len(rows), "lifted %d" % len(targets)
+        first = _lu_kernel(a, pivots, np.argsort(order)[targets], p)
+        if _lift_cycles(cols, icols, order[:r], pivots, targets, p, first):
+            return r, "lifted %d" % len(targets)
         break
     red = SparseReducer(nrows)
     for col in cols:
@@ -507,7 +516,7 @@ def primitive_kernel(rows) -> tuple[list, str]:
     """
     p, ncols = MODP_PRIMES[0], len(rows[0])
     a = np.array([[v % p for v in row] for row in rows], dtype=np.int64)
-    prows, pcols = _echelon_mod_p(a, p)
+    order, pcols = _echelon_mod_p(a, p)
     pivots = set(pcols)
     free = [c for c in range(ncols) if c not in pivots]
     if not free:
@@ -515,7 +524,7 @@ def primitive_kernel(rows) -> tuple[list, str]:
     cols = [{i: row[c] for i, row in enumerate(rows) if row[c]}
             for c in range(ncols)]
     icols = [_over_denominator(col) for col in cols]
-    lifted = _lift_cycles(cols, icols, pcols, prows, free, p)
+    lifted = _lift_cycles(cols, icols, pcols, order[:len(pcols)], free, p)
     if lifted is not None:
         vecs, used = lifted
         if all(max(vec) == f for f, vec in zip(free, vecs)):
@@ -681,27 +690,16 @@ class MPoly:
         parts = []
         for e in sorted(self.terms, key=_grlex_key, reverse=True):
             c = self.terms[e]
-            factors = []
-            for name, k in zip(names, e):
-                if k == 1:
-                    factors.append(name)
-                elif k > 1:
-                    factors.append("%s^%d" % (name, k))
-            body = "*".join(factors)
+            body = "*".join(name if k == 1 else "%s^%d" % (name, k)
+                            for name, k in zip(names, e) if k)
             if not body:
                 parts.append((c, str(abs(c))))
-                continue
-            if abs(c) == 1:
+            elif abs(c) == 1:
                 parts.append((c, body))
             else:
                 parts.append((c, "%s*%s" % (abs(c), body)))
-        pieces = []
-        for i, (c, text) in enumerate(parts):
-            if i == 0:
-                pieces.append(("-" if c < 0 else "") + text)
-            else:
-                pieces.append((" - " if c < 0 else " + ") + text)
-        return "".join(pieces)
+        out = "".join((" - " if c < 0 else " + ") + text for c, text in parts)
+        return ("-" if parts[0][0] < 0 else "") + out[3:]
 
     def __repr__(self):
         return "MPoly(%s)" % self.to_string()

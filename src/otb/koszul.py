@@ -25,7 +25,10 @@ Every strand rank that is computed, in both engines, is proved by
 row count or exactly verified cycles bound it from above.  The columns of
 the incoming differential are cycles, since d o d = 0; where the rank mod
 p is short of the row count and they fall short of the kernel mod p,
-kernel vectors are lifted to Q and checked.
+kernel vectors are lifted to Q and checked.  The reduced engine keeps its
+induced maps in integers: each degree's maps over Q times the lcm of their
+denominators.  That scales each strand by one positive integer, which
+changes no rank, kernel or cycle, and makes every residue an x % p.
 
 The strands Wedge^i V (x) C_0 -> Wedge^{i-1} V (x) C_1 are not ranked.  In
 both engines the variables are a basis of C_1, so such a strand is the
@@ -51,7 +54,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from math import comb
+from math import comb, lcm
 
 from .exact import (MODP_PRIMES, BadPrime, SparseReducer, draw_generic,
                     modp_matrix, modp_rank, proved_rank, seeded_rng)
@@ -235,21 +238,21 @@ class ReducedEngine(_Engine):
             "multiplicity": sum(h),
             "artinian_in_degree": 3,
         }
-        # induced action of the surviving variables on the quotient
+        # induced action of the surviving variables on the quotient, times
+        # one positive integer per degree that clears its denominators
         self._maps = {}
         for q in (0, 1):
             maps = pres.multiplication_maps(q)
             src_positions = reducers[q].nonpivot_columns() if q else [0]
             dst_red = reducers[q + 1]
             dst_pos = {c: t for t, c in enumerate(dst_red.nonpivot_columns())}
-            per_var = []
-            for var in self.kept_vars:
-                cols = []
-                for k in src_positions:
-                    res = dst_red.reduce(dict(maps[var][k]))
-                    cols.append({dst_pos[c]: v for c, v in res.items()})
-                per_var.append(cols)
-            self._maps[q] = per_var
+            per_var = [[dst_red.reduce(dict(maps[var][k]))
+                        for k in src_positions] for var in self.kept_vars]
+            den = lcm(*(v.denominator for cols in per_var for col in cols
+                        for v in col.values()))
+            self._maps[q] = [[{dst_pos[c]: v.numerator * (den // v.denominator)
+                               for c, v in col.items()} for col in cols]
+                             for cols in per_var]
         # the quotient is zero in degree 3, so out of degree 2 they are zero
         self._maps[2] = [[{} for _ in range(dims[2])] for _ in self.kept_vars]
         return True
@@ -312,10 +315,8 @@ class BettiTable:
                 row.append(str(v) if v else "-")
             lines.append(row)
         widths = [max(len(line[c]) for line in lines) for c in range(ncols + 1)]
-        out = []
-        for line in lines:
-            out.append(" ".join(s.rjust(w) for s, w in zip(line, widths)))
-        return "\n".join(out)
+        return "\n".join(" ".join(s.rjust(w) for s, w in zip(line, widths))
+                         for line in lines)
 
     def to_json_map(self) -> dict:
         out = {"0,0": 1}

@@ -352,9 +352,8 @@ def resonance_components(an, max_weight: int) -> list:
     span, each verified by the H^1 oracle at two distinct sample points."""
     arr = an.arrangement
     comps = list(local_components(arr))
-    certs = []
-    for k in (3, 4):
-        certs.extend(c for c in an.multinets(k, max_weight) if c.connected)
+    certs = [c for k in (3, 4) for c in an.multinets(k, max_weight)
+             if c.connected]
     for cert in certs:
         us = []
         for b in cert.blocks:
@@ -362,9 +361,7 @@ def resonance_components(an, max_weight: int) -> list:
             for i in b:
                 u[i] = cert.weights[i]
             us.append(u)
-        vecs = []
-        for i in range(1, cert.k):
-            vecs.append(tuple(a - b for a, b in zip(us[0], us[i])))
+        vecs = [tuple(a - b for a, b in zip(us[0], u)) for u in us[1:]]
         comps.append(ResonanceComponent(
             kind="essential", vectors=tuple(vecs),
             projective_dimension=cert.k - 2, provenance=cert))

@@ -81,6 +81,16 @@ def test_two_arrangement_sources_are_a_usage_error(tmp_path, capsys):
     assert err == "usage error: give --builtin or --arrangement, not both\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["circuits", "--builtin", "b3", "--m", "3"],
+    ["resonance", "--builtin", "b3", "--m", "1"]])
+def test_an_option_prefix_is_a_usage_error(argv, capsys):
+    # --m is h0's option; a prefix of --max-size or --max-weight is no alias
+    code, out, err = _capture(capsys, argv)
+    assert code == 1 and out == ""
+    assert err.startswith("usage error: unrecognized arguments: --m ")
+
+
 def test_net_search_empty_exits_zero(capsys):
     code, out, _ = _capture(capsys, ["net-search", "--builtin", "9_3_2",
                                      "--k", "3"])
@@ -248,7 +258,7 @@ _VALID_OPTIONS = {
 }
 _FAULTS = (["--builtin", "nope"], ["--bogus"], ["--m"], ["--max-size=--"],
            ["--upto", "-1"], ["--max-weight", "0"], ["--format", "xml"],
-           ["--m", "3", "--", "x"], ["-h"])
+           ["--m", "3", "--", "x"], ["-h"], ["--max", "2"], ["--m", "1"])
 
 
 class _Parsed(Exception):

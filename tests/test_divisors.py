@@ -192,13 +192,13 @@ def test_a_prime_with_a_singular_block_is_skipped(monkeypatch):
     # the pivot block [[1, 1], [1, 1 + p1]] has determinant p1: singular
     # only mod the second prime, which the lift skips; it needs three others
     skipped = []
-    solve = otb.exact._solve_mod_p
+    solve = otb.exact._square_kernel
 
-    def spy(a, b, q):
-        x = solve(a, b, q)
+    def spy(s, r, q):
+        x = solve(s, r, q)
         skipped.append((q, x is None))
         return x
-    monkeypatch.setattr(otb.exact, "_solve_mod_p", spy)
+    monkeypatch.setattr(otb.exact, "_square_kernel", spy)
     rows = [[1, 1, 5], [1, 1 + MODP_PRIMES[1], 7]]
     vecs, how = primitive_kernel(rows)
     assert vecs == [(10737418143, 2, -2147483629)] == _reducer_kernel(rows)

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from math import gcd, isqrt
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -256,6 +257,67 @@ def test_modp_rank_agrees_with_exact():
                          for row in rows], nc, p)
         assert trial % 2 or a.min() >= p - 9
         assert modp_rank(a, p) == bareiss_rank(rows)
+
+
+@st.composite
+def residue_matrices(draw):
+    """(a, p): a random integer matrix, with zero columns, repeated rows and
+    entries that vanish mod p, reduced mod p into [0, p)."""
+    p = draw(st.sampled_from([7, MODP_PRIMES[0]]))
+    nr, nc = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    entry = st.one_of(st.integers(-3, 3), st.sampled_from([p, -p, 2 * p]),
+                      st.integers(-2 * p, 2 * p))
+    rows = [draw(st.lists(entry, min_size=nc, max_size=nc)) for _ in range(nr)]
+    for c in draw(st.lists(st.integers(0, nc - 1), max_size=2)):
+        for row in rows:
+            row[c] = 0
+    for i in draw(st.lists(st.integers(0, nr - 1), max_size=2)):
+        rows.append(list(rows[i]))
+    return [[x % p for x in row] for row in rows], p
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=residue_matrices())
+def test_echelon_mod_p_leaves_an_lu(case):
+    # P a = L U mod p, with L unit lower triangular at the pivots and U in
+    # row echelon form; every other entry of the result is zero
+    rows, p = case
+    a = np.array(rows, dtype=np.int64)
+    order, pivots = otb.exact._echelon_mod_p(a, p)
+    nr, nc, r = len(rows), len(rows[0]), len(pivots)
+    assert sorted(order) == list(range(nr))
+    assert pivots == sorted(set(pivots))
+    low = [[int(a[i, c]) for c in pivots[:min(i, r)]]
+           + [int(i == k) for k in range(min(i, r), r)] for i in range(nr)]
+    up = [[int(a[k, j]) if j >= c else 0 for j in range(nc)]
+          for k, c in enumerate(pivots)]
+    assert all(up[k][c] for k, c in enumerate(pivots))
+    for i in range(nr):
+        lu = [sum(low[i][k] * up[k][j] for k in range(r)) % p
+              for j in range(nc)]
+        assert lu == rows[order[i]], i
+        kept = set(pivots[:min(i, r)]) | set(range(pivots[i] if i < r
+                                                   else nc, nc))
+        assert not any(a[i, j] for j in range(nc) if j not in kept), i
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=residue_matrices())
+@example(case=([[0, 0, 1], [1, 0, 0], [0, 1, 0], [1, 2, 3], [4, 5, 6]], 7))
+def test_square_kernel_solves_its_block_or_finds_it_singular(case):
+    # X s_B = -s_T mod p for the first r rows s_B, or None iff s_B is
+    # singular mod p; pivoting inside s_B may permute its rows (the
+    # example, by a 3-cycle)
+    rows, p = case
+    r = min(len(rows[0]), max(1, len(rows) - 2))
+    rows = [row[:r] for row in rows]
+    x = otb.exact._square_kernel(np.array(rows, dtype=np.int64), r, p)
+    assert (x is None) == (modp_rank(np.array(rows[:r]), p) < r)
+    if x is not None:
+        assert x.shape == (len(rows) - r, r)
+        for xi, target in zip(x.tolist(), rows[r:]):
+            assert [(sum(v * row[j] for v, row in zip(xi, rows)) + t) % p
+                    for j, t in enumerate(target)] == [0] * r
 
 
 def test_modp_primes_are_distinct_primes_below_2_31():

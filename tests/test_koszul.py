@@ -310,6 +310,69 @@ def test_a_strand_of_full_row_rank_mod_p_lifts_nothing(name, monkeypatch):
     assert any(seen)
 
 
+@pytest.mark.parametrize("name", BUILTINS + tuple(sorted(ORACLE_FORMS)))
+def test_the_kernel_read_off_a_strand_echelon_is_the_square_block_kernel(
+        name, monkeypatch):
+    # at the first prime, `proved_rank` hands `_lift_cycles` the kernel it
+    # read off the strand's own LU; `_square_kernel` on the block at the
+    # pivot rows, at that prime, must give the same vectors
+    lift = otb.exact._lift_cycles
+    checked = []
+
+    def spy(cols, icols, basis, prows, targets, p, first=None):
+        at = {c: t for t, c in enumerate(prows)}
+        square = [{at[c]: v for c, v in cols[k].items() if c in at}
+                  for k in basis + targets]
+        x = otb.exact._square_kernel(modp_matrix(square, len(basis), p),
+                                     len(basis), p)
+        assert first is not None and x is not None
+        assert first.tolist() == x.tolist()
+        checked.append(len(targets))
+        return lift(cols, icols, basis, prows, targets, p, first)
+    monkeypatch.setattr(otb.exact, "_lift_cycles", spy)
+    engines = [ReducedEngine(analysis(name).pres)]
+    if analysis(name).arrangement.d <= 7:
+        engines.append(FullEngine(analysis(name).pres))
+    for eng in engines:
+        betti_table(eng, verify_regularity=True)
+    lifted = sum(int(how.split()[1]) for eng in engines
+                 for how in eng.rank_proofs.values()
+                 if how.startswith("lifted"))
+    assert sum(checked) == lifted
+
+
+@pytest.mark.parametrize("name", BUILTINS + tuple(sorted(ORACLE_FORMS)))
+def test_integer_maps_are_a_positive_multiple_of_the_fraction_maps(name):
+    # the reduced engine's maps of each degree are the induced maps over Q,
+    # recomputed here by `reduce`, times one positive integer
+    eng = analysis(name).engine
+    pres = eng.pres
+    theta = [[int(x) for x in row] for row in eng.certificate["theta"]]
+    reducers = {}
+    for q in (1, 2):
+        reducers[q] = SparseReducer(len(pres.graded_piece(q)))
+        for row in otb.koszul._theta_products(pres, theta, q):
+            reducers[q].add(row)
+    assert reducers[1].nonpivot_columns() == eng.kept_vars
+    for q in (0, 1):
+        src = reducers[q].nonpivot_columns() if q else [0]
+        dst = {c: t for t, c in enumerate(reducers[q + 1].nonpivot_columns())}
+        fracs = [[{dst[c]: v for c, v in reducers[q + 1].reduce(
+                      dict(pres.multiplication_maps(q)[var][k])).items()}
+                  for k in src] for var in eng.kept_vars]
+        ints = eng.maps(q)
+        scale = {Fraction(x, fracs[s][k][c])
+                 for s, cols in enumerate(ints) for k, col in enumerate(cols)
+                 for c, x in col.items()}
+        assert len(scale) <= 1, (name, q)
+        lam = scale.pop() if scale else 1
+        assert lam > 0 and lam.denominator == 1
+        assert ints == [[{c: lam * v for c, v in col.items()} for col in cols]
+                        for cols in fracs]
+        assert all(type(x) is int for cols in ints for col in cols
+                   for x in col.values())
+
+
 # the generic lines that bench/inputs.extended_forms adds to b3 with
 # Random("b3+4:0"); each meets the others and b3 in double points only
 B3_EXTRA = [(3, 4, -2), (4, 2, 1), (-4, 3, -2), (2, -1, 4)]
