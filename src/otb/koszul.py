@@ -9,7 +9,9 @@ of the Koszul complex on the variables tensored with the algebra.
 `ReducedEngine` computes it for every d.  It quotients C(A) by three
 generic linear forms theta, with small integer coefficients, whose products
 theta_r m are normal forms of sum_s theta_rs y_s m (normal forms are
-linear), and accepts theta on one test: the quotient has
+linear), kept as integer rows, each a positive multiple of the product over
+Q.  It asks for C_3 first, so one evaluation rank proves the nbc bases of
+degrees 0..3, and accepts theta on one test: the quotient has
 dimensions h = (1, d-3, h_2) in degrees 0..2, by exact echelons over Q
 whose bases carry the induced maps, and theta C_2 spans C_3, by a rank mod
 p equal to dim C_3 (a lower bound for the rank over Q).  Then rank theta =
@@ -56,8 +58,8 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb, lcm
 
-from .exact import (MODP_PRIMES, BadPrime, SparseReducer, draw_generic,
-                    modp_matrix, modp_rank, proved_rank, seeded_rng)
+from .exact import (MODP_PRIMES, SparseReducer, draw_generic, modp_matrix,
+                    modp_rank, proved_rank, seeded_rng)
 from .orlik_terao import OTPresentation, terao_series
 
 
@@ -90,11 +92,12 @@ def _differential_columns(nvars: int, i: int, maps, c_src: int, c_dst: int):
 
 def _theta_products(pres: OTPresentation, theta, q: int) -> list:
     """theta_1, theta_2, theta_3 times each basis element m of C_{q-1}, as
-    sparse vectors over the basis of C_q: normal forms are linear, so
-    theta_r m is the normal form of sum_s theta_rs y_s m."""
+    sparse integer vectors over the basis of C_q, each a positive multiple
+    (its normal form's denominator) of the product over Q: normal forms are
+    linear, so theta_r m is the normal form of sum_s theta_rs y_s m."""
     pres.graded_piece(q)  # normal_form needs the basis of C_q
     return [pres.normal_form({m[:s] + (m[s] + 1,) + m[s + 1:]: a
-                              for s, a in enumerate(row) if a})
+                              for s, a in enumerate(row) if a})[0]
             for row in theta for m in pres.graded_piece(q - 1)]
 
 
@@ -197,6 +200,7 @@ class ReducedEngine(_Engine):
         pres = self.pres
         d = pres.d
         h = terao_series(pres.arrangement, 2).h_polynomial
+        pres.graded_piece(3)  # the top degree first: one rank proves 0..3
         rng = seeded_rng("artinian-reduction:%s" % (pres.arrangement.name or d))
         draw_generic(rng,
                      lambda r: [[r.randint(-5, 5) for _ in range(d)]
@@ -206,7 +210,11 @@ class ReducedEngine(_Engine):
     def _try_theta(self, theta, h) -> bool:
         """Install the reduction by theta when the quotient has the h-vector
         h in degrees 0..2 and theta C_2 has rank dim C_3 mod p; False when
-        this draw is not a certified linear system of parameters."""
+        this draw is not a certified linear system of parameters.  The rows
+        of theta C_2 are integer rows, each a positive multiple of the
+        product over Q, so they have its rank over Q, and their rank mod p
+        is a lower bound for it at every p: no denominator is reduced, and
+        no prime is rejected."""
         pres = self.pres
         # quotient C_q / (theta_1, theta_2, theta_3) C_{q-1} for q = 1, 2:
         # the non-pivot columns of an exact echelon are its basis
@@ -222,11 +230,8 @@ class ReducedEngine(_Engine):
             return False
         n3 = len(pres.graded_piece(3))
         p = MODP_PRIMES[0]
-        try:
-            if modp_rank(modp_matrix(_theta_products(pres, theta, 3), n3, p),
-                         p) != n3:
-                return False
-        except BadPrime:
+        if modp_rank(modp_matrix(_theta_products(pres, theta, 3), n3, p),
+                     p) != n3:
             return False
         # C_1 has the basis y_1..y_d
         self.kept_vars = reducers[1].nonpivot_columns()

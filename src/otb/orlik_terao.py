@@ -10,9 +10,12 @@ larger index, so rewriting terminates, and the nbc monomials of degree j
 span C(A)_j.  `graded_piece` proves them independent: evaluated at
 y_k = 1/a_k(P) for as many points P of F_p^3 as there are monomials, they
 give a matrix of full rank mod p, which a primitive integer dependency over
-Q would not.  So they are a basis, each piece's size is the exact Hilbert
-function, and normal forms, which carry the multiplication maps and decide
-ideal membership, are unique.
+Q would not.  One such rank at the highest degree asked for proves every
+lower degree too (the proof is in `graded_piece`).  So they are a basis,
+each piece's size is the exact Hilbert function, and normal forms, which
+carry the multiplication maps and decide ideal membership, are unique.
+A normal form is kept in integers: an integer dict over one positive
+denominator, in lowest terms.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, gcd, lcm
 
 import numpy as np
 
@@ -56,17 +59,21 @@ class OTPresentation:
         self.arrangement = arr
         self.d = arr.d
         self.circuits = enumerate_circuits(arr)
-        # broken circuit -> (its largest line, [(i_t, -c_t/c_k), t < k])
+        # broken circuit -> (its largest line, [(i_t, -c_t sgn c_k)], |c_k|):
+        # the rule y^B -> sum_t (-c_t/c_k) y^(C - {i_t}) over t < k
         self._rules = {}
         for c in self.circuits:
-            top = Fraction(c.coeffs[-1])
+            top = c.coeffs[-1]
+            sign = 1 if top > 0 else -1
             self._rules.setdefault(c.indices[:-1], (c.indices[-1], [
-                (i, -ct / top) for i, ct in zip(c.indices, c.coeffs[:-1])]))
+                (i, -sign * ct) for i, ct in zip(c.indices, c.coeffs[:-1])],
+                abs(top)))
         self._sizes = sorted({len(b) for b in self._rules})
         self._rule_of_support: dict = {}
         self._pieces: dict[int, list] = {}
+        self._proved = -1                # every degree <= it has a proved basis
         self._position: dict = {}        # nbc monomial -> index in its piece
-        self._nf: dict = {}
+        self._nf: dict = {}              # monomial -> (integer dict, den)
         self._mult: dict[int, list] = {}
 
     def _rule(self, support: tuple):
@@ -80,10 +87,24 @@ class OTPresentation:
 
     def graded_piece(self, j: int) -> list:
         """The degree-j monomials with nbc support, in `monomials_of_degree`
-        order, proved a basis of C(A)_j by an evaluation rank mod p."""
+        order, proved a basis of C(A)_j by one evaluation rank mod p in
+        degree j or above: only a j above every degree proved so far is
+        ranked.
+
+        One rank at degree N proves every degree below N.  No broken
+        circuit contains the largest line d, since a broken circuit drops
+        its circuit's largest line; so y_d times an nbc monomial of degree
+        j-1 is an nbc monomial of degree j, and y_d maps the nbc monomials
+        of degree j-1 injectively into those of degree j.  A relation among
+        the former, times y_d, would be a relation among distinct nbc
+        monomials of degree j.  So full rank in degree N proves them
+        independent in every degree up to N, and a caller that knows its
+        top degree asks for it first."""
         if j not in self._pieces:
             basis = self._nbc_monomials(j)
-            self._prove_independent(basis, j)
+            if j > self._proved:
+                self._prove_independent(basis, j)
+                self._proved = j
             self._position.update((m, k) for k, m in enumerate(basis))
             self._pieces[j] = basis
         return self._pieces[j]
@@ -141,40 +162,57 @@ class OTPresentation:
         draw_generic(rng, lambda r: [[r.randrange(p) for _ in range(3)]
                                      for _ in range(size)], full_rank)
 
-    def normal_form(self, terms: dict) -> dict:
-        """The image in C(A) of sum c * y^e over `terms` {e: c}, all of one
-        degree j, as {position in graded_piece(j): coefficient}; that piece
-        must be built."""
+    def normal_form(self, terms: dict) -> tuple[dict, int]:
+        """The image in C(A) of sum c * y^e over `terms` {e: c}, c an int or
+        Fraction, all of one degree j, as (ints, den): an integer dict
+        {position in graded_piece(j): v} over the positive denominator den,
+        in lowest terms; that piece must be built."""
+        return self._combine([(c.numerator, c.denominator, m)
+                              for m, c in terms.items()])
+
+    def _combine(self, parts) -> tuple[dict, int]:
+        """The normal form of sum num/den * y^m over (num, den, m) in
+        `parts`, as `normal_form` gives it."""
+        nfs = [(num, den, self._monomial_nf(m)) for num, den, m in parts]
+        den = lcm(*(e * d for _, e, (_, d) in nfs))
         out: dict = {}
-        for m, c in terms.items():
-            nf = self._nf.get(m)
-            if nf is None:
-                rule = self._rule(tuple(i for i, e in enumerate(m) if e))
-                if rule is None:
-                    nf = {self._position[m]: Fraction(1)}
-                else:
-                    top, steps = rule
-                    nf = self.normal_form({_shift(m, i, top): ci
-                                           for i, ci in steps})
-                self._nf[m] = nf
-            for pos, v in nf.items():
-                nv = out.get(pos, 0) + c * v
-                if nv:
-                    out[pos] = nv
-                else:
-                    out.pop(pos, None)
-        return out
+        for num, e, (ints, d) in nfs:
+            f = num * (den // (e * d))
+            for pos, v in ints.items():
+                out[pos] = out.get(pos, 0) + f * v
+        out = {pos: v for pos, v in out.items() if v}
+        g = gcd(den, *out.values())
+        if g > 1:
+            return {pos: v // g for pos, v in out.items()}, den // g
+        return out, den
+
+    def _monomial_nf(self, m: tuple) -> tuple[dict, int]:
+        """The normal form of the monomial m, rewritten by the rule of a
+        broken circuit in its support, computed once."""
+        nf = self._nf.get(m)
+        if nf is None:
+            rule = self._rule(tuple(i for i, e in enumerate(m) if e))
+            if rule is None:
+                nf = {self._position[m]: 1}, 1
+            else:
+                top, steps, den = rule
+                nf = self._combine([(c, den, _shift(m, i, top))
+                                    for i, c in steps])
+            self._nf[m] = nf
+        return nf
 
     def multiplication_maps(self, q: int) -> list:
         """For each variable s, the map C(A)_q -> C(A)_{q+1} as a list of
-        sparse columns (dict target-position -> coefficient), one column per
+        sparse columns (dict target-position -> Fraction), one column per
         basis monomial of degree q: the normal forms of y_s * m."""
         if q not in self._mult:
-            src = self.graded_piece(q)
             self.graded_piece(q + 1)
-            self._mult[q] = [
-                [self.normal_form({m[:s] + (m[s] + 1,) + m[s + 1:]: 1})
-                 for m in src] for s in range(self.d)]
+            self._mult[q] = [[
+                {pos: Fraction(v, den) for pos, v in ints.items()}
+                for ints, den in (self._monomial_nf(m[:s] + (m[s] + 1,)
+                                                    + m[s + 1:])
+                                  for m in self.graded_piece(q))]
+                for s in range(self.d)]
         return self._mult[q]
 
 
@@ -228,7 +266,7 @@ def membership(pres: OTPresentation, g: MPoly) -> bool:
     if g.is_zero():
         return True
     pres.graded_piece(g.degree())
-    return not pres.normal_form(g.terms)
+    return not pres.normal_form(g.terms)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -112,6 +112,46 @@ def nbc_by_filter(pres, j) -> list:
             if pres._rule(tuple(i for i, e in enumerate(m) if e)) is None]
 
 
+def fraction_normal_form(pres, terms) -> dict:
+    """The image of sum c * y^e over `terms` {e: c}, all of one degree, as
+    {position in its nbc basis: Fraction}, by rewriting in Fractions with
+    the rule y^B -> -sum_t (c_t/c_k) y^(C - {i_t}) of any broken circuit B
+    in the support: the reference for the integer normal forms of
+    `OTPresentation`, which pick one rule per support.  A step moves one
+    exponent to a larger index, so the monomial it rewrites is the largest
+    still to do, and each is rewritten once."""
+    rules = {}
+    for c in pres.circuits:
+        top = Fraction(c.coeffs[-1])
+        rules.setdefault(c.indices[:-1], (c.indices[-1], [
+            (i, -ct / top) for i, ct in zip(c.indices, c.coeffs[:-1])]))
+    work = {m: Fraction(c) for m, c in terms.items() if c}
+    if not work:
+        return {}
+    position = {m: k for k, m in enumerate(
+        pres.graded_piece(sum(next(iter(work)))))}
+    out = {}
+    while work:
+        m = max(work)
+        c = work.pop(m)
+        support = {i for i, e in enumerate(m) if e}
+        rule = next((r for b, r in rules.items() if support.issuperset(b)),
+                    None)
+        if rule is None:
+            out[position[m]] = out.get(position[m], 0) + c
+            continue
+        top, steps = rule
+        for i, ci in steps:
+            e = list(m)
+            e[i] -= 1
+            e[top] += 1
+            e = tuple(e)
+            work[e] = work.get(e, 0) + c * ci
+            if not work[e]:
+                del work[e]
+    return {pos: v for pos, v in out.items() if v}
+
+
 def primitive_vector_by_fractions(vec) -> tuple:
     """`exact.primitive_vector` in Fraction arithmetic, with a gcd loop: the
     reference for the sparse integer rule that `exact` now uses."""

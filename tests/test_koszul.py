@@ -15,7 +15,8 @@ from otb.koszul import (FullEngine, ReducedEngine, _differential_columns,
 from otb.orlik_terao import terao_series
 
 from conftest import (BENCH_FORMS, BUILTINS, ORACLE_FORMS, ambient_piece,
-                      analysis, cubic_generators, oracle)
+                      analysis, cubic_generators, fraction_normal_form,
+                      oracle)
 
 
 def test_braid_table_full():
@@ -371,6 +372,28 @@ def test_integer_maps_are_a_positive_multiple_of_the_fraction_maps(name):
                         for cols in fracs]
         assert all(type(x) is int for cols in ints for col in cols
                    for x in col.values())
+
+
+@pytest.mark.parametrize("name", BUILTINS + tuple(sorted(BENCH_FORMS)))
+def test_theta_rows_are_positive_multiples_of_the_fraction_rows(name):
+    # each integer row of theta C_{q-1} is its product over Q, rewritten in
+    # Fractions, times one positive integer
+    eng = analysis(name).engine
+    pres = eng.pres
+    theta = [[int(x) for x in row] for row in eng.certificate["theta"]]
+    for q in (1, 2, 3):
+        rows = otb.koszul._theta_products(pres, theta, q)
+        fracs = [fraction_normal_form(pres, {
+                     m[:s] + (m[s] + 1,) + m[s + 1:]: a
+                     for s, a in enumerate(row) if a})
+                 for row in theta for m in pres.graded_piece(q - 1)]
+        assert len(rows) == len(fracs), (name, q)
+        for got, want in zip(rows, fracs):
+            assert all(type(v) is int for v in got.values())
+            assert got.keys() == want.keys()
+            scale = {Fraction(v, want[c]) for c, v in got.items()}
+            assert len(scale) <= 1, (name, q)
+            assert all(lam > 0 and lam.denominator == 1 for lam in scale)
 
 
 # the generic lines that bench/inputs.extended_forms adds to b3 with

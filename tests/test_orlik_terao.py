@@ -1,11 +1,16 @@
+from fractions import Fraction
+from math import gcd
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import otb.koszul
 import otb.orlik_terao
 from otb.circuits import circuit_relation, enumerate_circuits
 from otb.cli import run
-from otb.exact import GenericityError, MPoly, monomials_of_degree
+from otb.exact import GenericityError, MPoly, modp_rank, monomials_of_degree
+from otb.koszul import ReducedEngine
 from otb.orlik_terao import (OTPresentation, defining_polynomial,
                              gradient_degree, jacobian_containment, l_forms,
                              membership, substitution_quotient_dim,
@@ -14,8 +19,8 @@ from otb.resonance import search_multinets
 from otb.scroll import multiplication_matrix
 
 from conftest import (BUILTINS, ORACLE_FORMS, ambient_piece, analysis,
-                      hilbert_burch_psi, mpoly_det, nbc_by_filter,
-                      substitution_membership,
+                      fraction_normal_form, hilbert_burch_psi, mpoly_det,
+                      nbc_by_filter, substitution_membership,
                       substitution_rank, vanishing_order)
 
 REFERENCE_CASES = BUILTINS + tuple(sorted(ORACLE_FORMS))
@@ -50,6 +55,28 @@ def test_nbc_monomials_generated_directly_match_the_filter(name):
     pres = analysis(name).pres
     for j in range(6):
         assert pres.graded_piece(j) == nbc_by_filter(pres, j), j
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(name=st.sampled_from(REFERENCE_CASES), data=st.data())
+def test_integer_normal_forms_match_the_fraction_rewrite(name, data):
+    # a homogeneous sum with rational coefficients: its normal form is an
+    # integer dict over a positive denominator, in lowest terms, equal to
+    # the rewrite in Fractions
+    pres = analysis(name).pres
+    deg = data.draw(st.integers(2, 4), label="degree")
+    pres.graded_piece(deg)
+    monos = data.draw(st.lists(st.sampled_from(
+        monomials_of_degree(pres.d, deg)), min_size=1, max_size=5,
+        unique=True), label="monomials")
+    terms = {m: data.draw(st.fractions(-6, 6, max_denominator=7),
+                          label="coefficient") for m in monos}
+    ints, den = pres.normal_form(terms)
+    assert den > 0 and gcd(den, *ints.values()) == 1
+    assert all(type(v) is int and v for v in ints.values())
+    assert {pos: Fraction(v, den) for pos, v in ints.items()} \
+        == fraction_normal_form(pres, terms)
 
 
 @pytest.mark.parametrize("name", REFERENCE_CASES)
@@ -288,3 +315,59 @@ def test_a_short_evaluation_rank_exhausts_the_draws(monkeypatch):
         pres.graded_piece(2)
     assert shapes == [(36, 36)] * 5
 
+
+def _spy_ranks(monkeypatch, short=()):
+    """Record the shape of every evaluation and theta rank; a rank of a
+    shape in `short` comes out one short."""
+    shapes = []
+
+    def spy(a, p):
+        shapes.append(a.shape)
+        return modp_rank(a, p) - (a.shape in short)
+    monkeypatch.setattr(otb.orlik_terao, "modp_rank", spy)
+    monkeypatch.setattr(otb.koszul, "modp_rank", spy)
+    return shapes
+
+
+def test_ot_hilbert_ranks_only_its_top_degree(monkeypatch, capsys):
+    shapes = _spy_ranks(monkeypatch)
+    assert run(["ot-hilbert", "--builtin", "9_3_1", "--upto", "4"]) == 0
+    assert "agree: True" in capsys.readouterr().out
+    assert shapes == [(147, 147)]
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_a_fresh_reduction_ranks_degree_3_and_theta(name, monkeypatch):
+    shapes = _spy_ranks(monkeypatch)
+    pres = OTPresentation(analysis(name).arrangement)
+    ReducedEngine(pres)
+    c2, c3 = len(pres.graded_piece(2)), len(pres.graded_piece(3))
+    assert shapes == [(c3, c3), (3 * c2, c3)]
+
+
+def test_a_lower_degree_after_a_higher_one_ranks_nothing(monkeypatch):
+    shapes = _spy_ranks(monkeypatch)
+    arr = analysis("9_3_1").arrangement
+    pres = OTPresentation(arr)
+    pres.graded_piece(2)
+    pres.graded_piece(4)
+    assert shapes == [(36, 36), (147, 147)]
+    shapes.clear()
+    pres = OTPresentation(arr)
+    pres.graded_piece(4)
+    pres.graded_piece(2)
+    assert shapes == [(147, 147)]
+
+
+def test_a_failed_top_rank_proves_no_lower_degree(monkeypatch):
+    short = {(147, 147)}
+    shapes = _spy_ranks(monkeypatch, short)
+    pres = OTPresentation(analysis("9_3_1").arrangement)
+    with pytest.raises(GenericityError):
+        pres.graded_piece(4)
+    assert shapes == [(147, 147)] * 5
+    short.clear()
+    shapes.clear()
+    assert len(pres.graded_piece(2)) == 36
+    assert len(pres.graded_piece(4)) == 147
+    assert shapes == [(36, 36), (147, 147)]
