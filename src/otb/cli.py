@@ -399,36 +399,80 @@ def _int_at_least(low: int):
     return integer
 
 
+# Each subcommand's options as (flag, add_argument keywords); the parsers
+# and `_read_plain` both read them from here
+_COMMON = (
+    ("--builtin", {"choices": sorted(BUILTIN_FORMS),
+                   "help": "use a named builtin arrangement"}),
+    ("--arrangement", {"metavar": "FILE",
+                       "help": 'JSON file {"name": ..., '
+                               '"forms": [[q,q,q],...]}'}),
+    ("--format", {"choices": ("text", "json"), "default": "text"}),
+)
+_EXTRA = {
+    "circuits": (("--max-size", {"type": _int_at_least(0)}),),
+    "ot-hilbert": (("--upto", {"type": _int_at_least(0), "default": 5}),),
+    "betti": (("--verify-regularity", {"action": "store_true"}),),
+    "h0": (("--m", {"type": int, "required": True}),
+           ("--mults", {"default": "",
+                        "help": "comma-separated multiplicities in "
+                                "canonical flat order"})),
+    "net-search": (("--k", {"type": int, "choices": (3, 4)}),
+                   ("--max-weight", {"type": _int_at_least(1),
+                                     "default": 1})),
+    "resonance": (("--max-weight", {"type": _int_at_least(1),
+                                    "default": 2}),),
+    "report": (("--all", {"action": "store_true",
+                          "help": "run every analysis (the golden-file "
+                                  "payload)"}),),
+}
+_OPTIONS = {name: _COMMON + _EXTRA.get(name, ()) for name in _COMMANDS}
+
+
 def _add_options(p: _Parser, name: str) -> None:
     """Add the options of subcommand `name` to its parser `p`."""
-    p.add_argument("--builtin", choices=sorted(BUILTIN_FORMS),
-                   help="use a named builtin arrangement")
-    p.add_argument("--arrangement", metavar="FILE",
-                   help='JSON file {"name": ..., "forms": [[q,q,q],...]}')
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    if name == "circuits":
-        p.add_argument("--max-size", type=_int_at_least(0), default=None,
-                       dest="max_size")
-    if name == "ot-hilbert":
-        p.add_argument("--upto", type=_int_at_least(0), default=5)
-    if name == "betti":
-        p.add_argument("--verify-regularity", action="store_true",
-                       dest="verify_regularity")
-    if name == "h0":
-        p.add_argument("--m", type=int, required=True)
-        p.add_argument("--mults", type=str, default="",
-                       help="comma-separated multiplicities in canonical "
-                            "flat order")
-    if name == "net-search":
-        p.add_argument("--k", type=int, choices=(3, 4), default=None)
-        p.add_argument("--max-weight", type=_int_at_least(1), default=1,
-                       dest="max_weight")
-    if name == "resonance":
-        p.add_argument("--max-weight", type=_int_at_least(1), default=2,
-                       dest="max_weight")
-    if name == "report":
-        p.add_argument("--all", action="store_true",
-                       help="run every analysis (the golden-file payload)")
+    for flag, kwargs in _OPTIONS[name]:
+        p.add_argument(flag, **kwargs)
+
+
+def _read_plain(name: str, tokens) -> argparse.Namespace | None:
+    """The Namespace that subcommand `name`'s parser makes of `tokens`, read
+    straight from `_OPTIONS`; None unless every token is plain: each is one
+    of the subcommand's flags, at most once, followed (unless a switch) by a
+    value that does not start with "-" and that the option's type and
+    choices accept, with every required option given."""
+    options = dict(_OPTIONS[name])
+    values = {}
+    tokens = iter(tokens)
+    for flag in tokens:
+        kwargs = options.pop(flag, None)    # popped: a repeat is unknown
+        if kwargs is None:
+            return None
+        if kwargs.get("action") == "store_true":
+            values[flag] = True
+            continue
+        text = next(tokens, "-")            # a missing value is not plain
+        if text.startswith("-"):
+            return None
+        try:
+            value = kwargs.get("type", str)(text)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if "choices" in kwargs and value not in kwargs["choices"]:
+            return None
+        values[flag] = value
+    for flag, kwargs in options.items():    # argparse's defaults
+        if kwargs.get("required"):
+            return None
+        if kwargs.get("action") == "store_true":
+            value = False
+        else:
+            value = kwargs.get("default")
+            if isinstance(value, str):      # argparse types a str default
+                value = kwargs.get("type", str)(value)
+        values[flag] = value
+    return argparse.Namespace(command=name, **{
+        flag[2:].replace("-", "_"): value for flag, value in values.items()})
 
 
 def _build_parser() -> _Parser:
@@ -445,11 +489,17 @@ def _parse_args(argv) -> argparse.Namespace:
     argv names no subcommand.
 
     The full parser hands everything after a subcommand's name to that
-    subcommand's parser, so a call that names one builds only that parser,
-    with the same prog, options and messages.  The full parser serves the
-    rest: --help, --version, no command or an unknown one.
+    subcommand's parser.  A valid call with plain tokens builds no parser at
+    all: `_read_plain` reads it from the option table, filling in defaults
+    as argparse does.  Any other call that names a subcommand builds only
+    that subcommand's parser, with the same prog, options and messages, so
+    usage errors and -h read as before.  The full parser serves the rest:
+    --help, --version, no command or an unknown one.
     """
     if argv and argv[0] in _COMMANDS:
+        args = _read_plain(argv[0], argv[1:])
+        if args is not None:
+            return args
         parser = _Parser(prog="otb " + argv[0])
         _add_options(parser, argv[0])
         return parser.parse_args(argv[1:],

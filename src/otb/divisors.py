@@ -85,12 +85,13 @@ class SectionSpace:
     how: str               # how the basis was proved: see primitive_kernel
 
 
-def vanishing_condition_rows(point, order: int, degree: int) -> list:
+def vanishing_condition_rows(point, order: int, monos: list) -> list:
     """Rows imposing vanishing to order >= `order` at the point on the
-    space of degree-`degree` forms: every partial derivative of total order
-    < `order`, evaluated at a primitive representative, in integers.  Rows
-    may be redundant; callers use ranks."""
-    monos = monomials_of_degree(3, degree)
+    space of forms spanned by `monos`, the `monomials_of_degree(3, degree)`
+    of one degree: every partial derivative of total order < `order`,
+    evaluated at a primitive representative, in integers.  Rows may be
+    redundant; callers use ranks."""
+    degree = sum(monos[0])
     powers = [[x ** j for j in range(degree + 1)] for x in point]
     rows = []
     for alpha in range(order):
@@ -119,7 +120,7 @@ def h0_fatpoints(arr: Arrangement, div: DivisorClass) -> SectionSpace:
     monos = monomials_of_degree(3, div.m)
     rows = []
     for p, v in sorted(div.mults.items(), key=lambda kv: kv[0].point):
-        rows.extend(vanishing_condition_rows(p.point, v, div.m))
+        rows.extend(vanishing_condition_rows(p.point, v, monos))
     if not rows:
         basis = [MPoly.monomial(3, m) for m in monos]
         return SectionSpace(div.m, basis, len(monos), (0, len(monos)),

@@ -690,16 +690,18 @@ class MPoly:
         parts = []
         for e in sorted(self.terms, key=_grlex_key, reverse=True):
             c = self.terms[e]
+            num, den = c.numerator, c.denominator
+            coeff = str(abs(num)) if den == 1 else "%d/%d" % (abs(num), den)
             body = "*".join(name if k == 1 else "%s^%d" % (name, k)
                             for name, k in zip(names, e) if k)
             if not body:
-                parts.append((c, str(abs(c))))
-            elif abs(c) == 1:
-                parts.append((c, body))
+                parts.append((num < 0, coeff))
+            elif coeff == "1":
+                parts.append((num < 0, body))
             else:
-                parts.append((c, "%s*%s" % (abs(c), body)))
-        out = "".join((" - " if c < 0 else " + ") + text for c, text in parts)
-        return ("-" if parts[0][0] < 0 else "") + out[3:]
+                parts.append((num < 0, coeff + "*" + body))
+        out = "".join((" - " if neg else " + ") + text for neg, text in parts)
+        return ("-" if parts[0][0] else "") + out[3:]
 
     def __repr__(self):
         return "MPoly(%s)" % self.to_string()

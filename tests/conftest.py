@@ -390,6 +390,29 @@ def mpoly_det(rows: list) -> MPoly:
     return det(rows, list(range(n)))
 
 
+def mpoly_string_by_fractions(f: MPoly) -> str:
+    """`MPoly.to_string` as it read on Fractions: abs(c) and str(abs(c))."""
+    if not f.terms:
+        return "0"
+    if f.nvars <= 3:
+        names = ["x", "y", "z"][:f.nvars]
+    else:
+        names = ["y%d" % (i + 1) for i in range(f.nvars)]
+    parts = []
+    for e in sorted(f.terms, key=lambda e: (sum(e), e), reverse=True):
+        c = f.terms[e]
+        body = "*".join(name if k == 1 else "%s^%d" % (name, k)
+                        for name, k in zip(names, e) if k)
+        if not body:
+            parts.append((c, str(abs(c))))
+        elif abs(c) == 1:
+            parts.append((c, body))
+        else:
+            parts.append((c, "%s*%s" % (abs(c), body)))
+    out = "".join((" - " if c < 0 else " + ") + text for c, text in parts)
+    return ("-" if parts[0][0] < 0 else "") + out[3:]
+
+
 class BinaryForm:
     """Homogeneous form of degree b in two variables; coefficient k is the
     coefficient of lambda^(b-k) mu^k."""
@@ -647,11 +670,13 @@ def vanishing_rows_by_formula(point, order: int, degree: int) -> list:
 
 def vanishing_order(f, point):
     """ord_p(f) of a nonzero form in (x, y, z): the largest k at which every
-    row of `vanishing_condition_rows(p, k, deg f)` annihilates f."""
-    coeffs = [f.terms.get(m, 0) for m in monomials_of_degree(3, f.degree())]
+    row of `vanishing_condition_rows(p, k, monomials of deg f)` annihilates
+    f."""
+    monos = monomials_of_degree(3, f.degree())
+    coeffs = [f.terms.get(m, 0) for m in monos]
     k = 0
     while all(sum(r * c for r, c in zip(row, coeffs)) == 0
-              for row in vanishing_condition_rows(point, k + 1, f.degree())):
+              for row in vanishing_condition_rows(point, k + 1, monos)):
         k += 1
     return k
 

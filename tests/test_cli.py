@@ -7,7 +7,7 @@ import sys
 import time
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import otb.cli
@@ -307,6 +307,69 @@ def test_one_subcommand_parser_parses_as_the_full_parser(name, monkeypatch,
         assert _outcome(one, argv, capsys) == expected, argv
         parsed += isinstance(expected, argparse.Namespace)
     assert parsed >= 1
+
+
+def _by_argparse(name, tokens):
+    """What the one-subcommand parser makes of `tokens`."""
+    parser = otb.cli._Parser(prog="otb " + name)
+    otb.cli._add_options(parser, name)
+    return parser.parse_args(tokens, argparse.Namespace(command=name))
+
+
+_FLAGS = sorted({flag for options in otb.cli._OPTIONS.values()
+                 for flag, _ in options})
+_VALUES = ("b3", "nope", "text", "json", "xml", "0", "1", "3", " 3", "-1",
+           "1,1", "", "x", "-", "-x", "--", "-h", "2 -1")
+_values = st.sampled_from(_VALUES)
+_tokens = st.lists(
+    st.lists(st.sampled_from(_FLAGS), min_size=1, max_size=1)
+    | st.tuples(st.sampled_from(_FLAGS), _values).map(list)
+    | st.tuples(st.sampled_from(_FLAGS), _values)
+    .map(lambda fv: ["%s=%s" % fv])
+    | st.lists(st.sampled_from(("-h", "--help", "--", "-x", "x") + _VALUES),
+               min_size=1, max_size=1),
+    max_size=5).map(lambda pieces: sum(pieces, []))
+
+
+@settings(max_examples=600, deadline=None)
+@given(name=st.sampled_from(sorted(otb.cli._COMMANDS)), tokens=_tokens)
+@example(name="net-search", tokens=["--max-weight", "0"])
+@example(name="info", tokens=["--arrangement", "-x"])
+@example(name="info", tokens=["--format", "xml"])
+@example(name="h0", tokens=["--mults", "1,1"])
+@example(name="h0", tokens=["--m", "3", "--m", "4"])
+def test_plain_reader_agrees_with_argparse(name, tokens):
+    # own and other subcommands' flags, good and bad values, repeats, "="
+    # spellings, negative numbers, -h and --: wherever the reader answers,
+    # argparse answers the same; elsewhere argparse alone is asked
+    args = otb.cli._read_plain(name, tokens)
+    if args is not None:
+        assert args == _by_argparse(name, tokens), tokens
+
+
+def test_plain_reader_types_a_str_default(monkeypatch):
+    # argparse passes a str default through the option's type; no option
+    # of today's table has both, so one is planted
+    monkeypatch.setitem(otb.cli._OPTIONS, "info", otb.cli._COMMON + (
+        ("--n", {"type": otb.cli._int_at_least(0), "default": "7"}),))
+    args = otb.cli._read_plain("info", [])
+    assert args.n == 7 and args == _by_argparse("info", [])
+
+
+@pytest.mark.parametrize("name", sorted(otb.cli._COMMANDS))
+def test_a_valid_call_builds_no_parser(name, monkeypatch):
+    def no_parser(self, *args, **kwargs):
+        raise AssertionError("a valid call built an argparse parser")
+
+    def stop(args):
+        raise _Parsed(args)
+    monkeypatch.setattr(otb.cli, "_load_arrangement", stop)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", no_parser)
+    argv = [name, "--builtin", "b3"] + _VALID_OPTIONS.get(name, [])
+    with pytest.raises(_Parsed) as parsed:
+        run(argv)
+    monkeypatch.undo()
+    assert parsed.value.args[0] == _by_argparse(name, argv[1:])
 
 
 @pytest.mark.parametrize("doc", [{"forms": [5, 6, 7]}, {"forms": 5}])

@@ -112,9 +112,10 @@ def test_9_3_1_net_divisors():
 
 
 def _condition_rows(a, div):
+    monos = monomials_of_degree(3, div.m)
     rows = []
     for p, v in sorted(div.mults.items(), key=lambda kv: kv[0].point):
-        rows.extend(vanishing_condition_rows(p.point, v, div.m))
+        rows.extend(vanishing_condition_rows(p.point, v, monos))
     return rows
 
 
@@ -142,9 +143,10 @@ def test_h0_basis_is_the_reducers_kernel_without_the_reducer(name, mode, m):
 def test_condition_rows_match_the_formula(name, mode, m):
     # the same 16 inputs: the tabled rows equal the entry-by-entry formula
     a = analysis(name).arrangement
+    monos = monomials_of_degree(3, m)
     for p in a.flats:
         order = 1 if mode == "one" else p.mu
-        assert vanishing_condition_rows(p.point, order, m) == \
+        assert vanishing_condition_rows(p.point, order, monos) == \
             vanishing_rows_by_formula(p.point, order, m), p.point
 
 

@@ -15,7 +15,8 @@ from otb.exact import (MODP_PRIMES, MPoly, kernel_basis, modp_matrix,
 
 from conftest import (BinaryForm, FractionReducer, binary_gcd, compose,
                       fraction_kernel, fraction_rref, fraction_solve,
-                      mpoly_det, primitive_vector_by_fractions)
+                      mpoly_det, mpoly_string_by_fractions,
+                      primitive_vector_by_fractions)
 
 
 # -- dense references, independent of SparseReducer
@@ -634,6 +635,20 @@ def test_mpoly_det_small():
     y = MPoly.linear_form([0, 1, 0])
     d = mpoly_det([[x, y], [y, x]])
     assert d == x * x - y * y
+
+
+_rationals = st.fractions(max_denominator=12) | st.integers(-10**30, 10**30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(nvars=st.integers(1, 5), data=st.data())
+def test_mpoly_string_matches_the_fraction_rendering(nvars, data):
+    # zero, unit, integer and fractional coefficients of either sign, on
+    # the constant term too, in both naming schemes (x, y, z and y1, y2, ...)
+    terms = data.draw(st.dictionaries(
+        st.tuples(*[st.integers(0, 3)] * nvars), _rationals, max_size=6))
+    f = MPoly(nvars, terms)
+    assert f.to_string() == mpoly_string_by_fractions(f)
 
 
 def test_monomials_of_degree_count_and_order():
