@@ -183,7 +183,8 @@ def _coefficient(text: str) -> Fraction:
     return Fraction(text)
 
 
-def _cross(a, b):
+def cross(a, b):
+    """The cross product a x b of two vectors of Q^3."""
     return (a[1] * b[2] - a[2] * b[1],
             a[2] * b[0] - a[0] * b[2],
             a[0] * b[1] - a[1] * b[0])
@@ -197,7 +198,7 @@ def compute_flats(arr: Arrangement) -> list:
     points = {}
     for i in range(arr.d):
         for j in range(i + 1, arr.d):
-            p = primitive_vector(_cross(arr.forms[i], arr.forms[j]))
+            p = primitive_vector(cross(arr.forms[i], arr.forms[j]))
             points.setdefault(p, set()).update((i, j))
     return [FlatPoint(point=p, lines=tuple(sorted(points[p])))
             for p in sorted(points)]

@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .arrangement import Arrangement
-from .exact import MPoly, kernel_basis, primitive_vector
+from .arrangement import Arrangement, cross
+from .exact import MPoly, primitive_vector
 
 
 @dataclass(frozen=True)
@@ -35,12 +35,39 @@ def size_bound(arr: Arrangement, max_size: int | None) -> int:
     return min(arr.d, 4 if max_size is None else max_size)
 
 
+def _dependency(forms) -> tuple:
+    """A nonzero dependency sum_j c_j v_j = 0 of the forms v_j of a circuit,
+    from 3 x 3 minors, det(a, b, c) = a . (b x c).
+
+    Four vectors v_0..v_3 of Q^3 satisfy Cramer's rule
+    sum_j (-1)^j det(v_{!=j}) v_j = 0, v_{!=j} the three others in order:
+    coordinate k of the sum is the expansion along its first row of the
+    4 x 4 determinant with rows ((v_j)_k)_j, ((v_j)_0)_j, ((v_j)_1)_j and
+    ((v_j)_2)_j, which is zero, since its first row repeats a later one.
+    For a circuit of four forms that is the dependency.  For three forms
+    a, b, c and any w, it reads
+    (w.(b x c)) a + (w.(c x a)) b + (w.(a x b)) c = det(a, b, c) w, and a
+    concurrent triple has det(a, b, c) = 0.  With w = e_r the coefficients
+    are coordinate r of the three cross products; distinct lines have
+    b x c != 0, so some r gives a nonzero vector, the first is taken.  The
+    dependencies of a circuit form a line, so `primitive_vector` of this
+    one is that of any other, such as the vector of `kernel_basis`."""
+    if len(forms) == 4:
+        others = [[v for t, v in enumerate(forms) if t != j] for j in range(4)]
+        return tuple((-1) ** j * sum(x * y for x, y in zip(a, cross(b, c)))
+                     for j, (a, b, c) in enumerate(others))
+    a, b, c = forms
+    return next(v for v in zip(cross(b, c), cross(c, a), cross(a, b))
+                if any(v))
+
+
 def enumerate_circuits(arr: Arrangement, max_size: int | None = None) -> list:
     """All circuits of size <= `size_bound(arr, max_size)`, by increasing
     size, lexicographic within a size.  Two distinct lines are independent,
     so the circuits of size 3 are the concurrent triples, read off the
     rank-two flats; four forms in a 3-space are dependent, so the circuits
-    of size 4 are the quadruples that hold no concurrent triple."""
+    of size 4 are the quadruples that hold no concurrent triple.  The
+    coefficients of each are read off 3 x 3 minors (`_dependency`)."""
     size = size_bound(arr, max_size)
     triples = sorted(t for f in arr.flats for t in combinations(f.lines, 3))
     subsets = triples if size >= 3 else []
@@ -51,10 +78,9 @@ def enumerate_circuits(arr: Arrangement, max_size: int | None = None) -> list:
             if not any(t in concurrent for t in combinations(q, 3))]
     found = []
     for subset in subsets:
-        cols = [arr.forms[i] for i in subset]
-        ker = kernel_basis([[col[r] for col in cols] for r in range(3)])
-        # a circuit's kernel is a line off every coordinate hyperplane
-        coeffs = primitive_vector(ker[0])
+        # a circuit's dependencies form a line off every coordinate
+        # hyperplane
+        coeffs = primitive_vector(_dependency([arr.forms[i] for i in subset]))
         if any(c == 0 for c in coeffs):
             raise ArithmeticError("circuit {%s} has a zero coefficient"
                                   % ",".join(str(i + 1) for i in subset))

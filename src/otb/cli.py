@@ -9,7 +9,7 @@ files byte for byte.
 
 from __future__ import annotations
 
-import argparse
+import gc
 import json
 import os
 import sys
@@ -35,22 +35,41 @@ class UsageError(Exception):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
+class _Namespace:
+    """The parsed options of a call, as attributes; equal, as an
+    argparse.Namespace is, to any object with the same attributes."""
+
     def __init__(self, **kwargs):
-        # no option prefixes: circuits --m 3 must not mean --max-size 3
-        super().__init__(allow_abbrev=False, **kwargs)
+        self.__dict__.update(kwargs)
 
-    def error(self, message):
-        raise UsageError(message)
+    def __eq__(self, other):
+        return vars(self) == getattr(other, "__dict__", None)
 
-    def parse_args(self, args=None, namespace=None):
-        # argparse turns --opt=-- into [] where one value belongs
-        ns = super().parse_args(args, namespace)
-        for name, value in vars(ns).items():
-            if isinstance(value, list):
-                self.error("argument --%s: expected one value"
-                           % name.replace("_", "-"))
-        return ns
+
+def _Parser(**kwargs):
+    """An argparse parser whose usage errors raise UsageError.  argparse,
+    and with it gettext, is imported here, so that a valid call, which
+    `_read_plain` reads without any parser, does not import it."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def __init__(self, **kwargs):
+            # no option prefixes: circuits --m 3 must not mean --max-size 3
+            super().__init__(allow_abbrev=False, **kwargs)
+
+        def error(self, message):
+            raise UsageError(message)
+
+        def parse_args(self, args=None, namespace=None):
+            # argparse turns --opt=-- into [] where one value belongs
+            ns = super().parse_args(args, namespace)
+            for name, value in vars(ns).items():
+                if isinstance(value, list):
+                    self.error("argument --%s: expected one value"
+                               % name.replace("_", "-"))
+            return ns
+
+    return Parser(**kwargs)
 
 
 def _frac(x) -> str:
@@ -362,7 +381,7 @@ def _cmd_report(an, args):
             ("jacobian_check", _cmd_jacobian_check, {}),
             ("gradient_degree", _cmd_gradient_degree, {}),
     ):
-        sub = argparse.Namespace(**extra)
+        sub = _Namespace(**extra)
         out, c, _ = fn(an, sub)
         results[name] = out
         code = max(code, c)
@@ -393,6 +412,7 @@ def _int_at_least(low: int):
     def integer(text: str) -> int:
         value = int(text)
         if value < low:
+            import argparse
             raise argparse.ArgumentTypeError("must be at least %d, got %d"
                                              % (low, value))
         return value
@@ -429,18 +449,19 @@ _EXTRA = {
 _OPTIONS = {name: _COMMON + _EXTRA.get(name, ()) for name in _COMMANDS}
 
 
-def _add_options(p: _Parser, name: str) -> None:
+def _add_options(p, name: str) -> None:
     """Add the options of subcommand `name` to its parser `p`."""
     for flag, kwargs in _OPTIONS[name]:
         p.add_argument(flag, **kwargs)
 
 
-def _read_plain(name: str, tokens) -> argparse.Namespace | None:
+def _read_plain(name: str, tokens) -> _Namespace | None:
     """The Namespace that subcommand `name`'s parser makes of `tokens`, read
     straight from `_OPTIONS`; None unless every token is plain: each is one
     of the subcommand's flags, at most once, followed (unless a switch) by a
     value that does not start with "-" and that the option's type and
-    choices accept, with every required option given."""
+    choices accept (a type that raises anything rejects it), with every
+    required option given."""
     options = dict(_OPTIONS[name])
     values = {}
     tokens = iter(tokens)
@@ -456,7 +477,7 @@ def _read_plain(name: str, tokens) -> argparse.Namespace | None:
             return None
         try:
             value = kwargs.get("type", str)(text)
-        except (argparse.ArgumentTypeError, TypeError, ValueError):
+        except Exception:
             return None
         if "choices" in kwargs and value not in kwargs["choices"]:
             return None
@@ -471,11 +492,11 @@ def _read_plain(name: str, tokens) -> argparse.Namespace | None:
             if isinstance(value, str):      # argparse types a str default
                 value = kwargs.get("type", str)(value)
         values[flag] = value
-    return argparse.Namespace(command=name, **{
+    return _Namespace(command=name, **{
         flag[2:].replace("-", "_"): value for flag, value in values.items()})
 
 
-def _build_parser() -> _Parser:
+def _build_parser():
     parser = _Parser(prog="otb", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", metavar="command")
@@ -484,7 +505,7 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _parse_args(argv) -> argparse.Namespace:
+def _parse_args(argv) -> _Namespace:
     """The Namespace of `_build_parser().parse_args(argv)`; UsageError when
     argv names no subcommand.
 
@@ -502,8 +523,7 @@ def _parse_args(argv) -> argparse.Namespace:
             return args
         parser = _Parser(prog="otb " + argv[0])
         _add_options(parser, argv[0])
-        return parser.parse_args(argv[1:],
-                                 argparse.Namespace(command=argv[0]))
+        return parser.parse_args(argv[1:], _Namespace(command=argv[0]))
     args = _build_parser().parse_args(argv)
     if not args.command:
         raise UsageError("missing subcommand, one of "
@@ -563,6 +583,12 @@ def main() -> None:
         sys.exit(1)
     sys.exit(code)
 
+
+# The objects alive once the imports are done (modules, functions, option
+# tables) last as long as the process.  Frozen, they leave the collector's
+# generations, so no collection during a call scans them again, whatever
+# the imports left pending.
+gc.freeze()
 
 if __name__ == "__main__":
     main()

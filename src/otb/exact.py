@@ -8,6 +8,9 @@ echelon form is unique, so they do not depend on how it works.
 
 `proved_rank` proves the rank of a large sparse matrix over Q at about the
 cost of a numpy elimination mod a prime below 2**31, by two equal bounds.
+It reads the matrix through three read-outs, its residues mod p, an exact
+cycle check and its sparse columns, so a Koszul strand can supply them
+from its maps; `SparseColumns` supplies them for explicit columns.
 The rank mod p is a lower bound.  The number of rows is an upper bound, and
 so is the number of columns minus the dimension of a space of exactly
 verified kernel vectors: cycles the caller knows, plus vectors lifted from
@@ -21,9 +24,10 @@ meet, `SparseReducer` computes the rank.
 
 `primitive_kernel` reads the primitive integer vectors of `kernel_basis` of
 an integer matrix, such as the fat-point conditions of `divisors`, off the
-same LU and lift.  Integers stay integers (a residue is x % p); rationals
-become integers over their common denominator in one place,
-`_over_denominator`, and lifted vectors are integer dicts from the start.
+same LU and lift, its columns held as `SparseColumns`.  Integers stay
+integers (a residue is x % p); rationals become integers over their common
+denominator in one place, `_over_denominator`, and lifted vectors are
+integer dicts from the start.
 
 No public routine mutates its arguments; results are freshly allocated.
 """
@@ -378,44 +382,62 @@ def _reconstruct(residues: list, m: int) -> list | None:
     return out
 
 
-def _is_cycle(icols: list, vec: dict) -> bool:
-    """Exact check that sum_k vec[k] * column k is the zero vector for an
-    integer vector `vec`, in integers over the lcm of the columns'
-    denominators; icols[k] is column k as `_over_denominator` gives it."""
-    den = lcm(*(icols[k][1] for k in vec))
-    acc: dict = {}
-    for k, z in vec.items():
-        ints, d = icols[k]
-        z *= den // d
-        for row, w in ints.items():
-            acc[row] = acc.get(row, 0) + z * w
-    return not any(acc.values())
+class SparseColumns:
+    """A matrix over Q given by its sparse columns {row: int or Fraction}
+    over `nrows` rows, with the read-outs that `proved_rank` and
+    `_lift_cycles` take of a matrix: `residues(p)`, the columns mod p as
+    the rows of an int64 array (`modp_matrix`); `is_cycle(vec)`; and
+    `columns()`."""
+
+    def __init__(self, cols: list, nrows: int):
+        self.cols = cols
+        self.nrows = nrows
+        self._icols = None      # each column as `_over_denominator` gives it
+
+    def residues(self, p: int) -> np.ndarray:
+        return modp_matrix(self.cols, self.nrows, p)
+
+    def is_cycle(self, vec: dict) -> bool:
+        """Exact check that sum_k vec[k] * column k is the zero vector for
+        an integer vector `vec`, in integers over the lcm of the columns'
+        denominators."""
+        if self._icols is None:
+            self._icols = [_over_denominator(col) for col in self.cols]
+        den = lcm(*(self._icols[k][1] for k in vec))
+        acc: dict = {}
+        for k, z in vec.items():
+            ints, d = self._icols[k]
+            z *= den // d
+            for row, w in ints.items():
+                acc[row] = acc.get(row, 0) + z * w
+        return not any(acc.values())
+
+    def columns(self) -> list:
+        return self.cols
 
 
-def _lift_cycles(cols, icols: list, basis: list, prows: list, targets: list,
-                 p: int, first=None) -> tuple[list, int] | None:
-    """Lift one kernel vector of the matrix with sparse columns `cols` to Q
-    for each free column in `targets`, each checked by `_is_cycle`.  Returns
-    the vectors, as integer dicts over their common denominators, and the
-    number of primes combined, or None.
+def _lift_cycles(matrix, basis: list, prows: list, targets: list, p: int,
+                 first=None) -> tuple[list, int] | None:
+    """Lift one kernel vector of `matrix` to Q for each free column in
+    `targets`, each checked by `matrix.is_cycle`.  Returns the vectors, as
+    integer dicts over their common denominators, and the number of primes
+    combined, or None.
 
     The columns `basis` are a basis mod p of the column space, and their
     square block at the rows `prows` is invertible mod p (one
     `_echelon_mod_p` of the matrix or of its transpose gives both).  The
     vector of a free column f is 1 at f, 0 at the other free columns, and
     on `basis` the solution of that square block (`first` at p if given,
-    else `_square_kernel`, which skips a singular prime), lifted by CRT and
-    rational reconstruction.
+    else `_square_kernel` on the block of `matrix.residues(q)`, which skips
+    a singular prime), lifted by CRT and rational reconstruction.
     """
     r = len(basis)
-    at = {c: t for t, c in enumerate(prows)}
-    square = [{at[c]: v for c, v in cols[k].items() if c in at}
-              for k in basis + targets]
+    block = np.ix_(basis + targets, prows)
     residues, m, used = None, 1, 0
     for q in (p,) + tuple(x for x in MODP_PRIMES if x != p):
         try:
             x = (first if q == p and first is not None
-                 else _square_kernel(modp_matrix(square, r, q), r, q))
+                 else _square_kernel(matrix.residues(q)[block], r, q))
         except BadPrime:
             continue
         if x is None:
@@ -434,45 +456,50 @@ def _lift_cycles(cols, icols: list, basis: list, prows: list, targets: list,
             continue
         vecs = [{f: den, **{k: v for k, v in zip(basis, ints) if v}}
                 for f, (ints, den) in zip(targets, lifts)]
-        if all(_is_cycle(icols, vec) for vec in vecs):
+        if all(matrix.is_cycle(vec) for vec in vecs):
             return vecs, used
     return None
 
 
-def proved_rank(cols, nrows: int, cycles) -> tuple[int, str]:
-    """Rank over Q of the matrix with sparse columns `cols` ({row: value}
-    over `nrows` rows), proved by two equal bounds, and how it was proved.
+def proved_rank(matrix, cycles=None) -> tuple[int, str]:
+    """Rank over Q of `matrix`, proved by two equal bounds, and how it was
+    proved.  `matrix` is a `SparseColumns` or a Koszul strand: it has
+    `nrows` and three read-outs, `residues(p)` (its columns mod p as the
+    rows of an int64 array, raising `BadPrime` when p divides a
+    denominator), `is_cycle(vec)` (an exact check that an integer vector is
+    in its kernel) and `columns()` (its sparse exact columns, read only by
+    the fallback).  The columns of `cycles`, a matrix with the same
+    read-outs, or None if there are none, are known kernel vectors, such
+    as the columns of the map into a strand.
 
-    The given `cycles` ({column: value} each) are checked first, each
-    with one exact product; a non-cycle raises ArithmeticError.  At the
-    first prime of MODP_PRIMES that divides no denominator, the residues of
-    the columns, taken as rows, are factored once, as an LU in place; the
-    rank mod p is the lower bound.  If it equals `nrows`, the row count
-    bounds it from above and the rank is proved.  Otherwise the
-    upper bound is the number of columns minus the dimension of a space of
-    exactly verified kernel vectors: the given cycles and, where they fall
-    short of the kernel mod p, cycles lifted by `_lift_cycles`.  A kernel
-    vector mod p is determined by its free coordinates (the columns that
-    are not pivot rows), so one echelon of the cycles restricted to those
-    both measures them against the kernel mod p and names the free columns
-    left to lift, whose kernel mod p the LU gives; the known and lifted
-    cycles then span the kernel mod p, and the bounds meet.  Returns (rank,
-    how) with how
+    The given cycles are checked first, each with one exact `is_cycle`; a
+    non-cycle raises ArithmeticError.  At the first prime of MODP_PRIMES
+    that divides no denominator, the residues of the columns, taken as
+    rows, are factored once, as an LU in place; the rank mod p is the
+    lower bound.  If it equals `nrows`, the row count bounds it from above
+    and the rank is proved.  Otherwise the upper bound is the number of
+    columns minus the dimension of a space of exactly verified kernel
+    vectors: the given cycles and, where they fall short of the kernel mod
+    p, cycles lifted by `_lift_cycles`.  A kernel vector mod p is
+    determined by its free coordinates (the columns that are not pivot
+    rows), so one echelon of the cycles restricted to those both measures
+    them against the kernel mod p and names the free columns left to lift,
+    whose kernel mod p the LU gives; the known and lifted cycles then span
+    the kernel mod p, and the bounds meet.  Returns (rank, how) with how
 
       "mod-p"     the rank mod p meets the row count, or the given cycles
                   close the gap by themselves;
       "lifted k"  k lifted cycles were needed as well;
       "exact"     lifting failed, and `SparseReducer` computed the rank.
     """
-    ncols = len(cols)
-    icols = [_over_denominator(col) for col in cols]
-    for vec in cycles:
-        if not _is_cycle(icols, _over_denominator(vec)[0]):
+    nrows = matrix.nrows
+    for vec in cycles.columns() if cycles is not None else ():
+        if not matrix.is_cycle(_over_denominator(vec)[0]):
             raise ArithmeticError("a given cycle is not in the kernel")
     for p in MODP_PRIMES:
         try:
-            known = modp_matrix(cycles, ncols, p)
-            a = modp_matrix(cols, nrows, p)
+            known = cycles.residues(p) if cycles is not None else None
+            a = matrix.residues(p)
         except BadPrime:
             continue
         order, pivots = _echelon_mod_p(a, p)
@@ -480,16 +507,17 @@ def proved_rank(cols, nrows: int, cycles) -> tuple[int, str]:
         if r == nrows:
             return nrows, "mod-p"
         free = sorted(order[r:])
-        covered = set(_echelon_mod_p(known[:, free], p)[1])
+        covered = (set(_echelon_mod_p(known[:, free], p)[1])
+                   if known is not None else set())
         if len(covered) == len(free):
             return r, "mod-p"
         targets = [f for j, f in enumerate(free) if j not in covered]
         first = _lu_kernel(a, pivots, np.argsort(order)[targets], p)
-        if _lift_cycles(cols, icols, order[:r], pivots, targets, p, first):
+        if _lift_cycles(matrix, order[:r], pivots, targets, p, first):
             return r, "lifted %d" % len(targets)
         break
     red = SparseReducer(nrows)
-    for col in cols:
+    for col in matrix.columns():
         red.add(col)
     return red.rank, "exact"
 
@@ -523,8 +551,8 @@ def primitive_kernel(rows) -> tuple[list, str]:
         return [], "mod-p"
     cols = [{i: row[c] for i, row in enumerate(rows) if row[c]}
             for c in range(ncols)]
-    icols = [_over_denominator(col) for col in cols]
-    lifted = _lift_cycles(cols, icols, pcols, order[:len(pcols)], free, p)
+    lifted = _lift_cycles(SparseColumns(cols, len(rows)), pcols,
+                          order[:len(pcols)], free, p)
     if lifted is not None:
         vecs, used = lifted
         if all(max(vec) == f for f, vec in zip(free, vecs)):

@@ -27,10 +27,15 @@ Every strand rank that is computed, in both engines, is proved by
 row count or exactly verified cycles bound it from above.  The columns of
 the incoming differential are cycles, since d o d = 0; where the rank mod
 p is short of the row count and they fall short of the kernel mod p,
-kernel vectors are lifted to Q and checked.  The reduced engine keeps its
-induced maps in integers: each degree's maps over Q times the lcm of their
-denominators.  That scales each strand by one positive integer, which
-changes no rank, kernel or cycle, and makes every residue an x % p.
+kernel vectors are lifted to Q and checked.  Each strand, and the incoming
+one, is handed over as a `Strand`, built from the multiplication maps: its
+residues mod p are the maps reduced once and scattered by index, and its
+cycle check applies the differential through the maps.  Sparse columns
+are built for the incoming strand only, as the known cycles to check, and
+for the strand itself only if the exact fallback runs.  The reduced engine
+keeps its induced maps in integers: each degree's maps over Q times the lcm
+of their denominators.  That scales each strand by one positive integer,
+which changes no rank, kernel or cycle, and makes every residue an x % p.
 
 The strands Wedge^i V (x) C_0 -> Wedge^{i-1} V (x) C_1 are not ranked.  In
 both engines the variables are a basis of C_1, so such a strand is the
@@ -55,11 +60,14 @@ the tests compare the reduced engine against it on small arrangements.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
 from math import comb, lcm
 
-from .exact import (MODP_PRIMES, SparseReducer, draw_generic, modp_matrix,
-                    modp_rank, proved_rank, seeded_rng)
+import numpy as np
+
+from .exact import (MODP_PRIMES, BadPrime, SparseReducer, draw_generic,
+                    modp_matrix, modp_rank, proved_rank, seeded_rng)
 from .orlik_terao import OTPresentation, terao_series
 
 
@@ -88,6 +96,91 @@ def _differential_columns(nvars: int, i: int, maps, c_src: int, c_dst: int):
                     col[base + pos] = -v if r % 2 else v
             cols.append(col)
     return cols, len(target_index) * c_dst
+
+
+@lru_cache(maxsize=None)
+def _faces(nvars: int, i: int) -> tuple:
+    """The faces of the i-subsets T of range(nvars), in `combinations`
+    order, and the number of (i-1)-subsets: per position r, the arrays of
+    t_r and of the index of T - {t_r} over all T; per T, the list of
+    (t_r, index of T - {t_r}, r odd)."""
+    index = {t: k for k, t in enumerate(combinations(range(nvars), i - 1))}
+    per_subset = [[(t[r], index[t[:r] + t[r + 1:]], r % 2) for r in range(i)]
+                  for t in combinations(range(nvars), i)]
+    per_position = [tuple(np.array([fs[r][j] for fs in per_subset],
+                                   dtype=np.intp) for j in (0, 1))
+                    for r in range(i)]
+    return per_position, per_subset, len(index)
+
+
+class Strand:
+    """Wedge^i (x) C_q -> Wedge^{i-1} (x) C_{q+1} as the matrix that
+    `exact.proved_rank` takes, read off the multiplication maps: column
+    (T, k) holds (-1)^r maps[t_r][k] at the rows of T - {t_r}, the same
+    entries as `_differential_columns`, which `columns` returns for the
+    fallback.  `residues(p)` reduces the maps mod p once and scatters
+    them into the strand, one fancy index per position r; `is_cycle`
+    applies the differential through the maps, face by face."""
+
+    def __init__(self, nvars: int, i: int, maps, c_src: int, c_dst: int):
+        self.nvars, self.i, self.maps = nvars, i, maps
+        self.c_src, self.c_dst = c_src, c_dst
+        self._per_position, self._per_subset, self._nfaces = _faces(nvars, i)
+        self.nrows = self._nfaces * c_dst
+
+    def _map_residues(self, p: int) -> np.ndarray:
+        """The maps mod p as an int64 array indexed [variable, k, pos]:
+        x % p for integers (entries reach 56 bits, so before int64), num
+        times the inverse of den for a Fraction; BadPrime if p divides a
+        denominator."""
+        c_src, c_dst = self.c_src, self.c_dst
+        at = [(s * c_src + k) * c_dst + pos
+              for s, cols in enumerate(self.maps)
+              for k, col in enumerate(cols) for pos in col]
+        vals = [v for cols in self.maps for col in cols for v in col.values()]
+        if set(map(type, vals)) <= {int}:
+            vals = [v % p for v in vals]
+        elif any(v.denominator % p == 0 for v in vals):
+            raise BadPrime(p)
+        else:
+            vals = [v.numerator * pow(v.denominator, -1, p) % p
+                    for v in vals]
+        m = np.zeros(len(self.maps) * c_src * c_dst, dtype=np.int64)
+        m[at] = vals
+        return m.reshape(len(self.maps), c_src, c_dst)
+
+    def residues(self, p: int) -> np.ndarray:
+        """The columns mod p as the rows of an int64 array, equal to
+        `modp_matrix(self.columns(), self.nrows, p)`: the faces of a
+        subset are distinct, so each position r fills its own entries."""
+        nsub = len(self._per_subset)
+        out = np.zeros((nsub, self.c_src, self._nfaces, self.c_dst),
+                       dtype=np.int64)
+        if out.size:
+            m = self._map_residues(p)
+            signed = (m, (-m) % p)
+            subsets = np.arange(nsub)
+            for r, (var, face) in enumerate(self._per_position):
+                out[subsets, :, face, :] = signed[r % 2][var]
+        return out.reshape(nsub * self.c_src, self.nrows)
+
+    def is_cycle(self, vec: dict) -> bool:
+        """Whether the integer vector {column: value} is in the kernel,
+        exactly: sum_k vec[k] * column k through the maps."""
+        acc: dict = {}
+        get, maps, c_src, c_dst = acc.get, self.maps, self.c_src, self.c_dst
+        for j, z in vec.items():
+            t, k = divmod(j, c_src)
+            for var, face, odd in self._per_subset[t]:
+                base, w = face * c_dst, -z if odd else z
+                for pos, v in maps[var][k].items():
+                    row = base + pos
+                    acc[row] = get(row, 0) + w * v
+        return not any(acc.values())
+
+    def columns(self) -> list:
+        return _differential_columns(self.nvars, self.i, self.maps,
+                                     self.c_src, self.c_dst)[0]
 
 
 def _theta_products(pres: OTPresentation, theta, q: int) -> list:
@@ -148,14 +241,12 @@ class _Engine:
                  - self.rank_of_differential(i + 1, q - 1))
             self.rank_proofs[key] = "linear strand"
         else:
-            cols, nrows = _differential_columns(
-                self.nvars, i, self.maps(q), c_src, c_dst)
-            cycles = []
+            cycles = None
             if i < self.nvars and self.dim(q - 1):
-                cycles, _ = _differential_columns(
-                    self.nvars, i + 1, self.maps(q - 1), self.dim(q - 1),
-                    c_src)
-            r, self.rank_proofs[key] = proved_rank(cols, nrows, cycles)
+                cycles = Strand(self.nvars, i + 1, self.maps(q - 1),
+                                self.dim(q - 1), c_src)
+            r, self.rank_proofs[key] = proved_rank(
+                Strand(self.nvars, i, self.maps(q), c_src, c_dst), cycles)
         self._rank_cache[key] = r
         return r
 

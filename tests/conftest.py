@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from otb.analysis import Analysis
-from otb.arrangement import Arrangement, ArrangementError, _cross, builtin
+from otb.arrangement import Arrangement, ArrangementError, builtin, cross
 from otb.circuits import Circuit, circuit_relation
 from otb.divisors import vanishing_condition_rows
 from otb.exact import (MPoly, SparseReducer, kernel_basis, modp_rank,
@@ -561,7 +561,7 @@ def incidence_by_scan(arr) -> list:
     """(point, lines) for every rank-two flat, each point found as the
     meet of a pair of lines and its lines by testing every form on it: the
     reference for `compute_flats`, which reads the lines off the pairs."""
-    points = {primitive_vector(_cross(a, b))
+    points = {primitive_vector(cross(a, b))
               for a, b in combinations(arr.forms, 2)}
     return [(p, tuple(i for i, f in enumerate(arr.forms)
                       if sum(c * x for c, x in zip(f, p)) == 0))

@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
 import otb.circuits
+from otb.arrangement import Arrangement, ArrangementError
 from otb.circuits import circuit_relation, enumerate_circuits
 from otb.cli import run
 from otb.exact import MPoly, kernel_basis
@@ -113,6 +116,22 @@ def test_circuits_match_the_kernel_oracle(name):
     for max_size in (None, 0, 1, 2, 3, 4):
         assert enumerate_circuits(a, max_size) \
             == circuits_by_kernels(a, max_size), max_size
+
+
+def test_minor_coefficients_match_the_kernel_oracle_on_random_forms():
+    # coefficients in [-2, 2] make many concurrent triples and quadruples
+    rng = random.Random("circuits:random")
+    compared = 0
+    while compared < 60:
+        forms = [[rng.randint(-2, 2) for _ in range(3)]
+                 for _ in range(rng.randint(3, 8))]
+        try:
+            a = Arrangement(forms)
+        except ArrangementError:
+            continue
+        assert enumerate_circuits(a, None) == circuits_by_kernels(a, None), \
+            forms
+        compared += 1
 
 
 def test_zero_coefficient_is_a_verification_failure(monkeypatch, capsys):

@@ -16,7 +16,7 @@ import otb.resonance
 from otb.analysis import Analysis
 from otb.arrangement import ArrangementError, parse_arrangement
 from otb.cli import run
-from otb.exact import BadPrime, GenericityError, proved_rank
+from otb.exact import BadPrime, GenericityError, SparseColumns, proved_rank
 from otb.koszul import FullEngine, ReducedEngine
 from otb.orlik_terao import OTPresentation
 
@@ -228,6 +228,18 @@ def test_python_dash_m_runs_the_tool():
         assert done.stdout == fh.read()
 
 
+def test_a_valid_call_does_not_import_argparse():
+    # argparse, and gettext with it, is imported only to build a parser,
+    # for --help and usage errors
+    code = ("import sys, otb.cli\n"
+            "assert otb.cli.run(['circuits', '--builtin', 'braid-a3', "
+            "'--max-size', '3']) == 0\n"
+            "print('argparse' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=_source_env(), check=True)
+    assert done.stdout.splitlines()[-1] == "False"
+
+
 def test_closed_stdout_pipe_exits_one_without_a_traceback():
     # the reader is gone before the tool writes its 15 kB report
     read_end, write_end = os.pipe()
@@ -398,8 +410,10 @@ def test_engine_failure_is_a_verification_failure(exc, monkeypatch, capsys):
 
 def test_planted_non_cycle_is_a_verification_failure(monkeypatch, capsys):
     # a strand whose known cycles include a vector outside the kernel
-    def planted(cols, nrows, cycles):
-        return proved_rank(cols, nrows, list(cycles) + [{0: 1}])
+    def planted(matrix, cycles):
+        if cycles is not None:
+            cycles = SparseColumns(cycles.columns() + [{0: 1}], cycles.nrows)
+        return proved_rank(matrix, cycles)
     monkeypatch.setattr(otb.koszul, "proved_rank", planted)
     code, out, err = _capture(capsys, ["betti", "--builtin", "braid-a3"])
     assert code == 2 and out == ""

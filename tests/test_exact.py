@@ -11,7 +11,8 @@ import otb.exact
 from otb.exact import (MODP_PRIMES, MPoly, kernel_basis, modp_matrix,
                        modp_rank, monomials_of_degree, primitive_vector,
                        proved_rank, rank, rref, seeded_rng, solve,
-                       SparseReducer, draw_generic, GenericityError)
+                       SparseColumns, SparseReducer, draw_generic,
+                       GenericityError)
 
 from conftest import (BinaryForm, FractionReducer, binary_gcd, compose,
                       fraction_kernel, fraction_rref, fraction_solve,
@@ -382,9 +383,35 @@ def test_proved_rank_matches_reducer(shape, given):
         rows = sparse_matrix(rng, nr, nc, shape)
         cycles = some_cycles(rng, rows) if given == "cycles" else []
         cols = columns(rows)
-        r, how = proved_rank(cols, nr, cycles)
+        r, how = proved_rank(SparseColumns(cols, nr),
+                              SparseColumns(cycles, nc))
         assert r == rank(rows), (shape, rows)
         assert how == "mod-p" or how.startswith("lifted "), how
+
+
+def test_sparse_columns_read_outs():
+    # residues are `modp_matrix` of the columns; is_cycle is the exact
+    # product, on integer kernel vectors, those perturbed, and random ones
+    rng = random.Random("sparse-columns")
+    answers = []
+    for shape in sorted(SHAPES):
+        rows = sparse_matrix(rng, *SHAPES[shape], shape)
+        cols = columns(rows)
+        matrix = SparseColumns(cols, len(rows))
+        assert matrix.nrows == len(rows) and matrix.columns() is cols
+        for p in MODP_PRIMES[:2]:
+            assert np.array_equal(matrix.residues(p),
+                                  modp_matrix(cols, len(rows), p))
+        vecs = [dict(enumerate(primitive_vector(v)))
+                for v in kernel_basis(rows)]
+        vecs += [{**v, 0: v[0] + 1} for v in vecs]
+        vecs += [{k: rng.randint(-4, 4) for k in range(len(cols))}]
+        for vec in vecs:
+            product = [sum(z * row[k] for k, z in vec.items())
+                       for row in rows]
+            answers.append(matrix.is_cycle(vec))
+            assert answers[-1] == (not any(product)), (shape, vec)
+    assert set(answers) == {True, False}
 
 
 def test_proved_rank_needs_no_lift_with_the_whole_kernel():
@@ -392,7 +419,8 @@ def test_proved_rank_needs_no_lift_with_the_whole_kernel():
     rows = sparse_matrix(rng, 10, 10, "deficient")
     cycles = [{k: x for k, x in enumerate(v) if x}
               for v in kernel_basis(rows)]
-    assert proved_rank(columns(rows), 10, cycles) == (
+    assert proved_rank(SparseColumns(columns(rows), 10),
+                       SparseColumns(cycles, 10)) == (
         rank(rows), "mod-p")
 
 
@@ -413,7 +441,7 @@ def test_lifting_matrix_needs_lifting():
     rows = needs_lifting()
     assert rank(rows) == 3
     assert any(x.denominator > 1 for v in kernel_basis(rows) for x in v)
-    assert proved_rank(columns(rows), 5, []) == (3, "lifted 4")
+    assert proved_rank(SparseColumns(columns(rows), 5)) == (3, "lifted 4")
 
 
 def test_planted_non_cycle_raises():
@@ -423,12 +451,14 @@ def test_planted_non_cycle_raises():
     bad = {0: Fraction(1)}                       # column 0 is nonzero
     assert cols[0]
     with pytest.raises(ArithmeticError):
-        proved_rank(cols, len(rows), good + [bad])
+        proved_rank(SparseColumns(cols, len(rows)),
+                    SparseColumns(good + [bad], len(cols)))
     # a multiple of a true cycle plus a tiny error is caught as well
     off = dict(good[0])
     off[min(off)] += Fraction(1, 10 ** 30)
     with pytest.raises(ArithmeticError):
-        proved_rank(cols, len(rows), [off])
+        proved_rank(SparseColumns(cols, len(rows)),
+                    SparseColumns([off], len(cols)))
 
 
 def residues_of(vec, m) -> list:
@@ -466,7 +496,7 @@ def test_reconstruct_is_none_below_the_bound():
 def test_corrupted_lift_falls_back_to_the_same_rank(monkeypatch):
     rows = needs_lifting()
     cols = columns(rows)
-    r, how = proved_rank(cols, len(rows), [])
+    r, how = proved_rank(SparseColumns(cols, len(rows)))
     assert how.startswith("lifted ")
     reconstruct = otb.exact._reconstruct
 
@@ -476,7 +506,7 @@ def test_corrupted_lift_falls_back_to_the_same_rank(monkeypatch):
             lifts[0][0][0] += 1              # one integer entry, den kept
         return lifts
     monkeypatch.setattr(otb.exact, "_reconstruct", corrupt)
-    assert proved_rank(cols, len(rows), []) == (r, "exact")
+    assert proved_rank(SparseColumns(cols, len(rows))) == (r, "exact")
     assert r == rank(rows)
 
 
@@ -485,13 +515,13 @@ def test_rank_drop_at_the_first_prime_still_gives_the_rational_rank():
     # det = p: rank 2 over Q, rank 1 mod p
     cols = [{0: Fraction(p), 1: Fraction(1)}, {1: Fraction(1)}]
     assert modp_rank(modp_matrix(cols, 2, p), p) == 1
-    assert proved_rank(cols, 2, [])[0] == 2
+    assert proved_rank(SparseColumns(cols, 2))[0] == 2
     # the same inside a larger matrix whose other columns need lifting
     rows = needs_lifting()
     rows = [row + [Fraction(0)] for row in rows] + [[Fraction(0)] * 7
                                                     + [Fraction(p)]]
     cols = columns(rows)
-    assert proved_rank(cols, len(rows), [])[0] == rank(rows)
+    assert proved_rank(SparseColumns(cols, len(rows)))[0] == rank(rows)
 
 
 def test_bad_prime_is_skipped(monkeypatch):
@@ -507,7 +537,7 @@ def test_bad_prime_is_skipped(monkeypatch):
     rows[0][0] = Fraction(1, p0)
     cols = columns(rows)
     monkeypatch.setattr(otb.exact, "_echelon_mod_p", spy)
-    r, how = proved_rank(cols, len(rows), [])
+    r, how = proved_rank(SparseColumns(cols, len(rows)))
     assert primes[0] == p1 and r == rank(rows)
     assert how.startswith("lifted ")
     # column 0 divided by the second prime: the lifted vectors then carry
@@ -516,7 +546,7 @@ def test_bad_prime_is_skipped(monkeypatch):
     rows = [[x / p1 if j == 0 else x for j, x in enumerate(row)]
             for row in needs_lifting()]
     cols = columns(rows)
-    assert proved_rank(cols, len(rows), []) == (3, "lifted 4")
+    assert proved_rank(SparseColumns(cols, len(rows))) == (3, "lifted 4")
 
 
 def test_kernel_identity_empty():

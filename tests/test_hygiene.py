@@ -116,9 +116,8 @@ def test_checker_flags_an_unreferenced_definition():
 
 # Definitions the program itself never calls, kept on purpose:
 # - FullEngine: the Koszul complex on all d variables, the tests' reference
-#   for the Artinian reduction (ROADMAP aim 2);
-# - _Parser.error: argparse calls it on a usage error.
-ALLOWED = {"koszul.FullEngine", "cli._Parser.error"}
+#   for the Artinian reduction (ROADMAP aim 2).
+ALLOWED = {"koszul.FullEngine"}
 
 
 def test_every_definition_has_a_reference():

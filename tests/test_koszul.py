@@ -1,17 +1,20 @@
+import random
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, lcm
 
+import numpy as np
 import pytest
 
 import otb.exact
 import otb.koszul
 from otb.analysis import Analysis
 from otb.arrangement import Arrangement
-from otb.exact import (MODP_PRIMES, GenericityError, SparseReducer,
+from otb.exact import (MODP_PRIMES, BadPrime, GenericityError, SparseReducer,
                        modp_matrix, modp_rank, proved_rank)
-from otb.koszul import (FullEngine, ReducedEngine, _differential_columns,
-                        b23_formula, betti_table, tor_dimension)
+from otb.koszul import (FullEngine, ReducedEngine, Strand,
+                        _differential_columns, b23_formula, betti_table,
+                        tor_dimension)
 from otb.orlik_terao import terao_series
 
 from conftest import (BENCH_FORMS, BUILTINS, ORACLE_FORMS, ambient_piece,
@@ -71,6 +74,88 @@ def test_reduced_agrees_with_full_on_small():
 def test_reduced_matches_full_oracle(name):
     an = analysis(name)
     _assert_matches_oracle(an, FullEngine(an.pres))
+
+
+def _small_engines(name) -> list:
+    """The reduced engine of `name` and, for d <= 7, the full one, whose
+    maps hold Fractions."""
+    an = analysis(name)
+    return [an.engine] + ([oracle(name)] if an.arrangement.d <= 7 else [])
+
+
+def _strands(eng) -> list:
+    """(i, q) of every nonzero strand out of Wedge^i (x) C_q, q = 0..2."""
+    return [(i, q) for i in range(1, eng.nvars + 1) for q in range(3)
+            if eng.dim(q) and eng.dim(q + 1)]
+
+
+def _strand_args(eng, i: int, q: int) -> tuple:
+    return eng.nvars, i, eng.maps(q), eng.dim(q), eng.dim(q + 1)
+
+
+@pytest.mark.parametrize("name", BUILTINS + tuple(sorted(ORACLE_FORMS)))
+def test_strand_residues_are_those_of_its_columns(name):
+    seen = 0
+    for eng in _small_engines(name):
+        for i, q in _strands(eng):
+            cols, nrows = _differential_columns(*_strand_args(eng, i, q))
+            strand = Strand(*_strand_args(eng, i, q))
+            assert strand.nrows == nrows and strand.columns() == cols
+            for p in MODP_PRIMES[:2]:
+                a = strand.residues(p)
+                assert a.dtype == np.int64
+                assert np.array_equal(a, modp_matrix(cols, nrows, p)), (i, q)
+            seen += 1
+    assert seen or name == "triangle"
+
+
+def _product_is_zero(cols, vec) -> bool:
+    acc = {}
+    for k, z in vec.items():
+        for t, v in cols[k].items():
+            acc[t] = acc.get(t, 0) + z * v
+    return not any(acc.values())
+
+
+@pytest.mark.parametrize("name", BUILTINS + tuple(sorted(ORACLE_FORMS)))
+def test_strand_is_cycle_agrees_with_the_column_product(name):
+    # random integer vectors, integer combinations of the columns of the
+    # map into the strand (cycles, since d o d = 0), and those perturbed
+    rng = random.Random("is-cycle:" + name)
+    answers = set()
+    for eng in _small_engines(name):
+        for i, q in _strands(eng):
+            strand = Strand(*_strand_args(eng, i, q))
+            cols = strand.columns()
+            vecs = [{k: rng.randint(-3, 3) for k in rng.sample(
+                range(len(cols)), min(3, len(cols)))} for _ in range(3)]
+            if i < eng.nvars and eng.dim(q - 1):
+                into, _ = _differential_columns(
+                    *_strand_args(eng, i + 1, q - 1))
+                for _ in range(3):
+                    vec = {}
+                    for col in rng.sample(into, min(2, len(into))):
+                        z = rng.randint(1, 3) * lcm(*(
+                            Fraction(v).denominator for v in col.values()))
+                        for k, v in col.items():
+                            vec[k] = vec.get(k, 0) + int(z * v)
+                    vecs += [vec, {**vec, 0: vec.get(0, 0) + 1}]
+            for vec in vecs:
+                answer = strand.is_cycle(vec)
+                assert answer == _product_is_zero(cols, vec), (i, q, vec)
+                answers.add(answer)
+    assert answers == {True, False} or name == "triangle"
+
+
+def test_strand_residues_of_a_fraction_name_a_bad_prime():
+    p, q = MODP_PRIMES[:2]
+    # two variables, dims 1 and 1: B_1 is the column of the two maps
+    strand = Strand(2, 1, [[{0: Fraction(1, p)}], [{0: Fraction(-2, 3)}]],
+                    1, 1)
+    with pytest.raises(BadPrime):
+        strand.residues(p)
+    assert strand.residues(q).tolist() == [[pow(p, -1, q)],
+                                           [-2 * pow(3, -1, q) % q]]
 
 
 def _strand_rank_by_reducer(eng, i: int, q: int) -> int:
@@ -296,11 +381,11 @@ def test_a_strand_of_full_row_rank_mod_p_lifts_nothing(name, monkeypatch):
         lifts.append(args)
         return lift(*args)
 
-    def spy(cols, nrows, cycles):
+    def spy(matrix, cycles):
         del lifts[:]
-        r, how = prove(cols, nrows, cycles)
-        p = MODP_PRIMES[0]
-        full = modp_rank(modp_matrix(cols, nrows, p), p) == nrows
+        r, how = prove(matrix, cycles)
+        p, nrows = MODP_PRIMES[0], matrix.nrows
+        full = modp_rank(matrix.residues(p), p) == nrows
         if full:
             assert (r, how, lifts) == (nrows, "mod-p", []), (nrows, how)
         seen.append(full)
@@ -320,7 +405,8 @@ def test_the_kernel_read_off_a_strand_echelon_is_the_square_block_kernel(
     lift = otb.exact._lift_cycles
     checked = []
 
-    def spy(cols, icols, basis, prows, targets, p, first=None):
+    def spy(matrix, basis, prows, targets, p, first=None):
+        cols = matrix.columns()
         at = {c: t for t, c in enumerate(prows)}
         square = [{at[c]: v for c, v in cols[k].items() if c in at}
                   for k in basis + targets]
@@ -329,7 +415,7 @@ def test_the_kernel_read_off_a_strand_echelon_is_the_square_block_kernel(
         assert first is not None and x is not None
         assert first.tolist() == x.tolist()
         checked.append(len(targets))
-        return lift(cols, icols, basis, prows, targets, p, first)
+        return lift(matrix, basis, prows, targets, p, first)
     monkeypatch.setattr(otb.exact, "_lift_cycles", spy)
     engines = [ReducedEngine(analysis(name).pres)]
     if analysis(name).arrangement.d <= 7:
@@ -441,9 +527,9 @@ def test_betti_on_b3_ranks_no_strand_past_the_linear_strand(monkeypatch):
     shapes = []
     prove = otb.koszul.proved_rank
 
-    def spy(cols, nrows, cycles):
-        shapes.append((len(cols), nrows))
-        return prove(cols, nrows, cycles)
+    def spy(matrix, cycles):
+        shapes.append((len(matrix.columns()), matrix.nrows))
+        return prove(matrix, cycles)
     monkeypatch.setattr(otb.koszul, "proved_rank", spy)
     tb = betti_table(eng)
     h2 = eng.dim(2)
@@ -462,9 +548,9 @@ def test_tor_23_alone_ranks_only_its_two_strands(monkeypatch):
     calls = []
     prove = otb.koszul.proved_rank
 
-    def spy(cols, nrows, cycles):
-        calls.append((len(cols), nrows))
-        return prove(cols, nrows, cycles)
+    def spy(matrix, cycles):
+        calls.append((len(matrix.columns()), matrix.nrows))
+        return prove(matrix, cycles)
     monkeypatch.setattr(otb.koszul, "proved_rank", spy)
     assert tor_dimension(eng, 2, 3) == 2
     assert eng.rank_proofs == {(2, 1): "lifted 2", (3, 0): "koszul"}
@@ -485,32 +571,29 @@ def test_b3_plus_four_lines_table_is_pinned():
 def _9_3_1_b2():
     """B_2 of 9_3_1, a strand that lifts, with its known cycles."""
     eng = analysis("9_3_1").engine
-    cols, nrows = _differential_columns(eng.nvars, 2, eng.maps(1), eng.dim(1),
-                                        eng.dim(2))
-    cycles, _ = _differential_columns(eng.nvars, 3, eng.maps(0), eng.dim(0),
-                                      eng.dim(1))
-    return cols, nrows, cycles
+    return (Strand(eng.nvars, 2, eng.maps(1), eng.dim(1), eng.dim(2)),
+            Strand(eng.nvars, 3, eng.maps(0), eng.dim(0), eng.dim(1)))
 
 
 def test_proved_rank_builds_each_residue_matrix_once(monkeypatch):
-    # a strand that lifts: its columns are reduced mod each prime tried once
-    cols, nrows, cycles = _9_3_1_b2()
+    # a strand that lifts: its columns are reduced mod each prime tried once,
+    # the first for the echelon and the next for the lift's square block
+    strand, cycles = _9_3_1_b2()
     primes = []
-    build = otb.exact.modp_matrix
+    build = strand.residues
 
-    def spy(rows, ncols, p):
-        if rows is cols:
-            primes.append(p)
-        return build(rows, ncols, p)
-    monkeypatch.setattr(otb.exact, "modp_matrix", spy)
-    assert proved_rank(cols, nrows, cycles)[1] == "lifted 2"
-    assert primes == [MODP_PRIMES[0]]
+    def spy(p):
+        primes.append(p)
+        return build(p)
+    monkeypatch.setattr(strand, "residues", spy)
+    assert proved_rank(strand, cycles)[1] == "lifted 2"
+    assert primes == list(MODP_PRIMES[:2])
 
 
 def test_proved_rank_echelons_each_residue_matrix_once(monkeypatch):
     # the same strand: one echelon of its residue matrix and one of the
     # known cycles, which serves both the mod-p test and the lift
-    cols, nrows, cycles = _9_3_1_b2()
+    strand, cycles = _9_3_1_b2()
     shapes = []
     echelon = otb.exact._echelon_mod_p
 
@@ -518,10 +601,10 @@ def test_proved_rank_echelons_each_residue_matrix_once(monkeypatch):
         shapes.append(a.shape)
         return echelon(a, p)
     monkeypatch.setattr(otb.exact, "_echelon_mod_p", spy)
-    assert proved_rank(cols, nrows, cycles)[1] == "lifted 2"
+    assert proved_rank(strand, cycles)[1] == "lifted 2"
     assert len(shapes) == 2
-    assert shapes[0] == (len(cols), nrows)
-    assert shapes[1][0] == len(cycles)
+    assert shapes[0] == (len(strand.columns()), strand.nrows)
+    assert shapes[1][0] == len(cycles.columns())
 
 
 def test_reduced_certificate_contents():
