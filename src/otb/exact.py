@@ -1,12 +1,12 @@
 """Exact rational arithmetic kernels: one exact elimination over Q, ranks
 proved at mod-p cost, and multivariate polynomials.
 
-Inputs and outputs are `fractions.Fraction` (or int).  `SparseReducer` is
-the only elimination over Q, and `rank`, `rref`, `kernel_basis` and
-`solve` are read-outs of one reducer fed a list of rows; a reduced row
-echelon form is unique, so they do not depend on how it works.
+`SparseReducer` is the only elimination over Q, on Fraction or int input,
+and `rank`, `rref`, `kernel_basis` and `solve` are read-outs of one
+reducer fed a list of rows; a reduced row echelon form is unique, so they
+do not depend on how it works.
 
-`proved_rank` proves the rank of a large sparse matrix over Q at about the
+`proved_rank` proves the rank of a large sparse integer matrix at about the
 cost of a numpy elimination mod a prime below 2**31, by two equal bounds.
 It reads the matrix through three read-outs, its residues mod p, an exact
 cycle check and its sparse columns, so a Koszul strand can supply them
@@ -24,10 +24,11 @@ meet, `SparseReducer` computes the rank.
 
 `primitive_kernel` reads the primitive integer vectors of `kernel_basis` of
 an integer matrix, such as the fat-point conditions of `divisors`, off the
-same LU and lift, its columns held as `SparseColumns`.  Integers stay
-integers (a residue is x % p); rationals become integers over their common
-denominator in one place, `_over_denominator`, and lifted vectors are
-integer dicts from the start.
+same LU and lift, its columns held as `SparseColumns`.  The mod-p layer
+takes integers only: a residue is x % p, and `modp_matrix` raises
+TypeError on any other entry.  Lifted vectors are integer dicts from the
+start; rationals become integers over their common denominator in one
+place, `_over_denominator`, for `SparseReducer` and `primitive_vector`.
 
 No public routine mutates its arguments; results are freshly allocated.
 """
@@ -42,9 +43,9 @@ import numpy as np
 
 # The sixteen largest primes below 2**31: a product of two reduced entries
 # stays below 2**62, so elimination mod p fits in int64.  The first prime
-# that divides no denominator gives a rank's lower bound; the others add
-# residues when kernel vectors are lifted to Q (the lifts on b3 plus one to
-# four generic lines use up to eight).
+# gives a rank's lower bound; the others add residues when kernel vectors
+# are lifted to Q (the lifts on b3 plus one to four generic lines use up to
+# eight).
 MODP_PRIMES = (2147483647, 2147483629, 2147483587, 2147483579, 2147483563,
                2147483549, 2147483543, 2147483497, 2147483489, 2147483477,
                2147483423, 2147483399, 2147483353, 2147483323, 2147483269,
@@ -254,25 +255,18 @@ def solve(rows, b) -> list | None:
 # Modular elimination and proved ranks
 
 
-class BadPrime(ArithmeticError):
-    """The chosen prime divides a denominator of the input matrix."""
-
-
 def modp_matrix(rows, ncols: int, p: int) -> np.ndarray:
-    """Reduce sparse rows {column: int or Fraction} mod p into an int64
-    array with `ncols` columns: x % p for integers; if there is a Fraction,
-    each row over its denominator (`_over_denominator`) first."""
-    at = ([i for i, row in enumerate(rows) for _ in row],
-          [c for row in rows for c in row])
+    """Reduce sparse integer rows {column: int} mod p into an int64 array
+    with `ncols` columns, each entry x % p taken before int64 (strand
+    entries reach 56 bits).  Any other entry raises TypeError: numpy would
+    store Fraction(1, 2) as 0, and a rank mod p is a lower bound only for
+    an integer matrix that reduces to it."""
     vals = [x for row in rows for x in row.values()]
     if not set(map(type, vals)) <= {int}:
-        over = [_over_denominator(row) for row in rows]
-        if any(den % p == 0 for _, den in over):
-            raise BadPrime(p)
-        vals = [ints.get(c, 0) * pow(den, -1, p)
-                for (ints, den), row in zip(over, rows) for c in row]
+        raise TypeError("the mod-p layer takes integer entries only")
     a = np.zeros((len(rows), ncols), dtype=np.int64)
-    a[at] = [x % p for x in vals]
+    a[[i for i, row in enumerate(rows) for _ in row],
+      [c for row in rows for c in row]] = [x % p for x in vals]
     return a
 
 
@@ -316,7 +310,7 @@ def _echelon_mod_p(a: np.ndarray, p: int) -> tuple[list, list]:
 
 def modp_rank(a: np.ndarray, p: int) -> int:
     """Rank mod p by row echelon on a copy; a proved lower bound for the
-    rank over Q of any rational matrix that reduces to `a`."""
+    rank over Q of any integer matrix that reduces to `a`."""
     return len(_echelon_mod_p(a % p, p)[1])
 
 
@@ -383,32 +377,23 @@ def _reconstruct(residues: list, m: int) -> list | None:
 
 
 class SparseColumns:
-    """A matrix over Q given by its sparse columns {row: int or Fraction}
-    over `nrows` rows, with the read-outs that `proved_rank` and
-    `_lift_cycles` take of a matrix: `residues(p)`, the columns mod p as
-    the rows of an int64 array (`modp_matrix`); `is_cycle(vec)`; and
-    `columns()`."""
+    """An integer matrix given by its sparse columns {row: int} over
+    `nrows` rows, with the read-outs that `proved_rank` and `_lift_cycles`
+    take of a matrix: `residues(p)`, the columns mod p as the rows of an
+    int64 array (`modp_matrix`); `is_cycle(vec)`; and `columns()`."""
 
     def __init__(self, cols: list, nrows: int):
         self.cols = cols
         self.nrows = nrows
-        self._icols = None      # each column as `_over_denominator` gives it
 
     def residues(self, p: int) -> np.ndarray:
         return modp_matrix(self.cols, self.nrows, p)
 
     def is_cycle(self, vec: dict) -> bool:
-        """Exact check that sum_k vec[k] * column k is the zero vector for
-        an integer vector `vec`, in integers over the lcm of the columns'
-        denominators."""
-        if self._icols is None:
-            self._icols = [_over_denominator(col) for col in self.cols]
-        den = lcm(*(self._icols[k][1] for k in vec))
+        """Exact check that sum_k vec[k] * column k is the zero vector."""
         acc: dict = {}
         for k, z in vec.items():
-            ints, d = self._icols[k]
-            z *= den // d
-            for row, w in ints.items():
+            for row, w in self.cols[k].items():
                 acc[row] = acc.get(row, 0) + z * w
         return not any(acc.values())
 
@@ -428,18 +413,16 @@ def _lift_cycles(matrix, basis: list, prows: list, targets: list, p: int,
     `_echelon_mod_p` of the matrix or of its transpose gives both).  The
     vector of a free column f is 1 at f, 0 at the other free columns, and
     on `basis` the solution of that square block (`first` at p if given,
-    else `_square_kernel` on the block of `matrix.residues(q)`, which skips
-    a singular prime), lifted by CRT and rational reconstruction.
+    else `_square_kernel` on the block of `matrix.residues(q)`; a prime
+    where the block is singular is skipped), lifted by CRT and rational
+    reconstruction.
     """
     r = len(basis)
     block = np.ix_(basis + targets, prows)
     residues, m, used = None, 1, 0
     for q in (p,) + tuple(x for x in MODP_PRIMES if x != p):
-        try:
-            x = (first if q == p and first is not None
-                 else _square_kernel(matrix.residues(q)[block], r, q))
-        except BadPrime:
-            continue
+        x = (first if q == p and first is not None
+             else _square_kernel(matrix.residues(q)[block], r, q))
         if x is None:
             continue
         x = x.tolist()
@@ -464,18 +447,17 @@ def _lift_cycles(matrix, basis: list, prows: list, targets: list, p: int,
 def proved_rank(matrix, cycles=None) -> tuple[int, str]:
     """Rank over Q of `matrix`, proved by two equal bounds, and how it was
     proved.  `matrix` is a `SparseColumns` or a Koszul strand: it has
-    `nrows` and three read-outs, `residues(p)` (its columns mod p as the
-    rows of an int64 array, raising `BadPrime` when p divides a
-    denominator), `is_cycle(vec)` (an exact check that an integer vector is
-    in its kernel) and `columns()` (its sparse exact columns, read only by
-    the fallback).  The columns of `cycles`, a matrix with the same
-    read-outs, or None if there are none, are known kernel vectors, such
-    as the columns of the map into a strand.
+    integer entries, `nrows` and three read-outs, `residues(p)` (its
+    columns mod p as the rows of an int64 array), `is_cycle(vec)` (an exact
+    check that a vector is in its kernel) and `columns()` (its sparse exact
+    columns, read only by the fallback).  The columns of `cycles`, a matrix
+    with the same read-outs, or None if there are none, are known kernel
+    vectors, such as the columns of the map into a strand.
 
     The given cycles are checked first, each with one exact `is_cycle`; a
-    non-cycle raises ArithmeticError.  At the first prime of MODP_PRIMES
-    that divides no denominator, the residues of the columns, taken as
-    rows, are factored once, as an LU in place; the rank mod p is the
+    non-cycle raises ArithmeticError.  At p, the first prime of
+    MODP_PRIMES, the residues of the columns, taken as rows, are factored
+    once, as an LU in place; the rank mod p of an integer matrix is the
     lower bound.  If it equals `nrows`, the row count bounds it from above
     and the rank is proved.  Otherwise the upper bound is the number of
     columns minus the dimension of a space of exactly verified kernel
@@ -492,30 +474,25 @@ def proved_rank(matrix, cycles=None) -> tuple[int, str]:
       "lifted k"  k lifted cycles were needed as well;
       "exact"     lifting failed, and `SparseReducer` computed the rank.
     """
-    nrows = matrix.nrows
+    nrows, p = matrix.nrows, MODP_PRIMES[0]
     for vec in cycles.columns() if cycles is not None else ():
-        if not matrix.is_cycle(_over_denominator(vec)[0]):
+        if not matrix.is_cycle(vec):
             raise ArithmeticError("a given cycle is not in the kernel")
-    for p in MODP_PRIMES:
-        try:
-            known = cycles.residues(p) if cycles is not None else None
-            a = matrix.residues(p)
-        except BadPrime:
-            continue
-        order, pivots = _echelon_mod_p(a, p)
-        r = len(pivots)
-        if r == nrows:
-            return nrows, "mod-p"
-        free = sorted(order[r:])
-        covered = (set(_echelon_mod_p(known[:, free], p)[1])
-                   if known is not None else set())
-        if len(covered) == len(free):
-            return r, "mod-p"
-        targets = [f for j, f in enumerate(free) if j not in covered]
-        first = _lu_kernel(a, pivots, np.argsort(order)[targets], p)
-        if _lift_cycles(matrix, order[:r], pivots, targets, p, first):
-            return r, "lifted %d" % len(targets)
-        break
+    known = cycles.residues(p) if cycles is not None else None
+    a = matrix.residues(p)
+    order, pivots = _echelon_mod_p(a, p)
+    r = len(pivots)
+    if r == nrows:
+        return nrows, "mod-p"
+    free = sorted(order[r:])
+    covered = (set(_echelon_mod_p(known[:, free], p)[1])
+               if known is not None else set())
+    if len(covered) == len(free):
+        return r, "mod-p"
+    targets = [f for j, f in enumerate(free) if j not in covered]
+    first = _lu_kernel(a, pivots, np.argsort(order)[targets], p)
+    if _lift_cycles(matrix, order[:r], pivots, targets, p, first):
+        return r, "lifted %d" % len(targets)
     red = SparseReducer(nrows)
     for col in matrix.columns():
         red.add(col)
@@ -543,16 +520,14 @@ def primitive_kernel(rows) -> tuple[list, str]:
                   computed the vectors.
     """
     p, ncols = MODP_PRIMES[0], len(rows[0])
-    a = np.array([[v % p for v in row] for row in rows], dtype=np.int64)
-    order, pcols = _echelon_mod_p(a, p)
+    matrix = SparseColumns([{i: row[c] for i, row in enumerate(rows)
+                             if row[c]} for c in range(ncols)], len(rows))
+    order, pcols = _echelon_mod_p(matrix.residues(p).T.copy(), p)
     pivots = set(pcols)
     free = [c for c in range(ncols) if c not in pivots]
     if not free:
         return [], "mod-p"
-    cols = [{i: row[c] for i, row in enumerate(rows) if row[c]}
-            for c in range(ncols)]
-    lifted = _lift_cycles(SparseColumns(cols, len(rows)), pcols,
-                          order[:len(pcols)], free, p)
+    lifted = _lift_cycles(matrix, pcols, order[:len(pcols)], free, p)
     if lifted is not None:
         vecs, used = lifted
         if all(max(vec) == f for f, vec in zip(free, vecs)):

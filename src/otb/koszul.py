@@ -22,25 +22,26 @@ and the sequence to be regular, which transfers the graded Betti numbers
 verbatim to the quotient, over the d-3 surviving variables.  So every
 strand with j - i >= 3 is zero by the certificate itself.
 
-Every strand rank that is computed, in both engines, is proved by
-`exact.proved_rank`: the rank mod one prime bounds it from below, and the
-row count or exactly verified cycles bound it from above.  The columns of
-the incoming differential are cycles, since d o d = 0; where the rank mod
-p is short of the row count and they fall short of the kernel mod p,
-kernel vectors are lifted to Q and checked.  Each strand, and the incoming
-one, is handed over as a `Strand`, built from the multiplication maps: its
-residues mod p are the maps reduced once and scattered by index, and its
-cycle check applies the differential through the maps.  Sparse columns
+Every strand rank that is computed is proved by `exact.proved_rank`: the
+rank mod one prime bounds it from below, and the row count or exactly
+verified cycles bound it from above.  The columns of the incoming
+differential are cycles, since d o d = 0; where the rank mod p is short of
+the row count and they fall short of the kernel mod p, kernel vectors are
+lifted to Q and checked.  Each strand, and the incoming one, is handed
+over as a `Strand`, built from the multiplication maps: its residues mod p
+are the maps reduced once and scattered by index, and its cycle check
+applies the differential through the maps.  Sparse columns
 are built for the incoming strand only, as the known cycles to check, and
-for the strand itself only if the exact fallback runs.  The reduced engine
-keeps its induced maps in integers: each degree's maps over Q times the lcm
-of their denominators.  That scales each strand by one positive integer,
-which changes no rank, kernel or cycle, and makes every residue an x % p.
+for the strand itself only if the exact fallback runs.  The mod-p layer
+takes integers only, so an engine keeps its maps in integers: each
+degree's maps over Q times the lcm of their denominators.  That scales
+each strand by one positive integer, which changes no rank, kernel or
+cycle, and makes every residue an x % p.
 
-The strands Wedge^i V (x) C_0 -> Wedge^{i-1} V (x) C_1 are not ranked.  In
-both engines the variables are a basis of C_1, so such a strand is the
-Koszul complex of the polynomial ring on V in its first degree, injective
-with rank C(n, i) for i <= n, the number of variables.
+The strands Wedge^i V (x) C_0 -> Wedge^{i-1} V (x) C_1 are not ranked.  The
+variables are a basis of C_1, so such a strand is the Koszul complex of
+the polynomial ring on V in its first degree, injective with rank C(n, i)
+for i <= n, the number of variables.
 
 The reduced engine also stops at the end of the linear strand.  Its ideal
 holds no linear forms (the quotient has dims (1, d-3, h_2, 0)), so
@@ -51,10 +52,6 @@ C(d-3, i)(d-3) minus the rank into it, and row 2, b_{i-1,i+1} =
 C(d-3, i-1) h_2 - rank B_i, follows without ranking B_i.  `rank_proofs`
 records, per strand, "mod-p", "lifted k", "exact" (the fallback
 elimination over Q), "koszul" or "linear strand" (both forced).
-
-`FullEngine` is the Koszul complex on all d variables of C(A), literally.
-At d = 9 its strands exceed 10000 x 4500, so the program never runs it;
-the tests compare the reduced engine against it on small arrangements.
 """
 
 from __future__ import annotations
@@ -66,8 +63,8 @@ from math import comb, lcm
 
 import numpy as np
 
-from .exact import (MODP_PRIMES, BadPrime, SparseReducer, draw_generic,
-                    modp_matrix, modp_rank, proved_rank, seeded_rng)
+from .exact import (MODP_PRIMES, SparseReducer, draw_generic, modp_matrix,
+                    modp_rank, proved_rank, seeded_rng)
 from .orlik_terao import OTPresentation, terao_series
 
 
@@ -118,36 +115,16 @@ class Strand:
     `exact.proved_rank` takes, read off the multiplication maps: column
     (T, k) holds (-1)^r maps[t_r][k] at the rows of T - {t_r}, the same
     entries as `_differential_columns`, which `columns` returns for the
-    fallback.  `residues(p)` reduces the maps mod p once and scatters
-    them into the strand, one fancy index per position r; `is_cycle`
-    applies the differential through the maps, face by face."""
+    fallback.  `residues(p)` reduces the integer maps mod p once, by
+    `modp_matrix`, and scatters them into the strand, one fancy index per
+    position r; `is_cycle` applies the differential through the maps, face
+    by face."""
 
     def __init__(self, nvars: int, i: int, maps, c_src: int, c_dst: int):
         self.nvars, self.i, self.maps = nvars, i, maps
         self.c_src, self.c_dst = c_src, c_dst
         self._per_position, self._per_subset, self._nfaces = _faces(nvars, i)
         self.nrows = self._nfaces * c_dst
-
-    def _map_residues(self, p: int) -> np.ndarray:
-        """The maps mod p as an int64 array indexed [variable, k, pos]:
-        x % p for integers (entries reach 56 bits, so before int64), num
-        times the inverse of den for a Fraction; BadPrime if p divides a
-        denominator."""
-        c_src, c_dst = self.c_src, self.c_dst
-        at = [(s * c_src + k) * c_dst + pos
-              for s, cols in enumerate(self.maps)
-              for k, col in enumerate(cols) for pos in col]
-        vals = [v for cols in self.maps for col in cols for v in col.values()]
-        if set(map(type, vals)) <= {int}:
-            vals = [v % p for v in vals]
-        elif any(v.denominator % p == 0 for v in vals):
-            raise BadPrime(p)
-        else:
-            vals = [v.numerator * pow(v.denominator, -1, p) % p
-                    for v in vals]
-        m = np.zeros(len(self.maps) * c_src * c_dst, dtype=np.int64)
-        m[at] = vals
-        return m.reshape(len(self.maps), c_src, c_dst)
 
     def residues(self, p: int) -> np.ndarray:
         """The columns mod p as the rows of an int64 array, equal to
@@ -157,7 +134,9 @@ class Strand:
         out = np.zeros((nsub, self.c_src, self._nfaces, self.c_dst),
                        dtype=np.int64)
         if out.size:
-            m = self._map_residues(p)
+            # the maps mod p, indexed [variable, k, pos]
+            m = modp_matrix([col for cols in self.maps for col in cols],
+                            self.c_dst, p).reshape(-1, self.c_src, self.c_dst)
             signed = (m, (-m) % p)
             subsets = np.arange(nsub)
             for r, (var, face) in enumerate(self._per_position):
@@ -199,8 +178,9 @@ def _theta_products(pres: OTPresentation, theta, q: int) -> list:
 
 
 class _Engine:
-    """Shared shape: quotient dimensions per degree plus multiplication
-    maps, over some polynomial ring; builds strands and homology."""
+    """Strand ranks and homology over some polynomial ring, from a
+    subclass's quotient dimensions `dim(q)`, integer multiplication maps
+    `maps(q)` and `_past_linear_strand(i, q)`."""
 
     certificate: dict | None = None
 
@@ -209,15 +189,6 @@ class _Engine:
         self.nvars = nvars
         self._rank_cache: dict = {}
         self.rank_proofs: dict = {}     # (i, q) -> how proved_rank proved it
-
-    def dim(self, q: int) -> int:
-        raise NotImplementedError
-
-    def maps(self, q: int):
-        raise NotImplementedError
-
-    def _past_linear_strand(self, i: int, q: int) -> bool:
-        return False
 
     def rank_of_differential(self, i: int, q: int) -> int:
         """rank of Wedge^i (x) C_q -> Wedge^{i-1} (x) C_{q+1}, proved by
@@ -261,23 +232,6 @@ class _Engine:
                 - self.rank_of_differential(i + 1, s - 1))
 
 
-class FullEngine(_Engine):
-    """Koszul complex on all d variables tensored with C(A): the reference
-    that the tests check `ReducedEngine` against."""
-
-    def __init__(self, pres: OTPresentation):
-        super().__init__(pres, pres.d)
-
-    def dim(self, q: int) -> int:
-        if q < 0:
-            return 0
-        # the proved nbc basis, in which the maps are written
-        return len(self.pres.graded_piece(q))
-
-    def maps(self, q: int):
-        return self.pres.multiplication_maps(q)
-
-
 class ReducedEngine(_Engine):
     """C(A) modulo three certified generic linear forms, over the
     polynomial ring on the surviving d-3 variables."""
@@ -304,8 +258,7 @@ class ReducedEngine(_Engine):
         this draw is not a certified linear system of parameters.  The rows
         of theta C_2 are integer rows, each a positive multiple of the
         product over Q, so they have its rank over Q, and their rank mod p
-        is a lower bound for it at every p: no denominator is reduced, and
-        no prime is rejected."""
+        is a lower bound for it at every p."""
         pres = self.pres
         # quotient C_q / (theta_1, theta_2, theta_3) C_{q-1} for q = 1, 2:
         # the non-pivot columns of an exact echelon are its basis

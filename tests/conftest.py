@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import gcd, perm, prod
+from math import gcd, lcm, perm, prod
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +15,7 @@ from otb.circuits import Circuit, circuit_relation
 from otb.divisors import vanishing_condition_rows
 from otb.exact import (MPoly, SparseReducer, kernel_basis, modp_rank,
                        monomials_of_degree, primitive_vector, rank)
-from otb.koszul import FullEngine
+from otb.koszul import _Engine
 from otb.orlik_terao import l_forms
 
 BUILTINS = ("braid-a3", "ex-2-4", "9_3_1", "9_3_2", "b3")
@@ -65,6 +65,36 @@ def analysis(name):
     if forms:
         return Analysis(Arrangement(forms, name=name))
     return Analysis(builtin(name))
+
+
+class FullEngine(_Engine):
+    """The Koszul complex on all d variables tensored with C(A), literally:
+    the reference that the tests check `ReducedEngine` against.  At d = 9
+    its strands exceed 10000 x 4500, so the program never runs it.  Its
+    maps are `multiplication_maps(q)` times the lcm of that degree's
+    denominators, as `ReducedEngine` keeps its own: one positive integer
+    per strand, which changes no rank, kernel or cycle."""
+
+    def __init__(self, pres):
+        super().__init__(pres, pres.d)
+        self._maps = {}
+
+    def dim(self, q: int) -> int:
+        # the proved nbc basis, in which the maps are written
+        return len(self.pres.graded_piece(q)) if q >= 0 else 0
+
+    def maps(self, q: int):
+        if q not in self._maps:
+            maps = self.pres.multiplication_maps(q)
+            den = lcm(*(v.denominator for cols in maps for col in cols
+                        for v in col.values()))
+            self._maps[q] = [[{c: v.numerator * (den // v.denominator)
+                               for c, v in col.items()} for col in cols]
+                             for cols in maps]
+        return self._maps[q]
+
+    def _past_linear_strand(self, i: int, q: int) -> bool:
+        return False
 
 
 @lru_cache(maxsize=None)

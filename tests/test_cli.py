@@ -16,9 +16,11 @@ import otb.resonance
 from otb.analysis import Analysis
 from otb.arrangement import ArrangementError, parse_arrangement
 from otb.cli import run
-from otb.exact import BadPrime, GenericityError, SparseColumns, proved_rank
-from otb.koszul import FullEngine, ReducedEngine
+from otb.exact import GenericityError, SparseColumns, proved_rank
+from otb.koszul import ReducedEngine
 from otb.orlik_terao import OTPresentation
+
+from conftest import FullEngine
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "golden")
 
@@ -395,7 +397,6 @@ def test_malformed_file_is_an_input_error(doc, tmp_path, capsys):
 
 @pytest.mark.parametrize("exc", [
     ArithmeticError("a given cycle is not in the kernel"),
-    BadPrime(32003),
     GenericityError("genericity precondition failed after 5 draws"),
     RecursionError("maximum recursion depth exceeded"),
 ])

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 import numpy as np
 import pytest
@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 import otb.exact
 from otb.exact import (MODP_PRIMES, MPoly, kernel_basis, modp_matrix,
-                       modp_rank, monomials_of_degree, primitive_vector,
-                       proved_rank, rank, rref, seeded_rng, solve,
-                       SparseColumns, SparseReducer, draw_generic,
-                       GenericityError)
+                       modp_rank, monomials_of_degree, primitive_kernel,
+                       primitive_vector, proved_rank, rank, rref,
+                       seeded_rng, solve, SparseColumns, SparseReducer,
+                       draw_generic, GenericityError)
 
 from conftest import (BinaryForm, FractionReducer, binary_gcd, compose,
                       fraction_kernel, fraction_rref, fraction_solve,
@@ -99,6 +99,13 @@ def dense_solve(rows, b, nc):
     for row, c in zip(red, pivots):
         x[c] = row[nc]
     return x
+
+
+def integer_columns(rows) -> list:
+    """`rows` with each column times the lcm of its denominators: an
+    integer matrix of the same rank, as the mod-p layer takes."""
+    dens = [lcm(*(Fraction(x).denominator for x in col)) for col in zip(*rows)]
+    return [[int(x * d) for x, d in zip(row, dens)] for row in rows]
 
 
 def low_rank(rng, nr, nc, lo=-3, hi=3):
@@ -239,8 +246,9 @@ def test_modp_rank_agrees_with_exact():
     for p in (32003, 31013, MODP_PRIMES[0]):
         for _ in range(40):
             nr, nc = rng.randint(1, 7), rng.randint(1, 7)
-            rows = [[Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-                     for _ in range(nc)] for _ in range(nr)]
+            rows = integer_columns([[Fraction(rng.randint(-9, 9),
+                                              rng.randint(1, 4))
+                                     for _ in range(nc)] for _ in range(nr)])
             sparse = [{j: x for j, x in enumerate(row) if x} for row in rows]
             exact = bareiss_rank(rows)
             assert modp_rank(modp_matrix(sparse, nc, p), p) == exact
@@ -334,29 +342,31 @@ def test_modp_primes_are_distinct_primes_below_2_31():
 
 def columns(rows) -> list:
     """The columns of a matrix given by rows, as sparse dicts."""
-    return [{i: Fraction(row[j]) for i, row in enumerate(rows) if row[j]}
+    return [{i: row[j] for i, row in enumerate(rows) if row[j]}
             for j in range(len(rows[0]))]
 
 
 def sparse_matrix(rng, nr: int, nc: int, shape: str) -> list:
-    """Rows of a seeded random sparse rational matrix: `tall` and `wide`
-    have about a third of their entries nonzero, `deficient` is a product
-    of two such factors through a smaller inner dimension."""
+    """Rows of a seeded random sparse integer matrix, each column of a
+    rational one times its lcm: `tall` and `wide` have about a third of
+    their entries nonzero, `deficient` is a product of two such factors
+    through a smaller inner dimension."""
     def draw(r, c):
         return [[Fraction(rng.randint(-9, 9), rng.randint(1, 5))
                  if rng.random() < 0.35 else Fraction(0) for _ in range(c)]
                 for _ in range(r)]
     if shape != "deficient":
-        return draw(nr, nc)
+        return integer_columns(draw(nr, nc))
     inner = rng.randint(1, min(nr, nc) - 1)
     a, b = draw(nr, inner), draw(inner, nc)
-    return [[sum(a[i][k] * b[k][j] for k in range(inner))
-             for j in range(nc)] for i in range(nr)]
+    return integer_columns([[sum(a[i][k] * b[k][j] for k in range(inner))
+                             for j in range(nc)] for i in range(nr)])
 
 
 def some_cycles(rng, rows) -> list:
     """Random combinations of part of an exact kernel basis, some of them
-    repeated: cycles as a caller would know them, not independent."""
+    repeated, each times the lcm of its denominators: integer cycles as a
+    caller would know them, not independent."""
     basis = kernel_basis(rows)
     if not basis:
         return []
@@ -367,7 +377,8 @@ def some_cycles(rng, rows) -> list:
                   for _ in part]
         vec = [sum(c * v[k] for c, v in zip(coeffs, part))
                for k in range(len(rows[0]))]
-        out.append({k: x for k, x in enumerate(vec) if x})
+        den = lcm(*(x.denominator for x in vec))
+        out.append({k: int(x * den) for k, x in enumerate(vec) if x})
     return out
 
 
@@ -417,7 +428,7 @@ def test_sparse_columns_read_outs():
 def test_proved_rank_needs_no_lift_with_the_whole_kernel():
     rng = random.Random(5)
     rows = sparse_matrix(rng, 10, 10, "deficient")
-    cycles = [{k: x for k, x in enumerate(v) if x}
+    cycles = [{k: x for k, x in enumerate(primitive_vector(v)) if x}
               for v in kernel_basis(rows)]
     assert proved_rank(SparseColumns(columns(rows), 10),
                        SparseColumns(cycles, 10)) == (
@@ -425,16 +436,16 @@ def test_proved_rank_needs_no_lift_with_the_whole_kernel():
 
 
 def needs_lifting():
-    """A 5 x 7 matrix of rank 3 whose kernel vectors have fractional
-    entries: without given cycles, proved_rank lifts four."""
+    """A 5 x 7 integer matrix of rank 3 whose kernel vectors have
+    fractional entries: without given cycles, proved_rank lifts four."""
     rng = random.Random(8)
 
     def draw(r, c):
         return [[Fraction(rng.randint(-9, 9), rng.randint(1, 5))
                  for _ in range(c)] for _ in range(r)]
     a, b = draw(5, 3), draw(3, 7)
-    return [[sum(a[i][k] * b[k][j] for k in range(3)) for j in range(7)]
-            for i in range(5)]
+    return integer_columns([[sum(a[i][k] * b[k][j] for k in range(3))
+                             for j in range(7)] for i in range(5)])
 
 
 def test_lifting_matrix_needs_lifting():
@@ -513,40 +524,21 @@ def test_corrupted_lift_falls_back_to_the_same_rank(monkeypatch):
 def test_rank_drop_at_the_first_prime_still_gives_the_rational_rank():
     p = MODP_PRIMES[0]
     # det = p: rank 2 over Q, rank 1 mod p
-    cols = [{0: Fraction(p), 1: Fraction(1)}, {1: Fraction(1)}]
+    cols = [{0: p, 1: 1}, {1: 1}]
     assert modp_rank(modp_matrix(cols, 2, p), p) == 1
     assert proved_rank(SparseColumns(cols, 2))[0] == 2
     # the same inside a larger matrix whose other columns need lifting
     rows = needs_lifting()
-    rows = [row + [Fraction(0)] for row in rows] + [[Fraction(0)] * 7
-                                                    + [Fraction(p)]]
+    rows = [row + [0] for row in rows] + [[0] * 7 + [p]]
     cols = columns(rows)
     assert proved_rank(SparseColumns(cols, len(rows)))[0] == rank(rows)
 
 
-def test_bad_prime_is_skipped(monkeypatch):
-    p0, p1 = MODP_PRIMES[:2]
-    primes = []
-    echelon = otb.exact._echelon_mod_p
-
-    def spy(a, p):
-        primes.append(p)
-        return echelon(a, p)
-    # a denominator divisible by the first prime: the lower bound moves on
-    rows = needs_lifting()
-    rows[0][0] = Fraction(1, p0)
-    cols = columns(rows)
-    monkeypatch.setattr(otb.exact, "_echelon_mod_p", spy)
-    r, how = proved_rank(SparseColumns(cols, len(rows)))
-    assert primes[0] == p1 and r == rank(rows)
-    assert how.startswith("lifted ")
-    # column 0 divided by the second prime: the lifted vectors then carry
-    # that prime as a factor, so the lift needs a second prime, and the
-    # second prime is skipped
-    rows = [[x / p1 if j == 0 else x for j, x in enumerate(row)]
-            for row in needs_lifting()]
-    cols = columns(rows)
-    assert proved_rank(SparseColumns(cols, len(rows))) == (3, "lifted 4")
+def test_primitive_kernel_takes_integers_only():
+    # numpy would store the residue of Fraction(1, 2) as 0; the rows are
+    # reduced by `modp_matrix`, which refuses it
+    with pytest.raises(TypeError):
+        primitive_kernel([[Fraction(1, 2), 1]])
 
 
 def test_kernel_identity_empty():

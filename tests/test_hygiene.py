@@ -114,12 +114,6 @@ def test_checker_flags_an_unreferenced_definition():
         == ["Orphan", "Kept.spare", "Kept.row"]
 
 
-# Definitions the program itself never calls, kept on purpose:
-# - FullEngine: the Koszul complex on all d variables, the tests' reference
-#   for the Artinian reduction (ROADMAP aim 2).
-ALLOWED = {"koszul.FullEngine"}
-
-
 def test_every_definition_has_a_reference():
     """Every definition in src/otb has a caller in src/otb or bench/; a
     reference from tests/ does not count."""
@@ -130,4 +124,4 @@ def test_every_definition_has_a_reference():
                for path in sorted(SRC.glob("*.py"))
                for qual in unreferenced(path.read_text(encoding="utf-8"),
                                         refs)]
-    assert [o for o in orphans if o not in ALLOWED] == []
+    assert orphans == []

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import comb, lcm
+from math import comb
 
 import numpy as np
 import pytest
@@ -10,16 +10,15 @@ import otb.exact
 import otb.koszul
 from otb.analysis import Analysis
 from otb.arrangement import Arrangement
-from otb.exact import (MODP_PRIMES, BadPrime, GenericityError, SparseReducer,
-                       modp_matrix, modp_rank, proved_rank)
-from otb.koszul import (FullEngine, ReducedEngine, Strand,
-                        _differential_columns, b23_formula, betti_table,
-                        tor_dimension)
+from otb.exact import (MODP_PRIMES, GenericityError, SparseColumns,
+                       SparseReducer, modp_matrix, modp_rank, proved_rank)
+from otb.koszul import (ReducedEngine, Strand, _differential_columns,
+                        b23_formula, betti_table, tor_dimension)
 from otb.orlik_terao import terao_series
 
-from conftest import (BENCH_FORMS, BUILTINS, ORACLE_FORMS, ambient_piece,
-                      analysis, cubic_generators, fraction_normal_form,
-                      oracle)
+from conftest import (BENCH_FORMS, BUILTINS, ORACLE_FORMS, FullEngine,
+                      ambient_piece, analysis, cubic_generators,
+                      fraction_normal_form, oracle)
 
 
 def test_braid_table_full():
@@ -77,8 +76,7 @@ def test_reduced_matches_full_oracle(name):
 
 
 def _small_engines(name) -> list:
-    """The reduced engine of `name` and, for d <= 7, the full one, whose
-    maps hold Fractions."""
+    """The reduced engine of `name` and, for d <= 7, the full one."""
     an = analysis(name)
     return [an.engine] + ([oracle(name)] if an.arrangement.d <= 7 else [])
 
@@ -135,10 +133,9 @@ def test_strand_is_cycle_agrees_with_the_column_product(name):
                 for _ in range(3):
                     vec = {}
                     for col in rng.sample(into, min(2, len(into))):
-                        z = rng.randint(1, 3) * lcm(*(
-                            Fraction(v).denominator for v in col.values()))
+                        z = rng.randint(1, 3)
                         for k, v in col.items():
-                            vec[k] = vec.get(k, 0) + int(z * v)
+                            vec[k] = vec.get(k, 0) + z * v
                     vecs += [vec, {**vec, 0: vec.get(0, 0) + 1}]
             for vec in vecs:
                 answer = strand.is_cycle(vec)
@@ -147,15 +144,19 @@ def test_strand_is_cycle_agrees_with_the_column_product(name):
     assert answers == {True, False} or name == "triangle"
 
 
-def test_strand_residues_of_a_fraction_name_a_bad_prime():
-    p, q = MODP_PRIMES[:2]
-    # two variables, dims 1 and 1: B_1 is the column of the two maps
-    strand = Strand(2, 1, [[{0: Fraction(1, p)}], [{0: Fraction(-2, 3)}]],
-                    1, 1)
-    with pytest.raises(BadPrime):
-        strand.residues(p)
-    assert strand.residues(q).tolist() == [[pow(p, -1, q)],
-                                           [-2 * pow(3, -1, q) % q]]
+def test_a_fraction_map_is_refused_by_the_mod_p_layer():
+    # two variables, dims 1 and 1: B_1 is the column of the two maps; a
+    # Fraction entry raises wherever it would become a residue
+    p = MODP_PRIMES[0]
+    strand = Strand(2, 1, [[{0: 1}], [{0: Fraction(-2, 3)}]], 1, 1)
+    cols = strand.columns()
+    for residues in (strand.residues,
+                     lambda p: modp_matrix(cols, strand.nrows, p),
+                     SparseColumns(cols, strand.nrows).residues):
+        with pytest.raises(TypeError):
+            residues(p)
+    assert Strand(2, 1, [[{0: 1}], [{0: -2}]], 1, 1).residues(p).tolist() \
+        == [[1], [p - 2]]
 
 
 def _strand_rank_by_reducer(eng, i: int, q: int) -> int:
