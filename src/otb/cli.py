@@ -284,7 +284,7 @@ def _cmd_net_search(an, args):
 
 
 def _cmd_resonance(an, args):
-    """the components of the first resonance variety"""
+    """the local and essential components of the first resonance variety"""
     arr = an.arrangement
     comps = resonance_components(an, max_weight=args.max_weight)
     out = []

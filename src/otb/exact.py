@@ -7,28 +7,26 @@ reducer fed a list of rows; a reduced row echelon form is unique, so they
 do not depend on how it works.
 
 `proved_rank` proves the rank of a large sparse integer matrix at about the
-cost of a numpy elimination mod a prime below 2**31, by two equal bounds.
-It reads the matrix through three read-outs, its residues mod p, an exact
-cycle check and its sparse columns, so a Koszul strand can supply them
-from its maps; `SparseColumns` supplies them for explicit columns.
-The rank mod p is a lower bound.  The number of rows is an upper bound, and
-so is the number of columns minus the dimension of a space of exactly
-verified kernel vectors: cycles the caller knows, plus vectors lifted from
-the kernel mod p by CRT and Wang's rational reconstruction, each checked
-with one exact product (the certificate style of Dumas, Saunders and
-Villard in LinBox).  The one dense kernel mod p is an in-place LU, as in
-Dumas, Giorgi and Pernet's FFLAS-FFPACK: the kernel at the first prime is
-read off the matrix's own LU by one triangular solve, and each further
-prime factors only the square block of the lift.  If the bounds do not
-meet, `SparseReducer` computes the rank.
+cost of a numpy elimination mod a prime below 2**31, by two equal bounds,
+reading the matrix through the read-outs that a Koszul strand or
+`SparseColumns` supplies.  The rank mod p is a lower bound.  The number of
+rows is an upper bound, and so is the number of columns minus the dimension
+of a space of exactly verified kernel vectors: cycles the caller knows,
+plus vectors lifted from the kernel mod p by CRT and Wang's rational
+reconstruction, each checked with one exact product (the certificate style
+of Dumas, Saunders and Villard in LinBox).  The one dense kernel mod p is
+an in-place LU, as in Dumas, Giorgi and Pernet's FFLAS-FFPACK: the kernel
+at the first prime is read off the matrix's own LU by one triangular solve,
+and each further prime factors only the square block of the lift.  If the
+bounds do not meet, `SparseReducer` computes the rank.
 
 `primitive_kernel` reads the primitive integer vectors of `kernel_basis` of
 an integer matrix, such as the fat-point conditions of `divisors`, off the
-same LU and lift, its columns held as `SparseColumns`.  The mod-p layer
-takes integers only: a residue is x % p, and `modp_matrix` raises
-TypeError on any other entry.  Lifted vectors are integer dicts from the
-start; rationals become integers over their common denominator in one
-place, `_over_denominator`, for `SparseReducer` and `primitive_vector`.
+same LU and lift.  The mod-p layer takes integers only: a residue is x % p,
+and `modp_matrix` raises TypeError on any other entry.  Lifted vectors are
+integer dicts from the start; rationals become integers over their common
+denominator in one place, `_over_denominator`, for `SparseReducer` and
+`primitive_vector`.
 
 No public routine mutates its arguments; results are freshly allocated.
 """
@@ -378,9 +376,7 @@ def _reconstruct(residues: list, m: int) -> list | None:
 
 class SparseColumns:
     """An integer matrix given by its sparse columns {row: int} over
-    `nrows` rows, with the read-outs that `proved_rank` and `_lift_cycles`
-    take of a matrix: `residues(p)`, the columns mod p as the rows of an
-    int64 array (`modp_matrix`); `is_cycle(vec)`; and `columns()`."""
+    `nrows` rows, with the read-outs that `proved_rank` takes."""
 
     def __init__(self, cols: list, nrows: int):
         self.cols = cols
@@ -402,7 +398,7 @@ class SparseColumns:
 
 
 def _lift_cycles(matrix, basis: list, prows: list, targets: list, p: int,
-                 first=None) -> tuple[list, int] | None:
+                 first: np.ndarray) -> tuple[list, int] | None:
     """Lift one kernel vector of `matrix` to Q for each free column in
     `targets`, each checked by `matrix.is_cycle`.  Returns the vectors, as
     integer dicts over their common denominators, and the number of primes
@@ -412,16 +408,15 @@ def _lift_cycles(matrix, basis: list, prows: list, targets: list, p: int,
     square block at the rows `prows` is invertible mod p (one
     `_echelon_mod_p` of the matrix or of its transpose gives both).  The
     vector of a free column f is 1 at f, 0 at the other free columns, and
-    on `basis` the solution of that square block (`first` at p if given,
-    else `_square_kernel` on the block of `matrix.residues(q)`; a prime
-    where the block is singular is skipped), lifted by CRT and rational
-    reconstruction.
+    on `basis` the solution of that block, `first` (off the caller's LU) at
+    p and `_square_kernel` at the other primes (skipping a prime where the
+    block is singular), lifted by CRT and rational reconstruction.
     """
     r = len(basis)
     block = np.ix_(basis + targets, prows)
     residues, m, used = None, 1, 0
     for q in (p,) + tuple(x for x in MODP_PRIMES if x != p):
-        x = (first if q == p and first is not None
+        x = (first if q == p
              else _square_kernel(matrix.residues(q)[block], r, q))
         if x is None:
             continue
@@ -478,15 +473,14 @@ def proved_rank(matrix, cycles=None) -> tuple[int, str]:
     for vec in cycles.columns() if cycles is not None else ():
         if not matrix.is_cycle(vec):
             raise ArithmeticError("a given cycle is not in the kernel")
-    known = cycles.residues(p) if cycles is not None else None
     a = matrix.residues(p)
     order, pivots = _echelon_mod_p(a, p)
     r = len(pivots)
     if r == nrows:
         return nrows, "mod-p"
     free = sorted(order[r:])
-    covered = (set(_echelon_mod_p(known[:, free], p)[1])
-               if known is not None else set())
+    covered = (set(_echelon_mod_p(cycles.residues(p)[:, free], p)[1])
+               if cycles is not None else set())
     if len(covered) == len(free):
         return r, "mod-p"
     targets = [f for j, f in enumerate(free) if j not in covered]
@@ -503,16 +497,17 @@ def primitive_kernel(rows) -> tuple[list, str]:
     """`[primitive_vector(v) for v in kernel_basis(rows)]` for a nonempty
     integer matrix, at mod-p cost, and how it was proved.
 
-    One `_echelon_mod_p` at the first prime gives the pivot columns mod p
-    (the greedy column basis mod p) and pivot rows whose square block at
-    them is invertible mod p.  For each free column f, `_lift_cycles` lifts
-    the kernel vector that is 1 at f and 0 at the other free columns, and
-    checks it exactly.  The lifts are accepted only if each vanishes on
-    the pivot columns after f.  Then every free column is a combination
-    over Q of earlier columns, so rank_Q <= rank_p; an integer matrix has
-    rank_Q >= rank_p; so the pivot columns mod p are the pivot columns over
-    Q, and the lifted vectors are exactly the reduced row echelon kernel of
-    `kernel_basis`.  Returns (vectors, how) with how
+    One `_echelon_mod_p` of the rows at the first prime p, A[order] = L U,
+    gives the pivot columns mod p (the greedy column basis mod p) and pivot
+    rows whose square block at them is invertible mod p.  For each free
+    column f, `_lift_cycles` lifts the kernel vector that is 1 at f and 0
+    at the other free columns, at p solved off U (U_B x = -U_F) by
+    `_lu_kernel`, and checks it exactly.  The lifts are accepted only if
+    each vanishes on the pivot columns after f.  Then every free column is
+    a combination over Q of earlier columns, so rank_Q <= rank_p; an
+    integer matrix has rank_Q >= rank_p; so the pivot columns mod p are the
+    pivot columns over Q, and the lifted vectors are exactly the reduced
+    row echelon kernel of `kernel_basis`.  Returns (vectors, how) with how
 
       "mod-p"     there is no free column: the kernel is zero;
       "lifted k"  the vectors were lifted with k primes;
@@ -522,12 +517,17 @@ def primitive_kernel(rows) -> tuple[list, str]:
     p, ncols = MODP_PRIMES[0], len(rows[0])
     matrix = SparseColumns([{i: row[c] for i, row in enumerate(rows)
                              if row[c]} for c in range(ncols)], len(rows))
-    order, pcols = _echelon_mod_p(matrix.residues(p).T.copy(), p)
-    pivots = set(pcols)
+    a = matrix.residues(p).T.copy()
+    order, pcols = _echelon_mod_p(a, p)
+    pivots, r = set(pcols), len(pcols)
     free = [c for c in range(ncols) if c not in pivots]
     if not free:
         return [], "mod-p"
-    lifted = _lift_cycles(matrix, pcols, order[:len(pcols)], free, p)
+    u = a[:r, pcols + free]     # U_B and U_F, rows scaled to a unit diagonal
+    inv = [pow(int(x), -1, p) for x in u.diagonal()]
+    u = u * np.array(inv, dtype=np.int64).reshape(r, 1) % p
+    first = _lu_kernel(u.T, list(range(r)), list(range(r, ncols)), p)
+    lifted = _lift_cycles(matrix, pcols, order[:r], free, p, first)
     if lifted is not None:
         vecs, used = lifted
         if all(max(vec) == f for f, vec in zip(free, vecs)):

@@ -44,9 +44,19 @@ the polynomial ring on V in its first degree, injective with rank C(n, i)
 for i <= n, the number of variables.
 
 The reduced engine also stops at the end of the linear strand.  Its ideal
-holds no linear forms (the quotient has dims (1, d-3, h_2, 0)), so
-b_{k,k+1} = 0 implies b_{k+1,k+2} = 0 (Eisenbud, The Geometry of Syzygies,
-2005).  Once homology(k, 1) has come out 0, B_i = Wedge^i V (x) C_1 ->
+holds no linear forms (the quotient has dims (1, d-3, h_2, 0)), so for
+k >= 1, b_{k,k+1} <= 1 implies b_{k+1,k+2} = 0; for b = 0 this is the
+linear-strand argument of Eisenbud, The Geometry of Syzygies, 2005, ch. 7.
+For b = 1, let F be the minimal free resolution of M = C/(theta) over S,
+the polynomial ring on the kept variables, so F_i is generated in degrees
+>= i+1 for i >= 1.  Let e be the one generator of F_k of degree k+1, and
+g a generator of F_{k+1} of degree k+2.  Minimality leaves no constant
+coefficients, so d(g) = l e for a linear form l.  d(e) != 0, or e would
+lie in ker d = im d, inside m F_k.  So 0 = d(d(g)) = l d(e) in a free
+module over a domain gives l = 0, and then d(g) = 0, against the
+minimality of g.
+
+Once homology(k, 1) has come out at most 1, B_i = Wedge^i V (x) C_1 ->
 Wedge^{i-1} V (x) C_2 for i > k is exact at its source, so its rank is
 C(d-3, i)(d-3) minus the rank into it, and row 2, b_{i-1,i+1} =
 C(d-3, i-1) h_2 - rank B_i, follows without ranking B_i.  `rank_proofs`
@@ -238,7 +248,7 @@ class ReducedEngine(_Engine):
 
     def __init__(self, pres: OTPresentation):
         super().__init__(pres, pres.d - 3)
-        self._row1_zero: int | None = None  # least i >= 1 with b_{i,i+1} = 0
+        self._row1_end: int | None = None  # least i >= 1 with b_{i,i+1} <= 1
         self._build()
 
     def _build(self):
@@ -316,16 +326,17 @@ class ReducedEngine(_Engine):
 
     def homology(self, i: int, s: int) -> int:
         h = super().homology(i, s)
-        if s == 1 and i >= 1 and h == 0:
-            self._row1_zero = min(i, self._row1_zero or i)
+        if s == 1 and i >= 1 and h <= 1:
+            self._row1_end = min(i, self._row1_end or i)
         return h
 
     def _past_linear_strand(self, i: int, q: int) -> bool:
         """Whether B_i = rank_of_differential(i, 1) is forced: its ideal
-        holds no linear forms, so once b_{k,k+1} = 0 has been proved, the
-        linear strand has ended and b_{i,i+1} = 0 for every i > k."""
-        return (q == 1 and self._row1_zero is not None
-                and i > self._row1_zero)
+        holds no linear forms, so once b_{k,k+1} <= 1 has been proved, the
+        linear strand has ended and b_{i,i+1} = 0 for every i > k (see the
+        module docstring)."""
+        return (q == 1 and self._row1_end is not None
+                and i > self._row1_end)
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +389,7 @@ def tor_dimension(eng: _Engine, i: int, j: int) -> int:
     """dim Tor_i(C(A), k)_j.  Under the reduced engine the values with
     j - i >= 3 or i > d-3 are zero by its certificate, without
     elimination, and a strand past the end of the linear strand is forced
-    once an earlier b_{k,k+1} = 0 has been computed; no strand is ranked
+    once an earlier b_{k,k+1} <= 1 has been computed; no strand is ranked
     only to find that end."""
     if not (0 <= i <= eng.pres.d):
         raise ValueError("homological index out of range")
@@ -392,8 +403,8 @@ def tor_dimension(eng: _Engine, i: int, j: int) -> int:
 def betti_table(eng: _Engine, verify_regularity: bool = False) -> BettiTable:
     """All graded Betti numbers b_{i,i+s}, s = 1, 2, for i up to the
     engine's number of variables, in increasing i: under the reduced
-    engine, B_i is ranked only until row 1 has met its first zero, and
-    row 2 past it is read off the forced ranks.
+    engine, B_i is ranked only until row 1 has met its first entry <= 1,
+    and row 2 past it is read off the forced ranks.
 
     verify_regularity also records the strand-3 homology for
     i <= min(4, nvars).  Under the reduced engine these zeros are not a

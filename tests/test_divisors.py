@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 import otb.exact
@@ -150,21 +151,58 @@ def test_condition_rows_match_the_formula(name, mode, m):
             vanishing_rows_by_formula(p.point, order, m), p.point
 
 
-@pytest.mark.parametrize("seed", range(60))
-def test_primitive_kernel_matches_the_reducer_on_random_matrices(seed):
-    # products of random factors, so that the rank is often short, with
-    # entries small or large enough to need several primes
+def _random_product_rows(seed) -> list:
+    """Products of random factors, so that the rank is often short, with
+    entries small or large enough to need several primes."""
     rng = random.Random(seed)
     nr, nc, k = rng.randint(1, 7), rng.randint(1, 9), rng.randint(1, 6)
     size = rng.choice((2, 300, 10 ** 6))
     left = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(nr)]
     right = [[rng.randint(-size, size) * (rng.random() < 0.7)
               for _ in range(nc)] for _ in range(k)]
-    rows = [[sum(x * y[c] for x, y in zip(row, right)) for c in range(nc)]
+    return [[sum(x * y[c] for x, y in zip(row, right)) for c in range(nc)]
             for row in left]
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_primitive_kernel_matches_the_reducer_on_random_matrices(seed):
+    rows = _random_product_rows(seed)
     vecs, how = primitive_kernel(rows)
     assert vecs == _reducer_kernel(rows)
     assert (how == "mod-p") == (not vecs)
+    assert how != "exact"
+
+
+# the h0 sweep of the benchmark, as (name, mode, m)
+H0_SWEEP = [(name, mode, m) for name in ("9_3_1", "b3")
+            for mode in ("one", "mu") for m in (3, 6, 9, 12)]
+
+
+@pytest.mark.parametrize("case", H0_SWEEP + list(range(60)))
+def test_primitive_kernel_reads_the_square_block_kernel_off_its_echelon(
+        case, monkeypatch):
+    # `primitive_kernel` hands `_lift_cycles` the kernel it read off the U
+    # of its own echelon; `_square_kernel` on the block at the pivot rows,
+    # at that prime, must give the same vectors
+    if isinstance(case, int):
+        rows = _random_product_rows(case)
+    else:
+        name, mode, m = case
+        a = analysis(name).arrangement
+        rows = _condition_rows(a, DivisorClass(
+            m, {p: 1 if mode == "one" else p.mu for p in a.flats}))
+    lift = otb.exact._lift_cycles
+    checked = []
+
+    def spy(matrix, basis, prows, targets, p, first):
+        block = matrix.residues(p)[np.ix_(basis + targets, prows)]
+        x = otb.exact._square_kernel(block, len(basis), p)
+        assert x is not None and first.tolist() == x.tolist()
+        checked.append(len(targets))
+        return lift(matrix, basis, prows, targets, p, first)
+    monkeypatch.setattr(otb.exact, "_lift_cycles", spy)
+    vecs, how = primitive_kernel(rows)
+    assert checked == ([len(vecs)] if vecs else [])
     assert how != "exact"
 
 
@@ -192,7 +230,8 @@ def test_a_kernel_past_one_prime_is_lifted_with_more():
 
 def test_a_prime_with_a_singular_block_is_skipped(monkeypatch):
     # the pivot block [[1, 1], [1, 1 + p1]] has determinant p1: singular
-    # only mod the second prime, which the lift skips; it needs three others
+    # only mod the second prime, which the lift skips; it needs three
+    # primes, and the first prime's kernel is read off the echelon
     skipped = []
     solve = otb.exact._square_kernel
 
@@ -205,7 +244,7 @@ def test_a_prime_with_a_singular_block_is_skipped(monkeypatch):
     vecs, how = primitive_kernel(rows)
     assert vecs == [(10737418143, 2, -2147483629)] == _reducer_kernel(rows)
     assert how == "lifted 3"
-    assert skipped == [(q, q == MODP_PRIMES[1]) for q in MODP_PRIMES[:4]]
+    assert skipped == [(q, q == MODP_PRIMES[1]) for q in MODP_PRIMES[1:4]]
 
 
 def test_9_3_1_pencil_lower_bound_matches():

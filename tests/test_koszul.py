@@ -160,11 +160,18 @@ def test_a_fraction_map_is_refused_by_the_mod_p_layer():
 
 
 def _strand_rank_by_reducer(eng, i: int, q: int) -> int:
-    cols, nrows = _differential_columns(eng.nvars, i, eng.maps(q),
-                                        eng.dim(q), eng.dim(q + 1))
-    red = SparseReducer(nrows)
-    for col in cols:
-        red.add(col)
+    """The exact rank of the strand, fed to the reducer row by row: on
+    B_4 of the seed-0 b3+2 (560 columns, 1288 rows) that is about a hundred
+    times faster than by its columns."""
+    cols, _ = _differential_columns(eng.nvars, i, eng.maps(q),
+                                    eng.dim(q), eng.dim(q + 1))
+    rows: dict = {}
+    for j, col in enumerate(cols):
+        for r, v in col.items():
+            rows.setdefault(r, {})[j] = v
+    red = SparseReducer(len(cols))
+    for r in sorted(rows):
+        red.add(rows[r])
     return red.rank
 
 
@@ -327,9 +334,9 @@ def test_b3_lifts_exactly_its_linear_syzygies():
         1: "mod-p", 2: "mod-p", 3: "lifted 1"}
     assert [tb.value(i, i + 1) for i in (1, 2, 3, 4)] == [13, 22, 1, 0]
     assert tb.value(1, 3) == 0
-    # b_{4,5} = 0 ends the linear strand: B_5 and B_6 are not ranked
+    # b_{3,4} = 1 ends the linear strand: B_4, B_5 and B_6 are not ranked
     assert {i: proofs[(i, 1)] for i in (4, 5, 6)} == {
-        4: "mod-p", 5: "linear strand", 6: "linear strand"}
+        4: "linear strand", 5: "linear strand", 6: "linear strand"}
     assert all(how == "koszul" for (i, q), how in proofs.items() if q != 1)
 
 
@@ -506,10 +513,12 @@ def _forced_strands(eng) -> set:
     return {i for (i, _) in forced}
 
 
-# where row 1 ends, B_i is forced for i past the end and up to d - 3; on
-# braid-a3 it ends at d - 3 = 3, and B_4 = 0 stays untagged
-FORCED = {"9_3_1": {4, 5, 6}, "9_3_2": {3, 4, 5, 6}, "b3": {5, 6},
-          "braid-a3+1": {4}, "random-6-1": {3}, "random-6-3": {3}}
+# where row 1 ends (its first entry <= 1), B_i is forced for i past the end
+# and up to d - 3; on braid-a3 it ends at d - 3 = 3, and B_4 = 0 stays
+# untagged
+FORCED = {"9_3_1": {4, 5, 6}, "9_3_2": {3, 4, 5, 6}, "b3": {4, 5, 6},
+          "braid-a3+1": {4}, "random-5-2": {2}, "random-6-1": {3},
+          "random-6-3": {3}}
 
 
 @pytest.mark.parametrize("name", BUILTINS + tuple(sorted(ORACLE_FORMS)))
@@ -519,11 +528,12 @@ def test_linear_strand_ranks_match_the_reducer(name):
 
 
 def test_linear_strand_ranks_of_b3_plus_a_line_match_the_reducer():
-    assert _forced_strands(_b3_plus(1).engine) == {5, 6, 7}
+    assert _forced_strands(_b3_plus(1).engine) == {4, 5, 6, 7}
 
 
 def test_betti_on_b3_ranks_no_strand_past_the_linear_strand(monkeypatch):
-    # B_i for i >= 5 maps Wedge^i V (x) C_1 with C(6, i) * 6 columns
+    # B_i for i >= 4 maps Wedge^i V (x) C_1 with C(6, i) * 6 columns, past
+    # b_{3,4} = 1
     eng = ReducedEngine(analysis("b3").pres)
     shapes = []
     prove = otb.koszul.proved_rank
@@ -536,9 +546,60 @@ def test_betti_on_b3_ranks_no_strand_past_the_linear_strand(monkeypatch):
     h2 = eng.dim(2)
     assert shapes
     assert not {(comb(6, i) * 6, comb(6, i - 1) * h2)
-                for i in (5, 6)} & set(shapes)
-    assert (comb(6, 4) * 6, comb(6, 3) * h2) in shapes
+                for i in (4, 5, 6)} & set(shapes)
     assert [tb.value(i, i + 2) for i in (4, 5)] == [85, 42]
+
+
+def test_betti_on_b3_plus_two_ranks_no_560_column_strand(monkeypatch):
+    # the seed-0 b3+2 of the scale workload: b_{3,4} = 1 forces B_4,
+    # 560 x 1288, and B_3 (448 columns) is the largest strand ranked; the
+    # table is the one computed with B_4 ranked
+    eng = ReducedEngine(analysis("b3+2").pres)
+    ncols = []
+    prove = otb.koszul.proved_rank
+
+    def spy(matrix, cycles):
+        ncols.append(comb(matrix.nvars, matrix.i) * matrix.c_src)
+        return prove(matrix, cycles)
+    monkeypatch.setattr(otb.koszul, "proved_rank", spy)
+    tb = betti_table(eng)
+    assert 560 not in ncols and max(ncols) == comb(8, 3) * 8 == 448
+    assert tb.entries == {
+        (1, 2): 13, (2, 3): 22, (3, 4): 1,
+        **{(i, i + 2): v for i, v in enumerate(
+            [38, 267, 784, 1190, 1072, 581, 176, 23], start=1)}}
+    assert eng.rank_proofs[(4, 1)] == "linear strand"
+
+
+# the k with b_{k,k+1} = 1, where the stop ends the linear strand
+ROW1_ONE = {"b3": [3], "b3+1": [3], "b3+2": [3], "random-5-2": [1]}
+
+
+@pytest.mark.parametrize("name", BUILTINS + tuple(sorted(ORACLE_FORMS))
+                         + tuple(sorted(BENCH_FORMS)))
+def test_a_row1_entry_of_one_ends_the_linear_strand(name):
+    # the theorem behind the stop, with the computation it replaces as the
+    # oracle: where b_{k,k+1} = 1, B_{k+1} ranked by the reducer leaves
+    # b_{k+1,k+2} = 0
+    eng = analysis(name).engine
+    tb = betti_table(eng)
+    n = eng.nvars
+    ones = [k for k in range(1, n + 1) if tb.value(k, k + 1) == 1]
+    assert ones == ROW1_ONE.get(name, [])
+    for k in ones:
+        assert comb(n, k + 1) * eng.dim(1) \
+            - _strand_rank_by_reducer(eng, k + 1, 1) \
+            - _strand_rank_by_reducer(eng, k + 2, 0) == 0, k
+
+
+def test_the_stop_forces_only_the_strands_past_its_entry():
+    # b_{3,4} = 1 on b3: B_4 on is forced, not B_3, whose rank gave it
+    eng = ReducedEngine(analysis("b3").pres)
+    betti_table(eng)
+    assert [eng._past_linear_strand(i, 1) for i in range(1, 7)] == \
+        [False] * 3 + [True] * 3
+    assert not any(eng._past_linear_strand(i, q) for i in range(1, 7)
+                   for q in (0, 2))
 
 
 def test_tor_23_alone_ranks_only_its_two_strands(monkeypatch):
