@@ -191,7 +191,7 @@ def _cmd_ot_hilbert(an, args):
     pres = an.pres
     upto = args.upto
     ts = terao_series(an.arrangement, upto)
-    pres.graded_piece(upto)  # one rank at the top degree proves the lower
+    pres.prove_independent(upto)  # one rank at the top degree proves the lower
     dims = [substitution_quotient_dim(pres, j) for j in range(upto + 1)]
     agree = tuple(dims) == ts.coefficients
     res = {"h_polynomial": list(ts.h_polynomial),

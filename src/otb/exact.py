@@ -467,7 +467,8 @@ def proved_rank(matrix, cycles=None) -> tuple[int, str]:
       "mod-p"     the rank mod p meets the row count, or the given cycles
                   close the gap by themselves;
       "lifted k"  k lifted cycles were needed as well;
-      "exact"     lifting failed, and `SparseReducer` computed the rank.
+      "exact"     lifting failed, and `SparseReducer` computed the rank,
+                  fed the rows of the matrix.
     """
     nrows, p = matrix.nrows, MODP_PRIMES[0]
     for vec in cycles.columns() if cycles is not None else ():
@@ -487,9 +488,15 @@ def proved_rank(matrix, cycles=None) -> tuple[int, str]:
     first = _lu_kernel(a, pivots, np.argsort(order)[targets], p)
     if _lift_cycles(matrix, order[:r], pivots, targets, p, first):
         return r, "lifted %d" % len(targets)
-    red = SparseReducer(nrows)
-    for col in matrix.columns():
-        red.add(col)
+    # by rows: the same rank, and far less fill on a wide strand
+    cols = matrix.columns()
+    rows: list = [{} for _ in range(nrows)]
+    for j, col in enumerate(cols):
+        for i, v in col.items():
+            rows[i][j] = v
+    red = SparseReducer(len(cols))
+    for row in rows:
+        red.add(row)
     return red.rank, "exact"
 
 

@@ -10,8 +10,7 @@ of the Koszul complex on the variables tensored with the algebra.
 generic linear forms theta, with small integer coefficients, whose products
 theta_r m are normal forms of sum_s theta_rs y_s m (normal forms are
 linear), kept as integer rows, each a positive multiple of the product over
-Q.  It asks for C_3 first, so one evaluation rank proves the nbc bases of
-degrees 0..3, and accepts theta on one test: the quotient has
+Q.  It accepts theta on one test: the quotient has
 dimensions h = (1, d-3, h_2) in degrees 0..2, by exact echelons over Q
 whose bases carry the induced maps, and theta C_2 spans C_3, by a rank mod
 p equal to dim C_3 (a lower bound for the rank over Q).  Then rank theta =
@@ -59,20 +58,43 @@ minimality of g.
 Once homology(k, 1) has come out at most 1, B_i = Wedge^i V (x) C_1 ->
 Wedge^{i-1} V (x) C_2 for i > k is exact at its source, so its rank is
 C(d-3, i)(d-3) minus the rank into it, and row 2, b_{i-1,i+1} =
-C(d-3, i-1) h_2 - rank B_i, follows without ranking B_i.  `rank_proofs`
-records, per strand, "mod-p", "lifted k", "exact" (the fallback
-elimination over Q), "koszul" or "linear strand" (both forced).
+C(d-3, i-1) h_2 - rank B_i, follows without ranking B_i.
+
+Row 1 lives on the triple points.  Let the quadric support B be the lines
+through a point of multiplicity >= 3, with, if those all pass through one
+point (so span rank 2 only), the first other line of A.  Rewriting in
+degree 2 uses only the rules of 3-circuits, and the nbc monomials of degree
+2 are a basis, so I(A)_2 is spanned by the 3-circuit relations.  Each
+involves three lines through one point, all in B, and they are the
+3-circuits of B, so I(A)_2 = I(B)_2 S_A; also I_1 = 0.
+Tor_i(S/I, k)_{i+1} is the homology of Wedge^{i+1} V (x) S_0 -> Wedge^i V
+(x) S_1 -> Wedge^{i-1} V (x) S_2/I_2, so b_{i,i+1} depends only on I_2
+(Eisenbud, ch. 7).  S_A/(I_2) = S_B/(I_2) (x) k[y_{A - B}] is a flat
+extension, so its graded Betti numbers are those over S_B, and a line of
+A - B lies on no triple point of A, so adding it to B makes no quadric.
+Both Artinian reductions keep their algebra's Betti numbers, so
+b_{i,i+1}(A) is the b_{i,i+1} of the reduced engine of B, built on first use
+when B is not all of A, and B_i of A is forced:
+
+    rank B_i = C(n, i) n - C(n, i+1) - b_{i,i+1}(B),   n = d - 3.
+
+With no triple point, I_2 = 0 and row 1 is zero, with no engine for B.
+Row 2 then follows from the forced ranks, as past the end of the linear
+strand.  `rank_proofs` records, per strand, "mod-p", "lifted k", "exact"
+(the fallback elimination over Q), "koszul", "linear strand" or
+"quadrics" (the last three forced).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from math import comb, lcm
 
 import numpy as np
 
+from .arrangement import Arrangement
 from .exact import (MODP_PRIMES, SparseReducer, draw_generic, modp_matrix,
                     modp_rank, proved_rank, seeded_rng)
 from .orlik_terao import OTPresentation, terao_series
@@ -204,8 +226,9 @@ class _Engine:
         """rank of Wedge^i (x) C_q -> Wedge^{i-1} (x) C_{q+1}, proved by
         `proved_rank`, with the columns of the map into Wedge^i (x) C_q as
         the known cycles (d o d = 0), or forced: for q = 0, since the
-        variables are a basis of C_1, and where the linear strand has ended;
-        `rank_proofs` records how."""
+        variables are a basis of C_1, where row 1 is read off the quadric
+        support, and where the linear strand has ended; `rank_proofs`
+        records how."""
         key = (i, q)
         if key in self._rank_cache:
             return self._rank_cache[key]
@@ -216,6 +239,11 @@ class _Engine:
             # the Koszul map of the variables, a basis of C_1: injective
             r = comb(self.nvars, i)
             self.rank_proofs[key] = "koszul"
+        elif q == 1 and (b := self._quadric_row1(i)) is not None:
+            # b_{i,i+1} = b, the value on the quadric support
+            r = (comb(self.nvars, i) * c_src
+                 - self.rank_of_differential(i + 1, q - 1) - b)
+            self.rank_proofs[key] = "quadrics"
         elif self._past_linear_strand(i, q):
             # b_{i,i+1} = 0: the strand is exact at Wedge^i (x) C_1
             r = (comb(self.nvars, i) * c_src
@@ -230,6 +258,10 @@ class _Engine:
                 Strand(self.nvars, i, self.maps(q), c_src, c_dst), cycles)
         self._rank_cache[key] = r
         return r
+
+    def _quadric_row1(self, i: int) -> int | None:
+        """b_{i,i+1} when it is known without ranking B_i, else None."""
+        return None
 
     def homology(self, i: int, s: int) -> int:
         if i < 0 or i > self.nvars:
@@ -249,13 +281,13 @@ class ReducedEngine(_Engine):
     def __init__(self, pres: OTPresentation):
         super().__init__(pres, pres.d - 3)
         self._row1_end: int | None = None  # least i >= 1 with b_{i,i+1} <= 1
+        self.support = quadric_support(pres.arrangement)
         self._build()
 
     def _build(self):
         pres = self.pres
         d = pres.d
         h = terao_series(pres.arrangement, 2).h_polynomial
-        pres.graded_piece(3)  # the top degree first: one rank proves 0..3
         rng = seeded_rng("artinian-reduction:%s" % (pres.arrangement.name or d))
         draw_generic(rng,
                      lambda r: [[r.randint(-5, 5) for _ in range(d)]
@@ -324,6 +356,23 @@ class ReducedEngine(_Engine):
     def maps(self, q: int):
         return self._maps[q]
 
+    @cached_property
+    def support_engine(self) -> ReducedEngine:
+        """The reduced engine of the quadric support B, built on first use;
+        only asked for when B is neither empty nor all of A."""
+        arr = self.pres.arrangement
+        sub = Arrangement([arr.forms[k] for k in self.support],
+                          name="%s:quadrics" % (arr.name or arr.d))
+        return ReducedEngine(OTPresentation(sub))
+
+    def _quadric_row1(self, i: int) -> int | None:
+        """b_{i,i+1} read off the quadric support B (see the module
+        docstring): 0 when B is empty, that of B's engine when B is a proper
+        part of A, and None when B is all of A, whose B_i is ranked."""
+        if len(self.support) == self.pres.d:
+            return None
+        return self.support_engine.homology(i, 1) if self.support else 0
+
     def homology(self, i: int, s: int) -> int:
         h = super().homology(i, s)
         if s == 1 and i >= 1 and h <= 1:
@@ -337,6 +386,20 @@ class ReducedEngine(_Engine):
         module docstring)."""
         return (q == 1 and self._row1_end is not None
                 and i > self._row1_end)
+
+
+def quadric_support(arr: Arrangement) -> list:
+    """The lines of the quadric support B, in increasing order: those
+    through a point of multiplicity >= 3 and, when there is one such point
+    only, whose lines span rank 2, the first other line, which makes rank
+    3; empty when no point has three lines.  Two such points P and Q give
+    rank 3 already: at most one line through Q passes through P."""
+    triple = [f.lines for f in arr.flats if len(f.lines) >= 3]
+    support = sorted({k for lines in triple for k in lines})
+    if len(triple) == 1:
+        support.append(min(set(range(arr.d)) - set(support)))
+        support.sort()
+    return support
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +451,8 @@ class BettiTable:
 def tor_dimension(eng: _Engine, i: int, j: int) -> int:
     """dim Tor_i(C(A), k)_j.  Under the reduced engine the values with
     j - i >= 3 or i > d-3 are zero by its certificate, without
-    elimination, and a strand past the end of the linear strand is forced
+    elimination, row 1 is read off the quadric support when that is not
+    all of A, and a strand past the end of the linear strand is forced
     once an earlier b_{k,k+1} <= 1 has been computed; no strand is ranked
     only to find that end."""
     if not (0 <= i <= eng.pres.d):
@@ -403,8 +467,9 @@ def tor_dimension(eng: _Engine, i: int, j: int) -> int:
 def betti_table(eng: _Engine, verify_regularity: bool = False) -> BettiTable:
     """All graded Betti numbers b_{i,i+s}, s = 1, 2, for i up to the
     engine's number of variables, in increasing i: under the reduced
-    engine, B_i is ranked only until row 1 has met its first entry <= 1,
-    and row 2 past it is read off the forced ranks.
+    engine, B_i is ranked only when the quadric support is all of A, and
+    then only until row 1 has met its first entry <= 1; row 2 is read off
+    the forced ranks.
 
     verify_regularity also records the strand-3 homology for
     i <= min(4, nvars).  Under the reduced engine these zeros are not a

@@ -7,15 +7,19 @@ For a circuit i_0 < ... < i_k with coefficients c, the broken circuit is
 the circuit minus its largest line; its monomial rewrites to
 -sum_{t<k} (c_t/c_k) y^(C - {i_t}).  Each step moves one exponent to a
 larger index, so rewriting terminates, and the nbc monomials of degree j
-span C(A)_j.  `graded_piece` proves them independent: evaluated at
-y_k = 1/a_k(P) for as many points P of F_p^3 as there are monomials, they
-give a matrix of full rank mod p, which a primitive integer dependency over
-Q would not.  One such rank at the highest degree asked for proves every
-lower degree too (the proof is in `graded_piece`).  So they are a basis,
-each piece's size is the exact Hilbert function, and normal forms, which
-carry the multiplication maps and decide ideal membership, are unique.
-A normal form is kept in integers: an integer dict over one positive
-denominator, in lowest terms.
+span C(A)_j.  `graded_piece` proves them a basis by Terao's count: their
+number equals dim C(A)_j = [t^j] pi(A, t/(1-t)) (Terao, "Algebras
+generated by reciprocals of linear forms", 2002), and a spanning set of
+that size is a basis.  So each piece's size is the exact Hilbert function,
+and normal forms, which carry the multiplication maps and decide ideal
+membership, are unique.  A normal form is kept in integers: an integer
+dict over one positive denominator, in lowest terms.
+
+`ot-hilbert` proves the same dimensions without Terao's theorem, as an
+independent check of it: `OTPresentation.prove_independent` evaluates the
+nbc monomials at y_k = 1/a_k(P) over as many points P of F_p^3 as there are
+monomials, and a matrix of full rank mod p proves them independent, which a
+primitive integer dependency over Q would not allow.
 """
 
 from __future__ import annotations
@@ -70,8 +74,9 @@ class OTPresentation:
                 abs(top)))
         self._sizes = sorted({len(b) for b in self._rules})
         self._rule_of_support: dict = {}
-        self._pieces: dict[int, list] = {}
-        self._proved = -1                # every degree <= it has a proved basis
+        self._nbc: dict[int, list] = {}      # degree -> its nbc monomials
+        self._pieces: dict[int, list] = {}   # the same, counted by Terao
+        self._independent = -1  # every degree <= it is proved independent
         self._position: dict = {}        # nbc monomial -> index in its piece
         self._nf: dict = {}              # monomial -> (integer dict, den)
         self._mult: dict[int, list] = {}
@@ -87,32 +92,31 @@ class OTPresentation:
 
     def graded_piece(self, j: int) -> list:
         """The degree-j monomials with nbc support, in `monomials_of_degree`
-        order, proved a basis of C(A)_j by one evaluation rank mod p in
-        degree j or above: only a j above every degree proved so far is
-        ranked.
+        order, proved a basis of C(A)_j by Terao's count; ArithmeticError
+        if their number is not [t^j] of `terao_series`.
 
-        One rank at degree N proves every degree below N.  No broken
-        circuit contains the largest line d, since a broken circuit drops
-        its circuit's largest line; so y_d times an nbc monomial of degree
-        j-1 is an nbc monomial of degree j, and y_d maps the nbc monomials
-        of degree j-1 injectively into those of degree j.  A relation among
-        the former, times y_d, would be a relation among distinct nbc
-        monomials of degree j.  So full rank in degree N proves them
-        independent in every degree up to N, and a caller that knows its
-        top degree asks for it first."""
+        The circuit relations hold in C(A), so rewriting by them shows that
+        the nbc monomials of degree j span C(A)_j, and Terao's theorem gives
+        dim C(A)_j = [t^j] pi(A, t/(1-t)).  A spanning set of that size is a
+        basis.  A missing circuit makes the count too large and a spurious
+        one makes it too small, so the count catches both."""
         if j not in self._pieces:
-            basis = self._nbc_monomials(j)
-            if j > self._proved:
-                self._prove_independent(basis, j)
-                self._proved = j
+            basis = self.nbc_monomials(j)
+            expected = terao_series(self.arrangement, j).coefficients[j]
+            if len(basis) != expected:
+                raise ArithmeticError(
+                    "%d nbc monomials of degree %d, but Terao's series "
+                    "gives %d" % (len(basis), j, expected))
             self._position.update((m, k) for k, m in enumerate(basis))
             self._pieces[j] = basis
         return self._pieces[j]
 
-    def _nbc_monomials(self, j: int) -> list:
+    def nbc_monomials(self, j: int) -> list:
         """The degree-j monomials with nbc support, in `monomials_of_degree`
-        order, generated directly: an exponent prefix is cut as soon as its
-        support holds a broken circuit."""
+        order, generated directly and computed once: an exponent prefix is
+        cut as soon as its support holds a broken circuit."""
+        if j in self._nbc:
+            return self._nbc[j]
         d, out = self.d, []
 
         def rec(prefix: tuple, support: tuple, remaining: int) -> None:
@@ -132,12 +136,29 @@ class OTPresentation:
             rec(prefix + (0,), support, remaining)
 
         rec((), (), j)
+        self._nbc[j] = out
         return out
 
-    def _prove_independent(self, basis: list, j: int) -> None:
-        """Raise GenericityError unless, at one of five seeded draws of
-        K = len(basis) points P of F_p^3 off every line, the K x K matrix
-        of the monomials at y_k = 1/a_k(P) has rank K mod p."""
+    def prove_independent(self, j: int) -> None:
+        """Prove the nbc monomials of every degree up to j independent
+        without Terao's theorem, by one evaluation rank mod p in degree j,
+        unless a degree >= j is proved already.  Raise GenericityError
+        unless, at one of five seeded draws of K = len(basis) points P of
+        F_p^3 off every line, the K x K matrix of the monomials at
+        y_k = 1/a_k(P) has rank K mod p.
+
+        One rank at degree N proves every degree below N.  No broken
+        circuit contains the largest line d, since a broken circuit drops
+        its circuit's largest line; so y_d times an nbc monomial of degree
+        j-1 is an nbc monomial of degree j, and y_d maps the nbc monomials
+        of degree j-1 injectively into those of degree j.  A relation among
+        the former, times y_d, would be a relation among distinct nbc
+        monomials of degree j.  So full rank in degree N proves them
+        independent in every degree up to N, and a caller that knows its
+        top degree asks for it first."""
+        if j <= self._independent:
+            return
+        basis = self.nbc_monomials(j)
         p, size = MODP_PRIMES[0], len(basis)
         forms = self.arrangement.forms
         expo = np.array(basis, dtype=np.int64)
@@ -161,6 +182,7 @@ class OTPresentation:
                                               j))
         draw_generic(rng, lambda r: [[r.randrange(p) for _ in range(3)]
                                      for _ in range(size)], full_rank)
+        self._independent = j
 
     def normal_form(self, terms: dict) -> tuple[dict, int]:
         """The image in C(A) of sum c * y^e over `terms` {e: c}, c an int or
@@ -225,8 +247,11 @@ def _shift(m: tuple, i: int, k: int) -> tuple:
 
 
 def substitution_quotient_dim(pres: OTPresentation, j: int) -> int:
-    """dim C(A)_j, proved: the size of the nbc basis of `graded_piece`."""
-    return len(pres.graded_piece(j))
+    """dim C(A)_j, proved without Terao's theorem: the number of nbc
+    monomials of degree j, which span C(A)_j, proved independent by
+    `OTPresentation.prove_independent`."""
+    pres.prove_independent(j)
+    return len(pres.nbc_monomials(j))
 
 
 # ---------------------------------------------------------------------------

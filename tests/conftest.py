@@ -15,7 +15,7 @@ from otb.circuits import Circuit, circuit_relation
 from otb.divisors import vanishing_condition_rows
 from otb.exact import (MPoly, SparseReducer, kernel_basis, modp_rank,
                        monomials_of_degree, primitive_vector, rank)
-from otb.koszul import _Engine
+from otb.koszul import ReducedEngine, _Engine
 from otb.orlik_terao import l_forms
 
 BUILTINS = ("braid-a3", "ex-2-4", "9_3_1", "9_3_2", "b3")
@@ -95,6 +95,15 @@ class FullEngine(_Engine):
 
     def _past_linear_strand(self, i: int, q: int) -> bool:
         return False
+
+
+class OwnRow1Engine(ReducedEngine):
+    """The reduced engine with every B_i of A itself ranked by
+    `proved_rank`: the computation that reading row 1 off the quadric
+    support replaces, kept as its reference."""
+
+    def _quadric_row1(self, i: int):
+        return None
 
 
 @lru_cache(maxsize=None)

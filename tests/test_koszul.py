@@ -5,20 +5,23 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import otb.exact
 import otb.koszul
 from otb.analysis import Analysis
-from otb.arrangement import Arrangement
+from otb.arrangement import Arrangement, ArrangementError, cross
 from otb.exact import (MODP_PRIMES, GenericityError, SparseColumns,
                        SparseReducer, modp_matrix, modp_rank, proved_rank)
 from otb.koszul import (ReducedEngine, Strand, _differential_columns,
-                        b23_formula, betti_table, tor_dimension)
-from otb.orlik_terao import terao_series
+                        b23_formula, betti_table, quadric_support,
+                        tor_dimension)
+from otb.orlik_terao import OTPresentation, terao_series
 
 from conftest import (BENCH_FORMS, BUILTINS, ORACLE_FORMS, FullEngine,
-                      ambient_piece, analysis, cubic_generators,
-                      fraction_normal_form, oracle)
+                      OwnRow1Engine, ambient_piece, analysis,
+                      cubic_generators, fraction_normal_form, oracle)
 
 
 def test_braid_table_full():
@@ -189,11 +192,15 @@ def test_every_strand_rank_matches_the_reducer(name):
 
 
 def _assert_no_fallback(eng):
+    # the engine of the quadric support too, where one was built
     betti_table(eng, verify_regularity=True)
     assert eng.rank_proofs
-    for key, how in eng.rank_proofs.items():
-        assert how in ("mod-p", "koszul", "linear strand") \
-            or how.startswith("lifted "), (key, how)
+    sub = vars(eng).get("support_engine")
+    for e in [eng] + ([sub] if sub else []):
+        for key, how in e.rank_proofs.items():
+            assert how in ("mod-p", "koszul", "linear strand", "quadrics") \
+                or how.startswith("lifted "), (key, how)
+    return sub
 
 
 @pytest.mark.parametrize("name", BUILTINS)
@@ -204,7 +211,7 @@ def test_no_builtin_strand_falls_back(name):
 
 def test_no_strand_of_the_braid_plus_one_oracle_falls_back():
     an = analysis("braid-a3+1")
-    _assert_no_fallback(an.engine)
+    assert _assert_no_fallback(an.engine).rank_proofs
     _assert_no_fallback(FullEngine(an.pres))
 
 
@@ -342,12 +349,14 @@ def test_b3_lifts_exactly_its_linear_syzygies():
 
 @pytest.mark.parametrize("name, proofs", [
     ("9_3_1", {1: "mod-p", 2: "lifted 2"}),
-    ("b3+2", {2: "lifted 22", 3: "lifted 1"})])
+    ("b3+2", {2: "quadrics", 3: "quadrics"})])
 def test_b2_lifts_where_b13_is_positive(name, proofs):
     # b_{1,3} > 0 (4 cubic generators on 9_3_1; b3+2 is the seed-0 input of
-    # the scale workload): B_2 falls short of full row rank, and lifts
+    # the scale workload): B_2 falls short of full row rank, and lifts on
+    # 9_3_1; on b3+2 its rank is forced by the quadric support, b3
     eng = ReducedEngine(analysis(name).pres)
     assert betti_table(eng).value(1, 3) > 0
+    assert eng.rank_of_differential(2, 1) < eng.nvars * eng.dim(2)
     assert {i: eng.rank_proofs[(i, 1)] for i in proofs} == proofs
 
 
@@ -401,7 +410,8 @@ def test_a_strand_of_full_row_rank_mod_p_lifts_nothing(name, monkeypatch):
     monkeypatch.setattr(otb.exact, "_lift_cycles", spy_lift)
     monkeypatch.setattr(otb.koszul, "proved_rank", spy)
     betti_table(eng, verify_regularity=True)
-    assert any(seen)
+    # ex-2-4 has no triple point: no strand is ranked
+    assert any(seen) == bool(eng.support)
 
 
 @pytest.mark.parametrize("name", BUILTINS + tuple(sorted(ORACLE_FORMS)))
@@ -500,12 +510,11 @@ def _b3_plus(k: int) -> Analysis:
     return Analysis(Arrangement(forms, name="b3+%d" % k))
 
 
-def _forced_strands(eng) -> set:
-    """After `betti_table`, the i of every B_i that the linear strand
-    forced, each checked against the reducer."""
+def _forced_strands(eng, tag: str = "linear strand") -> set:
+    """After `betti_table`, the i of every B_i forced with `tag`, each
+    checked against the reducer."""
     betti_table(eng)
-    forced = {key for key, how in eng.rank_proofs.items()
-              if how == "linear strand"}
+    forced = {key for key, how in eng.rank_proofs.items() if how == tag}
     for (i, q) in forced:
         assert q == 1
         assert eng.rank_of_differential(i, q) == \
@@ -515,20 +524,28 @@ def _forced_strands(eng) -> set:
 
 # where row 1 ends (its first entry <= 1), B_i is forced for i past the end
 # and up to d - 3; on braid-a3 it ends at d - 3 = 3, and B_4 = 0 stays
-# untagged
+# untagged.  Where the quadric support is not all of A, every B_i with
+# C_2 != 0 is forced by it instead
 FORCED = {"9_3_1": {4, 5, 6}, "9_3_2": {3, 4, 5, 6}, "b3": {4, 5, 6},
-          "braid-a3+1": {4}, "random-5-2": {2}, "random-6-1": {3},
-          "random-6-3": {3}}
+          "random-6-1": {3}, "random-6-3": {3}}
+BY_QUADRICS = {"braid-a3+1": {1, 2, 3, 4}, "ex-2-4": {1},
+               "four-generic": {1}, "random-5-2": {1, 2},
+               "random-6-2": {1, 2, 3}}
 
 
 @pytest.mark.parametrize("name", BUILTINS + tuple(sorted(ORACLE_FORMS)))
 def test_linear_strand_ranks_match_the_reducer(name):
-    assert _forced_strands(ReducedEngine(analysis(name).pres)) == \
-        FORCED.get(name, set())
+    eng = ReducedEngine(analysis(name).pres)
+    assert _forced_strands(eng) == FORCED.get(name, set())
+    assert _forced_strands(eng, "quadrics") == BY_QUADRICS.get(name, set())
 
 
 def test_linear_strand_ranks_of_b3_plus_a_line_match_the_reducer():
-    assert _forced_strands(_b3_plus(1).engine) == {4, 5, 6, 7}
+    # every B_i of b3+1 is forced by its quadric support, b3, where the
+    # linear strand forces B_4 on
+    eng = _b3_plus(1).engine
+    assert _forced_strands(eng, "quadrics") == {1, 2, 3, 4, 5, 6, 7}
+    assert _forced_strands(eng.support_engine) == {4, 5, 6}
 
 
 def test_betti_on_b3_ranks_no_strand_past_the_linear_strand(monkeypatch):
@@ -551,24 +568,28 @@ def test_betti_on_b3_ranks_no_strand_past_the_linear_strand(monkeypatch):
 
 
 def test_betti_on_b3_plus_two_ranks_no_560_column_strand(monkeypatch):
-    # the seed-0 b3+2 of the scale workload: b_{3,4} = 1 forces B_4,
-    # 560 x 1288, and B_3 (448 columns) is the largest strand ranked; the
-    # table is the one computed with B_4 ranked
+    # the seed-0 b3+2 of the scale workload: row 1 is read off its quadric
+    # support b3, so only b3's strands are ranked, where b_{3,4} = 1 forces
+    # B_4, and B_3 (120 columns) is the largest; the table is the one
+    # computed with every strand of b3+2 up to B_4 ranked
     eng = ReducedEngine(analysis("b3+2").pres)
-    ncols = []
+    shapes = []
     prove = otb.koszul.proved_rank
 
     def spy(matrix, cycles):
-        ncols.append(comb(matrix.nvars, matrix.i) * matrix.c_src)
+        shapes.append((matrix.nvars,
+                       comb(matrix.nvars, matrix.i) * matrix.c_src))
         return prove(matrix, cycles)
     monkeypatch.setattr(otb.koszul, "proved_rank", spy)
     tb = betti_table(eng)
-    assert 560 not in ncols and max(ncols) == comb(8, 3) * 8 == 448
+    assert {n for n, _ in shapes} == {6}
+    assert max(c for _, c in shapes) == comb(6, 3) * 6 == 120
     assert tb.entries == {
         (1, 2): 13, (2, 3): 22, (3, 4): 1,
         **{(i, i + 2): v for i, v in enumerate(
             [38, 267, 784, 1190, 1072, 581, 176, 23], start=1)}}
-    assert eng.rank_proofs[(4, 1)] == "linear strand"
+    assert {eng.rank_proofs[(i, 1)] for i in range(1, 9)} == {"quadrics"}
+    assert eng.support_engine.rank_proofs[(4, 1)] == "linear strand"
 
 
 # the k with b_{k,k+1} = 1, where the stop ends the linear strand
@@ -804,3 +825,153 @@ def test_betti_json_map():
     m = betti_table(analysis("braid-a3").engine).to_json_map()
     assert m["0,0"] == 1 and m["1,2"] == 4 and m["3,5"] == 2
 
+
+
+# ---------------------------------------------------------------------------
+# Row 1 lives on the triple points
+
+
+def _row1_matches_its_own_ranks(arr) -> ReducedEngine:
+    """The table with row 1 read off the quadric support equals the one
+    with every B_i of the arrangement ranked; returns the engine."""
+    eng = ReducedEngine(Analysis(arr).pres)
+    own = OwnRow1Engine(Analysis(arr).pres)
+    assert betti_table(eng, verify_regularity=True).entries == \
+        betti_table(own, verify_regularity=True).entries
+    assert "quadrics" not in own.rank_proofs.values()
+    return eng
+
+
+@pytest.mark.parametrize("name", BUILTINS + tuple(sorted(ORACLE_FORMS))
+                         + tuple(sorted(BENCH_FORMS)))
+def test_row1_of_the_quadric_support_is_that_of_the_arrangement(name):
+    arr = analysis(name).arrangement
+    eng = _row1_matches_its_own_ranks(arr)
+    proper = 0 < len(eng.support) < arr.d
+    assert ("support_engine" in vars(eng)) == proper
+    if proper:
+        sub = eng.support_engine
+        assert sub.pres.arrangement.forms == [arr.forms[k]
+                                              for k in eng.support]
+        assert sub.support == list(range(len(eng.support)))
+
+
+def _added_line(rng, arr, through_double: bool):
+    """A line through a double point of `arr`, or one through no point of
+    `arr` at all, with small integer coefficients."""
+    points = [f.point for f in arr.flats]
+    if through_double:
+        p = rng.choice([f.point for f in arr.flats if len(f.lines) == 2])
+        return cross(p, [rng.randint(-3, 3) for _ in range(3)])
+    form = [rng.randint(-4, 4) for _ in range(3)]
+    if any(sum(a * x for a, x in zip(form, p)) == 0 for p in points):
+        return None
+    return form
+
+
+@settings(max_examples=16, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(name=st.sampled_from(("braid-a3", "ex-2-4", "9_3_1", "b3")),
+       kinds=st.lists(st.booleans(), min_size=1, max_size=3),
+       rng=st.randoms(use_true_random=False))
+def test_row1_on_added_lines_is_that_of_the_arrangement(name, kinds, rng):
+    # generic lines leave the quadric support alone; a line through a
+    # double point makes it a triple point and joins the support
+    arr = analysis(name).arrangement
+    for through_double in kinds:
+        for _ in range(100):
+            form = _added_line(rng, arr, through_double)
+            try:
+                grown = Arrangement(arr.forms + [form]) if form else None
+            except ArrangementError:
+                grown = None
+            if grown:
+                arr = grown
+                break
+    _row1_matches_its_own_ranks(arr)
+
+
+def _engine_builds(monkeypatch) -> list:
+    """The arrangements whose presentation or reduced engine is built."""
+    built = []
+    init_p, init_e = OTPresentation.__init__, ReducedEngine.__init__
+
+    def spy_p(self, arr):
+        built.append(("presentation", arr.d))
+        init_p(self, arr)
+
+    def spy_e(self, pres):
+        built.append(("engine", pres.d))
+        init_e(self, pres)
+    monkeypatch.setattr(OTPresentation, "__init__", spy_p)
+    monkeypatch.setattr(ReducedEngine, "__init__", spy_e)
+    return built
+
+
+def test_the_support_of_a_pencil_is_completed_to_rank_three(monkeypatch):
+    # four lines through (0, 0, 1) span rank 2; the first other line, z,
+    # completes them, and the last line is left out
+    arr = Arrangement([(0, 0, 1), (1, 0, 0), (0, 1, 0), (1, 1, 0),
+                       (1, -1, 0), (1, 2, 3)], name="pencil+2")
+    assert quadric_support(arr) == [0, 1, 2, 3, 4]
+    built = _engine_builds(monkeypatch)
+    eng = _row1_matches_its_own_ranks(arr)
+    assert eng.support_engine.pres.d == 5
+    assert built.count(("engine", 5)) == built.count(("presentation", 5)) == 1
+    assert betti_table(eng).value(1, 2) == 3   # C(4 - 1, 2) quadrics
+
+
+def test_no_triple_point_means_no_quadric_and_no_second_engine(monkeypatch):
+    arr = analysis("ex-2-4").arrangement
+    assert quadric_support(arr) == []
+    built = _engine_builds(monkeypatch)
+    eng = ReducedEngine(OTPresentation(arr))
+    tb = betti_table(eng, verify_regularity=True)
+    assert built == [("presentation", 4), ("engine", 4)]
+    assert [tb.value(i, i + 1) for i in (1, 2)] == [0, 0]
+    assert eng.rank_proofs[(1, 1)] == "quadrics"
+
+
+@pytest.mark.parametrize("name", ["braid-a3", "9_3_1", "9_3_2", "b3"])
+def test_every_line_on_a_triple_point_builds_no_second_engine(name,
+                                                              monkeypatch):
+    arr = analysis(name).arrangement
+    assert quadric_support(arr) == list(range(arr.d))
+    built = _engine_builds(monkeypatch)
+    eng = ReducedEngine(OTPresentation(arr))
+    betti_table(eng, verify_regularity=True)
+    assert built == [("presentation", arr.d), ("engine", arr.d)]
+    assert "quadrics" not in eng.rank_proofs.values()
+
+
+def test_the_exact_fallback_ranks_the_rows(monkeypatch):
+    # B_2 and B_3 of the builtins with every lift refused: where a strand
+    # lifts, the fallback gives the reducer's rank from the strand's rows,
+    # all nrows of them
+    fed = []
+    add = SparseReducer.add
+
+    def spy_add(self, row):
+        fed.append(row)
+        return add(self, row)
+    exact = {}
+    for name in BUILTINS:
+        eng = analysis(name).engine
+        for i in (2, 3):
+            if i > eng.nvars:
+                continue
+            strand = Strand(*_strand_args(eng, i, 1))
+            cycles = Strand(*_strand_args(eng, i + 1, 0))
+            lifted = proved_rank(strand, cycles)
+            if not lifted[1].startswith("lifted"):
+                continue
+            with monkeypatch.context() as m:
+                m.setattr(otb.exact, "_lift_cycles", lambda *args: None)
+                m.setattr(SparseReducer, "add", spy_add)
+                del fed[:]
+                exact[(name, i)] = proved_rank(strand, cycles)
+                assert len(fed) == strand.nrows, (name, i)
+            assert exact[(name, i)] == (
+                _strand_rank_by_reducer(eng, i, 1), "exact") == \
+                (lifted[0], "exact")
+    assert set(exact) == {("9_3_1", 2), ("b3", 3)}

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import otb.koszul
 import otb.orlik_terao
-from otb.circuits import circuit_relation, enumerate_circuits
+from otb.circuits import Circuit, circuit_relation, enumerate_circuits
 from otb.cli import run
 from otb.exact import GenericityError, MPoly, modp_rank, monomials_of_degree
 from otb.koszul import ReducedEngine
@@ -284,14 +284,14 @@ def _drop_first_circuit(monkeypatch):
 
 def test_substitution_rank_sees_a_dropped_generator(monkeypatch):
     # without one quadric 86 cubic monomials avoid the remaining broken
-    # circuits, but the substitution rank, and the proof, see only 82
+    # circuits, but the substitution rank, and Terao's count, see only 82
     _drop_first_circuit(monkeypatch)
     pres = OTPresentation(analysis("9_3_1").arrangement)
     broken = [c.indices[:-1] for c in pres.circuits]
     assert sum(not any(all(m[i] for i in b) for b in broken)
                for m in monomials_of_degree(pres.d, 3)) == 86
     assert substitution_rank(pres.arrangement, 3) == 82
-    with pytest.raises(GenericityError):
+    with pytest.raises(ArithmeticError, match="^86 .* 82$"):
         pres.graded_piece(3)
 
 
@@ -312,7 +312,7 @@ def test_a_short_evaluation_rank_exhausts_the_draws(monkeypatch):
     monkeypatch.setattr(otb.orlik_terao, "modp_rank", spy)
     pres = OTPresentation(analysis("9_3_1").arrangement)
     with pytest.raises(GenericityError):
-        pres.graded_piece(2)
+        pres.prove_independent(2)
     assert shapes == [(36, 36)] * 5
 
 
@@ -338,25 +338,30 @@ def test_ot_hilbert_ranks_only_its_top_degree(monkeypatch, capsys):
 
 @pytest.mark.parametrize("name", BUILTINS)
 def test_a_fresh_reduction_ranks_degree_3_and_theta(name, monkeypatch):
+    # the bases are proved by Terao's count, so only theta C_2 is ranked
     shapes = _spy_ranks(monkeypatch)
     pres = OTPresentation(analysis(name).arrangement)
     ReducedEngine(pres)
     c2, c3 = len(pres.graded_piece(2)), len(pres.graded_piece(3))
-    assert shapes == [(c3, c3), (3 * c2, c3)]
+    assert shapes == [(3 * c2, c3)]
 
 
 def test_a_lower_degree_after_a_higher_one_ranks_nothing(monkeypatch):
     shapes = _spy_ranks(monkeypatch)
     arr = analysis("9_3_1").arrangement
     pres = OTPresentation(arr)
-    pres.graded_piece(2)
-    pres.graded_piece(4)
+    assert substitution_quotient_dim(pres, 2) == 36
+    assert substitution_quotient_dim(pres, 4) == 147
     assert shapes == [(36, 36), (147, 147)]
     shapes.clear()
     pres = OTPresentation(arr)
-    pres.graded_piece(4)
-    pres.graded_piece(2)
+    pres.prove_independent(4)
+    assert substitution_quotient_dim(pres, 2) == 36
     assert shapes == [(147, 147)]
+    # the counted bases rank nothing at all
+    shapes.clear()
+    assert [len(pres.graded_piece(j)) for j in (2, 5)] == [36, 231]
+    assert shapes == []
 
 
 def test_a_failed_top_rank_proves_no_lower_degree(monkeypatch):
@@ -364,10 +369,35 @@ def test_a_failed_top_rank_proves_no_lower_degree(monkeypatch):
     shapes = _spy_ranks(monkeypatch, short)
     pres = OTPresentation(analysis("9_3_1").arrangement)
     with pytest.raises(GenericityError):
-        pres.graded_piece(4)
+        pres.prove_independent(4)
     assert shapes == [(147, 147)] * 5
     short.clear()
     shapes.clear()
-    assert len(pres.graded_piece(2)) == 36
-    assert len(pres.graded_piece(4)) == 147
+    assert substitution_quotient_dim(pres, 2) == 36
+    assert substitution_quotient_dim(pres, 4) == 147
     assert shapes == [(36, 36), (147, 147)]
+
+
+@pytest.mark.parametrize("name", REFERENCE_CASES)
+def test_the_evaluation_rank_still_proves_every_counted_basis(name):
+    # Terao's count replaced the evaluation rank in `graded_piece`; ranked
+    # on its own in each degree 0..4, it still proves the counted basis
+    arr = analysis(name).arrangement
+    for j in range(5):
+        pres = OTPresentation(arr)
+        pres.prove_independent(j)
+        assert pres.nbc_monomials(j) == pres.graded_piece(j), j
+
+
+def test_a_spurious_circuit_fails_the_count(monkeypatch):
+    # a circuit that does not hold in C(A): lines 2, 5 and 8 of 9_3_1 are
+    # not concurrent, and no broken circuit lies in {2, 5}, so the rule
+    # for y_2 y_5 cuts the count below Terao's
+    arr = analysis("9_3_1").arrangement
+    assert not any({2, 5, 8} <= set(f.lines) for f in arr.flats)
+    fake = Circuit(indices=(2, 5, 8), coeffs=(1, 1, 1), ambient=arr.d)
+    monkeypatch.setattr(otb.orlik_terao, "enumerate_circuits",
+                        lambda a: enumerate_circuits(a) + [fake])
+    pres = OTPresentation(arr)
+    with pytest.raises(ArithmeticError, match="^35 .* 36$"):
+        pres.graded_piece(2)
