@@ -31,7 +31,9 @@ class Analysis:
 
     @cached_property
     def engine(self) -> ReducedEngine:
-        """The Betti engine: the certified Artinian reduction of C(A)."""
+        """The Betti engine of C(A): the table read off Cohen-Macaulayness
+        and the quadric support's own reduction where that support is a
+        proper part of A, else the certified Artinian reduction of C(A)."""
         return ReducedEngine(self.pres)
 
     def multinets(self, k: int, max_weight: int) -> list:

@@ -6,20 +6,40 @@ b_{i,j} = dim Tor_i(C(A), k)_j is the middle homology of the strand
 
 of the Koszul complex on the variables tensored with the algebra.
 
-`ReducedEngine` computes it for every d.  It quotients C(A) by three
-generic linear forms theta, with small integer coefficients, whose products
-theta_r m are normal forms of sum_s theta_rs y_s m (normal forms are
-linear), kept as integer rows, each a positive multiple of the product over
-Q.  It accepts theta on one test: the quotient has
-dimensions h = (1, d-3, h_2) in degrees 0..2, by exact echelons over Q
-whose bases carry the induced maps, and theta C_2 spans C_3, by a rank mod
-p equal to dim C_3 (a lower bound for the rank over Q).  Then rank theta =
-3, the quotient is Artinian with colength sum(h) = h(1), the multiplicity,
-and colength >= multiplicity, which holds for every linear system of
-parameters, is an equality.  That forces the module to be Cohen-Macaulay
-and the sequence to be regular, which transfers the graded Betti numbers
-verbatim to the quotient, over the d-3 surviving variables.  So every
-strand with j - i >= 3 is zero by the certificate itself.
+`ReducedEngine` computes it for every d.  Where the quadric support B
+(below) is neither empty nor all of A, it reads the table off a theorem
+and builds nothing of A's own.  C(A) is Cohen-Macaulay (Proudfoot and
+Speyer, "A broken circuit ring", 2006) of dimension 3, with Hilbert series
+h(t)/(1-t)^3, h = (1, d-3, h_2) (Terao, "Algebras generated by
+reciprocals of linear forms", 2002).  Over an infinite field three general
+linear forms are a system of parameters, so a regular sequence of a
+Cohen-Macaulay module, and the graded Betti numbers are those of the
+Artinian quotient, with Hilbert function h, over d-3 variables.  So the
+projective dimension is d-3 (Auslander-Buchsbaum, depth 3), the
+regularity is at most deg h = 2, the top degree of that quotient, and
+sum_i (-1)^i b_{i,j} = [t^j] h(t)(1-t)^{d-3}.  Internal degree j then
+holds b_{j-1,j} and b_{j-2,j} only, so row 2 is
+
+    b_{i,i+2} = (-1)^i [t^{i+2}] h(t)(1-t)^{d-3} + b_{i+1,i+2},
+
+with row 1 read off B's engine.  That is C(n, i) h_2 - rank B_{i+1}, with
+B_{i+1} forced by the quadric support as below: the engine keeps the dims
+h and forces every strand, with no theta, map or rank of A.
+
+Elsewhere it quotients C(A) by three generic linear forms theta, with
+small integer coefficients, whose products theta_r m are normal forms of
+sum_s theta_rs y_s m (normal forms are linear), kept as integer rows, each
+a positive multiple of the product over Q.  It accepts theta on one test:
+the quotient has dimensions h = (1, d-3, h_2) in degrees 0..2, by exact
+echelons over Q whose bases carry the induced maps, and theta C_2 spans
+C_3, by a rank mod p equal to dim C_3 (a lower bound for the rank over Q).
+Then rank theta = 3, the quotient is Artinian with colength sum(h) =
+h(1), the multiplicity, and colength >= multiplicity, which holds for
+every linear system of parameters, is an equality.  That forces the
+module to be Cohen-Macaulay and the sequence to be regular, which
+transfers the graded Betti numbers verbatim to the quotient, over the d-3
+surviving variables.  So every strand with j - i >= 3 is zero by the
+certificate itself.
 
 Every strand rank that is computed is proved by `exact.proved_rank`: the
 rank mod one prime bounds it from below, and the row count or exactly
@@ -73,15 +93,18 @@ Tor_i(S/I, k)_{i+1} is the homology of Wedge^{i+1} V (x) S_0 -> Wedge^i V
 extension, so its graded Betti numbers are those over S_B, and a line of
 A - B lies on no triple point of A, so adding it to B makes no quadric.
 Both Artinian reductions keep their algebra's Betti numbers, so
-b_{i,i+1}(A) is the b_{i,i+1} of the reduced engine of B, built on first use
-when B is not all of A, and B_i of A is forced:
+b_{i,i+1}(A) is the b_{i,i+1} of the reduced engine of B, built with A's
+engine when B is not all of A, and B_i of A is forced:
 
     rank B_i = C(n, i) n - C(n, i+1) - b_{i,i+1}(B),   n = d - 3.
 
-With no triple point, I_2 = 0 and row 1 is zero, with no engine for B.
-Row 2 then follows from the forced ranks, as past the end of the linear
-strand.  `rank_proofs` records, per strand, "mod-p", "lifted k", "exact"
-(the fallback elimination over Q), "koszul", "linear strand" or
+B's engine always reduces by theta: each line of B lies on a triple point
+of B or is its completing line.  With no triple point, I_2 = 0 and row 1
+is zero, with no engine for B; A's theta is still drawn and certified
+there, but its maps are built only for a strand that is ranked, and none
+is.  Row 2 then follows from the forced ranks, as past the end of the
+linear strand.  `rank_proofs` records, per strand, "mod-p", "lifted k",
+"exact" (the fallback elimination over Q), "koszul", "linear strand" or
 "quadrics" (the last three forced).
 """
 
@@ -275,24 +298,38 @@ class _Engine:
 
 
 class ReducedEngine(_Engine):
-    """C(A) modulo three certified generic linear forms, over the
-    polynomial ring on the surviving d-3 variables."""
+    """The Betti numbers of C(A) over the polynomial ring on d-3 variables:
+    read off the theorem where the quadric support is neither empty nor
+    all of A, and otherwise C(A) modulo three certified generic linear
+    forms (see the module docstring)."""
 
     def __init__(self, pres: OTPresentation):
         super().__init__(pres, pres.d - 3)
         self._row1_end: int | None = None  # least i >= 1 with b_{i,i+1} <= 1
         self.support = quadric_support(pres.arrangement)
-        self._build()
-
-    def _build(self):
-        pres = self.pres
-        d = pres.d
         h = terao_series(pres.arrangement, 2).h_polynomial
+        self._dims = dict(enumerate(h))
+        if self._by_theorem():
+            self.certificate = {
+                "cohen_macaulay": "Proudfoot and Speyer, A broken circuit "
+                                  "ring, 2006",
+                "h_vector": h,
+                "quadric_support": [k + 1 for k in self.support],
+                "quadric_support_certificate":
+                    self.support_engine.certificate,
+            }
+            return
+        d = pres.d
         rng = seeded_rng("artinian-reduction:%s" % (pres.arrangement.name or d))
         draw_generic(rng,
                      lambda r: [[r.randint(-5, 5) for _ in range(d)]
                                 for _ in range(3)],
                      lambda theta: self._try_theta(theta, h))
+
+    def _by_theorem(self) -> bool:
+        """Whether the table is read off the theorem, with no reduction of
+        A: the quadric support is neither empty nor all of A."""
+        return 0 < len(self.support) < self.pres.d
 
     def _try_theta(self, theta, h) -> bool:
         """Install the reduction by theta when the quotient has the h-vector
@@ -321,7 +358,7 @@ class ReducedEngine(_Engine):
             return False
         # C_1 has the basis y_1..y_d
         self.kept_vars = reducers[1].nonpivot_columns()
-        self._dims = dims
+        self._reducers, self._maps = reducers, {}
         self.certificate = {
             "theta": [[str(x) for x in row] for row in theta],
             "h_vector": h,
@@ -329,23 +366,6 @@ class ReducedEngine(_Engine):
             "multiplicity": sum(h),
             "artinian_in_degree": 3,
         }
-        # induced action of the surviving variables on the quotient, times
-        # one positive integer per degree that clears its denominators
-        self._maps = {}
-        for q in (0, 1):
-            maps = pres.multiplication_maps(q)
-            src_positions = reducers[q].nonpivot_columns() if q else [0]
-            dst_red = reducers[q + 1]
-            dst_pos = {c: t for t, c in enumerate(dst_red.nonpivot_columns())}
-            per_var = [[dst_red.reduce(dict(maps[var][k]))
-                        for k in src_positions] for var in self.kept_vars]
-            den = lcm(*(v.denominator for cols in per_var for col in cols
-                        for v in col.values()))
-            self._maps[q] = [[{dst_pos[c]: v.numerator * (den // v.denominator)
-                               for c, v in col.items()} for col in cols]
-                             for cols in per_var]
-        # the quotient is zero in degree 3, so out of degree 2 they are zero
-        self._maps[2] = [[{} for _ in range(dims[2])] for _ in self.kept_vars]
         return True
 
     def dim(self, q: int) -> int:
@@ -354,12 +374,33 @@ class ReducedEngine(_Engine):
         return self._dims.get(q, 0)
 
     def maps(self, q: int):
+        """The induced action of the surviving variables C_q -> C_{q+1} on
+        the quotient, times one positive integer that clears its
+        denominators, built on first use from the accepted theta's
+        echelons; out of degree 2 they are zero, since the quotient is zero
+        in degree 3."""
+        if q == 2:
+            return [[{} for _ in range(self.dim(2))] for _ in self.kept_vars]
+        if q not in self._maps:
+            maps = self.pres.multiplication_maps(q)
+            src_positions = (self._reducers[q].nonpivot_columns() if q
+                             else [0])
+            dst_red = self._reducers[q + 1]
+            dst_pos = {c: t for t, c in enumerate(dst_red.nonpivot_columns())}
+            per_var = [[dst_red.reduce(dict(maps[var][k]))
+                        for k in src_positions] for var in self.kept_vars]
+            den = lcm(*(v.denominator for cols in per_var for col in cols
+                        for v in col.values()))
+            self._maps[q] = [[{dst_pos[c]: v.numerator * (den // v.denominator)
+                               for c, v in col.items()} for col in cols]
+                             for cols in per_var]
         return self._maps[q]
 
     @cached_property
     def support_engine(self) -> ReducedEngine:
-        """The reduced engine of the quadric support B, built on first use;
-        only asked for when B is neither empty nor all of A."""
+        """The reduced engine of the quadric support B, built with A's
+        engine, for its certificate, when B is neither empty nor all of
+        A, and asked for only then."""
         arr = self.pres.arrangement
         sub = Arrangement([arr.forms[k] for k in self.support],
                           name="%s:quadrics" % (arr.name or arr.d))
@@ -451,10 +492,11 @@ class BettiTable:
 def tor_dimension(eng: _Engine, i: int, j: int) -> int:
     """dim Tor_i(C(A), k)_j.  Under the reduced engine the values with
     j - i >= 3 or i > d-3 are zero by its certificate, without
-    elimination, row 1 is read off the quadric support when that is not
-    all of A, and a strand past the end of the linear strand is forced
-    once an earlier b_{k,k+1} <= 1 has been computed; no strand is ranked
-    only to find that end."""
+    elimination.  Where the quadric support is a proper part of A, row 1
+    is read off its engine and row 2 follows by Cohen-Macaulayness, with
+    no strand of A ranked; elsewhere a strand past the end of the linear
+    strand is forced once an earlier b_{k,k+1} <= 1 has been computed,
+    and no strand is ranked only to find that end."""
     if not (0 <= i <= eng.pres.d):
         raise ValueError("homological index out of range")
     if j < i:
@@ -469,11 +511,13 @@ def betti_table(eng: _Engine, verify_regularity: bool = False) -> BettiTable:
     engine's number of variables, in increasing i: under the reduced
     engine, B_i is ranked only when the quadric support is all of A, and
     then only until row 1 has met its first entry <= 1; row 2 is read off
-    the forced ranks.
+    the forced ranks, which where the support is a proper part of A is
+    the Euler characteristic h(t)(1-t)^{d-3} of the module docstring.
 
     verify_regularity also records the strand-3 homology for
     i <= min(4, nvars).  Under the reduced engine these zeros are not a
-    separate elimination: they follow from the certified dim (C/theta)_3 = 0.
+    separate elimination: they follow from dim (C/theta)_3 = 0, certified
+    by the accepted theta or, on the theorem path, by deg h = 2.
     """
     entries = {}
     for i in range(1, eng.nvars + 1):

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import comb, gcd, lcm
 
@@ -57,22 +58,14 @@ def l_forms(arr: Arrangement) -> list:
 
 class OTPresentation:
     """Circuits as rewriting rules into the nbc basis, and the proved
-    bases and normal forms per degree."""
+    bases and normal forms per degree.  Building one does no work: the
+    circuits and their rules are enumerated on first use, so a caller that
+    needs only the arrangement and its Hilbert series (the Betti table
+    where the quadric support is a proper part of A) enumerates none."""
 
     def __init__(self, arr: Arrangement):
         self.arrangement = arr
         self.d = arr.d
-        self.circuits = enumerate_circuits(arr)
-        # broken circuit -> (its largest line, [(i_t, -c_t sgn c_k)], |c_k|):
-        # the rule y^B -> sum_t (-c_t/c_k) y^(C - {i_t}) over t < k
-        self._rules = {}
-        for c in self.circuits:
-            top = c.coeffs[-1]
-            sign = 1 if top > 0 else -1
-            self._rules.setdefault(c.indices[:-1], (c.indices[-1], [
-                (i, -sign * ct) for i, ct in zip(c.indices, c.coeffs[:-1])],
-                abs(top)))
-        self._sizes = sorted({len(b) for b in self._rules})
         self._rule_of_support: dict = {}
         self._nbc: dict[int, list] = {}      # degree -> its nbc monomials
         self._pieces: dict[int, list] = {}   # the same, counted by Terao
@@ -80,6 +73,27 @@ class OTPresentation:
         self._position: dict = {}        # nbc monomial -> index in its piece
         self._nf: dict = {}              # monomial -> (integer dict, den)
         self._mult: dict[int, list] = {}
+
+    @cached_property
+    def circuits(self) -> list:
+        return enumerate_circuits(self.arrangement)
+
+    @cached_property
+    def _rules(self) -> dict:
+        """broken circuit -> (its largest line, [(i_t, -c_t sgn c_k)],
+        |c_k|): the rule y^B -> sum_t (-c_t/c_k) y^(C - {i_t}) over t < k."""
+        rules: dict = {}
+        for c in self.circuits:
+            top = c.coeffs[-1]
+            sign = 1 if top > 0 else -1
+            rules.setdefault(c.indices[:-1], (c.indices[-1], [
+                (i, -sign * ct) for i, ct in zip(c.indices, c.coeffs[:-1])],
+                abs(top)))
+        return rules
+
+    @cached_property
+    def _sizes(self) -> list:
+        return sorted({len(b) for b in self._rules})
 
     def _rule(self, support: tuple):
         """A rule whose broken circuit lies in `support`, increasing line

@@ -15,7 +15,7 @@ from otb.circuits import Circuit, circuit_relation
 from otb.divisors import vanishing_condition_rows
 from otb.exact import (MPoly, SparseReducer, kernel_basis, modp_rank,
                        monomials_of_degree, primitive_vector, rank)
-from otb.koszul import ReducedEngine, _Engine
+from otb.koszul import ReducedEngine, _Engine, quadric_support
 from otb.orlik_terao import l_forms
 
 BUILTINS = ("braid-a3", "ex-2-4", "9_3_1", "9_3_2", "b3")
@@ -98,12 +98,35 @@ class FullEngine(_Engine):
 
 
 class OwnRow1Engine(ReducedEngine):
-    """The reduced engine with every B_i of A itself ranked by
-    `proved_rank`: the computation that reading row 1 off the quadric
-    support replaces, kept as its reference."""
+    """A's own Artinian reduction, by a theta of A, with every B_i of A
+    ranked by `proved_rank`: the computation that reading row 1 off the
+    quadric support and row 2 off Cohen-Macaulayness replaces, kept as its
+    reference, and the engine whose theta, maps and strands the tests read
+    where the program builds none of them."""
+
+    def _by_theorem(self) -> bool:
+        return False
 
     def _quadric_row1(self, i: int):
         return None
+
+
+def by_theorem(arr) -> bool:
+    """Whether the program reads the Betti table of `arr` off the theorem,
+    with no reduction of its own: the quadric support is neither empty nor
+    all of the arrangement."""
+    return 0 < len(quadric_support(arr)) < arr.d
+
+
+@lru_cache(maxsize=None)
+def own_reduction(name):
+    """A's own Artinian reduction of a builtin or test input: the shared
+    engine where the program draws a theta of A, and `OwnRow1Engine`
+    where it reads the table off the theorem."""
+    an = analysis(name)
+    if by_theorem(an.arrangement):
+        return OwnRow1Engine(an.pres)
+    return an.engine
 
 
 @lru_cache(maxsize=None)

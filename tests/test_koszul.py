@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import otb.exact
 import otb.koszul
+import otb.orlik_terao
 from otb.analysis import Analysis
 from otb.arrangement import Arrangement, ArrangementError, cross
 from otb.exact import (MODP_PRIMES, GenericityError, SparseColumns,
@@ -20,8 +21,9 @@ from otb.koszul import (ReducedEngine, Strand, _differential_columns,
 from otb.orlik_terao import OTPresentation, terao_series
 
 from conftest import (BENCH_FORMS, BUILTINS, ORACLE_FORMS, FullEngine,
-                      OwnRow1Engine, ambient_piece, analysis,
-                      cubic_generators, fraction_normal_form, oracle)
+                      OwnRow1Engine, ambient_piece, analysis, by_theorem,
+                      cubic_generators, fraction_normal_form, oracle,
+                      own_reduction)
 
 
 def test_braid_table_full():
@@ -57,31 +59,34 @@ def test_tor_beyond_regularity_short_circuits():
     assert tor_dimension(oracle("braid-a3"), 1, 5) == 0
 
 
-def _assert_matches_oracle(an, full):
-    """The reduced table equals the full Koszul complex's, and the full
-    complex, which runs i up to d, has nothing beyond i = d-3."""
-    red = betti_table(an.engine)
+def _assert_matches_oracle(name, full):
+    """The reduced table, and that of A's own reduction, equal the full
+    Koszul complex's, and the full complex, which runs i up to d, has
+    nothing beyond i = d-3."""
     expect = betti_table(full)
-    assert red.entries == expect.entries
-    assert all(i <= an.arrangement.d - 3 for (i, _) in expect.entries)
-    assert red.certificate["colength"] == red.certificate["multiplicity"]
+    for eng in (analysis(name).engine, own_reduction(name)):
+        assert betti_table(eng).entries == expect.entries
+    assert all(i <= analysis(name).arrangement.d - 3
+               for (i, _) in expect.entries)
+    cert = own_reduction(name).certificate
+    assert cert["colength"] == cert["multiplicity"]
 
 
 def test_reduced_agrees_with_full_on_small():
     for name in ("braid-a3", "ex-2-4"):
-        _assert_matches_oracle(analysis(name), oracle(name))
+        _assert_matches_oracle(name, oracle(name))
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_FORMS))
 def test_reduced_matches_full_oracle(name):
-    an = analysis(name)
-    _assert_matches_oracle(an, FullEngine(an.pres))
+    _assert_matches_oracle(name, FullEngine(analysis(name).pres))
 
 
 def _small_engines(name) -> list:
-    """The reduced engine of `name` and, for d <= 7, the full one."""
+    """A's own reduction of `name` and, for d <= 7, the full engine."""
     an = analysis(name)
-    return [an.engine] + ([oracle(name)] if an.arrangement.d <= 7 else [])
+    return [own_reduction(name)] + ([oracle(name)] if an.arrangement.d <= 7
+                                    else [])
 
 
 def _strands(eng) -> list:
@@ -372,9 +377,16 @@ def _koszul_strands(eng) -> set:
     return forced
 
 
+def _fresh_own_reduction(name) -> ReducedEngine:
+    """A new engine with A's own theta, as `own_reduction` chooses it."""
+    pres = analysis(name).pres
+    return (OwnRow1Engine if by_theorem(pres.arrangement)
+            else ReducedEngine)(pres)
+
+
 @pytest.mark.parametrize("name", BUILTINS + tuple(sorted(ORACLE_FORMS)))
 def test_koszul_strand_ranks_match_the_reducer(name):
-    engines = [ReducedEngine(analysis(name).pres)]
+    engines = [_fresh_own_reduction(name)]
     if analysis(name).arrangement.d <= 7:
         engines.append(FullEngine(analysis(name).pres))
     for eng in engines:
@@ -448,9 +460,9 @@ def test_the_kernel_read_off_a_strand_echelon_is_the_square_block_kernel(
 
 @pytest.mark.parametrize("name", BUILTINS + tuple(sorted(ORACLE_FORMS)))
 def test_integer_maps_are_a_positive_multiple_of_the_fraction_maps(name):
-    # the reduced engine's maps of each degree are the induced maps over Q,
-    # recomputed here by `reduce`, times one positive integer
-    eng = analysis(name).engine
+    # the maps of A's own reduction in each degree are the induced maps
+    # over Q, recomputed here by `reduce`, times one positive integer
+    eng = own_reduction(name)
     pres = eng.pres
     theta = [[int(x) for x in row] for row in eng.certificate["theta"]]
     reducers = {}
@@ -481,8 +493,8 @@ def test_integer_maps_are_a_positive_multiple_of_the_fraction_maps(name):
 @pytest.mark.parametrize("name", BUILTINS + tuple(sorted(BENCH_FORMS)))
 def test_theta_rows_are_positive_multiples_of_the_fraction_rows(name):
     # each integer row of theta C_{q-1} is its product over Q, rewritten in
-    # Fractions, times one positive integer
-    eng = analysis(name).engine
+    # Fractions, times one positive integer, for A's own theta
+    eng = own_reduction(name)
     pres = eng.pres
     theta = [[int(x) for x in row] for row in eng.certificate["theta"]]
     for q in (1, 2, 3):
@@ -510,15 +522,16 @@ def _b3_plus(k: int) -> Analysis:
     return Analysis(Arrangement(forms, name="b3+%d" % k))
 
 
-def _forced_strands(eng, tag: str = "linear strand") -> set:
+def _forced_strands(eng, tag: str = "linear strand", own=None) -> set:
     """After `betti_table`, the i of every B_i forced with `tag`, each
-    checked against the reducer."""
+    checked against the reducer on the same strand of `own`, A's own
+    reduction, by default `eng` itself."""
     betti_table(eng)
     forced = {key for key, how in eng.rank_proofs.items() if how == tag}
     for (i, q) in forced:
         assert q == 1
         assert eng.rank_of_differential(i, q) == \
-            _strand_rank_by_reducer(eng, i, q), (i, q)
+            _strand_rank_by_reducer(own or eng, i, q), (i, q)
     return {i for (i, _) in forced}
 
 
@@ -536,15 +549,19 @@ BY_QUADRICS = {"braid-a3+1": {1, 2, 3, 4}, "ex-2-4": {1},
 @pytest.mark.parametrize("name", BUILTINS + tuple(sorted(ORACLE_FORMS)))
 def test_linear_strand_ranks_match_the_reducer(name):
     eng = ReducedEngine(analysis(name).pres)
-    assert _forced_strands(eng) == FORCED.get(name, set())
-    assert _forced_strands(eng, "quadrics") == BY_QUADRICS.get(name, set())
+    own = own_reduction(name)
+    assert _forced_strands(eng, own=own) == FORCED.get(name, set())
+    assert _forced_strands(eng, "quadrics", own) == \
+        BY_QUADRICS.get(name, set())
 
 
 def test_linear_strand_ranks_of_b3_plus_a_line_match_the_reducer():
     # every B_i of b3+1 is forced by its quadric support, b3, where the
     # linear strand forces B_4 on
-    eng = _b3_plus(1).engine
-    assert _forced_strands(eng, "quadrics") == {1, 2, 3, 4, 5, 6, 7}
+    an = _b3_plus(1)
+    eng = an.engine
+    assert _forced_strands(eng, "quadrics", OwnRow1Engine(an.pres)) == {
+        1, 2, 3, 4, 5, 6, 7}
     assert _forced_strands(eng.support_engine) == {4, 5, 6}
 
 
@@ -600,17 +617,17 @@ ROW1_ONE = {"b3": [3], "b3+1": [3], "b3+2": [3], "random-5-2": [1]}
                          + tuple(sorted(BENCH_FORMS)))
 def test_a_row1_entry_of_one_ends_the_linear_strand(name):
     # the theorem behind the stop, with the computation it replaces as the
-    # oracle: where b_{k,k+1} = 1, B_{k+1} ranked by the reducer leaves
-    # b_{k+1,k+2} = 0
-    eng = analysis(name).engine
-    tb = betti_table(eng)
-    n = eng.nvars
+    # oracle: where b_{k,k+1} = 1, B_{k+1} of A's own reduction, ranked by
+    # the reducer, leaves b_{k+1,k+2} = 0
+    tb = betti_table(analysis(name).engine)
+    own = own_reduction(name)
+    n = own.nvars
     ones = [k for k in range(1, n + 1) if tb.value(k, k + 1) == 1]
     assert ones == ROW1_ONE.get(name, [])
     for k in ones:
-        assert comb(n, k + 1) * eng.dim(1) \
-            - _strand_rank_by_reducer(eng, k + 1, 1) \
-            - _strand_rank_by_reducer(eng, k + 2, 0) == 0, k
+        assert comb(n, k + 1) * own.dim(1) \
+            - _strand_rank_by_reducer(own, k + 1, 1) \
+            - _strand_rank_by_reducer(own, k + 2, 0) == 0, k
 
 
 def test_the_stop_forces_only_the_strands_past_its_entry():
@@ -832,14 +849,27 @@ def test_betti_json_map():
 
 
 def _row1_matches_its_own_ranks(arr) -> ReducedEngine:
-    """The table with row 1 read off the quadric support equals the one
-    with every B_i of the arrangement ranked; returns the engine."""
+    """The table with row 1 read off the quadric support, and, where that
+    is a proper part of A, row 2 off Cohen-Macaulayness, equals the one of
+    A's own reduction with every B_i of A ranked: that reduction certifies
+    a theta of A within the five draws, its entries and strand3 are the
+    engine's, and for d <= 7 the full Koszul complex has the same entries;
+    returns the engine."""
     eng = ReducedEngine(Analysis(arr).pres)
     own = OwnRow1Engine(Analysis(arr).pres)
-    assert betti_table(eng, verify_regularity=True).entries == \
-        betti_table(own, verify_regularity=True).entries
+    assert len(own.certificate["theta"]) == 3
+    got = betti_table(eng, verify_regularity=True)
+    want = betti_table(own, verify_regularity=True)
+    assert (got.entries, got.strand3) == (want.entries, want.strand3)
     assert "quadrics" not in own.rank_proofs.values()
+    if arr.d <= 7:
+        assert betti_table(FullEngine(Analysis(arr).pres)).entries == \
+            got.entries
     return eng
+
+
+# the test inputs whose quadric support is neither empty nor all of A
+BY_THEOREM = {"braid-a3+1", "random-5-2", "random-6-2", *BENCH_FORMS}
 
 
 @pytest.mark.parametrize("name", BUILTINS + tuple(sorted(ORACLE_FORMS))
@@ -848,6 +878,7 @@ def test_row1_of_the_quadric_support_is_that_of_the_arrangement(name):
     arr = analysis(name).arrangement
     eng = _row1_matches_its_own_ranks(arr)
     proper = 0 < len(eng.support) < arr.d
+    assert proper == (name in BY_THEOREM) == by_theorem(arr)
     assert ("support_engine" in vars(eng)) == proper
     if proper:
         sub = eng.support_engine
@@ -891,6 +922,93 @@ def test_row1_on_added_lines_is_that_of_the_arrangement(name, kinds, rng):
     _row1_matches_its_own_ranks(arr)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_own_reduction_of_b3_plus_lines_agrees_with_the_theorem(k):
+    # seed-0 b3+1..b3+4 (d = 10..13), whose quadric support is b3
+    arr = _b3_plus(k).arrangement
+    assert by_theorem(arr)
+    _row1_matches_its_own_ranks(arr)
+
+
+@settings(max_examples=8, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(name=st.sampled_from(("braid-a3", "9_3_1", "9_3_2", "b3")),
+       k=st.integers(1, 3), seed=st.integers(0, 2 ** 32))
+def test_own_reduction_with_generic_lines_agrees_with_the_theorem(name, k,
+                                                                 seed):
+    # every line of the builtin lies on a triple point, and a line through
+    # no point of the arrangement adds none: the quadric support is the
+    # builtin, a proper part of the grown arrangement
+    arr = analysis(name).arrangement
+    rng = random.Random(seed)
+    while arr.d < analysis(name).arrangement.d + k:
+        form = _added_line(rng, arr, False)
+        try:
+            arr = Arrangement(arr.forms + [form]) if form else arr
+        except ArrangementError:
+            pass
+    assert quadric_support(arr) == list(range(analysis(name).arrangement.d))
+    assert by_theorem(arr)
+    _row1_matches_its_own_ranks(arr)
+
+
+def _tried_thetas(monkeypatch) -> list:
+    """(arrangement name, accepted) for every theta drawn."""
+    tried = []
+    try_theta = ReducedEngine._try_theta
+
+    def spy(self, theta, h):
+        ok = try_theta(self, theta, h)
+        tried.append((self.pres.arrangement.name, ok))
+        return ok
+    monkeypatch.setattr(ReducedEngine, "_try_theta", spy)
+    return tried
+
+
+def test_betti_on_b3_plus_two_does_the_work_of_its_support_only(monkeypatch):
+    # the seed-0 b3+2 of the scale workload: theta is drawn for its quadric
+    # support b3 only, the circuits are enumerated once (b3's), and every
+    # mod-p echelon is one of b3's own table; A proves no graded piece, so
+    # it builds no product, map or strand
+    def run(arr) -> tuple:
+        shapes, circuits = [], []
+        echelon = otb.exact._echelon_mod_p
+        enumerate_circuits = otb.orlik_terao.enumerate_circuits
+
+        def spy_echelon(a, p):
+            shapes.append(a.shape)
+            return echelon(a, p)
+
+        def spy_circuits(a, *args):
+            circuits.append(a.name)
+            return enumerate_circuits(a, *args)
+        with monkeypatch.context() as m:
+            tried = _tried_thetas(m)
+            m.setattr(otb.exact, "_echelon_mod_p", spy_echelon)
+            m.setattr(otb.orlik_terao, "enumerate_circuits", spy_circuits)
+            an = Analysis(arr)
+            tb = betti_table(an.engine, verify_regularity=True)
+        return an, tb, tried, sorted(shapes), circuits
+
+    arr = Arrangement(BENCH_FORMS["b3+2"], name="b3+2")
+    an, tb, tried, shapes, circuits = run(arr)
+    sub = "b3+2:quadrics"
+    assert {n for n, _ in tried} == {sub}
+    assert [ok for _, ok in tried].count(True) == 1
+    assert circuits == [sub]
+    assert an.pres._pieces == {} and "circuits" not in vars(an.pres)
+    assert an.engine.rank_proofs and all(
+        how in ("koszul", "quadrics") for how in an.engine.rank_proofs.values())
+    b = Arrangement([arr.forms[k] for k in an.engine.support], name=sub)
+    assert run(b)[3] == shapes
+    assert tb.certificate == {
+        "cohen_macaulay": "Proudfoot and Speyer, A broken circuit ring, 2006",
+        "h_vector": _h_vector(an.pres),
+        "quadric_support": list(range(1, 10)),
+        "quadric_support_certificate": an.engine.support_engine.certificate}
+    assert "theta" in tb.certificate["quadric_support_certificate"]
+
+
 def _engine_builds(monkeypatch) -> list:
     """The arrangements whose presentation or reduced engine is built."""
     built = []
@@ -925,11 +1043,24 @@ def test_no_triple_point_means_no_quadric_and_no_second_engine(monkeypatch):
     arr = analysis("ex-2-4").arrangement
     assert quadric_support(arr) == []
     built = _engine_builds(monkeypatch)
+    tried = _tried_thetas(monkeypatch)
+    maps = []
+    multiplication_maps = OTPresentation.multiplication_maps
+
+    def spy(self, q):
+        maps.append(q)
+        return multiplication_maps(self, q)
+    monkeypatch.setattr(OTPresentation, "multiplication_maps", spy)
     eng = ReducedEngine(OTPresentation(arr))
     tb = betti_table(eng, verify_regularity=True)
     assert built == [("presentation", 4), ("engine", 4)]
     assert [tb.value(i, i + 1) for i in (1, 2)] == [0, 0]
     assert eng.rank_proofs[(1, 1)] == "quadrics"
+    # it accepts one theta of its own, but ranks no strand, so it builds
+    # no map
+    assert {n for n, _ in tried} == {"ex-2-4"}
+    assert [ok for _, ok in tried].count(True) == 1
+    assert maps == [] and eng._maps == {}
 
 
 @pytest.mark.parametrize("name", ["braid-a3", "9_3_1", "9_3_2", "b3"])
@@ -938,10 +1069,14 @@ def test_every_line_on_a_triple_point_builds_no_second_engine(name,
     arr = analysis(name).arrangement
     assert quadric_support(arr) == list(range(arr.d))
     built = _engine_builds(monkeypatch)
+    tried = _tried_thetas(monkeypatch)
     eng = ReducedEngine(OTPresentation(arr))
     betti_table(eng, verify_regularity=True)
     assert built == [("presentation", arr.d), ("engine", arr.d)]
     assert "quadrics" not in eng.rank_proofs.values()
+    # it accepts one theta of its own
+    assert {n for n, _ in tried} == {name}
+    assert [ok for _, ok in tried].count(True) == 1
 
 
 def test_the_exact_fallback_ranks_the_rows(monkeypatch):
