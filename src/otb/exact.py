@@ -2,9 +2,9 @@
 proved at mod-p cost, and multivariate polynomials.
 
 `SparseReducer` is the only elimination over Q, on Fraction or int input,
-and `rank`, `rref`, `kernel_basis` and `solve` are read-outs of one
-reducer fed a list of rows; a reduced row echelon form is unique, so they
-do not depend on how it works.
+and `rank`, `rref` and `kernel_basis` are read-outs of one reducer fed
+a list of rows; a reduced row echelon form is unique, so they do not
+depend on how it works.
 
 `proved_rank` proves the rank of a large sparse integer matrix at about the
 cost of a numpy elimination mod a prime below 2**31, by two equal bounds,
@@ -144,8 +144,8 @@ class SparseReducer:
     over D, and no stored row holds another's pivot column.  A row is
     cleared at a pivot column fraction-free, as in Bareiss's elimination
     (`_clear`), and its gcd divided out.  Values become Fractions only in
-    the read-outs: `reduce` (the residue of a row), `rref`, `kernel_basis`
-    and `solve`.  `add` reduces a row and absorbs a nonzero residue as a
+    the read-outs: `reduce` (the residue of a row), `rref` and
+    `kernel_basis`.  `add` reduces a row and absorbs a nonzero residue as a
     new pivot.
     """
 
@@ -235,18 +235,6 @@ def kernel_basis(rows) -> list:
                 v[c] = Fraction(-piv[f], piv[c])
         vecs.append(v)
     return vecs
-
-
-def solve(rows, b) -> list | None:
-    """One solution of M x = b over Q, or None if inconsistent."""
-    ncols = len(rows[0]) if rows else 0
-    red = _reduced([list(row) + [v] for row, v in zip(rows, b)])
-    if ncols in red.pivot_rows:
-        return None
-    x = [Fraction(0)] * ncols
-    for c, piv in red.pivot_rows.items():
-        x[c] = Fraction(piv.get(ncols, 0), piv[c])
-    return x
 
 
 # ---------------------------------------------------------------------------
@@ -676,17 +664,6 @@ class MPoly:
     def is_homogeneous(self) -> bool:
         degs = {sum(e) for e in self.terms}
         return len(degs) <= 1
-
-    def derivative(self, i: int) -> "MPoly":
-        out = {}
-        for e, c in self.terms.items():
-            if e[i]:
-                ne = list(e)
-                ne[i] -= 1
-                out[tuple(ne)] = c * e[i]
-        p = MPoly(self.nvars)
-        p.terms = out
-        return p
 
     def to_string(self) -> str:
         """Terms in descending graded-lex order, in x, y, z for up to three

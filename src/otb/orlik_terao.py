@@ -306,35 +306,3 @@ def membership(pres: OTPresentation, g: MPoly) -> bool:
         return True
     pres.graded_piece(g.degree())
     return not pres.normal_form(g.terms)[0]
-
-
-# ---------------------------------------------------------------------------
-# Jacobian ideal and the gradient map
-
-
-def defining_polynomial(arr: Arrangement) -> MPoly:
-    total = MPoly.constant(3, 1)
-    for f in arr.forms:
-        total = total * MPoly.linear_form(f)
-    return total
-
-
-def jacobian_containment(arr: Arrangement) -> bool:
-    """Whether each partial of the defining polynomial lies in the span of
-    the l_i (the degree d-1 slice of the ideal they generate), checked on
-    the product-rule witness d(alpha)/dx_t = sum_i a_i[t] l_i."""
-    alpha = defining_polynomial(arr)
-    ls = l_forms(arr)
-    for t in range(3):
-        witness = MPoly.zero(3)
-        for form, l in zip(arr.forms, ls):
-            witness = witness + l * form[t]
-        if alpha.derivative(t) != witness:
-            return False
-    return True
-
-
-def gradient_degree(arr: Arrangement) -> int:
-    """Degree of the gradient map of the defining polynomial:
-    (sum of the Mobius values of the rank-two flats) - d + 1."""
-    return arr.sum_mu() - arr.d + 1

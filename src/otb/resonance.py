@@ -12,7 +12,6 @@ points before it is returned.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
 
@@ -49,10 +48,9 @@ class OS2:
         self.dim2 = len(basis)
 
     def h1_dimension(self, a) -> int:
-        """dim H^1(A, a) for a in the sum-zero hyperplane: the kernel of the
-        multiplication A^1 -> A^2 minus the image of A^0."""
-        a = [Fraction(x) for x in a]
-        if all(v == 0 for v in a):
+        """dim H^1(A, a) for a (of ints or Fractions) in the sum-zero
+        hyperplane: the kernel of A^1 -> A^2 minus the image of A^0."""
+        if not any(a):
             raise ValueError("a must be nonzero")
         if sum(a) != 0:
             # the complex is exact off the diagonal hyperplane
@@ -89,7 +87,7 @@ class ResonanceComponent:
     oracle_values: tuple = ()  # observed H^1 dimensions at the sample points
 
     def span_key(self):
-        red, _ = rref([list(map(Fraction, v)) for v in self.vectors])
+        red, _ = rref(self.vectors)
         return tuple(tuple(row) for row in red)
 
 
@@ -295,13 +293,16 @@ def search_multinets(arr: Arrangement, k: int, max_weight: int) -> list:
 
     The search refuses to start when the weight vectors times the canonical
     colorings of the forced classes (the first class sits in block 0) could
-    exceed 10**9 candidates."""
+    exceed 10**9 candidates.  With fewer classes than k, no coloring uses
+    all k blocks, and there is nothing to search."""
     d = arr.d
     leader = _joined(d, [f.lines for f in arr.flats if len(f.lines) < k])
     classes = len(set(leader))
     if max_weight ** d * k ** (classes - 1) > 10 ** 9:
         raise ValueError("partition search space too large; restrict d, k "
                          "or max_weight")
+    if classes < k:
+        return []
     found = []
     for w in _weight_vectors(d, max_weight):
         total = sum(w)
@@ -333,7 +334,7 @@ def _weight_vectors(d: int, max_weight: int):
 
 def _combination(vectors, rng) -> list:
     coeffs = [rng.randint(-7, 7) for _ in vectors]
-    a = [Fraction(0)] * len(vectors[0])
+    a = [0] * len(vectors[0])
     for c, v in zip(coeffs, vectors):
         if c:
             for i, x in enumerate(v):

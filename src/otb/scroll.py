@@ -11,11 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, lcm
 
 from .arrangement import Arrangement
 from .divisors import h0_fatpoints, net_split
-from .exact import MPoly, SparseReducer, monomials_of_degree, solve
+from .exact import MPoly, SparseReducer, monomials_of_degree
 from .orlik_terao import OTPresentation, l_forms, membership
 
 
@@ -31,16 +31,41 @@ class MultiplicationMatrix:
 
     def minors(self) -> list:
         """The 2x2 minors, quadrics in the y variables."""
-        out = []
-        for j1, j2 in combinations(range(self.ncols), 2):
-            out.append(self.entries[0][j1] * self.entries[1][j2]
-                       - self.entries[0][j2] * self.entries[1][j1])
-        return out
+        g = self.entries
+        return [g[0][a] * g[1][b] - g[0][b] * g[1][a]
+                for a, b in combinations(range(self.ncols), 2)]
+
+
+def _point_off_others(forms: list, k: int) -> tuple:
+    """An integer point of line k on no other line: a_k x (1, t, t^2) for
+    the least t >= 0 that works.  For j != k, a_j . (a_k x q) =
+    q . (a_j x a_k), a nonzero quadratic in t since the lines are distinct;
+    so at most 2(d-1) values of t fail."""
+    (a, b, c), t = forms[k], 0
+    while True:
+        p = (b * t * t - c * t, c - a * t * t, a * t - b)
+        if all(sum(u * v for u, v in zip(f, p))
+               for j, f in enumerate(forms) if j != k):
+            return p
+        t += 1
+
+
+def _value(f: dict, p: tuple) -> int:
+    """The integer polynomial {exponent: int} at the integer point p."""
+    return sum(v * p[0] ** e[0] * p[1] ** e[1] * p[2] ** e[2]
+               for e, v in f.items())
 
 
 def multiplication_matrix(pres: OTPresentation, cert) -> MultiplicationMatrix:
     """Entry (i,j) is the expansion of sigma_i * tau_j in the basis
     l_1..l_d of the degree-(d-1) sections, read as a linear form in y.
+
+    The expansion is read off by interpolation.  P_k is an integer point
+    of line k on no other line, and l_m = prod_{j != m} a_j vanishes at
+    P_k exactly when m != k; so sigma_i tau_j = sum_m c_m l_m at P_k gives
+    c_k = sigma_i(P_k) tau_j(P_k) / l_k(P_k).  The same vanishing makes the
+    l_k independent, so these c are the only candidates, and the identity
+    itself is checked exactly, on integer coefficients.
 
     The matrix returned is 1-generic (Eisenbud, "Linear sections of
     determinantal varieties", Amer. J. Math. 110, 1988): no nonzero v and
@@ -71,20 +96,29 @@ def multiplication_matrix(pres: OTPresentation, cert) -> MultiplicationMatrix:
             prod = prod * MPoly.linear_form(arr.forms[i])
         sigma.append(prod)
     tau = h0_fatpoints(arr, split.B_div).basis
-    # solve sigma_i * tau_j = sum c_k l_k exactly
-    monos = monomials_of_degree(3, arr.d - 1)
-    index = {mn: r for r, mn in enumerate(monos)}
-    ls = l_forms(arr)
-    lmat = [[l.terms.get(mn, Fraction(0)) for l in ls] for mn in monos]
+    sg_ints, tau_ints, l_ints = (
+        [{e: int(c) for e, c in f.terms.items()} for f in fs]
+        for fs in (sigma, tau, l_forms(arr)))
+    points = [_point_off_others(arr.forms, k) for k in range(arr.d)]
+    at_l = [_value(l, p) for l, p in zip(l_ints, points)]
+    at_sg, at_tau = ([[_value(f, p) for p in points] for f in fs]
+                     for fs in (sg_ints, tau_ints))
     entries = [[None] * len(tau) for _ in range(2)]
-    for i, sg in enumerate(sigma):
-        for j, t in enumerate(tau):
-            prod = sg * t
-            b = [Fraction(0)] * len(monos)
-            for e, c in prod.terms.items():
-                b[index[e]] = c
-            coeffs = solve(lmat, b)
-            if coeffs is None:
+    for i, (sg, vs) in enumerate(zip(sg_ints, at_sg)):
+        for j, (t, vt) in enumerate(zip(tau_ints, at_tau)):
+            coeffs = [Fraction(a * b, c) for a, b, c in zip(vs, vt, at_l)]
+            # den * (sigma_i tau_j - sum_k c_k l_k) in integers must be zero
+            den = lcm(*(c.denominator for c in coeffs))
+            acc: dict = {}
+            for e1, v1 in sg.items():
+                for e2, v2 in t.items():
+                    e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])
+                    acc[e] = acc.get(e, 0) + den * v1 * v2
+            for c, l in zip(coeffs, l_ints):
+                f = c.numerator * (den // c.denominator)
+                for e, v in l.items() if f else ():
+                    acc[e] = acc.get(e, 0) - f * v
+            if any(acc.values()):
                 raise ArithmeticError(
                     "pencil-times-residual product fell outside the span of "
                     "the l_k; this contradicts the section computation")
@@ -124,13 +158,6 @@ def en_prediction(cert, d: int) -> ENPrediction:
         raise ValueError("prediction applies to nets")
     if cert.k < cert.m:
         raise ValueError("determinantal hypothesis fails: k < m")
-    b = cert.k * cert.m - comb(cert.m + 1, 2)
-    betti = []
-    i = 0
-    while True:
-        v = (i + 1) * comb(b, i + 2)
-        if v == 0:
-            break
-        betti.append(v)
-        i += 1
-    return ENPrediction(b=b, betti=tuple(betti))
+    b = cert.k * cert.m - comb(cert.m + 1, 2)      # >= C(m, 2) >= 0
+    return ENPrediction(b=b, betti=tuple((i + 1) * comb(b, i + 2)
+                                         for i in range(b - 1)))

@@ -327,8 +327,23 @@ def fraction_kernel(rows) -> list:
     return vecs
 
 
+def solve(rows, b):
+    """One solution of M x = b over Q, or None if inconsistent: a read-out
+    of `SparseReducer` fed the rows of [M | b]."""
+    ncols = len(rows[0]) if rows else 0
+    red = SparseReducer(ncols + 1)
+    for row, v in zip(rows, b):
+        red.add({c: x for c, x in enumerate(list(row) + [v]) if x})
+    if ncols in red.pivot_rows:
+        return None
+    x = [Fraction(0)] * ncols
+    for c, piv in red.pivot_rows.items():
+        x[c] = Fraction(piv.get(ncols, 0), piv[c])
+    return x
+
+
 def fraction_solve(rows, b):
-    """`exact.solve` read off the Fraction reference."""
+    """`solve` read off the Fraction reference."""
     ncols = len(rows[0]) if rows else 0
     red = fraction_reduced([list(row) + [v] for row, v in zip(rows, b)])
     if ncols in red.pivot_rows:
@@ -411,6 +426,43 @@ def hilbert_burch_psi(arr):
     for j in range(arr.d - 1):
         psi[j][j], psi[j + 1][j] = lins[j], -lins[j + 1]
     return psi
+
+
+def defining_polynomial(arr) -> MPoly:
+    """alpha, the product of the forms."""
+    total = MPoly.constant(3, 1)
+    for f in arr.forms:
+        total = total * MPoly.linear_form(f)
+    return total
+
+
+def derivative(f: MPoly, i: int) -> MPoly:
+    """The partial derivative of f in its variable i."""
+    out = MPoly(f.nvars)
+    for e, c in f.terms.items():
+        if e[i]:
+            out.terms[e[:i] + (e[i] - 1,) + e[i + 1:]] = c * e[i]
+    return out
+
+
+def jacobian_containment(arr) -> bool:
+    """Whether each partial of alpha equals the product-rule witness
+    sum_i a_i[t] l_i in the span of the l_i, computed: the reference for
+    the proved `jacobian-check`."""
+    alpha, ls = defining_polynomial(arr), l_forms(arr)
+    for t in range(3):
+        witness = MPoly.zero(3)
+        for form, l in zip(arr.forms, ls):
+            witness = witness + l * form[t]
+        if derivative(alpha, t) != witness:
+            return False
+    return True
+
+
+def gradient_degree(arr) -> int:
+    """The degree of the gradient map of alpha, sum mu - d + 1
+    (Dimca-Papadima): the reference for `gradient-degree`."""
+    return arr.sum_mu() - arr.d + 1
 
 
 def mpoly_det(rows: list) -> MPoly:

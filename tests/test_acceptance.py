@@ -11,14 +11,13 @@ from otb.divisors import DivisorClass, divisor_DA, h0_fatpoints, h0_h1, \
     net_split
 from otb.analysis import Analysis
 from otb.koszul import b23_formula, betti_table, tor_dimension
-from otb.orlik_terao import (gradient_degree, jacobian_containment, l_forms,
-                             terao_series)
+from otb.orlik_terao import l_forms, terao_series
 from otb.resonance import (is_neighborly, resonance_components,
                            search_multinets, verify_multinet)
 from otb.scroll import en_prediction, minors_in_ideal, multiplication_matrix
 
-from conftest import (BUILTINS, analysis, hilbert_burch_psi, is_one_generic,
-                      mpoly_det, oracle)
+from conftest import (BUILTINS, analysis, gradient_degree, hilbert_burch_psi,
+                      is_one_generic, jacobian_containment, mpoly_det, oracle)
 
 TABLE_BUDGET = 300.0      # seconds per Betti table
 SUITE_BUDGET = 120.0      # seconds per property suite

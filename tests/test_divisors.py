@@ -7,13 +7,14 @@ import otb.exact
 from otb.divisors import (DivisorClass, divisor_DA, h0_fatpoints, h0_h1,
                           net_split, pairing, riemann_roch_chi,
                           vanishing_condition_rows)
-from otb.exact import (MODP_PRIMES, MPoly, kernel_basis, monomials_of_degree,
-                       primitive_kernel, primitive_vector, rank)
-from otb.orlik_terao import l_forms
+from otb.exact import (MODP_PRIMES, MPoly, kernel_basis, modp_matrix,
+                       modp_rank, monomials_of_degree, primitive_kernel,
+                       primitive_vector, rank)
+from otb.orlik_terao import l_forms, terao_series
 from otb.resonance import search_multinets
 from otb.scroll import en_prediction
 
-from conftest import (BUILTINS, analysis, vanishing_order,
+from conftest import (BUILTINS, ORACLE_FORMS, analysis, vanishing_order,
                       vanishing_rows_by_formula)
 
 
@@ -85,6 +86,22 @@ def test_h0_DA_is_d_and_spans_l_basis():
         rows = [[p.terms.get(m, 0) for m in monos] for p in sec.basis]
         lrows = [[p.terms.get(m, 0) for m in monos] for p in l_forms(a)]
         assert rank(rows + lrows) == a.d == rank(lrows)
+
+
+@pytest.mark.parametrize("name", BUILTINS + tuple(sorted(ORACLE_FORMS)))
+def test_sections_of_t_da_are_the_hilbert_function(name):
+    # a route to dim C(A)_t that does not pass through the nbc monomials:
+    # products of t of the l_k vanish to order t mu_p at each p, so
+    # dim C(A)_t <= h0(t D_A) <= columns - rank mod p of the conditions;
+    # the outer two meet, so h0(t D_A) = dim C(A)_t
+    a = analysis(name).arrangement
+    series, p = terao_series(a, 3).coefficients, MODP_PRIMES[0]
+    for t in (1, 2, 3):
+        monos = monomials_of_degree(3, t * (a.d - 1))
+        rows = [dict(enumerate(row)) for f in a.flats
+                for row in vanishing_condition_rows(f.point, t * f.mu, monos)]
+        free = len(monos) - modp_rank(modp_matrix(rows, len(monos), p), p)
+        assert free == series[t], (name, t)
 
 
 def test_h0_greater_equal_chi_on_corpus_divisors():

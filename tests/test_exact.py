@@ -11,13 +11,13 @@ import otb.exact
 from otb.exact import (MODP_PRIMES, MPoly, kernel_basis, modp_matrix,
                        modp_rank, monomials_of_degree, primitive_kernel,
                        primitive_vector, proved_rank, rank, rref,
-                       seeded_rng, solve, SparseColumns, SparseReducer,
+                       seeded_rng, SparseColumns, SparseReducer,
                        draw_generic, GenericityError)
 
 from conftest import (BinaryForm, FractionReducer, binary_gcd, compose,
-                      fraction_kernel, fraction_rref, fraction_solve,
-                      mpoly_det, mpoly_string_by_fractions,
-                      primitive_vector_by_fractions)
+                      derivative, fraction_kernel, fraction_rref,
+                      fraction_solve, mpoly_det, mpoly_string_by_fractions,
+                      primitive_vector_by_fractions, solve)
 
 
 # -- dense references, independent of SparseReducer
@@ -155,8 +155,9 @@ def test_bareiss_matches_rref_on_structured_low_rank():
 
 
 def test_readouts_match_dense_gauss_jordan():
-    # rref, kernel_basis and solve against the dense reference, entry for
-    # entry and in order, on random and structured low-rank matrices
+    # rref, kernel_basis and the test suite's `solve` (a read-out of the
+    # reducer) against the dense reference, entry for entry and in order,
+    # on random and structured low-rank matrices
     rng = random.Random(17)
     for trial in range(200):
         nr, nc = rng.randint(1, 7), rng.randint(1, 7)
@@ -649,7 +650,7 @@ def test_mpoly_compose_and_derivative():
     v = MPoly.linear_form([0, 1])
     g = compose(f, [u + v, u, MPoly.zero(2)])
     assert g == (u + v) * (u + v) * u
-    assert f.derivative(0) == MPoly.monomial(3, (1, 1, 0), 2)
+    assert derivative(f, 0) == MPoly.monomial(3, (1, 1, 0), 2)
 
 
 def test_mpoly_det_small():

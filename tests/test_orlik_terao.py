@@ -11,17 +11,17 @@ from otb.circuits import Circuit, circuit_relation, enumerate_circuits
 from otb.cli import run
 from otb.exact import GenericityError, MPoly, modp_rank, monomials_of_degree
 from otb.koszul import ReducedEngine
-from otb.orlik_terao import (OTPresentation, defining_polynomial,
-                             gradient_degree, jacobian_containment, l_forms,
-                             membership, substitution_quotient_dim,
-                             terao_series)
+from otb.orlik_terao import (OTPresentation, l_forms, membership,
+                             substitution_quotient_dim, terao_series)
 from otb.resonance import search_multinets
 from otb.scroll import multiplication_matrix
 
 from conftest import (BUILTINS, ORACLE_FORMS, ambient_piece, analysis,
-                      fraction_normal_form, hilbert_burch_psi, mpoly_det,
-                      nbc_by_filter, substitution_membership,
-                      substitution_rank, vanishing_order)
+                      defining_polynomial, derivative, fraction_normal_form,
+                      gradient_degree, hilbert_burch_psi,
+                      jacobian_containment, mpoly_det, nbc_by_filter,
+                      substitution_membership, substitution_rank,
+                      vanishing_order)
 
 REFERENCE_CASES = BUILTINS + tuple(sorted(ORACLE_FORMS))
 
@@ -215,9 +215,12 @@ def test_hilbert_burch_minor_signs():
             assert minor == (ls[i] if sign == 1 else -ls[i]), (name, i)
 
 
-def test_jacobian_containment_all():
+def test_jacobian_containment_all(capsys):
+    # the computed containment, against the proved read-out of the CLI
     for name in BUILTINS:
         assert jacobian_containment(analysis(name).arrangement)
+        assert run(["jacobian-check", "--builtin", name]) == 0
+        assert capsys.readouterr().out == "jacobian ideal contained: True\n"
 
 
 def test_euler_identity():
@@ -226,8 +229,8 @@ def test_euler_identity():
         alpha = defining_polynomial(a)
         x, y, z = (MPoly.linear_form(e)
                    for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
-        total = (x * alpha.derivative(0) + y * alpha.derivative(1)
-                 + z * alpha.derivative(2))
+        total = (x * derivative(alpha, 0) + y * derivative(alpha, 1)
+                 + z * derivative(alpha, 2))
         assert total == a.d * alpha
 
 
@@ -241,12 +244,15 @@ def test_gradient_degree_triangle(triangle):
     assert gradient_degree(triangle) == 1
 
 
-def test_gradient_degree_is_b2_minus_b1_plus_1():
+def test_gradient_degree_is_b2_minus_b1_plus_1(capsys):
     from otb.arrangement import poincare_polynomial
     for name in BUILTINS:
         a = analysis(name).arrangement
         c = poincare_polynomial(a).coefficients
         assert gradient_degree(a) == c[2] - c[1] + 1
+        assert run(["gradient-degree", "--builtin", name]) == 0
+        assert capsys.readouterr().out \
+            == "gradient degree: %d\n" % gradient_degree(a)
 
 
 def test_multiplicity_is_h_at_one():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import otb.resonance
 from otb.analysis import Analysis
 from otb.arrangement import Arrangement, builtin, poincare_polynomial
 from otb.exact import kernel_basis, primitive_vector, seeded_rng
@@ -51,6 +52,18 @@ def test_h1_matches_the_quotient_oracle(name):
     for support in supports:
         a = _sum_zero_point(rng, arr.d, support)
         assert os2.h1_dimension(a) == h1_by_quotient(arr, a), a
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_h1_takes_integers_and_fractions_alike(name):
+    arr = analysis(name).arrangement
+    os2 = OS2(arr)
+    rng = seeded_rng("h1-fractions:%s" % name)
+    for _ in range(10):
+        a = _sum_zero_point(rng, arr.d, tuple(range(arr.d)))
+        q = [Fraction(x, 3) for x in a]
+        assert os2.h1_dimension(a) == os2.h1_dimension(q) \
+            == h1_by_quotient(arr, a) == h1_by_quotient(arr, q), a
 
 
 def test_h1_braid_net_point(braid):
@@ -349,6 +362,27 @@ def test_resonance_d13_in_seconds():
     assert time.perf_counter() - start < 20
     assert sum(1 for c in comps if c.kind == "local") == 7
     assert sum(1 for c in comps if c.kind == "essential") == 0
+
+
+def test_search_enumerates_nothing_with_fewer_classes_than_blocks(
+        monkeypatch):
+    # each class of lines joined through flats of fewer than k lines sits in
+    # one block, so with fewer classes than k no coloring uses every block
+    real, short = otb.resonance._partitions_with_block_weight, []
+
+    def spy(leader, k, w, m):
+        assert len(set(leader)) >= k, "entered with fewer classes than k"
+        return real(leader, k, w, m)
+    monkeypatch.setattr(otb.resonance, "_partitions_with_block_weight", spy)
+    for a in [analysis(name).arrangement for name in BUILTINS] \
+            + [b3_plus(n) for n in (1, 2)]:
+        for k in (3, 4):
+            leader = _joined(a.d, [f.lines for f in a.flats
+                                   if len(f.lines) < k])
+            short.append(len(set(leader)) < k)
+            for w in (1, 2):
+                search_multinets(a, k, w)
+    assert any(short) and not all(short)
 
 
 def test_search_guard():

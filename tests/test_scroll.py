@@ -9,7 +9,7 @@ from otb.resonance import search_multinets
 from otb.scroll import (en_prediction, minor_span_dimension, minors_in_ideal,
                         multiplication_matrix)
 
-from conftest import analysis, is_one_generic
+from conftest import analysis, is_one_generic, solve
 
 
 def _gamma(name):
@@ -134,6 +134,21 @@ def test_gamma_entry_identity():
                 if c:
                     total = total + c * ls[k]
             assert total == g.sigma[i] * g.tau[j]
+
+
+@pytest.mark.parametrize("name", ["braid-a3", "9_3_1"])
+def test_gamma_entries_match_the_solved_expansion(name):
+    # the interpolated entries against sigma_i tau_j = sum_k c_k l_k solved
+    # as a linear system in the coefficients of the l_k
+    from otb.orlik_terao import l_forms
+    a, _, g = _gamma(name)
+    monos = monomials_of_degree(3, a.d - 1)
+    lmat = [[l.terms.get(m, 0) for l in l_forms(a)] for m in monos]
+    for i in range(2):
+        for j in range(g.ncols):
+            prod = g.sigma[i] * g.tau[j]
+            c = solve(lmat, [prod.terms.get(m, 0) for m in monos])
+            assert g.entries[i][j] == MPoly.linear_form(c), (name, i, j)
 
 
 def test_multiplication_matrix_rejects_multinet():
