@@ -2,6 +2,7 @@ import pytest
 from fractions import Fraction
 from math import comb
 
+import otb.scroll
 from otb.exact import MPoly, monomials_of_degree, rank
 from otb.koszul import tor_dimension
 from otb.orlik_terao import membership
@@ -149,6 +150,24 @@ def test_gamma_entries_match_the_solved_expansion(name):
             prod = g.sigma[i] * g.tau[j]
             c = solve(lmat, [prod.terms.get(m, 0) for m in monos])
             assert g.entries[i][j] == MPoly.linear_form(c), (name, i, j)
+
+
+def test_multiplication_matrix_checks_its_expansion(monkeypatch):
+    # a planted residual section that is no section of B: interpolation
+    # still yields coefficients, and the exact check must reject them
+    real = otb.scroll.h0_fatpoints
+
+    def planted(arr, div):
+        sec = real(arr, div)
+        if sec.dimension != 2:          # B, not the pencil A
+            g = MPoly.linear_form((1, 2, 5))
+            sec.basis = [g * g * g] + sec.basis[1:]
+        return sec
+    monkeypatch.setattr(otb.scroll, "h0_fatpoints", planted)
+    a = analysis("braid-a3").arrangement
+    with pytest.raises(ArithmeticError, match="outside the span"):
+        multiplication_matrix(analysis("braid-a3").pres,
+                              search_multinets(a, 3, 1)[0])
 
 
 def test_multiplication_matrix_rejects_multinet():
