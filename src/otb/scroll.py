@@ -1,9 +1,14 @@
 """Determinantal certificates from nets: the 2 x b matrix of linear forms
 representing multiplication of the net pencil sections against the residual
 sections, membership of its 2x2 minors in the Orlik-Terao ideal, and the
-Eagon-Northcott count of linear syzygies it predicts.  The matrix is
-1-generic by construction (Eisenbud's lemma on matrices of multiplied
-sections; the proof is in `multiplication_matrix`), so nothing decides it.
+Eagon-Northcott count of linear syzygies it predicts.
+
+The matrix is 1-generic (the proof is in `multiplication_matrix`), so its
+ideal of 2x2 minors is prime of codimension b-1 and the Eagon-Northcott
+complex resolves it minimally (Eisenbud, "Linear sections of determinantal
+varieties", 1988; The Geometry of Syzygies, 2005, ch. 6).  So the C(b, 2)
+minors are minimal generators, all quadrics, hence linearly independent:
+`scroll-check` prints C(b, 2) as their span without computing it.
 """
 
 from __future__ import annotations
@@ -11,12 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb, lcm
+from math import comb, lcm, prod
 
-from .arrangement import Arrangement
-from .divisors import h0_fatpoints, net_split
-from .exact import MPoly, SparseReducer, monomials_of_degree
-from .orlik_terao import OTPresentation, l_forms, membership
+from .divisors import condition_rows, h0_fatpoints, net_split
+from .exact import MPoly, SparseColumns, monomials_of_degree, proved_rank
+from .orlik_terao import OTPresentation, membership
 
 
 @dataclass
@@ -36,6 +40,11 @@ class MultiplicationMatrix:
                 for a, b in combinations(range(self.ncols), 2)]
 
 
+def _values(forms: list, p: tuple) -> list:
+    """The value of each form at the integer point p."""
+    return [sum(u * v for u, v in zip(f, p)) for f in forms]
+
+
 def _point_off_others(forms: list, k: int) -> tuple:
     """An integer point of line k on no other line: a_k x (1, t, t^2) for
     the least t >= 0 that works.  For j != k, a_j . (a_k x q) =
@@ -44,8 +53,7 @@ def _point_off_others(forms: list, k: int) -> tuple:
     (a, b, c), t = forms[k], 0
     while True:
         p = (b * t * t - c * t, c - a * t * t, a * t - b)
-        if all(sum(u * v for u, v in zip(f, p))
-               for j, f in enumerate(forms) if j != k):
+        if all(v for j, v in enumerate(_values(forms, p)) if j != k):
             return p
         t += 1
 
@@ -60,65 +68,77 @@ def multiplication_matrix(pres: OTPresentation, cert) -> MultiplicationMatrix:
     """Entry (i,j) is the expansion of sigma_i * tau_j in the basis
     l_1..l_d of the degree-(d-1) sections, read as a linear form in y.
 
+    sigma_i is the product of block i.  A base point of a net lies on one
+    line of each block, so sigma_i vanishes there to order 1 = n_p: it is
+    a section of A, and that is checked exactly on A's fat-point
+    conditions.  Products of two disjoint blocks of distinct lines, sigma_0
+    and sigma_1 are not proportional.  So, with them as the given cycles,
+    one `proved_rank` of the conditions gives h^0(A) = columns - rank.
+
     The expansion is read off by interpolation.  P_k is an integer point
     of line k on no other line, and l_m = prod_{j != m} a_j vanishes at
     P_k exactly when m != k; so sigma_i tau_j = sum_m c_m l_m at P_k gives
     c_k = sigma_i(P_k) tau_j(P_k) / l_k(P_k).  The same vanishing makes the
-    l_k independent, so these c are the only candidates, and the identity
-    itself is checked exactly, on integer coefficients.
+    l_k independent, so these c are the only candidates.  The identity is
+    checked in integers at the C(d+1, 2) points (a, b, n-a-b), a, b >= 0,
+    n = d-1, with l_k read as the product of the other forms' values.  A
+    form F of degree n vanishing there is zero: g = F(x, y, n-x-y) has
+    degree <= n and n+1 zeros on the line x + y = n, so x + y - n divides
+    it, and the quotient vanishes on the points for n-1, so is zero by
+    induction.  So F vanishes on the plane x + y + z = n, and, being
+    homogeneous, on the dense cone over it.
 
     The matrix returned is 1-generic (Eisenbud, "Linear sections of
     determinantal varieties", Amer. J. Math. 110, 1988): no nonzero v and
     point (lambda : mu) of P^1 give sum_j v_j (lambda G_0j + mu G_1j) = 0.
-    Suppose some did.  Each entry G_ij = sum_k c_k y_k is checked exactly
-    below to satisfy sigma_i tau_j = sum_k c_k l_k, so reading y_k as l_k
-    turns that vanishing combination into (lambda sigma_0 + mu sigma_1)
-    (sum_j v_j tau_j) = 0 in Q[x, y, z], which has no zero divisors.  The
-    first factor is nonzero: sigma_0 and sigma_1 are the products of two
-    disjoint blocks of distinct lines, so they are not proportional.  The
-    second is nonzero: the tau_j are the basis `h0_fatpoints` returns, so
-    they are independent.
+    Suppose some did.  Each entry G_ij = sum_k c_k y_k satisfies sigma_i
+    tau_j = sum_k c_k l_k, as checked, so reading y_k as l_k turns that
+    vanishing combination into (lambda sigma_0 + mu sigma_1) (sum_j v_j
+    tau_j) = 0 in Q[x, y, z], which has no zero divisors.  The first factor
+    is nonzero, since sigma_0 and sigma_1 are not proportional.  The second
+    is nonzero: the tau_j are the basis `h0_fatpoints` returns, so they are
+    independent.
     """
     if not cert.is_net:
         raise ValueError("multiplication matrix needs a net certificate "
                          "(all weights one)")
     arr = pres.arrangement
+    forms, d = arr.forms, arr.d
     split = net_split(arr, cert)
-    sa = h0_fatpoints(arr, split.A_div)
-    if sa.dimension != 2:
-        raise ValueError("not a pencil: h^0(A) = %d" % sa.dimension)
-    # the products of two disjoint blocks of distinct lines share no
-    # factor, so they are independent: a basis of the pencil
-    sigma = []
-    for b in cert.blocks[:2]:
-        prod = MPoly.constant(3, 1)
-        for i in b:
-            prod = prod * MPoly.linear_form(arr.forms[i])
-        sigma.append(prod)
+    sigma = [prod((MPoly.linear_form(forms[i]) for i in b),
+                  start=MPoly.constant(3, 1)) for b in cert.blocks[:2]]
+    monos = monomials_of_degree(3, cert.m)
+    rows = condition_rows(split.A_div, monos)
+    conditions = SparseColumns([{r: row[c] for r, row in enumerate(rows)
+                                 if row[c]} for c in range(len(monos))],
+                               len(rows))
+    sections = SparseColumns([{c: int(s.terms[e]) for c, e in enumerate(monos)
+                               if e in s.terms} for s in sigma], len(monos))
+    if not all(map(conditions.is_cycle, sections.columns())):
+        raise ArithmeticError("a block product is not a section of the "
+                              "pencil's class")
+    h0 = len(monos) - proved_rank(conditions, sections)[0]
+    if h0 != 2:
+        raise ValueError("not a pencil: h^0(A) = %d" % h0)
     tau = h0_fatpoints(arr, split.B_div).basis
-    sg_ints, tau_ints, l_ints = (
-        [{e: int(c) for e, c in f.terms.items()} for f in fs]
-        for fs in (sigma, tau, l_forms(arr)))
-    points = [_point_off_others(arr.forms, k) for k in range(arr.d)]
-    at_l = [_value(l, p) for l, p in zip(l_ints, points)]
-    at_sg, at_tau = ([[_value(f, p) for p in points] for f in fs]
-                     for fs in (sg_ints, tau_ints))
+    # the points P_k, then the grid
+    pts = [_point_off_others(forms, k) for k in range(d)] + [
+        (a, b, d - 1 - a - b) for a in range(d) for b in range(d - a)]
+    # l_k and sigma_i at each point are products of form values
+    vals = [_values(forms, p) for p in pts]
+    at_l = [[prod(v[:k]) * prod(v[k + 1:]) for k in range(d)] for v in vals]
+    at_sg = [[prod(v[i] for i in b) for v in vals] for b in cert.blocks[:2]]
+    at_tau = [[_value(f, p) for p in pts] for f in (
+        {e: int(c) for e, c in t.terms.items()} for t in tau)]
     entries = [[None] * len(tau) for _ in range(2)]
-    for i, (sg, vs) in enumerate(zip(sg_ints, at_sg)):
-        for j, (t, vt) in enumerate(zip(tau_ints, at_tau)):
-            coeffs = [Fraction(a * b, c) for a, b, c in zip(vs, vt, at_l)]
-            # den * (sigma_i tau_j - sum_k c_k l_k) in integers must be zero
+    for i, vs in enumerate(at_sg):
+        for j, vt in enumerate(at_tau):
+            coeffs = [Fraction(vs[k] * vt[k], at_l[k][k]) for k in range(d)]
             den = lcm(*(c.denominator for c in coeffs))
-            acc: dict = {}
-            for e1, v1 in sg.items():
-                for e2, v2 in t.items():
-                    e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])
-                    acc[e] = acc.get(e, 0) + den * v1 * v2
-            for c, l in zip(coeffs, l_ints):
-                f = c.numerator * (den // c.denominator)
-                for e, v in l.items() if f else ():
-                    acc[e] = acc.get(e, 0) - f * v
-            if any(acc.values()):
+            nums = [c.numerator * (den // c.denominator) for c in coeffs]
+            # den * (sigma_i tau_j - sum_k c_k l_k) must vanish on the grid
+            if any(den * s * t != sum(a * b for a, b in zip(nums, ls))
+                   for s, t, ls in zip(vs[d:], vt[d:], at_l[d:])):
                 raise ArithmeticError(
                     "pencil-times-residual product fell outside the span of "
                     "the l_k; this contradicts the section computation")
@@ -129,16 +149,6 @@ def multiplication_matrix(pres: OTPresentation, cert) -> MultiplicationMatrix:
 def minors_in_ideal(pres: OTPresentation, g: MultiplicationMatrix) -> bool:
     """Every 2x2 minor must lie in the Orlik-Terao ideal."""
     return all(membership(pres, q) for q in g.minors() if not q.is_zero())
-
-
-def minor_span_dimension(arr: Arrangement, g: MultiplicationMatrix) -> int:
-    """Dimension of the span of the minors inside the quadric slice."""
-    monos = monomials_of_degree(arr.d, 2)
-    index = {m: k for k, m in enumerate(monos)}
-    red = SparseReducer(len(monos))
-    for q in g.minors():
-        red.add({index[e]: c for e, c in q.terms.items()})
-    return red.rank
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,7 @@ from otb.circuits import Circuit, circuit_relation
 from otb.divisors import vanishing_condition_rows
 from otb.exact import (MPoly, SparseReducer, kernel_basis, modp_rank,
                        monomials_of_degree, primitive_vector, rank)
-from otb.koszul import ReducedEngine, _Engine, quadric_support
-from otb.orlik_terao import l_forms
+from otb.koszul import ReducedEngine, Strand, _Engine, quadric_support
 
 BUILTINS = ("braid-a3", "ex-2-4", "9_3_1", "9_3_2", "b3")
 
@@ -111,6 +110,30 @@ class OwnRow1Engine(ReducedEngine):
         return None
 
 
+def plant_non_commuting(outer, inner, delta=1):
+    """A copy of the integer maps `outer` of degree q with `delta` added at
+    position 0 of the column of y_0 that y_0 (y_1 m) reads, for the first m
+    of degree q-1 with y_1 m nonzero (`inner` are the maps of degree q-1):
+    y_0 y_1 m then moves and y_1 y_0 m does not, so the maps no longer
+    commute and the map into every strand out of degree q has a column
+    that is not a cycle."""
+    k = min(next(col for col in inner[1] if col))
+    planted = [[dict(col) for col in cols] for cols in outer]
+    planted[0][k][0] = planted[0][k].get(0, 0) + delta
+    return planted
+
+
+def given_cycles_by_columns(nvars, i, outer, inner, dims) -> bool:
+    """Whether every column of the map into Wedge^i (x) C_q is a cycle of
+    the strand out of it, one exact `Strand.is_cycle` per column: the
+    check that the engine's commutation of its maps replaces.  `outer` and
+    `inner` are the maps of degrees q and q-1, and `dims` the dimensions
+    of C_{q-1}, C_q and C_{q+1}."""
+    strand = Strand(nvars, i, outer, dims[1], dims[2])
+    cycles = Strand(nvars, i + 1, inner, dims[0], dims[1])
+    return all(map(strand.is_cycle, cycles.columns()))
+
+
 def by_theorem(arr) -> bool:
     """Whether the program reads the Betti table of `arr` off the theorem,
     with no reduction of its own: the quadric support is neither empty nor
@@ -134,6 +157,34 @@ def oracle(name):
     """The full Koszul engine of a builtin: the reference for the Artinian
     reduction that every command runs."""
     return FullEngine(analysis(name).pres)
+
+
+def l_forms(arr) -> list:
+    """l_i = (product of all forms) / (form i), degree d-1 in (x,y,z),
+    computed by prefix/suffix products of MPolys in Fractions: the
+    reference for the l_k that `scroll` reads as products of form values."""
+    lins = [MPoly.linear_form(f) for f in arr.forms]
+    d = len(lins)
+    pre = [MPoly.constant(3, 1)]
+    for q in lins:
+        pre.append(pre[-1] * q)
+    suf = [MPoly.constant(3, 1)]
+    for q in reversed(lins):
+        suf.append(suf[-1] * q)
+    suf.reverse()
+    return [pre[i] * suf[i + 1] for i in range(d)]
+
+
+def minor_span_dimension(arr, g) -> int:
+    """Dimension of the span of the 2x2 minors of a net matrix inside the
+    quadric slice, by `SparseReducer`: the reference for the C(b, 2) that
+    `scroll-check` reads off Eagon-Northcott."""
+    monos = monomials_of_degree(arr.d, 2)
+    index = {m: k for k, m in enumerate(monos)}
+    red = SparseReducer(len(monos))
+    for q in g.minors():
+        red.add({index[e]: c for e, c in q.terms.items()})
+    return red.rank
 
 
 def compose(f, polys):
@@ -644,6 +695,28 @@ def substitution_rank(arr, j):
                 img = out % p
         rows.append(img.ravel())
     return modp_rank(np.array(rows), p)
+
+
+def evaluation_matrix_by_powers(forms, basis, points, p):
+    """The matrix of `OTPresentation.prove_independent` as it was built
+    with one power table per variable: values and inverses in Python, then
+    each monomial as the product over k of inv_k^(e_k) mod p.  None when a
+    point lies on a line mod p.  The reference for the vectorized build."""
+    values = [[sum(a * x for a, x in zip(f, pt)) % p for f in forms]
+              for pt in points]
+    if any(0 in row for row in values):
+        return None
+    size, j = len(points), sum(basis[0])
+    expo = np.array(basis, dtype=np.int64)
+    inv = np.array([[pow(v, -1, p) for v in row] for row in values],
+                   dtype=np.int64)
+    a = np.ones((size, len(basis)), dtype=np.int64)
+    for k in range(len(forms)):
+        powers = np.ones((size, j + 1), dtype=np.int64)
+        for e in range(1, j + 1):
+            powers[:, e] = powers[:, e - 1] * inv[:, k] % p
+        a = a * powers[:, expo[:, k]] % p
+    return a
 
 
 def os2_relations(arr):

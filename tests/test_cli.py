@@ -11,16 +11,15 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import otb.cli
-import otb.koszul
 import otb.resonance
 from otb.analysis import Analysis
 from otb.arrangement import ArrangementError, parse_arrangement
 from otb.cli import run
-from otb.exact import GenericityError, SparseColumns, proved_rank
+from otb.exact import GenericityError
 from otb.koszul import ReducedEngine
 from otb.orlik_terao import OTPresentation
 
-from conftest import FullEngine
+from conftest import FullEngine, plant_non_commuting
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "golden")
 
@@ -408,15 +407,33 @@ def test_engine_failure_is_a_verification_failure(exc, monkeypatch, capsys):
 
 
 def test_planted_non_cycle_is_a_verification_failure(monkeypatch, capsys):
-    # a strand whose known cycles include a vector outside the kernel
-    def planted(matrix, cycles):
-        if cycles is not None:
-            cycles = SparseColumns(cycles.columns() + [{0: 1}], cycles.nrows)
-        return proved_rank(matrix, cycles)
-    monkeypatch.setattr(otb.koszul, "proved_rank", planted)
+    # a strand whose known cycles include a vector outside the kernel: the
+    # maps of degree 1 planted out of step, so that they no longer commute
+    maps = ReducedEngine.maps
+
+    def planted(self, q):
+        if q == 1:
+            return plant_non_commuting(maps(self, 1), maps(self, 0))
+        return maps(self, q)
+    monkeypatch.setattr(ReducedEngine, "maps", planted)
     code, out, err = _capture(capsys, ["betti", "--builtin", "braid-a3"])
     assert code == 2 and out == ""
     assert err == "verification failed: a given cycle is not in the kernel\n"
+
+
+@pytest.mark.parametrize("message, shown", [
+    ("Unable to allocate 2.27 GiB for an array with shape (17460, 17460) "
+     "and data type int64", None),
+    ("", "allocation failed"),
+], ids=["numpy-message", "no-message"])
+def test_out_of_memory_is_one_line_and_exit_3(message, shown, monkeypatch,
+                                               capsys):
+    def fail(self):
+        raise MemoryError(message)
+    monkeypatch.setattr(Analysis, "engine", property(fail))
+    code, out, err = _capture(capsys, ["betti", "--builtin", "braid-a3"])
+    assert code == 3 and out == ""
+    assert err == "error: out of memory: %s\n" % (shown or message)
 
 
 def test_report_builds_shared_objects_once(monkeypatch, capsys):

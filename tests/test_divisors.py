@@ -10,12 +10,12 @@ from otb.divisors import (DivisorClass, divisor_DA, h0_fatpoints, h0_h1,
 from otb.exact import (MODP_PRIMES, MPoly, kernel_basis, modp_matrix,
                        modp_rank, monomials_of_degree, primitive_kernel,
                        primitive_vector, rank)
-from otb.orlik_terao import l_forms, terao_series
+from otb.orlik_terao import terao_series
 from otb.resonance import search_multinets
 from otb.scroll import en_prediction
 
-from conftest import (BUILTINS, ORACLE_FORMS, analysis, vanishing_order,
-                      vanishing_rows_by_formula)
+from conftest import (BUILTINS, ORACLE_FORMS, analysis, l_forms,
+                      vanishing_order, vanishing_rows_by_formula)
 
 
 def test_pairing_basis(braid):

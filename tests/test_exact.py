@@ -8,15 +8,18 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import otb.exact
+from otb.arrangement import builtin
 from otb.exact import (MODP_PRIMES, MPoly, kernel_basis, modp_matrix,
                        modp_rank, monomials_of_degree, primitive_kernel,
                        primitive_vector, proved_rank, rank, rref,
                        seeded_rng, SparseColumns, SparseReducer,
                        draw_generic, GenericityError)
+from otb.orlik_terao import OTPresentation
 
-from conftest import (BinaryForm, FractionReducer, binary_gcd, compose,
-                      derivative, fraction_kernel, fraction_rref,
-                      fraction_solve, mpoly_det, mpoly_string_by_fractions,
+from conftest import (BinaryForm, FractionReducer, FullEngine, binary_gcd,
+                      compose, derivative, fraction_kernel, fraction_rref,
+                      fraction_solve, given_cycles_by_columns, mpoly_det,
+                      mpoly_string_by_fractions, plant_non_commuting,
                       primitive_vector_by_fractions, solve)
 
 
@@ -456,21 +459,29 @@ def test_lifting_matrix_needs_lifting():
     assert proved_rank(SparseColumns(columns(rows), 5)) == (3, "lifted 4")
 
 
+def _planted_engine(delta):
+    """A fresh full engine of braid-a3 whose maps of degree 1 carry
+    `delta` out of step with the others (`plant_non_commuting`)."""
+    eng = FullEngine(OTPresentation(builtin("braid-a3")))
+    real = eng.maps
+    outer = plant_non_commuting(real(1), real(0), delta)
+    eng.maps = lambda q: outer if q == 1 else real(q)
+    return eng
+
+
 def test_planted_non_cycle_raises():
-    rows = needs_lifting()
-    cols = columns(rows)
-    good = [{k: x for k, x in enumerate(v) if x} for v in kernel_basis(rows)]
-    bad = {0: Fraction(1)}                       # column 0 is nonzero
-    assert cols[0]
+    # the known cycles of B_2 are the columns of the map into it, proved by
+    # the engine's commutation check before `proved_rank` takes them
+    eng = _planted_engine(1)
+    dims = [eng.dim(q) for q in range(3)]
+    assert not given_cycles_by_columns(eng.nvars, 2, eng.maps(1),
+                                       eng.maps(0), dims)
     with pytest.raises(ArithmeticError):
-        proved_rank(SparseColumns(cols, len(rows)),
-                    SparseColumns(good + [bad], len(cols)))
-    # a multiple of a true cycle plus a tiny error is caught as well
-    off = dict(good[0])
-    off[min(off)] += Fraction(1, 10 ** 30)
+        eng.rank_of_differential(2, 1)
+    # a true map plus a tiny error is caught as well
+    eng = _planted_engine(Fraction(1, 10 ** 30))
     with pytest.raises(ArithmeticError):
-        proved_rank(SparseColumns(cols, len(rows)),
-                    SparseColumns([off], len(cols)))
+        eng.rank_of_differential(2, 1)
 
 
 def residues_of(vec, m) -> list:

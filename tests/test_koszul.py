@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 from math import comb
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,14 +17,15 @@ from otb.arrangement import Arrangement, ArrangementError, cross
 from otb.exact import (MODP_PRIMES, GenericityError, SparseColumns,
                        SparseReducer, modp_matrix, modp_rank, proved_rank)
 from otb.koszul import (ReducedEngine, Strand, _differential_columns,
-                        b23_formula, betti_table, quadric_support,
+                        _Engine, b23_formula, betti_table, quadric_support,
                         tor_dimension)
 from otb.orlik_terao import OTPresentation, terao_series
 
 from conftest import (BENCH_FORMS, BUILTINS, ORACLE_FORMS, FullEngine,
                       OwnRow1Engine, ambient_piece, analysis, by_theorem,
-                      cubic_generators, fraction_normal_form, oracle,
-                      own_reduction)
+                      cubic_generators, fraction_normal_form,
+                      given_cycles_by_columns, oracle, own_reduction,
+                      plant_non_commuting)
 
 
 def test_braid_table_full():
@@ -150,6 +152,53 @@ def test_strand_is_cycle_agrees_with_the_column_product(name):
                 assert answer == _product_is_zero(cols, vec), (i, q, vec)
                 answers.add(answer)
     assert answers == {True, False} or name == "triangle"
+
+
+@pytest.mark.parametrize("name", BUILTINS + tuple(sorted(ORACLE_FORMS))
+                         + ("b3+1", "b3+2"))
+def test_the_commutation_check_agrees_with_the_per_column_cycle_check(name):
+    # in A's own reduction and, for d <= 7, the full engine, on every degree
+    # q whose strands take known cycles: the maps commute and every column
+    # of every map into Wedge^i (x) C_q is a cycle; with one map of degree q
+    # planted out of step, the check raises and some column is no cycle
+    seen = 0
+    for eng in _small_engines(name):
+        for q in sorted({q for i, q in _strands(eng)
+                         if q and i < eng.nvars and eng.dim(q - 1)}):
+            dims = [eng.dim(q - 1), eng.dim(q), eng.dim(q + 1)]
+            outer, inner = eng.maps(q), eng.maps(q - 1)
+            eng._check_commuting(q)
+            planted = plant_non_commuting(outer, inner)
+            stub = SimpleNamespace(
+                nvars=eng.nvars, _commuting=set(),
+                maps=lambda r: planted if r == q else eng.maps(r))
+            with pytest.raises(ArithmeticError, match="not in the kernel"):
+                _Engine._check_commuting(stub, q)
+            for i in range(1, eng.nvars):
+                assert given_cycles_by_columns(eng.nvars, i, outer, inner,
+                                               dims), (name, i, q)
+                assert not given_cycles_by_columns(eng.nvars, i, planted,
+                                                   inner, dims), (name, i, q)
+            seen += 1
+    assert seen
+
+
+def test_the_maps_are_checked_once_per_degree(monkeypatch):
+    # a fresh full engine of braid-a3 ranks B_i for several i out of
+    # degrees 1 and 2, and checks each degree's maps once
+    checked = []
+    check = _Engine._check_commuting
+
+    def spy(self, q):
+        if q not in self._commuting:
+            checked.append(q)
+        return check(self, q)
+    monkeypatch.setattr(_Engine, "_check_commuting", spy)
+    eng = FullEngine(OTPresentation(analysis("braid-a3").arrangement))
+    betti_table(eng)
+    assert sorted(checked) == [1, 2]
+    assert len([k for k, how in eng.rank_proofs.items()
+                if k[1] in (1, 2) and how != "koszul"]) > 2
 
 
 def test_a_fraction_map_is_refused_by_the_mod_p_layer():

@@ -1,6 +1,7 @@
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -9,19 +10,21 @@ import otb.koszul
 import otb.orlik_terao
 from otb.circuits import Circuit, circuit_relation, enumerate_circuits
 from otb.cli import run
-from otb.exact import GenericityError, MPoly, modp_rank, monomials_of_degree
+from otb.exact import (MODP_PRIMES, GenericityError, MPoly, modp_rank,
+                       monomials_of_degree, seeded_rng)
 from otb.koszul import ReducedEngine
-from otb.orlik_terao import (OTPresentation, l_forms, membership,
+from otb.orlik_terao import (OTPresentation, membership,
                              substitution_quotient_dim, terao_series)
 from otb.resonance import search_multinets
 from otb.scroll import multiplication_matrix
 
 from conftest import (BUILTINS, ORACLE_FORMS, ambient_piece, analysis,
-                      defining_polynomial, derivative, fraction_normal_form,
+                      defining_polynomial, derivative,
+                      evaluation_matrix_by_powers, fraction_normal_form,
                       gradient_degree, hilbert_burch_psi,
-                      jacobian_containment, mpoly_det, nbc_by_filter,
-                      substitution_membership, substitution_rank,
-                      vanishing_order)
+                      jacobian_containment, l_forms, mpoly_det,
+                      nbc_by_filter, substitution_membership,
+                      substitution_rank, vanishing_order)
 
 REFERENCE_CASES = BUILTINS + tuple(sorted(ORACLE_FORMS))
 
@@ -382,6 +385,30 @@ def test_a_failed_top_rank_proves_no_lower_degree(monkeypatch):
     assert substitution_quotient_dim(pres, 2) == 36
     assert substitution_quotient_dim(pres, 4) == 147
     assert shapes == [(36, 36), (147, 147)]
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_the_evaluation_matrix_is_that_of_the_power_tables(name):
+    # the vectorized build against one power table per variable, entry for
+    # entry, at the program's first draw of points in each degree 0..5, and
+    # with a point planted on a line mod p, where both give None
+    arr, p = analysis(name).arrangement, MODP_PRIMES[0]
+    pres = OTPresentation(arr)
+    for j in range(6):
+        basis = pres.nbc_monomials(j)
+        rng = seeded_rng("nbc-basis:%s:%d" % (name, j))
+        points = [[rng.randrange(p) for _ in range(3)] for _ in basis]
+        built = otb.orlik_terao._evaluation_matrix(arr.forms, basis, points,
+                                                   p)
+        assert built.dtype == np.int64
+        assert np.array_equal(
+            built, evaluation_matrix_by_powers(arr.forms, basis, points, p))
+        a, b, c = arr.forms[-1]
+        points[-1] = [b % p, -a % p, 0] if (a, b) != (0, 0) else [1, 0, 0]
+        assert otb.orlik_terao._evaluation_matrix(
+            arr.forms, basis, points, p) is None
+        assert evaluation_matrix_by_powers(arr.forms, basis, points,
+                                           p) is None
 
 
 @pytest.mark.parametrize("name", REFERENCE_CASES)

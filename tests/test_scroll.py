@@ -1,16 +1,22 @@
-import pytest
+import dataclasses
+import json
 from fractions import Fraction
 from math import comb
 
+import pytest
+
+import otb.cli
 import otb.scroll
+from otb.cli import run
+from otb.divisors import h0_fatpoints, net_split
 from otb.exact import MPoly, monomials_of_degree, rank
 from otb.koszul import tor_dimension
 from otb.orlik_terao import membership
 from otb.resonance import search_multinets
-from otb.scroll import (en_prediction, minor_span_dimension, minors_in_ideal,
-                        multiplication_matrix)
+from otb.scroll import en_prediction, minors_in_ideal, multiplication_matrix
 
-from conftest import analysis, is_one_generic, solve
+from conftest import (BENCH_FORMS, BUILTINS, ORACLE_FORMS, analysis,
+                      is_one_generic, l_forms, minor_span_dimension, solve)
 
 
 def _gamma(name):
@@ -121,7 +127,6 @@ def test_sigma_entries_in_pencil():
 
 def test_gamma_entry_identity():
     # sigma_i tau_j == sum_k coeff_k l_k identically
-    from otb.orlik_terao import l_forms
     a, cert, g = _gamma("braid-a3")
     ls = l_forms(a)
     for i in range(2):
@@ -141,7 +146,6 @@ def test_gamma_entry_identity():
 def test_gamma_entries_match_the_solved_expansion(name):
     # the interpolated entries against sigma_i tau_j = sum_k c_k l_k solved
     # as a linear system in the coefficients of the l_k
-    from otb.orlik_terao import l_forms
     a, _, g = _gamma(name)
     monos = monomials_of_degree(3, a.d - 1)
     lmat = [[l.terms.get(m, 0) for l in l_forms(a)] for m in monos]
@@ -217,3 +221,157 @@ def test_en_matches_computed_b23():
         en = en_prediction(cert, a.d)
         b23 = tor_dimension(analysis(name).engine, 2, 3)
         assert en.linear_syzygies == b23
+
+
+# -- the proofs of `multiplication_matrix` and `scroll-check` against their
+# computations, on every connected net of the test inputs
+
+NET_INPUTS = BUILTINS + tuple(sorted(ORACLE_FORMS)) + ("b3+1", "b3+2")
+
+
+def _every_net():
+    """(name, certificate) for every connected net that `scroll-check`
+    reads on the builtins, `ORACLE_FORMS` and seed-0 b3+1..b3+2."""
+    assert {"b3+1", "b3+2"} <= set(BENCH_FORMS)
+    out = [(name, c) for name in NET_INPUTS
+           for k in (3, 4) for c in analysis(name).multinets(k, 1)
+           if c.connected]
+    assert [name for name, _ in out] == ["braid-a3", "9_3_1"]
+    return out
+
+
+def _point_off_every_line(forms) -> tuple:
+    return next((1, t, t * t) for t in range(1, 100)
+                if all(sum(u * v for u, v in zip(f, (1, t, t * t)))
+                       for f in forms))
+
+
+def _evaluate(f, p):
+    return sum(c * p[0] ** e[0] * p[1] ** e[1] * p[2] ** e[2]
+               for e, c in f.terms.items())
+
+
+def _expands(g, ls, i, j, coeffs) -> bool:
+    """sigma_i tau_j == sum_k coeffs[k] l_k, by MPoly products."""
+    total = MPoly.zero(3)
+    for c, l in zip(coeffs, ls):
+        total = total + l * c
+    return total == g.sigma[i] * g.tau[j]
+
+
+def _entry_coefficients(g, i, j, d) -> list:
+    return [g.entries[i][j].terms.get(tuple(int(k == t) for t in range(d)),
+                                      Fraction(0)) for k in range(d)]
+
+
+def test_the_pencil_rank_is_h0_of_its_class(monkeypatch):
+    # columns minus the one proved rank, with sigma_0 and sigma_1 as the
+    # given cycles, against the lifted basis of `h0_fatpoints`
+    prove = otb.scroll.proved_rank
+    seen = []
+
+    def spy(matrix, cycles):
+        r = prove(matrix, cycles)
+        seen.append((len(matrix.columns()) - r[0], cycles.columns()))
+        return r
+    monkeypatch.setattr(otb.scroll, "proved_rank", spy)
+    for name, cert in _every_net():
+        an = analysis(name)
+        del seen[:]
+        g = multiplication_matrix(an.pres, cert)
+        split = net_split(an.arrangement, cert)
+        h0 = h0_fatpoints(an.arrangement, split.A_div)
+        assert [h for h, _ in seen] == [h0.dimension] == [2], name
+        assert len(seen[0][1]) == len(g.sigma) == 2
+
+
+def test_the_grid_check_agrees_with_the_l_forms_expansion(monkeypatch):
+    # each entry expands sigma_i tau_j by the l_k of the MPoly oracle; and
+    # with P_k moved off line k, so that c_k is read wrong, the grid check
+    # raises exactly when the oracle finds an entry that no longer expands
+    real = otb.scroll._point_off_others
+    raised = 0
+    for name, cert in _every_net():
+        an = analysis(name)
+        forms, d = an.arrangement.forms, an.arrangement.d
+        ls = l_forms(an.arrangement)
+        g = multiplication_matrix(an.pres, cert)
+        for i in range(2):
+            for j in range(g.ncols):
+                assert _expands(g, ls, i, j, _entry_coefficients(g, i, j, d))
+        off = _point_off_every_line(forms)
+        for k in range(d):
+            wrong = []
+            for i in range(2):
+                for j in range(g.ncols):
+                    coeffs = _entry_coefficients(g, i, j, d)
+                    coeffs[k] = Fraction(
+                        _evaluate(g.sigma[i] * g.tau[j], off),
+                        _evaluate(ls[k], off))
+                    wrong.append(not _expands(g, ls, i, j, coeffs))
+            with monkeypatch.context() as m:
+                m.setattr(otb.scroll, "_point_off_others",
+                          lambda fs, t: off if t == k else real(fs, t))
+                try:
+                    multiplication_matrix(an.pres, cert)
+                    rejected = False
+                except ArithmeticError as e:
+                    assert "outside the span of the l_k" in str(e)
+                    rejected = True
+            assert rejected == any(wrong), (name, k)
+            raised += rejected
+    assert raised
+
+
+def test_the_minor_span_is_the_eagon_northcott_count(capsys):
+    # the SparseReducer span of the minors is C(b, 2), and `scroll-check`
+    # prints that count
+    for name, cert in _every_net():
+        an = analysis(name)
+        g = multiplication_matrix(an.pres, cert)
+        assert minor_span_dimension(an.arrangement, g) == comb(g.ncols, 2)
+        assert run(["scroll-check", "--builtin", name, "--format",
+                    "json"]) == 0
+        checks = json.loads(capsys.readouterr().out)["results"]["checks"]
+        assert [c["minor_span_dimension"] for c in checks] == [
+            comb(g.ncols, 2)]
+
+
+def _non_section(cert):
+    """The certificate with the first lines of blocks 0 and 2 swapped:
+    sigma_0 then misses every base point of its removed line that the
+    added line does not pass through."""
+    b0, b1, b2 = cert.blocks[:3]
+    return dataclasses.replace(cert, blocks=(
+        (b2[0],) + b0[1:], b1, (b0[0],) + b2[1:]) + cert.blocks[3:])
+
+
+def test_a_planted_non_section_is_rejected():
+    for name, cert in _every_net():
+        with pytest.raises(ArithmeticError, match="not a section"):
+            multiplication_matrix(analysis(name).pres, _non_section(cert))
+
+
+def test_a_planted_non_section_is_a_verification_failure(monkeypatch,
+                                                         capsys):
+    real = otb.cli.multiplication_matrix
+    monkeypatch.setattr(otb.cli, "multiplication_matrix",
+                        lambda pres, cert: real(pres, _non_section(cert)))
+    assert run(["scroll-check", "--builtin", "9_3_1"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("verification failed: a block product is not "
+                              "a section")
+
+
+def test_a_planted_wrong_coefficient_is_a_verification_failure(monkeypatch,
+                                                               capsys):
+    real = otb.scroll._point_off_others
+    off = _point_off_every_line(analysis("9_3_1").arrangement.forms)
+    monkeypatch.setattr(otb.scroll, "_point_off_others",
+                        lambda fs, k: off if k == 0 else real(fs, k))
+    assert run(["scroll-check", "--builtin", "9_3_1"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("verification failed: pencil-times-residual "
+                              "product fell outside the span of the l_k")
